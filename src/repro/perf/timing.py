@@ -13,9 +13,11 @@ All translations and the switch-policy flushing go through one shared
 Two interchangeable drive loops exist: the reference :class:`_Runner`
 (per-event generator dispatch, ``AccessResult`` objects) and the
 :class:`_FastRunner` (the :mod:`repro.sim.kernel` fast path: traces
-compiled to flat arrays, packed-int results).  They are counter-for-counter
-equivalent -- ``tests/sim/test_fastpath_equivalence.py`` and ``repro bench``
-enforce it -- and ``fastpath=False`` selects the reference loop.
+compiled to flat arrays and shared through the process's
+:data:`~repro.sim.kernel.TRACE_STORE`, packed-int results).  They are
+counter-for-counter equivalent -- ``tests/sim/test_fastpath_equivalence.py``
+and ``repro bench`` enforce it -- and ``fastpath=False`` selects the
+reference loop.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.mmu import PageTableWalker, SwitchPolicy, make_walker
 from repro.sim.events import EventBus
 from repro.sim.kernel import (
     KERNEL_TELEMETRY,
-    CompiledTrace,
+    TRACE_STORE,
     RunState,
     supports_fastpath,
     supports_runpath,
@@ -125,21 +127,17 @@ def simulate(
         bus=bus,
     )
 
+    stream_seeds = [seed * 1000003 + index for index in range(len(processes))]
     if fastpath and supports_fastpath(tlb):
         use_runs = kernel == "run" and supports_runpath(tlb)
         runners = [
-            _FastRunner(
-                process,
-                memory,
-                random.Random(seed * 1000003 + index),
-                use_runs=use_runs,
-            )
-            for index, process in enumerate(processes)
+            _FastRunner(process, memory, stream_seed, use_runs=use_runs)
+            for process, stream_seed in zip(processes, stream_seeds)
         ]
     else:
         runners = [
-            _Runner(process, memory, random.Random(seed * 1000003 + index))
-            for index, process in enumerate(processes)
+            _Runner(process, memory, random.Random(stream_seed))
+            for process, stream_seed in zip(processes, stream_seeds)
         ]
     if len(runners) == 1:
         # Single-process runs need no per-quantum rescheduling: latch the
@@ -219,6 +217,11 @@ class _Runner:
 class _FastRunner:
     """:class:`_Runner` over a compiled trace and the packed fast path.
 
+    The trace comes complete from :data:`TRACE_STORE`: compiled through
+    the first event whose cumulative cost reaches the process's
+    instruction limit (or to exhaustion without a limit), which is as
+    far as any quantum can read, and structured.
+
     Same quantum semantics as the reference runner -- an event costing more
     than the whole quantum executes anyway (provided budget remains); one
     merely exceeding the remaining budget pends (here: the cursor simply
@@ -239,12 +242,14 @@ class _FastRunner:
         self,
         process: ScheduledProcess,
         memory: MemorySystem,
-        rng: random.Random,
+        stream_seed: int,
         use_runs: bool = False,
     ) -> None:
         self.process = process
         self._memory = memory
-        self._trace = CompiledTrace(process.workload.events(rng))
+        self._trace = TRACE_STORE.get(
+            process.workload, stream_seed, process.instructions
+        )
         self._cursor = 0
         self._run_state = RunState() if use_runs else None
         self.result = PerfResult(name=process.workload.name)
@@ -263,19 +268,13 @@ class _FastRunner:
             return
         trace = self._trace
         cum = trace.cum
-        cursor = self._cursor
-        base = cum[cursor - 1] if cursor else 0
-        reach = base + quantum
-        # Compile events until the quantum's window is covered (or the
-        # stream ends); each ensure() pulls at least one chunk.
         compiled = len(cum)
-        while not trace.exhausted and (
-            compiled <= cursor or cum[compiled - 1] <= reach
-        ):
-            compiled = trace.ensure(compiled + 1)
+        cursor = self._cursor
         if cursor >= compiled:
             self.done = True
             return
+        base = cum[cursor - 1] if cursor else 0
+        reach = base + quantum
         # Largest prefix of events fitting the budget...
         stop = bisect_right(cum, reach, cursor, compiled)
         # ...extended by one oversized event (cost > quantum) if budget
@@ -314,10 +313,11 @@ class _FastRunner:
         # The reference loop marks itself done *within* a quantum when,
         # with budget left over, the limit pre-check fails or the trace
         # ends; mirror that here so multiprogrammed scheduling (and hence
-        # the context-switch count) is identical.
+        # the context-switch count) is identical.  (A trace cut short at
+        # its need ends on the event that spends the limit.)
         if quantum - cost > 0:
             if (remaining is not None and remaining - cost <= 0) or (
-                stop >= compiled and trace.exhausted
+                stop >= compiled
             ):
                 self.done = True
 
@@ -341,10 +341,8 @@ class _FastRunner:
                 self.done = True
                 break
             if cursor >= compiled:
-                compiled = trace.ensure(cursor + 1)
-                if cursor >= compiled:
-                    self.done = True
-                    break
+                self.done = True
+                break
             gap = gaps[cursor]
             cost = gap + 1
             if cost > budget and cost <= quantum:

@@ -16,6 +16,10 @@ the specification* and adds differentially-verified fast paths:
   stream into flat ``array('q')`` columns, chunk by chunk (streams may be
   infinite), so the timing model's quantum loop runs over array slices
   instead of generator frames and tuples.
+* :class:`TraceStore` (process-wide instance :data:`TRACE_STORE`) keeps
+  each distinct (workload, stream seed) trace compiled, structured and
+  read-only, so every later ``simulate()`` of it -- another Figure 7
+  cell, sweep point or serve job -- reuses it instead of recompiling.
 * The **run kernel** (second-generation speed tier): a structural
   pre-pass over the compiled columns (:meth:`CompiledTrace.ensure_structure`)
   records, per trace position, the previous and next occurrence of the
@@ -45,15 +49,18 @@ diverge.  See ``docs/performance.md``.
 
 from __future__ import annotations
 
+import random
+import threading
 from array import array
-from typing import Iterable, Iterator, List, Tuple
+from collections import OrderedDict
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 #: Bit layout of a packed translation result.
 HIT_BIT = 0b10
 FILL_BIT = 0b01
 CYCLE_SHIFT = 2
 
-#: Events materialised per :meth:`CompiledTrace.extend` pull.  Large enough
+#: Events materialised per :meth:`CompiledTrace.ensure` pull.  Large enough
 #: to amortise the generator resumption, small enough that infinite SPEC
 #: streams never over-materialise past the instruction budget.
 CHUNK = 4096
@@ -106,13 +113,15 @@ class CompiledTrace:
     the quantum driver find a whole quantum's slice boundary with one
     binary search instead of per-event budget arithmetic.
 
-    Materialisation is lazy and chunked: :meth:`ensure` pulls from the
-    source generator only when the caller's cursor outruns what has been
-    compiled, so infinite streams (SPEC profiles run under an instruction
-    budget) compile exactly as far as the run consumes them.  The arrays
-    only ever grow in place -- callers may cache references to them.
+    Materialisation is chunked: :meth:`ensure` pulls from the source
+    generator a chunk at a time, so infinite streams (SPEC profiles run
+    under an instruction budget) compile only as far as asked.  The
+    arrays only ever grow in place -- callers may cache references to
+    them.  A trace is replayed only once it is *complete*: compiled and
+    structured through the last event any replay will read, and never
+    grown afterwards (:func:`compile_trace` builds traces so).
 
-    On top of the event columns, :meth:`ensure_structure` lazily derives
+    On top of the event columns, :meth:`ensure_structure` derives
     the *run-structure* columns the run kernel proves hit-runs with:
 
     ``prev[i]``
@@ -123,8 +132,9 @@ class CompiledTrace:
         ``T`` evicted or invalidated any entry).
     ``nxt[i]``
         Position of the next access to ``vpns[i]``; :data:`INF_HORIZON`
-        until that occurrence compiles (values only ever decrease, so a
-        stale read is conservative).  ``nxt[i] >= run_end`` identifies the
+        when the page does not occur again in the trace (patched down
+        while later chunks are structured).  ``nxt[i] >= run_end``
+        identifies the
         *last* touch of each page inside a run window -- the only touch
         whose LRU timestamp the run kernel must materialise.
     ``sub_min_prev`` / ``blk_min_prev``
@@ -132,22 +142,27 @@ class CompiledTrace:
         :data:`RUN_BLOCK` windows, so run detection skips whole blocks at
         C speed instead of comparing element-wise.
     ``occ``
-        Per-page sorted occurrence lists (``vpn -> [positions]``): when a
+        Per-page sorted occurrence columns (``vpn -> positions``): when a
         fill evicts page ``V``, one bisect finds ``V``'s next occurrence
         -- the *next-eviction horizon* at which a hit-run must break
         because that access is a forced miss.
     ``boundary_firsts``
         Positions whose ``prev`` predates their structure extension (the
         first occurrence of each page per :meth:`ensure_structure` call),
-        ascending.  A page evicted with *no* occurrence in the structure
-        compiled so far may still reappear in events compiled later; run
-        states scan the new boundary-firsts each quantum to convert such
-        open evictions into concrete horizons.
+        ascending: a superset of each page's first occurrence, which is
+        where the run kernel's scan stops while nothing has been evicted
+        unidentified.  A page evicted with no later occurrence needs no
+        horizon at all, since the trace is complete.
 
-    The structure columns are plain lists (not ``array('q')``): the run
-    scanner's ``min()`` over list slices and indexed reads skip the int
-    re-boxing an array would pay per element.  The pre-pass itself runs
-    on the numpy backend when available (:data:`STRUCTURE_BACKEND`).
+    ``prev``, ``nxt`` and each ``occ`` column are ``array('q')``: 8 bytes
+    an element against a list's pointer plus a boxed int, which is what
+    lets :data:`TRACE_STORE` hold every distinct trace of a run in each
+    worker.  Reads re-box the ints, but replays barely notice: over the
+    bench's five 400,000-event SPEC rows (best of 18 on a shared 2-vCPU
+    host), the oracle tier took 0.66-1.09x (geometric mean 0.93x) and
+    the ledger tier 0.92-1.32x (geometric mean 1.07x) of its time over
+    list columns.  The pre-pass itself runs on the numpy backend when
+    available (:data:`STRUCTURE_BACKEND`).
     """
 
     __slots__ = (
@@ -164,6 +179,7 @@ class CompiledTrace:
         "boundary_firsts",
         "_last_pos",
         "_oracles",
+        "_oracle_lock",
     )
 
     def __init__(self, events: Iterable[Tuple[int, int]]) -> None:
@@ -172,16 +188,18 @@ class CompiledTrace:
         self.cum = array("q")
         self.exhausted = False
         self._source: Iterator[Tuple[int, int]] = iter(events)
-        self.prev: List[int] = []
-        self.nxt: List[int] = []
+        self.prev = array("q")
+        self.nxt = array("q")
         self.sub_min_prev: List[int] = []
         self.blk_min_prev: List[int] = []
+        #: vpn -> ``array('q')`` of its structured positions, ascending.
         self.occ: dict = {}
         self.boundary_firsts: List[int] = []
         #: vpn -> position of its latest structured occurrence.
         self._last_pos: dict = {}
         #: (nsets, ways) -> cached :class:`ReuseOracle` over this trace.
         self._oracles: dict = {}
+        self._oracle_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.gaps)
@@ -190,11 +208,9 @@ class CompiledTrace:
         """Compile until at least ``upto`` events exist (or the stream
         ends); returns the number of events available.
 
-        A source generator that *raises* mid-chunk leaves the columns
-        consistent (each event's three appends complete before the next
-        pull) and marks the trace exhausted, so the exception surfaces
-        exactly once: later ``ensure`` calls return the compiled prefix
-        quietly instead of re-poking a broken generator.
+        An exception from the source generator propagates; the trace is
+        then a prefix to discard (:func:`compile_trace` does, so
+        :class:`TraceStore` publishes nothing for it).
         """
         gaps_append = self.gaps.append
         vpns_append = self.vpns.append
@@ -203,18 +219,14 @@ class CompiledTrace:
         total = self.cum[-1] if self.cum else 0
         while not self.exhausted and len(self.gaps) < upto:
             pulled = 0
-            try:
-                for gap, vpn in source:
-                    gaps_append(gap)
-                    vpns_append(vpn)
-                    total += gap + 1
-                    cum_append(total)
-                    pulled += 1
-                    if pulled >= CHUNK:
-                        break
-            except BaseException:
-                self.exhausted = True
-                raise
+            for gap, vpn in source:
+                gaps_append(gap)
+                vpns_append(vpn)
+                total += gap + 1
+                cum_append(total)
+                pulled += 1
+                if pulled >= CHUNK:
+                    break
             if pulled < CHUNK:
                 self.exhausted = True
         return len(self.gaps)
@@ -261,7 +273,7 @@ class CompiledTrace:
             last_pos[vpn] = position
             chain = occ.get(vpn)
             if chain is None:
-                occ[vpn] = [position]
+                occ[vpn] = array("q", (position,))
             else:
                 chain.append(position)
 
@@ -269,8 +281,7 @@ class CompiledTrace:
         """Extend the two block-minima tiers over fully-structured blocks.
 
         ``prev`` is immutable once appended, so the minima never go
-        stale; ``min()`` over a list slice runs at C speed without
-        re-boxing the ints.
+        stale.
         """
         prev = self.prev
         sub = self.sub_min_prev
@@ -283,15 +294,25 @@ class CompiledTrace:
             base = block * span
             blk.append(min(sub[base:base + span]))
 
-    def reuse_oracle(self, nsets: int, ways: int, upto: int) -> "ReuseOracle":
+    def reuse_oracle(self, nsets: int, ways: int) -> "ReuseOracle":
         """The (cached) exact LRU hit/miss oracle for one TLB geometry,
-        extended to cover at least ``min(upto, len(self))`` positions."""
+        covering every compiled event.
+
+        The oracle is built whole before it is cached, under this
+        trace's lock, so threads sharing a :data:`TRACE_STORE` trace
+        never see one half-built; a lock per trace keeps builds for
+        different traces (and the store's own lookups) from waiting on
+        each other.
+        """
         key = (nsets, ways)
         oracle = self._oracles.get(key)
         if oracle is None:
-            oracle = ReuseOracle(nsets, ways)
-            self._oracles[key] = oracle
-        oracle.extend(self, min(upto, len(self.gaps)))
+            with self._oracle_lock:
+                oracle = self._oracles.get(key)
+                if oracle is None:
+                    oracle = ReuseOracle(nsets, ways)
+                    oracle.extend(self)
+                    self._oracles[key] = oracle
         return oracle
 
 
@@ -317,9 +338,11 @@ class ReuseOracle:
         (inclusive) -- lets a slice replay derive its eviction count by
         subtraction.
     ``page_misses``
-        ``vpn -> ascending positions of that page's misses``; a miss
-        that is the page's *first* miss globally is its first-ever walk
-        (the one that may auto-map and allocate the physical frame).
+        ``vpn -> ascending positions of that page's misses``, an
+        ``array('q')`` per page (an oracle lives as long as its stored
+        trace); a miss that is the page's *first* miss globally is its
+        first-ever walk (the one that may auto-map and allocate the
+        physical frame).
 
     ``BaseTLB.translate_runs`` replays a whole quantum slice against
     this schedule in O(misses), touching Python-level TLB entry objects
@@ -330,22 +353,19 @@ class ReuseOracle:
     back to the ledger (and from there to per-access probes) whenever
     any assumption breaks; the oracle itself is policy-free trace math.
 
-    Extension is incremental (``extend``) so infinite streams pay only
-    for what a run consumes; a fully-associative geometry is simply
+    :meth:`CompiledTrace.reuse_oracle` builds it in one pass over the
+    complete trace.  A fully-associative geometry is simply
     ``nsets == 1``.
     """
 
     __slots__ = (
         "nsets",
         "ways",
-        "limit",
         "miss_pos",
         "miss_page",
         "miss_evict",
         "inv_cum",
         "page_misses",
-        "_sets",
-        "_invalid",
     )
 
     def __init__(self, nsets: int, ways: int) -> None:
@@ -353,31 +373,26 @@ class ReuseOracle:
             raise ValueError("oracle geometry must be positive")
         self.nsets = nsets
         self.ways = ways
-        #: Positions [0, limit) are simulated.
-        self.limit = 0
         self.miss_pos = array("q")
         self.miss_page = array("q")
         self.miss_evict = array("q")
         self.inv_cum = array("q")
         self.page_misses: dict = {}
-        self._sets: List[dict] = [dict() for _ in range(nsets)]
-        self._invalid = 0
 
-    def extend(self, trace: "CompiledTrace", limit: int) -> None:
-        """Simulate positions ``[self.limit, limit)`` of ``trace``."""
-        if limit <= self.limit:
-            return
+    def extend(self, trace: "CompiledTrace") -> None:
+        """Fill this fresh oracle's schedule over every event of
+        ``trace``, in one pass."""
         vpns = trace.vpns
         nsets = self.nsets
         ways = self.ways
-        sets = self._sets
+        sets: List[dict] = [dict() for _ in range(nsets)]
         page_misses = self.page_misses
         append_pos = self.miss_pos.append
         append_page = self.miss_page.append
         append_evict = self.miss_evict.append
         append_inv = self.inv_cum.append
-        invalid = self._invalid
-        for position in range(self.limit, limit):
+        invalid = 0
+        for position in range(len(vpns)):
             vpn = vpns[position]
             lru = sets[vpn % nsets]
             if vpn in lru:
@@ -397,11 +412,153 @@ class ReuseOracle:
             append_inv(invalid)
             chain = page_misses.get(vpn)
             if chain is None:
-                page_misses[vpn] = [position]
+                page_misses[vpn] = array("q", (position,))
             else:
                 chain.append(position)
-        self._invalid = invalid
-        self.limit = limit
+
+
+#: Compiled events :data:`TRACE_STORE` keeps before it evicts its
+#: least-recently-used traces.  A one-process ``run-all`` of Figure 7,
+#: the ablation sweeps and the hierarchy sweep compiles 10 distinct
+#: traces of 513,356 events in total, so it recompiles nothing.  At about
+#: 55 bytes an event with its structure columns (reuse oracles extra), a
+#: full store is about 55 MiB: the most a long-lived ``repro serve`` fed
+#: ever-new workload parameters keeps.
+STORE_EVENTS = 1 << 20
+
+
+def compile_trace(
+    workload: Any, stream_seed: int, need: Optional[int] = None
+) -> CompiledTrace:
+    """Compile one process's trace complete, with its run structure.
+
+    The workload's events under ``random.Random(stream_seed)`` compile to
+    exhaustion, or -- with ``need`` -- at least through the first event
+    whose cumulative cost reaches ``need``.  A runner with instruction
+    limit ``L`` never reads past that event for ``need = L``: a quantum
+    stops at the first event that spends the limit.  The structure
+    pre-pass follows the compile chunk by chunk, so it never holds numpy
+    temporaries the size of the whole trace.  A generator that raises
+    propagates its exception and leaves nothing behind.
+    """
+    trace = CompiledTrace(workload.events(random.Random(stream_seed)))
+    while True:
+        compiled = trace.ensure(len(trace) + 1)
+        trace.ensure_structure(compiled)
+        if _covers(trace, need):
+            return trace
+
+
+def _covers(trace: CompiledTrace, need: Optional[int]) -> bool:
+    """Whether a :func:`compile_trace` result holds everything ``need``
+    asks for (see there)."""
+    return trace.exhausted or (need is not None and trace.cum[-1] >= need)
+
+
+def store_key(workload: Any, stream_seed: int) -> Optional[tuple]:
+    """The :class:`TraceStore` key of a trace, or None to bypass the store.
+
+    Only a frozen dataclass compares and hashes by value.  Any other
+    workload hashes by identity, and an identity can be reused by a new
+    object once the old one is freed, so it never enters the store.
+    """
+    params = getattr(type(workload), "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return None
+    key = (workload, stream_seed)
+    try:
+        hash(key)
+    except TypeError:  # A frozen dataclass holding an unhashable field.
+        return None
+    return key
+
+
+class TraceStore:
+    """Compiled traces shared by every ``simulate()`` in a process.
+
+    Entries are keyed by :func:`store_key` -- the workload's value and its
+    stream seed -- and hold a :func:`compile_trace` result, published
+    only once complete and never changed afterwards, so concurrent
+    readers (serve runs cells on executor threads) need no lock to use
+    one.  An entry compiled for a smaller ``need`` is replaced by a
+    longer one when a later run needs more.  Once the stored events pass
+    :data:`STORE_EVENTS` the least-recently-used entries are evicted (a
+    trace longer than the whole bound is returned but never stored); a
+    runner still replaying an evicted trace keeps its reference.
+    """
+
+    def __init__(self) -> None:
+        self.events = 0
+        self._lock = threading.Lock()
+        #: key -> trace, least recently used first.
+        self._entries: "OrderedDict[tuple, CompiledTrace]" = OrderedDict()
+        #: key -> the lock its one compiling thread holds.
+        self._building: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def keys(self) -> List[tuple]:
+        """Stored keys, least recently used first."""
+        with self._lock:
+            return list(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.events = 0
+
+    def get(
+        self, workload: Any, stream_seed: int, need: Optional[int] = None
+    ) -> CompiledTrace:
+        """The trace :func:`compile_trace` would build, from the store
+        when an entry covers ``need``.  One thread compiles a missing
+        key while others asking for it wait for its entry."""
+        key = store_key(workload, stream_seed)
+        if key is None:
+            return compile_trace(workload, stream_seed, need)
+        with self._lock:
+            trace = self._hit(key, need)
+            if trace is not None:
+                return trace
+            building = self._building.setdefault(key, threading.Lock())
+        with building:
+            try:
+                with self._lock:
+                    trace = self._hit(key, need)
+                if trace is None:
+                    trace = compile_trace(workload, stream_seed, need)
+                    with self._lock:
+                        self._publish(key, trace)
+            finally:
+                with self._lock:
+                    if self._building.get(key) is building:
+                        del self._building[key]
+        return trace
+
+    def _hit(self, key: tuple, need: Optional[int]) -> Optional[CompiledTrace]:
+        trace = self._entries.get(key)
+        if trace is None or not _covers(trace, need):
+            return None
+        self._entries.move_to_end(key)
+        return trace
+
+    def _publish(self, key: tuple, trace: CompiledTrace) -> None:
+        if len(trace) > STORE_EVENTS:
+            return
+        replaced = self._entries.pop(key, None)
+        if replaced is not None:
+            self.events -= len(replaced)
+        self._entries[key] = trace
+        self.events += len(trace)
+        while self.events > STORE_EVENTS:
+            _, evicted = self._entries.popitem(last=False)
+            self.events -= len(evicted)
+
+
+#: The process's compiled-trace store (see :class:`TraceStore`); the
+#: fast-path ``simulate()`` takes every trace from it.
+TRACE_STORE = TraceStore()
 
 
 def supports_fastpath(tlb: object) -> bool:
@@ -434,16 +591,15 @@ class RunState:
         identity, a superpage eviction, a no-fill return (``T`` moves
         *past* the miss: the requested page itself was left non-resident),
         or an external mutation (reset to the resume position).
-    ``hheap`` / ``open_evicts``
+    ``hheap``
         The eviction ledger.  An ordinary eviction un-residents exactly
         one page ``V``; instead of collapsing ``T``, the kernel bisects
         ``V``'s occurrence list for its next appearance ``q`` -- a forced
         miss -- and pushes ``q`` onto the min-heap ``hheap`` of
         *next-eviction horizons*.  Hit-runs extend only below the heap
         top, and each horizon is popped when its probe refills the page.
-        A page with no known future occurrence parks in ``open_evicts``
-        (``vpn -> eviction position``) until the trace's newly-structured
-        ``boundary_firsts`` (scanned from ``bf_cursor``) reveal one.
+        A page that never occurs again in the (complete) trace needs no
+        horizon.
 
     ``mut`` snapshots the owning TLB's mutation counter at the end of the
     last quantum; a mismatch at the start of the next one means some
@@ -486,8 +642,6 @@ class RunState:
         "threshold",
         "mut",
         "hheap",
-        "open_evicts",
-        "bf_cursor",
         "run_hits",
         "probed",
         "runs",
@@ -511,8 +665,6 @@ class RunState:
         self.threshold = 0
         self.mut = -1
         self.hheap: List[int] = []
-        self.open_evicts: dict = {}
-        self.bf_cursor = 0
         self.run_hits = 0
         self.probed = 0
         self.runs = 0

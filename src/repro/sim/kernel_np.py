@@ -8,7 +8,8 @@ allocate internally, but the pre-pass runs once per compiled chunk, not
 per access.
 
 The job: given the freshly-compiled positions ``[start, limit)`` of a
-trace, append ``prev[i]`` (position of the previous occurrence of
+trace, append (as raw ``int64`` bytes onto its ``array('q')`` columns)
+``prev[i]`` (position of the previous occurrence of
 ``vpns[i]``; -1 if first) and ``nxt[i]`` (position of the next
 occurrence; ``inf`` sentinel if none yet), extend the per-page ``occ``
 occurrence lists and the ``boundary_firsts`` column, and patch ``nxt``
@@ -22,6 +23,8 @@ than events.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -55,27 +58,28 @@ def extend_structure(trace, start: int, limit: int, inf: int) -> None:
     # an earlier extension.
     last_pos = trace._last_pos
     occ = trace.occ
-    nxt_list = trace.nxt
-    pos_list = positions.tolist()
+    nxt_col = trace.nxt
+    group_vpns = sorted_vpns[group_starts].tolist()
+    heads = positions[group_starts].tolist()
+    tails = positions[group_ends - 1].tolist()
+    pos_bytes = positions.tobytes()
     first_indices = order[first_mask]
     for which, (gs, ge) in enumerate(
         zip(group_starts.tolist(), group_ends.tolist())
     ):
-        vpn = int(sorted_vpns[gs])
-        group = pos_list[gs:ge]
+        vpn = group_vpns[which]
         earlier = last_pos.get(vpn, -1)
         if earlier >= 0:
             prev_arr[first_indices[which]] = earlier
-            nxt_list[earlier] = group[0]
-        last_pos[vpn] = group[-1]
+            nxt_col[earlier] = heads[which]
+        last_pos[vpn] = tails[which]
         chain = occ.get(vpn)
         if chain is None:
-            occ[vpn] = group
-        else:
-            chain.extend(group)
+            occ[vpn] = chain = array("q")
+        chain.frombytes(pos_bytes[gs * 8:ge * 8])
 
     # Boundary firsts: each page's first occurrence in this extension
     # (exactly the group heads), in ascending trace order.
     trace.boundary_firsts.extend(np.sort(positions[first_mask]).tolist())
-    trace.prev.extend(prev_arr.tolist())
-    nxt_list.extend(nxt_arr.tolist())
+    trace.prev.frombytes(prev_arr.tobytes())
+    nxt_col.frombytes(nxt_arr.tobytes())

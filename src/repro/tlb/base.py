@@ -288,11 +288,12 @@ class BaseTLB(abc.ABC):
         ``[start, stop)``; returns ``(total_cycles, misses)``.
 
         Second-generation speed tier (Guo's trace-granularity idea): the
-        structure columns of a :class:`repro.sim.kernel.CompiledTrace`
-        (``prev``/``nxt`` plus block minima; ``ensure_structure`` must
-        cover ``stop``) let whole stretches of guaranteed hits be
-        *proved* and retired in O(run) local arithmetic -- no per-access
-        dict probe -- with the per-access probe of
+        structure columns of a complete
+        :class:`repro.sim.kernel.CompiledTrace` (``prev``/``nxt`` plus
+        block minima, built by ``ensure_structure`` over every compiled
+        event before the first replay) let whole stretches of guaranteed
+        hits be *proved* and retired in O(run) local arithmetic -- no
+        per-access dict probe -- with the per-access probe of
         :meth:`translate_slice` only at the positions a fill, eviction,
         no-fill return, superpage probe or Sec boundary could occur.
 
@@ -307,9 +308,8 @@ class BaseTLB(abc.ABC):
         appearance -- a forced miss -- and pushes it onto the min-heap
         of *next-eviction horizons*; hit-runs extend only below the heap
         top, and the horizon pops when its probe refills the page.  A
-        page with no occurrence in the structure compiled so far parks
-        in ``open_evicts`` until the trace's new ``boundary_firsts``
-        reveal one.  ``T`` itself moves only for effects the kernel
+        page that never occurs again needs no horizon, since the trace
+        is complete.  ``T`` itself moves only for effects the kernel
         cannot name: an eviction of unknown identity or a superpage
         eviction (``T`` = the miss position), a no-fill return (``T``
         moves *past* the miss: the requested page was left non-resident,
@@ -340,8 +340,11 @@ class BaseTLB(abc.ABC):
         interference -- foreign accesses, mutations, remaps -- fails the
         resume check and drops the state to the ledger tier permanently.
         """
-        if len(trace.prev) < stop:
-            trace.ensure_structure(stop)
+        if stop > len(trace.prev) or len(trace.prev) != len(trace.gaps):
+            raise ValueError(
+                "translate_runs needs a complete trace: ensure_structure "
+                "over every compiled event, through stop"
+            )
         if state.o_active:
             o_token_fn = getattr(translator, "memo_token", None)
             if (
@@ -386,7 +389,6 @@ class BaseTLB(abc.ABC):
         clear_buffer = self._NOFILL_BUFFER
         index_get = index.get
         heap = state.hheap
-        opens = state.open_evicts
         #: Per-invocation vpn -> exact level-0 entry memo for the settle
         #: and probe paths (int-key probes instead of tuple-key ones).
         #: Sound because nothing mutates the TLB mid-invocation except
@@ -409,22 +411,6 @@ class BaseTLB(abc.ABC):
             state.threshold = start
             if heap:
                 heap.clear()
-            if opens:
-                opens.clear()
-            state.bf_cursor = len(bf)
-        elif state.bf_cursor < len(bf):
-            # Newly structured events may contain the first reappearance
-            # of a page whose eviction is still an open (horizon-less)
-            # ledger entry; convert those to concrete horizons.
-            if opens:
-                for cursor in range(state.bf_cursor, len(bf)):
-                    position = bf[cursor]
-                    if vpns[position] in opens:
-                        del opens[vpns[position]]
-                        heappush(heap, position)
-                        if not opens:
-                            break
-            state.bf_cursor = len(bf)
         threshold = state.threshold
         # While T == 0 (no unidentified eviction or no-fill yet -- the
         # whole lifetime of SA/SP traces and non-secure RF ones) the
@@ -582,8 +568,6 @@ class BaseTLB(abc.ABC):
                             cursor = bisect_right(chain, m)
                             if cursor < len(chain):
                                 heappush(heap, chain[cursor])
-                            else:
-                                opens[self._evicted_vpn] = m
                         if cache:
                             cache.pop(self._evicted_vpn, None)
             elif action == 1:
@@ -596,8 +580,6 @@ class BaseTLB(abc.ABC):
                 use_bf = False
                 if heap:
                     heap.clear()
-                if opens:
-                    opens.clear()
                 if cache:
                     cache.clear()
             i = m + 1
@@ -680,7 +662,7 @@ class BaseTLB(abc.ABC):
         if nsets <= 0 or ways <= 0:
             return False
         state.o_active = True
-        state.o_oracle = trace.reuse_oracle(nsets, ways, 0)
+        state.o_oracle = trace.reuse_oracle(nsets, ways)
         state.o_cursor = 0
         state.o_pos = 0
         state.o_clock0 = self._clock
@@ -721,8 +703,6 @@ class BaseTLB(abc.ABC):
         indistinguishable from the reference's, entry for entry.
         """
         oracle = state.o_oracle
-        if oracle.limit < stop:
-            oracle.extend(trace, stop)
         n = stop - start
         miss_pos = oracle.miss_pos
         page_misses = oracle.page_misses

@@ -241,12 +241,15 @@ class TracedModExp:
 # -- the workload --------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RSAWorkload:
     """Repeated RSA decryptions as a trace workload (Section 6.2's "RSA").
 
     ``runs`` mirrors the paper's 50/100/150 decryption series.  The same
-    hard-coded key is used for every run, as in the paper.
+    hard-coded key is used for every run, as in the paper.  Frozen, so
+    it compares and hashes by value: the compiled-trace store
+    (:class:`repro.sim.kernel.TraceStore`) shares one trace among all
+    equal workloads.
     """
 
     key: RSAKey
@@ -259,7 +262,9 @@ class RSAWorkload:
         if self.runs <= 0:
             raise ValueError("need at least one decryption run")
         if self.ciphertext is None:
-            self.ciphertext = self.key.encrypt(0x1234567 % self.key.n)
+            object.__setattr__(
+                self, "ciphertext", self.key.encrypt(0x1234567 % self.key.n)
+            )
 
     def events(self, rng: random.Random) -> Iterator[MemoryEvent]:
         for _ in range(self.runs):

@@ -326,6 +326,23 @@ class TestRunEquivalence:
         assert state.run_hits + state.probed == RUN_COUNT
         assert state.run_hits > state.probed
 
+    def test_refuses_an_incomplete_trace(self):
+        """Structure short of the slice, or events compiled after the
+        structure, raise instead of replaying past the proofs."""
+        trace = CompiledTrace(by_name("povray").events(random.Random(11)))
+        trace.ensure(RUN_STEP)
+        tlb = make_case(TLBKind.SA)
+        with pytest.raises(ValueError, match="complete trace"):
+            tlb.translate_runs(
+                trace, 0, RUN_STEP, 2, make_walker(), RunState()
+            )
+        structured = trace.ensure_structure(RUN_STEP)
+        trace.ensure(structured + 1)
+        with pytest.raises(ValueError, match="complete trace"):
+            tlb.translate_runs(
+                trace, 0, RUN_STEP, 2, make_walker(), RunState()
+            )
+
     def test_sp_victim_partition(self, povray_trace):
         state = three_way(
             lambda: make_case(TLBKind.SP), povray_trace, asid=1
