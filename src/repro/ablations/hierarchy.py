@@ -278,18 +278,15 @@ def evaluate_sweep_cell(
     )
 
 
-def sweep_perf_point(
-    spec: SpecLike, rsa_runs: int = 10, kernel: str = "run"
-) -> Dict[str, Any]:
+def sweep_perf_point(spec: SpecLike, rsa_runs: int = 10) -> Dict[str, Any]:
     """One design's performance under SecRSA through the timing model.
 
     Reports IPC/MPKI (L1 misses per kilo-instruction), the true walk
     count (last-level misses -- what ``tlb_miss_count`` observes) and the
     page-walk-cache hit count, so the matrix shows what an L2 or a PWC
-    buys back from the secure designs' miss-rate cost.  ``kernel``
-    selects the fast path's batched translation kernel (identical
-    results; hierarchy L1s fall back from the run tier's caches to its
-    probes automatically where their adapters lack walk memo tokens).
+    buys back from the secure designs' miss-rate cost.  Hierarchy L1s
+    run on the run kernel's ledger tier: their level adapters lack the
+    walk memo token its walk cache and oracle tier need.
     """
     from repro.perf.harness import RSA_ASID
     from repro.perf.timing import ScheduledProcess, simulate
@@ -304,7 +301,6 @@ def sweep_perf_point(
         tlb,
         [ScheduledProcess(workload=rsa, asid=RSA_ASID)],
         walker=make_walker(),
-        kernel=kernel,
     )
     total = results["total"]
     pwc = tlb.pwc

@@ -53,14 +53,14 @@ over Python ASTs:
     by construction.
 
 ``allocation-free-run-kernel``
-    The batched translation kernels (``translate_slice``,
-    ``translate_runs``, ``_oracle_slice``, ``_run_miss_fast``,
-    ``_victim_fast``, ``_fill_fast``, ``_settle_touch``) are the inner
-    loops the speedup headline stands on: no dataclass or event
-    construction (``TLBEntry``/``AccessResult``/``WalkResult``/
-    ``*Event``), no ``snapshot()`` calls, no comprehensions, and tuples
-    only where they do not allocate per access (unpacking targets,
-    return statements, index keys, and ``.get``/``.pop`` arguments).
+    The run kernel's functions (``translate_runs``, ``_oracle_slice``,
+    ``_run_miss_fast``, ``_victim_fast``, ``_fill_fast``,
+    ``_settle_touch``) are the inner loops the speedup headline stands
+    on: no dataclass or event construction (``TLBEntry``/
+    ``AccessResult``/``WalkResult``/``*Event``), no ``snapshot()``
+    calls, no comprehensions, and tuples only where they do not allocate
+    per access (unpacking targets, return statements, index keys, and
+    ``.get``/``.pop`` arguments).
     The compile-tier pre-passes (``ReuseOracle.extend``,
     ``_oracle_engage``, ``_rebuild_victim_queue``) are deliberately
     outside the guarded set -- they run once per trace or per rebuild,
@@ -467,12 +467,11 @@ class CertifiableHierarchy(Rule):
                 )
 
 
-#: The batched-kernel functions held to the allocation-free discipline.
+#: The run-kernel functions held to the allocation-free discipline.
 #: Matched by name wherever they are defined, so every design's override
 #: of ``_run_miss_fast`` (and any future one) is covered automatically.
 KERNEL_FUNCTIONS = frozenset(
     {
-        "translate_slice",
         "translate_runs",
         "_oracle_slice",
         "_run_miss_fast",
@@ -493,7 +492,7 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 class AllocationFreeRunKernel(Rule):
     name = "allocation-free-run-kernel"
     description = (
-        "the batched translation kernels stay allocation-free: no"
+        "the run kernel's functions stay allocation-free: no"
         " dataclass/event construction, snapshot() calls or"
         " comprehensions, and tuples only in non-allocating positions"
         " (unpacking, return, index keys, .get/.pop arguments)"

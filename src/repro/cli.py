@@ -295,8 +295,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     options = {}
     if args.no_fastpath:
         options["fig7_fastpath"] = False
-    if args.kernel != "run":
-        options["kernel"] = args.kernel
     report = run_all(
         jobs=args.jobs,
         use_cache=not args.no_cache,
@@ -653,15 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_all.add_argument(
-        "--kernel", choices=("access", "run"), default="run",
-        help=(
-            "batched translation kernel for the fast path: 'run' retires"
-            " whole hit-runs against structural proofs, 'access' probes"
-            " per position (results are identical; a second differential"
-            " escape hatch, orthogonal to --no-fastpath)"
-        ),
-    )
-    run_all.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
     )
     run_all.set_defaults(func=_cmd_run_all)
@@ -773,12 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fast-path vs reference regression bench",
         description=(
             "Replay Figure 7 SPEC traces and the protected RSA trace"
-            " through the reference model and both repro.sim.kernel"
-            " kernels (per-position 'access' and run-granular 'run'),"
-            " verify the counters are identical, and report"
-            " accesses/second and speedups (headline floor: 8x geometric"
-            " mean for the run kernel).  Exit codes: 2 on counter"
-            " divergence, 1 when a full-size run misses the floor."
+            " through the reference model and the run kernel, verify the"
+            " counters are identical, and report accesses/second and"
+            " speedups (headline floor: 8x geometric mean).  Exit codes:"
+            " 2 on counter divergence, 1 when a full-size run misses the"
+            " floor."
         ),
     )
     bench.add_argument(

@@ -1,29 +1,27 @@
 """The fast-path regression bench (``python -m repro bench``).
 
-Times the :mod:`repro.sim.kernel` kernels against the reference model
-over the workloads that dominate the reproduction's runtime, and refuses
-to report any speedup whose counters diverge -- the bench is first a
-differential test and only then a stopwatch.  Three tiers:
+Times the :mod:`repro.sim.kernel` run kernel against the reference
+model over the workloads that dominate the reproduction's runtime, and
+refuses to report any speedup whose counters diverge -- the bench is
+first a differential test and only then a stopwatch.  Three tiers:
 
 * **Trace replay** (the headline): each design -- SA, FA (the
   fully-associative organization), SP, RF, plus the miss-heavy omnetpp
   FA cell -- replays a precompiled Figure 7 SPEC trace through
-  ``BaseTLB.translate`` (reference), the per-position
-  ``BaseTLB.translate_slice`` (the ``access`` kernel) and the
-  run-granular ``BaseTLB.translate_runs`` (the ``run`` kernel),
-  comparing accesses/second.  The headline speedup is the ``run``
-  kernel's; the acceptance floor is a >= 8x geometric mean.
+  ``BaseTLB.translate`` (reference) and the run-granular
+  ``BaseTLB.translate_runs`` (the run kernel), comparing
+  accesses/second.  The acceptance floor is a >= 8x geometric mean.
 * **Security replay**: the RSA decryption trace (the victim workload
   behind the security evaluation's micro-benchmarks) replayed on each
   design with its protection programmed -- the SP victim partition and
-  the RF secure region over the MPI buffers -- so the kernels'
+  the RF secure region over the MPI buffers -- so the kernel's
   no-fill-buffer and partition handling is timed, not just exercised.
-* **End-to-end cells**: whole Figure 7 cells under ``fastpath=False``,
-  ``kernel="access"`` and ``kernel="run"``, asserting ``PerfResult``
-  equality three ways.  Wall-clock context only: trace *generation* is
-  shared by all paths, so the ratio here is structurally smaller than
-  the replay headline.  The compiled-trace store is cleared before each
-  timed variant, so each one pays its own trace compile.
+* **End-to-end cells**: whole Figure 7 cells under ``fastpath=False``
+  and ``fastpath=True``, asserting ``PerfResult`` equality.  Wall-clock
+  context only: trace *generation* is shared by both paths, so the
+  ratio here is structurally smaller than the replay headline.  The
+  compiled-trace store is cleared before each timed variant, so each
+  one pays its own trace compile.
 
 Timings are best-of-:data:`REPS` with a fresh TLB per repetition.  Trace
 compilation, the structural pre-pass (``ensure_structure``) and the run
@@ -60,12 +58,11 @@ from .configs import config_by_label
 from .harness import RSA_ASID, PerfSettings, run_cell
 
 #: The acceptance floor for the replay headline (geometric mean of the
-#: ``run`` kernel's speedups).  The per-access kernel's committed floor
-#: was 3.0; the run-granular tier raises it.
+#: run kernel's speedups).
 SPEEDUP_FLOOR = 8.0
 
-#: Batch size for the batched-kernel replays (one quantum's worth of
-#: events is the same order of magnitude).
+#: Batch size for the run-kernel replays (one quantum's worth of events
+#: is the same order of magnitude).
 SLICE_STEP = 8192
 
 #: Repetitions per (case, path); the reported seconds are the best of
@@ -126,22 +123,6 @@ def _replay_reference(
     return time.perf_counter() - start, cycles
 
 
-def _replay_access(
-    tlb: BaseTLB, walker: PageTableWalker, trace: CompiledTrace,
-    count: int, asid: int,
-) -> Tuple[float, int]:
-    vpns = trace.vpns
-    cycles = 0
-    start = time.perf_counter()
-    translate_slice = tlb.translate_slice
-    for begin in range(0, count, SLICE_STEP):
-        sliced, _ = translate_slice(
-            vpns, begin, min(begin + SLICE_STEP, count), asid, walker
-        )
-        cycles += sliced
-    return time.perf_counter() - start, cycles
-
-
 def _replay_runs(
     tlb: BaseTLB, walker: PageTableWalker, trace: CompiledTrace,
     count: int, asid: int,
@@ -179,7 +160,7 @@ def _replay_case(
     secure: bool = False,
     region: Optional[Tuple[int, int]] = None,
 ) -> Dict[str, Any]:
-    """Replay one compiled trace through all three paths and compare.
+    """Replay one compiled trace through both paths and compare.
 
     Each path runs :data:`REPS` times on a fresh TLB (best-of timing);
     the differential comparison -- full :class:`~repro.tlb.stats.TLBStats`
@@ -192,7 +173,7 @@ def _replay_case(
             tlb.set_secure_region(*region, victim_asid=asid)
         return tlb
 
-    timings: Dict[str, List[float]] = {"reference": [], "access": [], "run": []}
+    timings: Dict[str, List[float]] = {"reference": [], "run": []}
     outcomes: Dict[str, Tuple[Any, int]] = {}
     run_state: Optional[RunState] = None
     for _ in range(REPS):
@@ -202,11 +183,6 @@ def _replay_case(
         outcomes["reference"] = (tlb.stats, cycles)
 
         tlb = fresh()
-        seconds, cycles = _replay_access(tlb, make_walker(), trace, count, asid)
-        timings["access"].append(seconds)
-        outcomes["access"] = (tlb.stats, cycles)
-
-        tlb = fresh()
         seconds, cycles, run_state = _replay_runs(
             tlb, make_walker(), trace, count, asid
         )
@@ -214,21 +190,19 @@ def _replay_case(
         outcomes["run"] = (tlb.stats, cycles)
 
     ref_stats, ref_cycles = outcomes["reference"]
-    for path in ("access", "run"):
-        stats, cycles = outcomes[path]
-        if stats != ref_stats or cycles != ref_cycles:
-            raise CounterDivergence(
-                f"{label} {config_label} {workload}: {path} kernel"
-                f" (stats={stats}, cycles={cycles}) != reference"
-                f" (stats={ref_stats}, cycles={ref_cycles})"
-            )
+    stats, cycles = outcomes["run"]
+    if stats != ref_stats or cycles != ref_cycles:
+        raise CounterDivergence(
+            f"{label} {config_label} {workload}: run kernel"
+            f" (stats={stats}, cycles={cycles}) != reference"
+            f" (stats={ref_stats}, cycles={ref_cycles})"
+        )
     ref_counters = {
         "accesses": ref_stats.accesses,
         "hits": ref_stats.hits,
         "misses": ref_stats.misses,
     }
     ref_seconds = min(timings["reference"])
-    access_seconds = min(timings["access"])
     run_seconds = min(timings["run"])
     return {
         "design": label,
@@ -238,9 +212,7 @@ def _replay_case(
         "accesses": count,
         "hit_rate": ref_counters["hits"] / max(ref_counters["accesses"], 1),
         "reference_aps": count / ref_seconds,
-        "access_aps": count / access_seconds,
         "fast_aps": count / run_seconds,
-        "access_speedup": ref_seconds / access_seconds,
         "speedup": ref_seconds / run_seconds,
         # The run kernel's first repetition extends the trace's reuse
         # oracle (compile tier); the cached oracle serves the rest.
@@ -312,36 +284,28 @@ def _security_replays(runs: int, key_bits: int) -> List[Dict[str, Any]]:
 def _cell_cases(rsa_runs: int, spec_instructions: int) -> List[Dict[str, Any]]:
     from .harness import scenario_by_label
 
-    variants = (
-        ("reference", False, "run"),
-        ("access", True, "access"),
-        ("run", True, "run"),
-    )
     rows = []
     for kind, config_label, scenario_label in CELL_CASES:
         scenario = scenario_by_label(scenario_label)
         timings: Dict[str, float] = {}
         cells: Dict[str, Any] = {}
-        for name, fastpath, kernel in variants:
+        for name, fastpath in (("reference", False), ("run", True)):
             settings = PerfSettings(
-                spec_instructions=spec_instructions,
-                fastpath=fastpath,
-                kernel=kernel,
+                spec_instructions=spec_instructions, fastpath=fastpath
             )
-            # Every variant compiles its own traces, so the run kernel's
-            # time stays comparable with the history in the bench file.
+            # The fast path compiles its own traces, so its time stays
+            # comparable with the history in the bench file.
             TRACE_STORE.clear()
             start = time.perf_counter()
             cells[name] = run_cell(
                 kind, config_label, scenario, rsa_runs, settings
             )
             timings[name] = time.perf_counter() - start
-        for name in ("access", "run"):
-            if cells[name].results != cells["reference"].results:
-                raise CounterDivergence(
-                    f"cell {kind.value} {config_label} {scenario_label}: "
-                    f"{name}-kernel results diverge from reference"
-                )
+        if cells["run"].results != cells["reference"].results:
+            raise CounterDivergence(
+                f"cell {kind.value} {config_label} {scenario_label}: "
+                "run-kernel results diverge from reference"
+            )
         total = cells["run"].total
         rows.append(
             {
@@ -351,9 +315,7 @@ def _cell_cases(rsa_runs: int, spec_instructions: int) -> List[Dict[str, Any]]:
                 "rsa_runs": rsa_runs,
                 "instructions": total.instructions,
                 "reference_seconds": timings["reference"],
-                "access_seconds": timings["access"],
                 "fast_seconds": timings["run"],
-                "access_speedup": timings["reference"] / timings["access"],
                 "speedup": timings["reference"] / timings["run"],
                 "results_equal": True,
             }
@@ -397,9 +359,6 @@ def bench(
     )
     headline_rows = [row for row in replay if row["headline"]]
     headline = _geomean([row["speedup"] for row in headline_rows])
-    access_headline = _geomean(
-        [row["access_speedup"] for row in headline_rows]
-    )
     kernel_rows = replay + security
     return {
         "quick": quick,
@@ -407,7 +366,6 @@ def bench(
         "structure_backend": STRUCTURE_BACKEND,
         "headline": {
             "geomean_speedup": headline,
-            "access_geomean_speedup": access_headline,
             "floor": SPEEDUP_FLOOR,
             "meets_floor": headline >= SPEEDUP_FLOOR,
             "per_design": {
@@ -434,13 +392,13 @@ def history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
     trend survives overwrites: each ``--out`` write appends the new
     run's summary to whatever history the previous artifact carried
     (the committed first entry is the 3.69x full-size headline the
-    fast-path PR landed with; the run-kernel PR's entry records both
-    kernels' geomeans).
+    first-generation fast path landed with; entries written while a
+    per-access kernel still ran beside the run kernel also carry its
+    ``access_geomean_speedup``).
     """
     headline = report["headline"]
     return {
         "geomean_speedup": headline["geomean_speedup"],
-        "access_geomean_speedup": headline.get("access_geomean_speedup"),
         "per_design": dict(headline["per_design"]),
         "meets_floor": headline["meets_floor"],
         "quick": report["quick"],
@@ -468,10 +426,9 @@ def format_report(report: Dict[str, Any]) -> str:
     """Render the bench report as the CLI's text output."""
     lines = [
         f"{'tier':9} {'design':6} {'config':8} {'workload':12} "
-        f"{'hit%':>6} {'ref acc/s':>11} {'run acc/s':>11} "
-        f"{'access':>7} {'run':>7}"
+        f"{'hit%':>6} {'ref acc/s':>11} {'run acc/s':>11} {'speedup':>8}"
     ]
-    lines.append("-" * 84)
+    lines.append("-" * 77)
     for tier, rows in (("replay", report["replay"]),
                        ("security", report["security"])):
         for row in rows:
@@ -480,21 +437,20 @@ def format_report(report: Dict[str, Any]) -> str:
                 f"{tier:9} {row['design']:5}{marker} {row['config']:8} "
                 f"{row['workload']:12} {row['hit_rate']:>6.1%} "
                 f"{row['reference_aps']:>11,.0f} {row['fast_aps']:>11,.0f} "
-                f"{row['access_speedup']:>6.2f}x {row['speedup']:>6.2f}x"
+                f"{row['speedup']:>7.2f}x"
             )
     for row in report["cells"]:
         lines.append(
             f"{'cell':9} {row['design']:6} {row['config']:8} "
             f"{row['scenario']:12} {'':>6} "
             f"{row['reference_seconds']:>10.2f}s {row['fast_seconds']:>10.2f}s "
-            f"{row['access_speedup']:>6.2f}x {row['speedup']:>6.2f}x"
+            f"{row['speedup']:>7.2f}x"
         )
     headline = report["headline"]
     kernel = report["kernel"]
     lines.append("")
     lines.append(
         f"headline (geomean over *): {headline['geomean_speedup']:.2f}x"
-        f" run kernel / {headline['access_geomean_speedup']:.2f}x access"
         f" (floor {headline['floor']:.1f}x:"
         f" {'met' if headline['meets_floor'] else 'NOT MET'})"
     )
@@ -505,5 +461,5 @@ def format_report(report: Dict[str, Any]) -> str:
         f" {kernel['probed_accesses']:,} probed ({share:.1%} run share);"
         f" structure backend: {report['structure_backend']}"
     )
-    lines.append("counters: all kernels reference-equal")
+    lines.append("counters: run kernel reference-equal")
     return "\n".join(lines)

@@ -14,10 +14,10 @@ Two interchangeable drive loops exist: the reference :class:`_Runner`
 (per-event generator dispatch, ``AccessResult`` objects) and the
 :class:`_FastRunner` (the :mod:`repro.sim.kernel` fast path: traces
 compiled to flat arrays and shared through the process's
-:data:`~repro.sim.kernel.TRACE_STORE`, packed-int results).  They are
-counter-for-counter equivalent -- ``tests/sim/test_fastpath_equivalence.py``
-and ``repro bench`` enforce it -- and ``fastpath=False`` selects the
-reference loop.
+:data:`~repro.sim.kernel.TRACE_STORE`, replayed by the run kernel).  They
+are counter-for-counter equivalent --
+``tests/sim/test_fastpath_equivalence.py`` and ``repro bench`` enforce
+it -- and ``fastpath=False`` selects the reference loop.
 """
 
 from __future__ import annotations
@@ -34,20 +34,10 @@ from repro.sim.kernel import (
     TRACE_STORE,
     RunState,
     supports_fastpath,
-    supports_runpath,
 )
 from repro.sim.system import MemorySystem
 from repro.tlb.base import BaseTLB
 from repro.workloads.trace import Workload
-
-#: The batched translation kernels ``simulate`` can drive a quantum with.
-#: ``"access"`` = per-position :meth:`BaseTLB.translate_slice`; ``"run"``
-#: = the run-granular :meth:`BaseTLB.translate_runs` tier (structural
-#: pre-pass + reuse oracle; see :mod:`repro.sim.kernel`).  Both are
-#: differentially verified against the reference loop, so the axis is a
-#: speed knob with byte-identical results.
-KERNELS = ("access", "run")
-
 
 @dataclass
 class PerfResult:
@@ -101,25 +91,19 @@ def simulate(
     seed: int = 0,
     bus: Optional[EventBus] = None,
     fastpath: bool = True,
-    kernel: str = "run",
 ) -> Dict[str, PerfResult]:
     """Run the processes to completion, returning per-process results plus
     a ``"total"`` aggregate (which also reports the context-switch count).
 
-    ``fastpath`` selects the compiled :class:`_FastRunner` loop when the
-    TLB supports it; ``kernel`` picks that loop's batched translation
-    kernel (:data:`KERNELS`): ``"run"`` drives quanta through the
-    run-granular :meth:`BaseTLB.translate_runs` tier, ``"access"``
-    through per-position :meth:`BaseTLB.translate_slice`.  Results are
-    identical along both axes (differentially verified), so these are
-    purely speed knobs.
+    ``fastpath`` selects the compiled :class:`_FastRunner` loop, which
+    drives quanta through :meth:`BaseTLB.translate_runs`, when the TLB
+    supports it.  Results are identical either way (differentially
+    verified), so it is purely a speed knob.
     """
     if not processes:
         raise ValueError("need at least one process")
     if quantum <= 0:
         raise ValueError("quantum must be positive")
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     memory = MemorySystem(
         tlb,
         walker or make_walker(),
@@ -129,9 +113,8 @@ def simulate(
 
     stream_seeds = [seed * 1000003 + index for index in range(len(processes))]
     if fastpath and supports_fastpath(tlb):
-        use_runs = kernel == "run" and supports_runpath(tlb)
         runners = [
-            _FastRunner(process, memory, stream_seed, use_runs=use_runs)
+            _FastRunner(process, memory, stream_seed)
             for process, stream_seed in zip(processes, stream_seeds)
         ]
     else:
@@ -159,9 +142,8 @@ def simulate(
     total = PerfResult(name="total")
     for runner in runners:
         total.absorb(runner.result)
-        state = getattr(runner, "_run_state", None)
-        if state is not None:
-            KERNEL_TELEMETRY.record(state)
+        if isinstance(runner, _FastRunner):
+            KERNEL_TELEMETRY.record(runner._run_state)
     total.switches = memory.switches
     results["total"] = total
     return results
@@ -215,7 +197,7 @@ class _Runner:
 
 
 class _FastRunner:
-    """:class:`_Runner` over a compiled trace and the packed fast path.
+    """:class:`_Runner` over a compiled trace and the run kernel.
 
     The trace comes complete from :data:`TRACE_STORE`: compiled through
     the first event whose cumulative cost reaches the process's
@@ -227,15 +209,13 @@ class _FastRunner:
     merely exceeding the remaining budget pends (here: the cursor simply
     does not advance).  The quantum's slice boundary is found with one
     binary search over the trace's cumulative-cost array, and the slice is
-    translated in one batched call -- :meth:`BaseTLB.translate_runs` with
-    a persistent cross-quantum :class:`RunState` under the ``"run"``
-    kernel, :meth:`BaseTLB.translate_slice` under ``"access"`` -- so
-    neither budget arithmetic nor a Python call is paid per event.  With
-    observers subscribed to the bus, quanta fall back to a per-event loop
-    through ``MemorySystem.translate_fast`` (itself reference-equivalent),
-    so the event stream stays complete; the run kernel's resume checks
-    notice the skipped positions and rebuild their proofs, so mixing is
-    safe.
+    translated in one batched :meth:`BaseTLB.translate_runs` call with a
+    persistent cross-quantum :class:`RunState`, so neither budget
+    arithmetic nor a Python call is paid per event.  With observers
+    subscribed to the bus, quanta fall back to a per-event loop through
+    the reference ``MemorySystem.translate``, so the event stream stays
+    complete; the run kernel's resume checks notice the skipped positions
+    and rebuild their proofs, so mixing is safe.
     """
 
     def __init__(
@@ -243,7 +223,6 @@ class _FastRunner:
         process: ScheduledProcess,
         memory: MemorySystem,
         stream_seed: int,
-        use_runs: bool = False,
     ) -> None:
         self.process = process
         self._memory = memory
@@ -251,7 +230,7 @@ class _FastRunner:
             process.workload, stream_seed, process.instructions
         )
         self._cursor = 0
-        self._run_state = RunState() if use_runs else None
+        self._run_state = RunState()
         self.result = PerfResult(name=process.workload.name)
         self.done = False
 
@@ -293,15 +272,10 @@ class _FastRunner:
         # budget, is an oversized execute-anyway, and passes the limit
         # pre-check (remaining > 0 was verified above).
         count = stop - cursor
-        state = self._run_state
-        if state is not None:
-            cycles, misses = memory.tlb.translate_runs(
-                trace, cursor, stop, self.process.asid, memory.walker, state
-            )
-        else:
-            cycles, misses = memory.tlb.translate_slice(
-                trace.vpns, cursor, stop, self.process.asid, memory.walker
-            )
+        cycles, misses = memory.tlb.translate_runs(
+            trace, cursor, stop, self.process.asid, memory.walker,
+            self._run_state,
+        )
         cost = cum[stop - 1] - base
         self._cursor = stop
         memory.accesses += count
@@ -330,7 +304,7 @@ class _FastRunner:
         vpns = trace.vpns
         compiled = len(gaps)
         cursor = self._cursor
-        translate_fast = self._memory.translate_fast
+        translate = self._memory.translate
         asid = self.process.asid
         instructions = result.instructions
         cycles = result.cycles
@@ -347,12 +321,12 @@ class _FastRunner:
             cost = gap + 1
             if cost > budget and cost <= quantum:
                 break  # Pend: the event runs in the next quantum.
-            packed = translate_fast(vpns[cursor], asid)
+            access = translate(vpns[cursor], asid)
             cursor += 1
             instructions += cost
-            cycles += gap + (packed >> 2)
+            cycles += gap + access.cycles
             accesses += 1
-            if not packed & 0b10:
+            if not access.hit:
                 misses += 1
             budget -= cost
         self._cursor = cursor

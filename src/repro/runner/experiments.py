@@ -40,10 +40,6 @@ DEFAULT_OPTIONS: Dict[str, Any] = {
     #: artifacts are byte-identical either way (differentially verified);
     #: ``repro run-all --no-fastpath`` flips this to the reference model.
     "fig7_fastpath": True,
-    #: Which batched kernel the fast path uses ("run" = the run-granular
-    #: tier, "access" = per-position slices).  Artifacts are byte-identical
-    #: along this axis too; ``repro run-all --kernel access`` flips it.
-    "kernel": "run",
     "series_rsa_runs": [50, 100, 150],
     "mitigation_trials": 200,
     "hierarchy_trials": 100,
@@ -239,7 +235,6 @@ class Figure7Experiment(Experiment):
         spec_instructions = opt(options, "fig7_spec_instructions")
         key_bits = opt(options, "fig7_key_bits")
         fastpath = opt(options, "fig7_fastpath")
-        kernel = opt(options, "kernel")
         units = []
         grid, series = _fig7_unit_sets(options)
         for part, cells in (("grid", grid), ("series", series)):
@@ -256,7 +251,6 @@ class Figure7Experiment(Experiment):
                         spec_instructions=spec_instructions,
                         key_bits=key_bits,
                         fastpath=fastpath,
-                        kernel=kernel,
                     )
                 )
         return units
@@ -270,7 +264,6 @@ class Figure7Experiment(Experiment):
             spec_instructions=params["spec_instructions"],
             key_bits=params["key_bits"],
             fastpath=params.get("fastpath", True),
-            kernel=params.get("kernel", "run"),
         )
         return run_cell(
             TLBKind(params["kind"]),
@@ -442,7 +435,6 @@ class HierarchySweepExperiment(Experiment):
                     part="perf",
                     spec=spec.to_dict(),
                     rsa_runs=rsa_runs,
-                    kernel=opt(options, "kernel"),
                 )
             )
         units.append(
@@ -472,9 +464,7 @@ class HierarchySweepExperiment(Experiment):
             )
         if part == "perf":
             return sweep_perf_point(
-                params["spec"],
-                rsa_runs=params["rsa_runs"],
-                kernel=params.get("kernel", "run"),
+                params["spec"], rsa_runs=params["rsa_runs"]
             )
         if part == "leakage":
             return refill_leakage(params["spec"])

@@ -480,11 +480,13 @@ class JobManager:
         Reads the jobs journal through the torn-tail-tolerant parser (a
         kill mid-append leaves a ragged last line), resubmits every
         ``job_queued`` record with no matching ``job_done``, and compacts
-        the journal down to the survivors.  Specs that no longer admit
-        (experiment unregistered, options vocabulary moved on) are
-        retired rather than retried forever; specs whose results landed
-        in the store before the kill are acknowledged as done.  Returns
-        the number of jobs put back on the queue.
+        the journal down to the survivors.  Each journaled spec is
+        validated again by :func:`parse_spec`, exactly like a new
+        submission, so specs that no longer admit (experiment
+        unregistered, options vocabulary moved on) are retired rather
+        than retried forever; specs whose results landed in the store
+        before the kill are acknowledged as done.  Returns the number of
+        jobs put back on the queue.
         """
         if self.journal_path is None or not self.journal_path.is_file():
             return 0
@@ -501,14 +503,10 @@ class JobManager:
 
         resumed = 0
         survivors: List[str] = []
-        for journaled_hash, raw in pending.items():
+        for raw in pending.values():
             try:
-                spec = JobSpec(
-                    experiment=raw["experiment"],
-                    options=tuple(sorted((raw.get("options") or {}).items())),
-                    filters=tuple(raw.get("filters") or ()),
-                    priority=int(raw.get("priority", 0)),
-                    client=str(raw.get("client", "anonymous")),
+                spec = parse_spec(
+                    raw, extra_option_keys=self.extra_option_keys
                 )
                 job, disposition = self.submit(spec)
             except (HttpError, KeyError, TypeError, ValueError):

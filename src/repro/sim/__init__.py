@@ -19,10 +19,11 @@ trace-driven timing model, each end-to-end attack, the security harness).
   cheap aggregate counters without touching the hot path when detached.
 * :class:`SetProber` -- the shared prime / probe-and-classify helper the
   attack modules previously re-implemented individually.
-* :mod:`repro.sim.kernel` -- the allocation-free fast-path translation
-  kernel (packed-int results, compiled traces) behind
-  :meth:`MemorySystem.translate_fast`; differentially verified against
-  the reference path (``docs/performance.md``).
+* :mod:`repro.sim.kernel` -- the fast path's compiled traces, their
+  run structure and the shared trace store, which the timing model
+  replays through the run kernel (``BaseTLB.translate_runs``) while no
+  observer is subscribed; differentially verified against the reference
+  path (``docs/performance.md``).
 
 See ``docs/architecture.md`` for the observer API and event schema.
 """
@@ -44,12 +45,7 @@ from .kernel import (
     KernelTelemetry,
     ReuseOracle,
     RunState,
-    pack_result,
-    packed_cycles,
-    packed_filled,
-    packed_hit,
     supports_fastpath,
-    supports_runpath,
 )
 from .observers import (
     JsonlWriter,
@@ -86,14 +82,9 @@ __all__ = [
     "TornRecordError",
     "TraceObserver",
     "WalkEvent",
-    "pack_result",
-    "packed_cycles",
-    "packed_filled",
-    "packed_hit",
     "pages_for_set",
     "read_jsonl",
     "read_trace",
     "run_scenario",
     "supports_fastpath",
-    "supports_runpath",
 ]

@@ -1,17 +1,12 @@
-"""The allocation-free fast-path translation kernels.
+"""The allocation-free fast-path translation kernel.
 
 The reference model pays, per translation, one frozen ``AccessResult``,
 one ``WalkResult`` per walk, and (when traced) an event object -- fine for
 correctness, ruinous for the millions of accesses behind Figure 7 and the
 attack suites.  Following the specialisation idea of "Fast TLB Simulation
 for RISC-V Systems" (Guo, 2019), the kernel keeps the *reference model as
-the specification* and adds differentially-verified fast paths:
+the specification* and adds one differentially-verified fast path:
 
-* ``MemorySystem.translate_fast(vpn, asid)`` returns one packed int --
-  ``cycles << 2 | hit << 1 | filled`` -- instead of an ``AccessResult``,
-  backed by ``BaseTLB.translate_fast`` (dict-indexed lookup, no result
-  object) and the walker's walk memo.  With an active event bus it falls
-  back to the reference path, so observability is never silently lost.
 * :class:`CompiledTrace` materialises a workload's ``(gap, vpn)`` event
   stream into flat ``array('q')`` columns, chunk by chunk (streams may be
   infinite), so the timing model's quantum loop runs over array slices
@@ -20,18 +15,17 @@ the specification* and adds differentially-verified fast paths:
   each distinct (workload, stream seed) trace compiled, structured and
   read-only, so every later ``simulate()`` of it -- another Figure 7
   cell, sweep point or serve job -- reuses it instead of recompiling.
-* The **run kernel** (second-generation speed tier): a structural
-  pre-pass over the compiled columns (:meth:`CompiledTrace.ensure_structure`)
-  records, per trace position, the previous and next occurrence of the
-  same page.  ``BaseTLB.translate_runs`` uses those columns to *prove*
-  that whole stretches of the trace hit with no replacement-state-visible
-  change beyond MRU reordering, advancing access/hit counters, the clock
-  and the cycle accumulator for the entire run at once, and falls back to
-  the per-access probe only at the positions where a fill, eviction,
-  no-fill buffer return, superpage probe or context switch could occur.
-  :class:`RunState` carries the proof threshold across quanta (validated
-  against the TLB's mutation counter), and :data:`KERNEL_TELEMETRY`
-  aggregates how often the run tier actually engaged.
+* The **run kernel**: a structural pre-pass over the compiled columns
+  (:meth:`CompiledTrace.ensure_structure`) records, per trace position,
+  the previous and next occurrence of the same page.
+  ``BaseTLB.translate_runs`` uses those columns to *prove* that whole
+  stretches of the trace hit with no replacement-state-visible change
+  beyond MRU reordering, advancing access/hit counters, the clock and
+  the cycle accumulator for the entire run at once, and falls back to a
+  per-access index probe only at the positions where a fill, eviction,
+  no-fill buffer return, superpage probe or context switch could occur.  :class:`RunState` carries the proof threshold across
+  quanta (validated against the TLB's mutation counter), and
+  :data:`KERNEL_TELEMETRY` aggregates how often the run proofs engaged.
 
 The structure pre-pass has two interchangeable backends: pure Python
 (always present) and a numpy-vectorised one (:mod:`repro.sim.kernel_np`,
@@ -39,12 +33,12 @@ auto-detected; :data:`STRUCTURE_BACKEND` reports which is active).  The
 run loop itself is pure Python either way -- numpy's per-call overhead
 loses on the short runs that dominate miss-heavy traces.
 
-Equivalence is enforced three ways: by construction (all paths share the
-TLB state machine, statistics and cycle model -- the fast paths only skip
-result/event *object construction*), by the differential suite
-(``tests/sim/test_fastpath_equivalence.py``), and continuously by
-``python -m repro bench`` which refuses to report a speedup whose counters
-diverge.  See ``docs/performance.md``.
+Equivalence is enforced three ways: by construction (both paths share
+the TLB state machine, statistics and cycle model -- the run kernel only
+skips work whose outcome the trace structure proves), by the
+differential suite (``tests/sim/test_fastpath_equivalence.py``), and
+continuously by ``python -m repro bench`` which refuses to report a
+speedup whose counters diverge.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -54,11 +48,6 @@ import threading
 from array import array
 from collections import OrderedDict
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
-
-#: Bit layout of a packed translation result.
-HIT_BIT = 0b10
-FILL_BIT = 0b01
-CYCLE_SHIFT = 2
 
 #: Events materialised per :meth:`CompiledTrace.ensure` pull.  Large enough
 #: to amortise the generator resumption, small enough that infinite SPEC
@@ -83,25 +72,6 @@ try:  # The vectorised structure pre-pass backend (optional).
 except Exception:  # pragma: no cover - environment-dependent
     _structure_np = None
     STRUCTURE_BACKEND = "python"
-
-
-def pack_result(cycles: int, hit: bool, filled: bool) -> int:
-    """Pack a translation outcome into one int."""
-    return (cycles << CYCLE_SHIFT) | (HIT_BIT if hit else 0) | (
-        FILL_BIT if filled else 0
-    )
-
-
-def packed_cycles(packed: int) -> int:
-    return packed >> CYCLE_SHIFT
-
-
-def packed_hit(packed: int) -> bool:
-    return bool(packed & HIT_BIT)
-
-
-def packed_filled(packed: int) -> bool:
-    return bool(packed & FILL_BIT)
 
 
 class CompiledTrace:
@@ -145,14 +115,9 @@ class CompiledTrace:
         Per-page sorted occurrence columns (``vpn -> positions``): when a
         fill evicts page ``V``, one bisect finds ``V``'s next occurrence
         -- the *next-eviction horizon* at which a hit-run must break
-        because that access is a forced miss.
-    ``boundary_firsts``
-        Positions whose ``prev`` predates their structure extension (the
-        first occurrence of each page per :meth:`ensure_structure` call),
-        ascending: a superset of each page's first occurrence, which is
-        where the run kernel's scan stops while nothing has been evicted
-        unidentified.  A page evicted with no later occurrence needs no
-        horizon at all, since the trace is complete.
+        because that access is a forced miss.  A page evicted with no
+        later occurrence needs no horizon at all, since the trace is
+        complete.
 
     ``prev``, ``nxt`` and each ``occ`` column are ``array('q')``: 8 bytes
     an element against a list's pointer plus a boxed int, which is what
@@ -176,7 +141,6 @@ class CompiledTrace:
         "sub_min_prev",
         "blk_min_prev",
         "occ",
-        "boundary_firsts",
         "_last_pos",
         "_oracles",
         "_oracle_lock",
@@ -194,7 +158,6 @@ class CompiledTrace:
         self.blk_min_prev: List[int] = []
         #: vpn -> ``array('q')`` of its structured positions, ascending.
         self.occ: dict = {}
-        self.boundary_firsts: List[int] = []
         #: vpn -> position of its latest structured occurrence.
         self._last_pos: dict = {}
         #: (nsets, ways) -> cached :class:`ReuseOracle` over this trace.
@@ -258,18 +221,13 @@ class CompiledTrace:
         last_pos = self._last_pos
         append_prev = self.prev.append
         append_nxt = nxt.append
-        append_bf = self.boundary_firsts.append
         for position in range(start, limit):
             vpn = vpns[position]
             earlier = last_pos.get(vpn, -1)
             append_prev(earlier)
             append_nxt(INF_HORIZON)
-            if earlier >= start:
+            if earlier >= 0:
                 nxt[earlier] = position
-            else:
-                append_bf(position)
-                if earlier >= 0:
-                    nxt[earlier] = position
             last_pos[vpn] = position
             chain = occ.get(vpn)
             if chain is None:
@@ -562,19 +520,13 @@ TRACE_STORE = TraceStore()
 
 
 def supports_fastpath(tlb: object) -> bool:
-    """Whether a TLB-like object implements the packed fast path.
+    """Whether a TLB-like object implements the run kernel.
 
     True for every :class:`repro.tlb.BaseTLB` design and any
-    :class:`repro.tlb.TLBHierarchy` depth (each level keeps its own fast
-    lookup index; only the outermost hit path is exercised per access);
-    duck-typed so externally-composed stand-ins simply fall back to the
-    reference path instead of breaking.
+    :class:`repro.tlb.TLBHierarchy` depth (the run proofs concern only
+    the outermost level); duck-typed so externally-composed stand-ins
+    simply fall back to the reference path instead of breaking.
     """
-    return hasattr(tlb, "translate_fast")
-
-
-def supports_runpath(tlb: object) -> bool:
-    """Whether a TLB-like object implements the run-granular kernel."""
     return hasattr(tlb, "translate_runs")
 
 

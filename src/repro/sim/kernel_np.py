@@ -12,8 +12,8 @@ trace, append (as raw ``int64`` bytes onto its ``array('q')`` columns)
 ``prev[i]`` (position of the previous occurrence of
 ``vpns[i]``; -1 if first) and ``nxt[i]`` (position of the next
 occurrence; ``inf`` sentinel if none yet), extend the per-page ``occ``
-occurrence lists and the ``boundary_firsts`` column, and patch ``nxt``
-entries of *earlier* extensions whose page reappears in this one.
+occurrence lists, and patch ``nxt`` entries of *earlier* extensions
+whose page reappears in this one.
 Within the extension the linking is a stable argsort over vpns -- equal
 pages end up adjacent in trace order, so shifted equality masks recover
 every (previous, next) pair without a Python-level loop.  Only the
@@ -78,8 +78,5 @@ def extend_structure(trace, start: int, limit: int, inf: int) -> None:
             occ[vpn] = chain = array("q")
         chain.frombytes(pos_bytes[gs * 8:ge * 8])
 
-    # Boundary firsts: each page's first occurrence in this extension
-    # (exactly the group heads), in ascending trace order.
-    trace.boundary_firsts.extend(np.sort(positions[first_mask]).tolist())
     trace.prev.frombytes(prev_arr.tobytes())
     nxt_col.frombytes(nxt_arr.tobytes())

@@ -215,28 +215,6 @@ class MemorySystem:
                 )
             )
 
-    def translate_fast(self, vpn: int, asid: int) -> int:
-        """Allocation-free translate: ``cycles << 2 | hit << 1 | filled``.
-
-        The fast-path kernel entry point (see :mod:`repro.sim.kernel`).
-        Architecturally identical to :meth:`translate` -- same TLB state
-        transitions, statistics and cycle accounting -- but when nothing is
-        subscribed to the bus the hit path allocates no ``AccessResult``
-        and no events.  With an active bus it transparently falls back to
-        the reference path so observers miss nothing.
-        """
-        if self.bus.active:
-            result = self.translate(vpn, asid)
-            return (
-                (result.cycles << 2)
-                | (2 if result.hit else 0)
-                | (1 if result.filled else 0)
-            )
-        packed = self.tlb.translate_fast(vpn, asid, self.walker)
-        self.accesses += 1
-        self.cycles += packed >> 2
-        return packed
-
     # -- context switching --------------------------------------------------------
 
     def context_switch(self, asid: int) -> bool:

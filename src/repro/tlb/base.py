@@ -15,7 +15,7 @@ to the resident entry, maintained alongside ``_sets`` by every fill,
 eviction, flush and invalidation (the coherence invariant
 :meth:`BaseTLB.audit` checks).  The index turns the per-access way scan
 into at most three dict probes -- one per superpage level -- and backs the
-allocation-free :meth:`BaseTLB.translate_fast` kernel used by the trace
+allocation-free :meth:`BaseTLB.translate_runs` kernel used by the trace
 simulator (see :mod:`repro.sim.kernel`).
 """
 
@@ -117,9 +117,6 @@ class BaseTLB(abc.ABC):
         #: path skip the level-1/2 index probes entirely for the common
         #: all-4KiB case.
         self._super_entries = 0
-        #: Precomputed hit return value for :meth:`translate_fast`
-        #: (cycles << 2 | hit bit; a hit never fills).
-        self._hit_packed = (config.hit_latency << 2) | 0b10
         #: Replacement-visible mutation epoch: bumped by every eviction,
         #: invalidation, flush and Sec-region change -- every state change
         #: that can make a previously-resident page non-resident.  Plain
@@ -175,110 +172,9 @@ class BaseTLB(abc.ABC):
         self.stats.record_access(hit=False, asid=asid)
         return self._handle_miss(vpn, asid, translator)
 
-    def translate_fast(self, vpn: int, asid: int, translator: Translator) -> int:
-        """Allocation-free translate: ``cycles << 2 | hit << 1 | filled``.
-
-        Architecturally identical to :meth:`translate` -- same clock, LRU,
-        statistics, fills and evictions -- but the hit path builds no
-        :class:`AccessResult` (and, driven through
-        :meth:`repro.sim.MemorySystem.translate_fast`, no events), which
-        is what the batched trace simulator runs millions of times.  The
-        miss path still goes through the design's :meth:`_handle_miss`,
-        so the four fill policies stay implemented exactly once.
-        """
-        self._clock += 1
-        # Inlined level-0 probe (the overwhelmingly common case).  The
-        # guard is exactly ``entry.matches(vpn, asid)`` for equal VPNs --
-        # an entry whose own vpn/asid equal the request's covers it at any
-        # level -- so index corruption can still only cause a spurious
-        # miss, never a false hit.
-        entry = self._index.get((vpn, asid, 0))
-        if (
-            entry is not None
-            and entry.valid
-            and entry.vpn == vpn
-            and entry.asid == asid
-        ):
-            entry.last_used = self._clock
-            stats = self.stats
-            stats.accesses += 1
-            stats.hits += 1
-            return self._hit_packed
-        if self._super_entries:
-            entry = self._find(vpn, asid)
-            if entry is not None:
-                entry.last_used = self._clock
-                stats = self.stats
-                stats.accesses += 1
-                stats.hits += 1
-                return self._hit_packed
-        self.stats.record_access(hit=False, asid=asid)
-        result = self._handle_miss(vpn, asid, translator)
-        return (result.cycles << 2) | (1 if result.filled else 0)
-
     #: Set by the Random-Fill TLB: its one-entry no-fill ``buffer`` must be
     #: cleaned at the start of every request, including batched ones.
     _NOFILL_BUFFER = False
-
-    def translate_slice(
-        self, vpns, start: int, stop: int, asid: int, translator: Translator
-    ) -> Tuple[int, int]:
-        """Batched :meth:`translate_fast` over ``vpns[start:stop]``.
-
-        Returns ``(total_cycles, misses)``.  The batch form exists for the
-        trace-driven quantum loop: state (clock, index, hit counters) is
-        hoisted into locals across the hit run and synced back around
-        every miss, so the common all-hit stretch costs one dict probe and
-        a handful of local operations per access.  State transitions and
-        statistics are identical to ``stop - start`` single calls.
-        """
-        index = self._index
-        stats = self.stats
-        clock = self._clock
-        hit_cycles = self.config.hit_latency
-        clear_buffer = self._NOFILL_BUFFER
-        hits = 0
-        misses = 0
-        total_cycles = 0
-        i = start
-        while i < stop:
-            vpn = vpns[i]
-            i += 1
-            clock += 1
-            if clear_buffer:
-                self.buffer = None
-            entry = index.get((vpn, asid, 0))
-            if (
-                entry is not None
-                and entry.valid
-                and entry.vpn == vpn
-                and entry.asid == asid
-            ):
-                entry.last_used = clock
-                hits += 1
-                total_cycles += hit_cycles
-                continue
-            # Sync the hoisted state, take the ordinary superpage-probe /
-            # miss path, then continue the batch.
-            self._clock = clock
-            stats.accesses += hits
-            stats.hits += hits
-            hits = 0
-            found = self._find(vpn, asid) if self._super_entries else None
-            if found is not None:
-                found.last_used = clock
-                stats.accesses += 1
-                stats.hits += 1
-                total_cycles += hit_cycles
-                continue
-            stats.record_access(hit=False, asid=asid)
-            result = self._handle_miss(vpn, asid, translator)
-            total_cycles += result.cycles
-            misses += 1
-        self._clock = clock
-        stats.accesses += hits
-        stats.hits += hits
-        return total_cycles, misses
 
     def translate_runs(
         self, trace, start: int, stop: int, asid: int,
@@ -287,15 +183,15 @@ class BaseTLB(abc.ABC):
         """Run-granular batch translate over ``trace`` positions
         ``[start, stop)``; returns ``(total_cycles, misses)``.
 
-        Second-generation speed tier (Guo's trace-granularity idea): the
-        structure columns of a complete
+        The one fast path beside the reference :meth:`translate` (Guo's
+        trace-granularity idea): the structure columns of a complete
         :class:`repro.sim.kernel.CompiledTrace` (``prev``/``nxt`` plus
         block minima, built by ``ensure_structure`` over every compiled
         event before the first replay) let whole stretches of guaranteed
         hits be *proved* and retired in O(run) local arithmetic -- no
-        per-access dict probe -- with the per-access probe of
-        :meth:`translate_slice` only at the positions a fill, eviction,
-        no-fill return, superpage probe or Sec boundary could occur.
+        per-access dict probe -- with a per-access index probe only at
+        the positions a fill, eviction, no-fill return, superpage probe
+        or Sec boundary could occur.
 
         The proof has two halves.  **Threshold**: ``state.threshold`` is
         a trace position ``T`` such that every page touched at a
@@ -327,7 +223,7 @@ class BaseTLB(abc.ABC):
         the provable set for free.
 
         Statistics, walker counts, replacement state and timing are
-        identical to :meth:`translate_slice` over the same span -- the
+        identical to :meth:`translate` over the same span -- the
         differential suite and ``python -m repro bench`` enforce it.
 
         Above both halves sits the *oracle tier*: when a fresh state
@@ -381,7 +277,6 @@ class BaseTLB(abc.ABC):
         sub_min = trace.sub_min_prev
         blk_min = trace.blk_min_prev
         occ = trace.occ
-        bf = trace.boundary_firsts
         index = self._index
         stats = self.stats
         clock = self._clock
@@ -412,17 +307,6 @@ class BaseTLB(abc.ABC):
             if heap:
                 heap.clear()
         threshold = state.threshold
-        # While T == 0 (no unidentified eviction or no-fill yet -- the
-        # whole lifetime of SA/SP traces and non-secure RF ones) the
-        # positions failing ``prev[m] >= T`` are exactly the true first
-        # occurrences, and those live, sorted, in ``boundary_firsts``:
-        # detection collapses to advancing a cursor instead of scanning
-        # elements.  Entries ``bf`` carries for pages merely new to
-        # *their compile chunk* have a stitched ``prev >= 0`` and are
-        # skipped once, permanently (the cursor only moves forward).
-        use_bf = threshold <= 0
-        bf_len = len(bf)
-        bfd = bisect_left(bf, start) if use_bf else bf_len
         run_hits = 0
         probed = 0
         runs = 0
@@ -435,40 +319,27 @@ class BaseTLB(abc.ABC):
             hstop = stop
             if heap and heap[0] < stop:
                 hstop = heap[0]
-            if use_bf:
-                m = hstop
-                while bfd < bf_len:
-                    c = bf[bfd]
-                    if c >= hstop:
-                        break
-                    if c < i or prev[c] >= 0:
-                        bfd += 1
-                    else:
-                        m = c
-                        break
-            else:
-                # General T: aligned whole blocks are cleared with one
-                # precomputed-min read (128 then 16 positions at a
-                # time); only a failing sub-block is scanned
-                # element-wise.
-                m = i
-                while m < hstop:
-                    if (
-                        not m & 127
-                        and m + 128 <= hstop
-                        and blk_min[m >> 7] >= threshold
-                    ):
-                        m += 128
-                    elif (
-                        not m & 15
-                        and m + 16 <= hstop
-                        and sub_min[m >> 4] >= threshold
-                    ):
-                        m += 16
-                    elif prev[m] >= threshold:
-                        m += 1
-                    else:
-                        break
+            # Aligned whole blocks are cleared with one precomputed-min
+            # read (128 then 16 positions at a time); only a failing
+            # sub-block is scanned element-wise.
+            m = i
+            while m < hstop:
+                if (
+                    not m & 127
+                    and m + 128 <= hstop
+                    and blk_min[m >> 7] >= threshold
+                ):
+                    m += 128
+                elif (
+                    not m & 15
+                    and m + 16 <= hstop
+                    and sub_min[m >> 4] >= threshold
+                ):
+                    m += 16
+                elif prev[m] >= threshold:
+                    m += 1
+                else:
+                    break
             if m > i:
                 # -- retire the proven run [i, m) wholesale.
                 count = m - i
@@ -572,12 +443,10 @@ class BaseTLB(abc.ABC):
                             cache.pop(self._evicted_vpn, None)
             elif action == 1:
                 threshold = m
-                use_bf = False
                 if cache:
                     cache.clear()
             elif action == 2:
                 threshold = m + 1
-                use_bf = False
                 if heap:
                     heap.clear()
                 if cache:

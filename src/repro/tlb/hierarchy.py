@@ -181,14 +181,14 @@ class TLBHierarchy:
     """An N-level TLB, outermost (CPU-facing) level first.
 
     Implements the same access interface as :class:`BaseTLB` (``translate``
-    / ``translate_fast`` / ``translate_slice`` / ``flush_all`` /
-    ``flush_asid`` / ``invalidate_page`` / ``resident``), so it drops into
-    the CPU, the security evaluator (via the ``make_hierarchy`` factory),
-    the fault injector and the performance harness unchanged.  The fast
-    path composes per level: every level keeps its own fast lookup index,
-    and only the outermost level's hit path is exercised per access, so
-    ``repro.sim.kernel``'s ``supports_fastpath`` contract holds for any
-    depth.
+    / ``translate_runs`` / ``flush_all`` / ``flush_asid`` /
+    ``invalidate_page`` / ``resident``), so it drops into the CPU, the
+    security evaluator (via the ``make_hierarchy`` factory), the fault
+    injector and the performance harness unchanged.  The run kernel
+    composes per level: every level keeps its own fast lookup index, the
+    run proofs concern only the outermost level, and its misses reach the
+    lower levels through the ordinary adapters, so ``repro.sim.kernel``'s
+    ``supports_fastpath`` contract holds for any depth.
 
     ``stats`` exposes the *last* level's counters, whose ``misses`` are
     the true page-table walks: that is what the benchmarks'
@@ -270,25 +270,6 @@ class TLBHierarchy:
 
     def translate(self, vpn: int, asid: int, translator: Translator) -> AccessResult:
         return self.levels[0].translate(vpn, asid, self._adapter_for(translator))
-
-    def translate_fast(self, vpn: int, asid: int, translator: Translator) -> int:
-        """Packed-int translate (see :meth:`BaseTLB.translate_fast`).
-
-        Only the outermost hit path is allocation-free; a miss consults
-        the lower levels through the ordinary adapters, which is already
-        the slow (walk-latency) path.
-        """
-        return self.levels[0].translate_fast(
-            vpn, asid, self._adapter_for(translator)
-        )
-
-    def translate_slice(
-        self, vpns, start: int, stop: int, asid: int, translator: Translator
-    ):
-        """Batched fast path (see :meth:`BaseTLB.translate_slice`)."""
-        return self.levels[0].translate_slice(
-            vpns, start, stop, asid, self._adapter_for(translator)
-        )
 
     def translate_runs(self, trace, start, stop, asid, translator, state):
         """Run-granular batch path (see :meth:`BaseTLB.translate_runs`).

@@ -73,8 +73,8 @@ class RandomFillEngine:
 class RandomFillTLB(BaseTLB):
     """SA TLB extended with the Sec bit, region registers, RFE and buffer."""
 
-    #: The batched fast path must clean :attr:`buffer` per request, exactly
-    #: like :meth:`translate` / :meth:`translate_fast` do.
+    #: The run kernel must clean :attr:`buffer` per request, exactly like
+    #: :meth:`translate` does.
     _NOFILL_BUFFER = True
 
     def __init__(
@@ -138,10 +138,6 @@ class RandomFillTLB(BaseTLB):
     def translate(self, vpn: int, asid: int, translator: Translator) -> AccessResult:
         self.buffer = None  # The buffer is cleaned after each return.
         return super().translate(vpn, asid, translator)
-
-    def translate_fast(self, vpn: int, asid: int, translator: Translator) -> int:
-        self.buffer = None  # Same clean-up as the reference path.
-        return super().translate_fast(vpn, asid, translator)
 
     def _handle_miss(
         self, vpn: int, asid: int, translator: Translator

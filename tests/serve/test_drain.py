@@ -132,6 +132,44 @@ def test_resumed_journal_is_compacted(tmp_path, toy_experiment):
         third.stop()
 
 
+def test_resume_retires_specs_that_no_longer_validate(tmp_path, toy_experiment):
+    """Journaled specs pass the same validator as new submissions: one
+    whose option left the vocabulary is retired, not resumed without it."""
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    survivor = {
+        "experiment": "serve-toy",
+        "options": {"serve_toy_values": [1, 2]},
+        "filters": [],
+        "priority": 0,
+        "client": "anonymous",
+    }
+    retired = dict(
+        survivor, options={"serve_toy_values": [3], "serve_toy_gone": True}
+    )
+    (state_dir / JOBS_JOURNAL).write_text("".join(
+        json.dumps({"event": "job_queued", "content_hash": name, "spec": spec})
+        + "\n"
+        for name, spec in (("survivor", survivor), ("retired", retired))
+    ))
+    revived = ServeHarness(
+        state_dir=state_dir, cache_dir=tmp_path / "cache"
+    ).start()
+    try:
+        _s, _h, metrics = revived.request_json("GET", "/v1/metrics")
+        assert metrics["counters"]["jobs_resumed"] == 1
+    finally:
+        revived.stop()
+    queued = [
+        event["spec"]
+        for event in map(
+            json.loads, (state_dir / JOBS_JOURNAL).read_text().splitlines()
+        )
+        if event["event"] == "job_queued"
+    ]
+    assert queued == [survivor]
+
+
 # -- the real signal path, in a real process -----------------------------------
 
 SERVER_SCRIPT = """

@@ -1,13 +1,12 @@
 """Differential verification of the repro.sim.kernel fast path.
 
 The reference model (``translate`` returning ``AccessResult`` objects) is
-the specification; the fast paths (``translate_fast`` packed ints, the
-batched ``translate_slice``, and the run-granular ``translate_runs``)
-must produce identical hit/miss/cycle counters and identical TLB state
-for every design, including the RF TLB's no-fill buffer path and
-superpage entries (which exercise the level>0 index probes).  Shared
-traces are replayed through all paths on twin instances; any divergence
-is a fast-path bug by definition.
+the specification; the run-granular ``translate_runs`` must produce
+identical hit/miss/cycle counters and identical TLB state for every
+design, including the RF TLB's no-fill buffer path and superpage entries
+(which exercise the level>0 index probes).  Shared traces are replayed
+through both paths on twin instances; any divergence is a fast-path bug
+by definition.
 
 The run-kernel cases additionally pin down its *tier* behaviour: the
 reuse-oracle tier must engage on clean replays, refuse prewarmed TLBs /
@@ -30,32 +29,17 @@ from repro.security.kinds import (
     make_tlb,
     make_two_level_tlb,
 )
+from repro.sim import AccessEvent, EventBus
 from repro.sim.kernel import (
+    KERNEL_TELEMETRY,
     STRUCTURE_BACKEND,
     CompiledTrace,
     RunState,
-    pack_result,
-    packed_cycles,
-    packed_filled,
-    packed_hit,
     supports_fastpath,
-    supports_runpath,
 )
-from repro.sim.system import MemorySystem
 from repro.tlb.config import TLBConfig
 from repro.tlb.spec import HierarchySpec, LevelSpec, PWCSpec
 from repro.workloads.spec import by_name
-
-
-def random_trace(seed, length=2_000, pages=96, asids=(1, 2)):
-    """A shared (vpn, asid) access trace with locality and churn."""
-    rng = random.Random(seed)
-    hot = [rng.randrange(pages) for _ in range(12)]
-    trace = []
-    for _ in range(length):
-        vpn = rng.choice(hot) if rng.random() < 0.7 else rng.randrange(pages)
-        trace.append((0x100 + vpn, rng.choice(asids)))
-    return trace
 
 
 def make_pair(kind, **kwargs):
@@ -65,16 +49,6 @@ def make_pair(kind, **kwargs):
         make_tlb(kind, config, rng=random.Random(7), **kwargs),
         make_tlb(kind, config, rng=random.Random(7), **kwargs),
     )
-
-
-def replay_both(reference, fast, trace):
-    """Replay via translate on one twin, translate_fast on the other."""
-    ref_walker, fast_walker = make_walker(), make_walker()
-    for vpn, asid in trace:
-        result = reference.translate(vpn, asid, ref_walker)
-        packed = fast.translate_fast(vpn, asid, fast_walker)
-        assert packed == pack_result(result.cycles, result.hit, result.filled)
-    return ref_walker, fast_walker
 
 
 DESIGNS = [TLBKind.SA, TLBKind.SP, TLBKind.RF]
@@ -94,15 +68,37 @@ def povray_trace():
     return trace
 
 
-def make_case(kind):
-    """One TLB instance per replay leg (fresh rng, identical construction)."""
+def make_case(kind, entries=32, ways=4):
+    """One TLB instance per replay leg (fresh rng, identical construction);
+    an SP case gives the victim (ASID 1) half the ways."""
     return make_tlb(
         kind,
-        TLBConfig(entries=32, ways=4),
+        TLBConfig(entries=entries, ways=ways),
         victim_asid=1,
-        victim_ways=2 if kind is TLBKind.SP else None,
+        victim_ways=ways // 2 if kind is TLBKind.SP else None,
         rng=random.Random(7),
     )
+
+
+#: A 2 MiB superpage (512 base pages, so the vpn is 512-aligned).
+SUPERPAGE_VPN = 0x4000
+
+
+@pytest.fixture(scope="module")
+def superpage_trace():
+    """6,000 accesses: 35% inside the superpage at :data:`SUPERPAGE_VPN`,
+    the rest over 200 4 KiB pages at 0x8000."""
+    rng = random.Random(3)
+    events = []
+    for _ in range(6_000):
+        if rng.random() < 0.35:
+            vpn = SUPERPAGE_VPN + rng.randrange(512)
+        else:
+            vpn = 0x8000 + rng.randrange(200)
+        events.append((0, vpn))
+    trace = CompiledTrace(events)
+    trace.ensure_structure(trace.ensure(len(events)))
+    return trace
 
 
 def entry_state(tlb):
@@ -113,77 +109,57 @@ def entry_state(tlb):
     )
 
 
-def three_way(build, trace, asid, count=RUN_COUNT, step=RUN_STEP,
-              perturb=None, prewarm=None, extras=None):
-    """Replay ``[0, count)`` through reference / access / run legs.
+def two_way(build, trace, asid, count=RUN_COUNT, step=RUN_STEP,
+            perturb=None, prewarm=None, extras=None):
+    """Replay ``[0, count)`` through reference and run-kernel legs.
 
     Each leg constructs its own TLB via ``build`` and its own walker;
-    ``perturb(tlb, walker, pos)`` fires after every chunk boundary on all
-    three legs identically.  Asserts statistics, cycles, misses, walker
-    counters, entry state (and any ``extras(tlb)`` observables) are equal
-    across the legs, then returns the run leg's :class:`RunState` so
-    callers can assert on tier engagement.
+    ``perturb(tlb, walker, pos)`` fires after every chunk boundary on
+    both legs identically.  Asserts statistics, cycles, misses, walker
+    counters, entry state (and any ``extras(tlb)`` observables) are
+    equal across the legs at every chunk end, then returns the run leg's
+    :class:`RunState` so callers can assert on tier engagement.
     """
-    summaries = []
-    run_state = None
-    for mode in ("reference", "access", "run"):
+    legs = []
+    for mode in ("reference", "run"):
         tlb = build()
         walker = make_walker()
         if prewarm is not None:
             prewarm(tlb, walker)
-        state = RunState()
-        cycles = misses = 0
-        vpns = trace.vpns
-        for begin in range(0, count, step):
-            end = min(begin + step, count)
+        legs.append((mode, tlb, walker, RunState()))
+    totals = {"reference": [0, 0], "run": [0, 0]}
+    vpns = trace.vpns
+    for begin in range(0, count, step):
+        end = min(begin + step, count)
+        summaries = []
+        for mode, tlb, walker, state in legs:
+            total = totals[mode]
             if mode == "reference":
                 translate = tlb.translate
                 for index in range(begin, end):
                     result = translate(vpns[index], asid, walker)
-                    cycles += result.cycles
-                    misses += 0 if result.hit else 1
-            elif mode == "access":
-                got_cycles, got_misses = tlb.translate_slice(
-                    vpns, begin, end, asid, walker
-                )
-                cycles += got_cycles
-                misses += got_misses
+                    total[0] += result.cycles
+                    total[1] += 0 if result.hit else 1
             else:
-                got_cycles, got_misses = tlb.translate_runs(
+                cycles, misses = tlb.translate_runs(
                     trace, begin, end, asid, walker, state
                 )
-                cycles += got_cycles
-                misses += got_misses
+                total[0] += cycles
+                total[1] += misses
             if perturb is not None:
                 perturb(tlb, walker, end)
-        if mode == "run":
-            run_state = state
-        assert tlb.audit() == []
-        summaries.append((
-            tlb.stats, cycles, misses, walker.walks, walker.faults,
-            entry_state(tlb), extras(tlb) if extras is not None else None,
-        ))
-    assert summaries[0] == summaries[1], "access kernel diverged"
-    assert summaries[0] == summaries[2], "run kernel diverged"
-    return run_state
+            assert tlb.audit() == []
+            summaries.append((
+                tlb.stats, total[0], total[1], walker.walks, walker.faults,
+                entry_state(tlb), extras(tlb) if extras is not None else None,
+            ))
+        assert summaries[0] == summaries[1], f"run kernel diverged by {end}"
+    return legs[1][3]
 
 
 def oracle_engaged(state):
     """Whether the run kernel's reuse-oracle tier ever retired a slice."""
     return state.o_active or state.o_pos > 0
-
-
-class TestPackedEncoding:
-    def test_roundtrip(self):
-        packed = pack_result(37, True, False)
-        assert packed_cycles(packed) == 37
-        assert packed_hit(packed) is True
-        assert packed_filled(packed) is False
-
-    def test_miss_fill(self):
-        packed = pack_result(31, False, True)
-        assert (packed_cycles(packed), packed_hit(packed),
-                packed_filled(packed)) == (31, False, True)
 
 
 class TestSupportsFastpath:
@@ -203,124 +179,12 @@ class TestSupportsFastpath:
         assert not supports_fastpath(object())
 
 
-class TestSupportsRunpath:
-    def test_all_designs_support_it(self):
-        for kind in DESIGNS:
-            assert supports_runpath(make_case(kind))
-
-    def test_hierarchies_support_it(self):
-        tlb = make_two_level_tlb(
-            TLBKind.RF, TLBKind.SA,
-            TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
-        )
-        assert supports_runpath(tlb)
-
-    def test_duck_typing(self):
-        assert not supports_runpath(object())
-
-
-class TestPerAccessEquivalence:
-    @pytest.mark.parametrize("kind", DESIGNS)
-    def test_counters_and_state_match(self, kind):
-        reference, fast = make_pair(kind)
-        replay_both(reference, fast, random_trace(seed=1))
-        assert reference.stats == fast.stats
-        assert sorted(
-            (e.vpn, e.asid, e.ppn) for e in reference.entries()
-        ) == sorted((e.vpn, e.asid, e.ppn) for e in fast.entries())
-        assert fast.audit() == []
-
-    def test_rf_secure_region_buffer_path(self):
-        """Secure requests return through the buffer without filling."""
-        reference, fast = make_pair(TLBKind.RF, victim_asid=1)
-        for tlb in (reference, fast):
-            tlb.set_secure_region(0x100, 0x20, victim_asid=1)
-        replay_both(
-            reference, fast,
-            random_trace(seed=2, pages=48, asids=(1,)),
-        )
-        assert reference.stats == fast.stats
-        assert reference.stats.no_fills > 0  # The buffer path actually ran.
-        assert fast.audit() == []
-
-    def test_rf_buffer_is_cleared_per_request(self):
-        _, fast = make_pair(TLBKind.RF, victim_asid=1)
-        fast.set_secure_region(0x100, 0x4, victim_asid=1)
-        walker = make_walker()
-        fast.translate_fast(0x100, 1, walker)  # secure miss: buffered
-        assert fast.buffer is not None
-        fast.translate_fast(0x300, 1, walker)
-        # The fresh request cleaned the previous buffer (and this one
-        # missed non-secure, so nothing was re-buffered).
-        assert fast.buffer is None
-
-    def test_superpage_entries_hit_in_fast_path(self):
-        """Level>0 entries are found through the higher-level probes."""
-        from repro.mmu import ToyOS
-
-        reference, fast = make_pair(TLBKind.SA)
-        results = []
-        for tlb in (reference, fast):
-            walker = make_walker()
-            toy_os = ToyOS(walker=walker)
-            process = toy_os.create_process("victim", asid=1)
-            toy_os.map_superpage(process, vpn=0x200 << 9)
-            memory = MemorySystem(tlb, walker)
-            packed = memory.translate_fast((0x200 << 9) + 5, 1)
-            miss = (packed_cycles(packed), packed_hit(packed))
-            packed = memory.translate_fast((0x200 << 9) + 9, 1)
-            hit = (packed_cycles(packed), packed_hit(packed))
-            results.append((miss, hit))
-        assert results[0] == results[1]
-        assert results[0][1][1] is True  # The second access hits the 2MiB entry.
-
-    def test_two_level_equivalence(self):
-        def build():
-            return make_two_level_tlb(
-                TLBKind.SA, TLBKind.SA,
-                TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
-            )
-
-        reference, fast = build(), build()
-        replay_both(reference, fast, random_trace(seed=3))
-        assert reference.stats == fast.stats
-        assert reference.l1.stats == fast.l1.stats
-        assert reference.l2.stats == fast.l2.stats
-
-
-class TestSliceEquivalence:
-    @pytest.mark.parametrize("kind", DESIGNS)
-    def test_batched_slice_matches_reference(self, kind):
-        spec = by_name("povray")
-        trace = CompiledTrace(spec.events(random.Random(11)))
-        count = trace.ensure(3_000)
-        reference, fast = make_pair(kind)
-        ref_walker, fast_walker = make_walker(), make_walker()
-        total_cycles = 0
-        for index in range(count):
-            total_cycles += reference.translate(
-                trace.vpns[index], 2, ref_walker
-            ).cycles
-        fast_cycles = 0
-        misses = 0
-        for begin in range(0, count, 512):
-            cycles, slice_misses = fast.translate_slice(
-                trace.vpns, begin, min(begin + 512, count), 2, fast_walker
-            )
-            fast_cycles += cycles
-            misses += slice_misses
-        assert reference.stats == fast.stats
-        assert fast_cycles == total_cycles
-        assert misses == reference.stats.misses
-        assert fast.audit() == []
-
-
 class TestRunEquivalence:
-    """Three-way reference / access-kernel / run-kernel differentials."""
+    """Two-way reference / run-kernel differentials."""
 
     @pytest.mark.parametrize("kind", DESIGNS)
-    def test_three_way_counters_match(self, kind, povray_trace):
-        state = three_way(lambda: make_case(kind), povray_trace, asid=2)
+    def test_two_way_counters_match(self, kind, povray_trace):
+        state = two_way(lambda: make_case(kind), povray_trace, asid=2)
         # Every access is either proven inside a run or probed; the run
         # tier actually did the heavy lifting.
         assert state.run_hits + state.probed == RUN_COUNT
@@ -344,14 +208,15 @@ class TestRunEquivalence:
             )
 
     def test_sp_victim_partition(self, povray_trace):
-        state = three_way(
+        state = two_way(
             lambda: make_case(TLBKind.SP), povray_trace, asid=1
         )
         assert state.run_hits > 0
 
     def test_rf_secure_region_no_fill_runs(self, povray_trace):
         """A programmed Sec region forces the trace-independent random
-        paths; the run kernel must stay bit-equal with no_fills > 0."""
+        paths; the run kernel must stay bit-equal with no_fills > 0,
+        down to the no-fill buffer at every chunk end."""
         def build():
             tlb = make_case(TLBKind.RF)
             tlb.set_secure_region(
@@ -359,16 +224,35 @@ class TestRunEquivalence:
             )
             return tlb
 
-        no_fills = three_way(
-            build, povray_trace, asid=1,
-            extras=lambda tlb: tlb.stats.no_fills,
-        )
+        for step in (7, 300, RUN_STEP):
+            two_way(
+                build, povray_trace, asid=1, step=step,
+                extras=lambda tlb: (tlb.stats.no_fills, tlb.buffer),
+            )
         reference = build()
         walker = make_walker()
         for index in range(RUN_COUNT):
             reference.translate(int(povray_trace.vpns[index]), 1, walker)
         assert reference.stats.no_fills > 0
-        assert no_fills is not None  # The run leg completed.
+
+    @pytest.mark.parametrize("kind", DESIGNS)
+    def test_superpage_eviction_from_position_zero(
+        self, kind, superpage_trace
+    ):
+        """Evicting a superpage entry un-residents every page it covers.
+        A replay from position 0 must stop proving hits for those pages
+        (SP replays in its one-way victim partition)."""
+        def prewarm(tlb, walker):
+            walker.table_for(1).map_page(
+                SUPERPAGE_VPN, SUPERPAGE_VPN, level=1
+            )
+
+        count = len(superpage_trace)
+        state = two_way(
+            lambda: make_case(kind, entries=8, ways=2), superpage_trace,
+            asid=1, count=count, step=count, prewarm=prewarm,
+        )
+        assert state.run_hits > 0
 
     def test_mid_run_sfence_breaks_active_run(self, povray_trace):
         """An sfence.vma between quanta invalidates the cross-quantum
@@ -380,7 +264,7 @@ class TestRunEquivalence:
                 tlb.invalidate_page(target, 2)
                 walker.invalidate_memo(asid=2, vpn=target)
 
-        three_way(
+        two_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             perturb=sfence,
         )
@@ -394,7 +278,7 @@ class TestRunEquivalence:
             if pos == RUN_STEP * 2:
                 tlb.set_secure_region(target, 0x40, victim_asid=2)
 
-        state = three_way(
+        state = two_way(
             lambda: make_case(TLBKind.RF), povray_trace, asid=2,
             perturb=program,
         )
@@ -406,7 +290,7 @@ class TestRunEquivalence:
             if pos == RUN_STEP * 4:
                 tlb.flush_all()
 
-        three_way(
+        two_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             perturb=flush,
         )
@@ -419,7 +303,7 @@ class TestRunEquivalence:
                 for vpn in range(900_000, 900_040):
                     tlb.translate(vpn, 9, walker)
 
-        three_way(
+        two_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             perturb=foreign,
         )
@@ -435,7 +319,7 @@ class TestRunEquivalence:
                 tlb.invalidate_page(target, 2)
                 walker.invalidate_memo(asid=2, vpn=target)
 
-        three_way(
+        two_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             perturb=remap,
         )
@@ -446,7 +330,7 @@ class TestRunKernelOracleTier:
 
     @pytest.mark.parametrize("kind", DESIGNS)
     def test_engages_on_clean_replay(self, kind, povray_trace):
-        state = three_way(lambda: make_case(kind), povray_trace, asid=2)
+        state = two_way(lambda: make_case(kind), povray_trace, asid=2)
         assert oracle_engaged(state)
         assert state.o_active  # Still engaged at trace end.
 
@@ -457,7 +341,7 @@ class TestRunKernelOracleTier:
             for vpn in range(700_000, 700_008):
                 tlb.translate(vpn, 2, walker)
 
-        state = three_way(
+        state = two_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             prewarm=prewarm,
         )
@@ -471,7 +355,7 @@ class TestRunKernelOracleTier:
             )
             return tlb
 
-        state = three_way(build, povray_trace, asid=2)
+        state = two_way(build, povray_trace, asid=2)
         assert not oracle_engaged(state)
 
     def test_refuses_superpage_table(self, povray_trace):
@@ -479,7 +363,7 @@ class TestRunKernelOracleTier:
         def prewarm(tlb, walker):
             walker.table_for(2).map_page(1 << 18, 1 << 18, level=1)
 
-        state = three_way(
+        state = two_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             prewarm=prewarm,
         )
@@ -490,7 +374,7 @@ class TestRunKernelOracleTier:
             if pos == RUN_STEP * 4:
                 tlb.flush_all()
 
-        state = three_way(
+        state = two_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
             perturb=flush,
         )
@@ -511,7 +395,7 @@ class TestHierarchyRunEquivalence:
                 rng=random.Random(7),
             )
 
-        three_way(
+        two_way(
             build, povray_trace, asid=2,
             extras=lambda tlb: (tlb.l1.stats, tlb.l2.stats),
         )
@@ -535,7 +419,7 @@ class TestHierarchyRunEquivalence:
                 tlb.pwc.stats.misses,
             )
 
-        three_way(build, povray_trace, asid=2, extras=extras)
+        two_way(build, povray_trace, asid=2, extras=extras)
 
     def test_hierarchy_walk_cache_never_engages(self, povray_trace):
         """Level adapters have walk side effects (L2/PWC fills), so the
@@ -553,31 +437,6 @@ class TestHierarchyRunEquivalence:
             )
         assert not state.walk_cache
         assert not oracle_engaged(state)
-
-
-class TestMemorySystemFastPath:
-    def test_idle_bus_matches_reference_packing(self):
-        tlb, twin = make_pair(TLBKind.SA)
-        memory = MemorySystem(tlb, make_walker())
-        twin_memory = MemorySystem(twin, make_walker())
-        for vpn, asid in random_trace(seed=4, length=300):
-            result = twin_memory.translate(vpn, asid)
-            packed = memory.translate_fast(vpn, asid)
-            assert packed == pack_result(
-                result.cycles, result.hit, result.filled
-            )
-        assert memory.accesses == twin_memory.accesses
-        assert memory.cycles == twin_memory.cycles
-
-    def test_active_bus_falls_back_to_events(self):
-        tlb, _ = make_pair(TLBKind.SA)
-        memory = MemorySystem(tlb, make_walker())
-        seen = []
-        memory.bus.on_access(seen.append)
-        packed = memory.translate_fast(0x123, 1)
-        assert len(seen) == 1
-        assert seen[0].vpn == 0x123
-        assert packed_hit(packed) is False
 
 
 class TestSimulateEquivalence:
@@ -633,73 +492,56 @@ class TestSimulateEquivalence:
             )
         assert cells[True].results == cells[False].results
 
-
-class TestSimulateKernelAxis:
-    """Whole timing-model runs across the kernel axis: the reference
-    path, the access kernel and the run kernel must be result-identical."""
-
-    VARIANTS = ((False, "run"), (True, "access"), (True, "run"))
+    @staticmethod
+    def secrsa_omnetpp(kind, fastpath=True, bus=None):
+        return run_cell(
+            kind,
+            "4W 32",
+            Scenario(secure=True, spec=by_name("omnetpp")),
+            rsa_runs=3,
+            settings=PerfSettings(
+                spec_instructions=20_000, key_bits=64, quantum=1_000,
+                fastpath=fastpath,
+            ),
+            bus=bus,
+        ).results
 
     @pytest.mark.parametrize("kind", DESIGNS)
-    def test_single_process_identical(self, kind):
-        results = []
-        for fastpath, kernel in self.VARIANTS:
-            tlb = make_case(kind)
-            results.append(simulate(
-                tlb,
-                [ScheduledProcess(workload=by_name("povray"), asid=1,
-                                  instructions=40_000)],
-                quantum=1_000,
-                fastpath=fastpath,
-                kernel=kernel,
-            ))
-        assert results[0] == results[1] == results[2]
+    def test_evented_quanta_match_reference(self, kind):
+        """With an access subscriber every quantum runs evented, one
+        AccessEvent per memory access, and the run kernel never runs."""
+        bus = EventBus()
+        events = []
+        bus.on_access(events.append)
+        before = KERNEL_TELEMETRY.snapshot()
+        evented = self.secrsa_omnetpp(kind, bus=bus)
+        assert KERNEL_TELEMETRY.snapshot()[:2] == before[:2]
+        assert evented == self.secrsa_omnetpp(kind, fastpath=False)
+        assert len(events) == evented["total"].memory_accesses == 10_618
 
-    @pytest.mark.parametrize(
-        "policy", [SwitchPolicy.KEEP, SwitchPolicy.FLUSH_ALL]
-    )
-    def test_multiprogrammed_identical(self, policy):
-        results = []
-        for fastpath, kernel in self.VARIANTS:
-            tlb = make_case(TLBKind.SA)
-            results.append(simulate(
-                tlb,
-                [
-                    ScheduledProcess(workload=by_name("povray"), asid=1,
-                                     instructions=30_000),
-                    ScheduledProcess(workload=by_name("omnetpp"), asid=2,
-                                     instructions=30_000),
-                ],
-                quantum=2_000,
-                switch_policy=policy,
-                fastpath=fastpath,
-                kernel=kernel,
-            ))
-        assert results[0] == results[1] == results[2]
+    @pytest.mark.parametrize("handoff", [1, 500, 3_000, 7_000])
+    def test_unsubscribing_hands_off_to_the_run_kernel(self, handoff):
+        """A subscriber leaving after ``handoff`` accesses moves the run
+        from evented quanta to the run kernel mid-trace."""
+        for kind in DESIGNS:
+            bus = EventBus()
+            seen = []
 
-    def test_figure7_cell_identical(self):
-        cells = []
-        for fastpath, kernel in self.VARIANTS:
-            cells.append(run_cell(
-                TLBKind.RF,
-                "4W 32",
-                Scenario(secure=True, spec=by_name("omnetpp")),
-                rsa_runs=3,
-                settings=PerfSettings(
-                    spec_instructions=20_000, key_bits=64,
-                    fastpath=fastpath, kernel=kernel,
-                ),
-            ).results)
-        assert cells[0] == cells[1] == cells[2]
+            def watch(event, bus=bus, seen=seen):
+                seen.append(event)
+                if len(seen) == handoff:
+                    bus.unsubscribe(AccessEvent, watch)
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            simulate(
-                make_case(TLBKind.SA),
-                [ScheduledProcess(workload=by_name("povray"), asid=1,
-                                  instructions=1_000)],
-                kernel="turbo",
-            )
+            bus.on_access(watch)
+            before = KERNEL_TELEMETRY.snapshot()
+            results = self.secrsa_omnetpp(kind, bus=bus)
+            after = KERNEL_TELEMETRY.snapshot()
+            assert len(seen) == handoff
+            # Everything past the handoff quantum went through the kernel.
+            kernel_accesses = (after[0] - before[0]) + (after[1] - before[1])
+            total = results["total"].memory_accesses
+            assert 0 < kernel_accesses <= total - handoff
+            assert results == self.secrsa_omnetpp(kind, fastpath=False)
 
 
 class TestStructureBackends:
@@ -718,7 +560,6 @@ class TestStructureBackends:
         pure._extend_minima(limit)
         assert list(fast.prev) == list(pure.prev)
         assert list(fast.nxt) == list(pure.nxt)
-        assert list(fast.boundary_firsts) == list(pure.boundary_firsts)
         assert list(fast.sub_min_prev) == list(pure.sub_min_prev)
         assert list(fast.blk_min_prev) == list(pure.blk_min_prev)
         assert set(fast.occ) == set(pure.occ)

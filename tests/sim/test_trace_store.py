@@ -98,7 +98,7 @@ def run(processes, fastpath=True):
 def columns(trace):
     return (
         list(trace.gaps), list(trace.vpns), list(trace.cum),
-        list(trace.prev), list(trace.nxt), list(trace.boundary_firsts),
+        list(trace.prev), list(trace.nxt),
         list(trace.sub_min_prev), list(trace.blk_min_prev),
         {vpn: list(chain) for vpn, chain in trace.occ.items()},
     )
