@@ -10,17 +10,17 @@
 """
 
 from .hierarchy import (
+    HIERARCHY_EVALUATION,
     HierarchyResult,
     SweepDesignResult,
     evaluate_hierarchies,
     evaluate_hierarchy,
-    evaluate_hierarchy_cell,
-    evaluate_sweep_cell,
     format_hierarchy_results,
     format_hierarchy_sweep,
     hierarchy_cells,
     leakage_spec,
     refill_leakage,
+    study_spec,
     sweep_perf_point,
     sweep_rows,
     sweep_specs,
@@ -62,6 +62,7 @@ from .sweeps import (
 )
 
 __all__ = [
+    "HIERARCHY_EVALUATION",
     "HierarchyResult",
     "SweepDesignResult",
     "LargePageResult",
@@ -74,8 +75,6 @@ __all__ = [
     "evaluate_all_mitigations",
     "evaluate_hierarchies",
     "evaluate_hierarchy",
-    "evaluate_hierarchy_cell",
-    "evaluate_sweep_cell",
     "evaluate_asid_baseline",
     "evaluate_large_pages",
     "evaluate_flush_on_switch",
@@ -90,6 +89,7 @@ __all__ = [
     "large_page_cells",
     "leakage_spec",
     "refill_leakage",
+    "study_spec",
     "sweep_perf_point",
     "sweep_rows",
     "sweep_specs",

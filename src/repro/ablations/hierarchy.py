@@ -28,25 +28,36 @@ dynamic refill-leakage cross-check over the event bus.
 
 from __future__ import annotations
 
-import random
-import zlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.isa import CPU, ExecutionStatus, assemble
 from repro.mmu import make_walker
 from repro.model.capacity import ChannelEstimate
 from repro.model.patterns import Vulnerability
 from repro.model.table2 import table2_vulnerabilities
-from repro.security.benchgen import BenchmarkLayout, generate
-from repro.security.kinds import TLBKind, make_hierarchy, make_two_level_tlb
+from repro.security.evaluate import EvaluationConfig, SecurityEvaluator
+from repro.security.kinds import TLBKind, make_hierarchy
 from repro.tlb import TLBConfig
-from repro.tlb.hierarchy import TwoLevelTLB
-from repro.tlb.spec import HierarchySpec, LevelSpec, PWCSpec
+from repro.tlb.spec import (
+    HierarchySpec,
+    LevelSpec,
+    PWCSpec,
+    SpecLike,
+    coerce_spec,
+)
 
 #: The evaluated L1 and L2 organizations (an L2 is larger and slower).
 L1_CONFIG = TLBConfig(entries=32, ways=8, hit_latency=1)
 L2_CONFIG = TLBConfig(entries=128, ways=8, hit_latency=8)
+
+#: How the study and the sweep run the Section 5.3 protocol: seed 7, and
+#: whole-set primes on every last level (partition-sized SP primes would
+#: flip four committed sweep verdicts).  Benchmarks target the last
+#: level, whose misses the walk counter exposes; an attack against the
+#: L1's sets alone stops at the L2.
+HIERARCHY_EVALUATION = EvaluationConfig(
+    trials=40, seed=7, partitioned_primes=False
+)
 
 
 @dataclass(frozen=True)
@@ -70,17 +81,15 @@ class HierarchyResult:
         ]
 
 
-def _make_hierarchy(
-    l1_kind: TLBKind, l2_kind: TLBKind, rng: random.Random
-) -> TwoLevelTLB:
-    layout = BenchmarkLayout()
-    return make_two_level_tlb(
-        l1_kind,
-        l2_kind,
+def study_spec(l1_kind: TLBKind, l2_kind: TLBKind) -> HierarchySpec:
+    """One study design, named ``"L1/L2"`` (e.g. ``"RF/SA"``): the label
+    the committed study estimates draw their RNG from (``7/RF/SA/...``)."""
+    return HierarchySpec.two_level(
+        l1_kind.value,
+        l2_kind.value,
         L1_CONFIG,
         L2_CONFIG,
-        victim_asid=layout.victim_pid,
-        rng=rng,
+        name=f"{l1_kind.value}/{l2_kind.value}",
     )
 
 
@@ -100,60 +109,19 @@ def hierarchy_cells(
     ]
 
 
-def evaluate_hierarchy_cell(
-    l1_kind: TLBKind,
-    l2_kind: TLBKind,
-    vulnerability: Vulnerability,
-    trials: int = 40,
-    seed: int = 7,
-) -> ChannelEstimate:
-    """Run one Table 2 row against an L1/L2 combination (a pure cell).
-
-    The RNG is derived from the cell's own label (as in
-    :meth:`repro.security.evaluate.SecurityEvaluator.evaluate_vulnerability`)
-    so cells are order-independent and shard cleanly.
-    """
-    layout = BenchmarkLayout(nsets=L2_CONFIG.sets, nways=L2_CONFIG.ways)
-    label = (
-        f"{seed}/{l1_kind.value}/{l2_kind.value}/{vulnerability.pretty()}"
-    )
-    rng = random.Random(zlib.crc32(label.encode()))
-    programs = {
-        mapped: assemble(generate(vulnerability, layout, mapped=mapped))
-        for mapped in (True, False)
-    }
-    misses = {True: 0, False: 0}
-    for mapped in (True, False):
-        for _ in range(trials):
-            tlb = _make_hierarchy(l1_kind, l2_kind, rng)
-            cpu = CPU(tlb=tlb, translator=make_walker())
-            cpu.load(programs[mapped])
-            outcome = cpu.run()
-            if outcome.status is ExecutionStatus.PASSED:
-                misses[mapped] += 1
-    return ChannelEstimate(
-        misses_mapped=misses[True],
-        misses_unmapped=misses[False],
-        trials_per_behaviour=trials,
-    )
-
-
 def evaluate_hierarchy(
     l1_kind: TLBKind,
     l2_kind: TLBKind,
     trials: int = 40,
     seed: int = 7,
 ) -> HierarchyResult:
-    """Run the 24 Table 2 benchmarks against an L1/L2 combination.
-
-    Benchmarks are generated for the L2's geometry: it is the level whose
-    misses the walk counter exposes, so its sets are what the attacker
-    primes.  (An attack against the L1's sets alone stops at the L2.)
-    """
+    """Run the 24 Table 2 benchmarks against an L1/L2 combination."""
+    evaluator = SecurityEvaluator(replace(HIERARCHY_EVALUATION, seed=seed))
+    spec = study_spec(l1_kind, l2_kind)
     estimates: Dict[Vulnerability, ChannelEstimate] = {
-        vulnerability: evaluate_hierarchy_cell(
-            l1_kind, l2_kind, vulnerability, trials, seed
-        )
+        vulnerability: evaluator.evaluate_vulnerability(
+            vulnerability, spec, trials
+        ).estimate
         for vulnerability in table2_vulnerabilities()
     }
     return HierarchyResult(
@@ -198,16 +166,6 @@ SWEEP_L1_KINDS = ("SA", "SP", "RF")
 #: the same matrix.
 SWEEP_L2_KINDS = ("SA", "SP", "RF", None)
 
-#: A spec or its plain-dict form (the shape runner cells carry).
-SpecLike = Union[HierarchySpec, Mapping[str, Any]]
-
-
-def coerce_spec(spec: SpecLike) -> HierarchySpec:
-    """Accept a spec or its :meth:`HierarchySpec.to_dict` form."""
-    if isinstance(spec, HierarchySpec):
-        return spec
-    return HierarchySpec.from_dict(spec)
-
 
 def sweep_specs() -> List[HierarchySpec]:
     """The 24 sweep designs: L1 x L2 (incl. none) x PWC on/off."""
@@ -225,10 +183,14 @@ def sweep_specs() -> List[HierarchySpec]:
 def sweep_rows() -> List[Tuple[int, Vulnerability]]:
     """One representative Table 2 row per attack strategy (7 rows).
 
-    The full 24-row grid over 24 designs would be a 20x blowup over the
-    three-combination study; one row per strategy keeps the matrix
-    readable while still distinguishing internal-collision, flush/reload,
-    and the five external miss-based strategies.
+    One row per strategy keeps the matrix readable while still
+    distinguishing internal-collision, flush/reload, and the five
+    external miss-based strategies.  All 24 rows cost about 3x: timing
+    ``SecurityEvaluator(HIERARCHY_EVALUATION).evaluate_vulnerability(row,
+    spec, 40)`` over every ``sweep_specs()`` design in one process (the
+    script is in ``docs/hierarchy.md``), these 7 rows took 8.75 s and
+    7.30 s against 23.82 s and 21.83 s for all 24 (2.72x and 2.99x, two
+    runs on a shared 2-vCPU host).
     """
     selected: List[Tuple[int, Vulnerability]] = []
     seen = set()
@@ -237,45 +199,6 @@ def sweep_rows() -> List[Tuple[int, Vulnerability]]:
             seen.add(vulnerability.strategy)
             selected.append((index, vulnerability))
     return selected
-
-
-def evaluate_sweep_cell(
-    spec: SpecLike,
-    vulnerability: Vulnerability,
-    trials: int = 25,
-    seed: int = 7,
-) -> ChannelEstimate:
-    """Run one Table 2 row against one sweep design (a pure cell).
-
-    Benchmarks are generated for the *last* level's geometry -- the level
-    whose misses the walk counter exposes -- and the RNG is derived from
-    the cell's own label, so cells are order-independent and shard
-    cleanly across runner workers.
-    """
-    spec = coerce_spec(spec)
-    last = spec.levels[-1]
-    layout = BenchmarkLayout(nsets=last.config().sets, nways=last.ways)
-    label = f"{seed}/{spec.label()}/{vulnerability.pretty()}"
-    rng = random.Random(zlib.crc32(label.encode()))
-    programs = {
-        mapped: assemble(generate(vulnerability, layout, mapped=mapped))
-        for mapped in (True, False)
-    }
-    misses = {True: 0, False: 0}
-    for mapped in (True, False):
-        for _ in range(trials):
-            tlb = make_hierarchy(
-                spec, victim_asid=layout.victim_pid, rng=rng
-            )
-            cpu = CPU(tlb=tlb, translator=make_walker())
-            cpu.load(programs[mapped])
-            if cpu.run().status is ExecutionStatus.PASSED:
-                misses[mapped] += 1
-    return ChannelEstimate(
-        misses_mapped=misses[True],
-        misses_unmapped=misses[False],
-        trials_per_behaviour=trials,
-    )
 
 
 def sweep_perf_point(spec: SpecLike, rsa_runs: int = 10) -> Dict[str, Any]:

@@ -26,6 +26,7 @@ from repro.security.evaluate import (
     EvaluationConfig,
     SecurityEvaluator,
     VulnerabilityResult,
+    table4_spec,
 )
 from repro.security.kinds import TLBKind
 
@@ -104,7 +105,7 @@ def run_large_page_cell(
         trials=trials, walker_factory=_superpage_walker_factory(layout)
     )
     evaluator = SecurityEvaluator(config)
-    return evaluator.evaluate_vulnerability(vulnerability, kind)
+    return evaluator.evaluate_vulnerability(vulnerability, table4_spec(kind))
 
 
 def evaluate_large_pages(

@@ -23,12 +23,13 @@ from typing import List, Optional, Tuple
 from repro.model.patterns import Vulnerability
 from repro.model.table2 import table2_vulnerabilities
 from repro.security.evaluate import (
+    TABLE4_TLB,
     EvaluationConfig,
     SecurityEvaluator,
     VulnerabilityResult,
 )
 from repro.security.kinds import TLBKind
-from repro.tlb import fully_associative
+from repro.tlb import HierarchySpec, fully_associative
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,17 @@ class MitigationSpec:
     fa_entries: Optional[int] = None
 
     def evaluation_config(self, trials: int) -> EvaluationConfig:
-        if self.fa_entries is not None:
-            return EvaluationConfig(
-                tlb=fully_associative(self.fa_entries), trials=trials
-            )
         return EvaluationConfig(
             trials=trials, flush_on_switch=self.flush_on_switch
         )
+
+    def design(self) -> HierarchySpec:
+        """The flat design this rung evaluates."""
+        if self.fa_entries is not None:
+            config = fully_associative(self.fa_entries)
+        else:
+            config = TABLE4_TLB
+        return HierarchySpec.flat(self.kind.value, config)
 
 
 #: Section 2.3's ladder, plus the paper's own designs for reference,
@@ -119,14 +124,18 @@ def run_mitigation_cell(
     spec = spec_by_key(key)
     evaluator = SecurityEvaluator(spec.evaluation_config(trials))
     vulnerability = table2_vulnerabilities()[vulnerability_index]
-    return evaluator.evaluate_vulnerability(vulnerability, spec.kind)
+    return evaluator.evaluate_vulnerability(vulnerability, spec.design())
 
 
 def _evaluate_spec(spec: MitigationSpec, trials: int) -> MitigationResult:
     evaluator = SecurityEvaluator(spec.evaluation_config(trials))
+    design = spec.design()
     return MitigationResult(
         name=spec.name,
-        results=evaluator.evaluate_kind(spec.kind),
+        results=[
+            evaluator.evaluate_vulnerability(vulnerability, design)
+            for vulnerability in table2_vulnerabilities()
+        ],
         paper_claim=spec.paper_claim,
     )
 

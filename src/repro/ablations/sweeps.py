@@ -24,7 +24,11 @@ from repro.attacks.prime_probe import tlbleed_attack
 from repro.model.capacity import ChannelEstimate
 from repro.mmu import make_walker
 from repro.perf.timing import ScheduledProcess, simulate
-from repro.security.evaluate import EvaluationConfig, SecurityEvaluator
+from repro.security.evaluate import (
+    EvaluationConfig,
+    SecurityEvaluator,
+    table4_spec,
+)
 from repro.security.kinds import TLBKind, make_tlb
 from repro.tlb import ReplacementKind, TLBConfig
 from repro.workloads.rsa import RSAWorkload, generate_key
@@ -158,11 +162,17 @@ def sweep_rf_region(
 def _evaluate_with_region(
     evaluator: SecurityEvaluator, vulnerability, pages: int
 ) -> ChannelEstimate:
-    """Run one vulnerability's benchmark with an explicit region size."""
-    from repro.isa import assemble
-    from repro.security.benchgen import generate
+    """Run one vulnerability's benchmark with an explicit region size.
 
-    layout = evaluator.config.layout_for(TLBKind.RF)
+    Kept apart from :meth:`SecurityEvaluator.evaluate_vulnerability`: the
+    region size is not part of a design, and the committed region sweep
+    draws from one RNG per size (not per row label).
+    """
+    from repro.isa import assemble
+    from repro.security.benchgen import generate, layout_for_spec
+
+    spec = table4_spec(TLBKind.RF)
+    layout = layout_for_spec(spec)
     rng = random.Random(pages * 7919 + 13)
     misses = {True: 0, False: 0}
     for mapped in (True, False):
@@ -170,7 +180,7 @@ def _evaluate_with_region(
             generate(vulnerability, layout, mapped=mapped, ssize=pages)
         )
         for _ in range(evaluator.config.trials):
-            if evaluator.run_trial(program, TLBKind.RF, rng):
+            if evaluator.run_trial(program, spec, rng):
                 misses[mapped] += 1
     return ChannelEstimate(
         misses_mapped=misses[True],

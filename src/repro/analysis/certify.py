@@ -78,8 +78,8 @@ sweep by :mod:`repro.analysis.certify_gate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.model.patterns import Observation, Vulnerability
 from repro.model.states import Actor, AddressClass, Operation, State
@@ -87,15 +87,14 @@ from repro.model.table2 import table2_vulnerabilities
 from repro.security.benchgen import (
     BenchmarkLayout,
     alias_page,
+    layout_for_spec,
     prime_pages,
     region_size_for,
     role_of,
     secret_page,
     single_page,
 )
-from repro.tlb.spec import HierarchySpec, LevelSpec
-
-SpecLike = Union[HierarchySpec, Mapping[str, Any]]
+from repro.tlb.spec import HierarchySpec, LevelSpec, SpecLike, coerce_spec
 
 #: The dynamic operating point certificates are gated against: the
 #: hierarchy sweep's per-behaviour trial count, whose sample-size-aware
@@ -104,23 +103,6 @@ SpecLike = Union[HierarchySpec, Mapping[str, Any]]
 OPERATING_POINT_TRIALS = 40
 
 CERTIFICATE_SCHEMA = "repro/certificate/v1"
-
-
-def coerce_spec(spec: SpecLike) -> HierarchySpec:
-    if isinstance(spec, HierarchySpec):
-        return spec
-    return HierarchySpec.from_dict(spec)
-
-
-def layout_for_spec(spec: HierarchySpec) -> BenchmarkLayout:
-    """The benchmark geometry the dynamic sweep uses for this design.
-
-    Benchmarks target the *last* level's sets -- the level whose misses
-    the walk counter exposes (:func:`repro.ablations.hierarchy.
-    evaluate_sweep_cell` builds exactly this layout).
-    """
-    last = spec.levels[-1]
-    return BenchmarkLayout(nsets=last.config().sets, nways=last.ways)
 
 
 # --------------------------------------------------------------------------

@@ -9,14 +9,15 @@ by replaying certificates against three independent dynamic oracles:
   deterministic, CRC-seeded per cell) and compared verdict-by-verdict
   with each design's certificate;
 * **flat** -- the Table 4 per-row evaluation of the three flat designs
-  through :class:`repro.security.evaluate.SecurityEvaluator` (including
-  the SP evaluation's partition-sized prime widths), compared with
-  single-level certificates;
+  (including the SP evaluation's partition-sized prime widths), compared
+  with single-level certificates built on the same layout;
 * **refill** -- the TaintObserver cross-check on the leakage-variant
   design (tiny RF L1 over a shared SA L2): a certificate claiming a
   refill channel must see secret-correlated refill pages under the
   ``rsa`` guest workload and a flat tally under ``rsa-ct``.
 
+Both dynamic legs run :meth:`repro.security.evaluate.SecurityEvaluator.
+evaluate_vulnerability`, the trial loop behind every security table.
 Every comparison is deterministic (the dynamic side derives its RNG from
 CRC32-stable labels), so a passing gate is reproducible and a failing
 one bisectable.  The CLI exits nonzero on any disagreement.
@@ -24,11 +25,10 @@ one bisectable.  The CLI exits nonzero on any disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.certify import Certificate, certify
-from repro.tlb.spec import HierarchySpec, LevelSpec
 
 #: The flat leg's trial count.  The comparison is deterministic, so this
 #: only needs to put the measured capacities clearly on the right side of
@@ -90,13 +90,6 @@ class GateReport:
         }
 
 
-def flat_spec(kind: str) -> HierarchySpec:
-    """The single-level design the Table 4 evaluation measures."""
-    return HierarchySpec(
-        levels=(LevelSpec(kind=kind, sets=4, ways=8),), name=kind
-    )
-
-
 def certified_rows(
     certificate: Certificate, estimates: Dict[Any, Any]
 ) -> Dict[str, bool]:
@@ -116,18 +109,20 @@ def certified_rows(
 
 def _sweep_leg(checks: List[GateCheck], trials: int, seed: int) -> None:
     from repro.ablations.hierarchy import (
-        evaluate_sweep_cell,
+        HIERARCHY_EVALUATION,
         sweep_rows,
         sweep_specs,
     )
+    from repro.security.evaluate import SecurityEvaluator
 
+    evaluator = SecurityEvaluator(replace(HIERARCHY_EVALUATION, seed=seed))
     rows = sweep_rows()
     for spec in sweep_specs():
         certificate = certify(spec)
         for _, vulnerability in rows:
-            estimate = evaluate_sweep_cell(
-                spec, vulnerability, trials=trials, seed=seed
-            )
+            estimate = evaluator.evaluate_vulnerability(
+                vulnerability, spec, trials=trials
+            ).estimate
             static = certificate.verdict_for(vulnerability).defended
             dynamic = estimate.defends()
             checks.append(
@@ -145,17 +140,23 @@ def _sweep_leg(checks: List[GateCheck], trials: int, seed: int) -> None:
 
 
 def _flat_leg(checks: List[GateCheck], trials: int) -> None:
-    from repro.security.evaluate import EvaluationConfig, SecurityEvaluator
+    from repro.security.benchgen import layout_for_spec
+    from repro.security.evaluate import (
+        EvaluationConfig,
+        SecurityEvaluator,
+        table4_spec,
+    )
     from repro.security.kinds import TLBKind
 
     config = EvaluationConfig(trials=trials)
     evaluator = SecurityEvaluator(config)
     for kind in (TLBKind.SA, TLBKind.SP, TLBKind.RF):
-        spec = flat_spec(kind.value)
-        certificate = certify(spec, layout=config.layout_for(kind))
+        spec = table4_spec(kind)
+        layout = layout_for_spec(spec, config.partitioned_primes)
+        certificate = certify(spec, layout=layout)
         for verdict in certificate.verdicts:
             result = evaluator.evaluate_vulnerability(
-                verdict.vulnerability, kind, trials=trials
+                verdict.vulnerability, spec, trials=trials
             )
             dynamic = result.estimate.defends()
             checks.append(

@@ -256,13 +256,18 @@ def add_analyze_parser(subparsers) -> None:
 
 def _load_spec(target: str):
     """Resolve a certify target: sweep design label, JSON file, or '-'."""
-    from repro.analysis.certify import coerce_spec
+    from repro.tlb.spec import coerce_spec
 
-    if target == "-":
-        return coerce_spec(json.load(sys.stdin))
-    if target.endswith(".json"):
-        with open(target) as handle:
-            return coerce_spec(json.load(handle))
+    if target == "-" or target.endswith(".json"):
+        try:
+            if target == "-":
+                return coerce_spec(json.load(sys.stdin))
+            with open(target) as handle:
+                return coerce_spec(json.load(handle))
+        except ValueError as error:
+            raise SystemExit(
+                f"certify: invalid spec {target!r}: {error}"
+            ) from None
     from repro.ablations.hierarchy import sweep_specs
 
     for spec in sweep_specs():

@@ -8,9 +8,8 @@ over Python ASTs:
     TLB designs are built only inside ``repro.tlb`` and the registered
     factories of ``repro.security.kinds``; every drive loop goes through
     ``make_tlb`` (flat designs) or ``make_hierarchy`` (the one sanctioned
-    multi-level constructor -- ``make_two_level_tlb`` is its thin
-    compatibility wrapper) so experiments stay comparable and observable
-    through the :class:`repro.sim.MemorySystem` facade.
+    multi-level constructor) so experiments stay comparable and
+    observable through the :class:`repro.sim.MemorySystem` facade.
 
 ``facade-walker-construction``
     ``PageTableWalker`` is built only inside ``repro.mmu`` and the
@@ -47,10 +46,10 @@ over Python ASTs:
     Multi-level designs are never assembled from raw level lists:
     ``make_hierarchy``/``TLBHierarchy`` take a declarative
     :class:`repro.tlb.HierarchySpec`, and new specs are defined only in
-    the spec catalogs (``repro.tlb``, the ablations sweep,
-    the certify gate's flat designs).  Every hierarchy in the codebase
-    is therefore reachable by ``python -m repro certify`` -- certifiable
-    by construction.
+    the spec catalogs (``repro.tlb``, whose ``HierarchySpec.flat`` names
+    the flat designs, and the ablations sweep).  Every hierarchy in the
+    codebase is therefore reachable by ``python -m repro certify`` --
+    certifiable by construction.
 
 ``allocation-free-run-kernel``
     The run kernel's functions (``translate_runs``, ``_oracle_slice``,
@@ -85,7 +84,6 @@ TLB_CLASSES = frozenset(
         "StaticPartitionTLB",
         "RandomFillTLB",
         "DynamicPartitionTLB",
-        "TwoLevelTLB",
         "TLBHierarchy",
     }
 )
@@ -431,14 +429,13 @@ class CertifiableHierarchy(Rule):
         " the declarative catalogs so every design stays certifiable by"
         " `python -m repro certify`"
     )
-    #: The spec type and the live constructor live in repro.tlb; the
-    #: sanctioned factory and the two spec catalogs (the sweep grid and
-    #: the gate's flat designs) may spell levels out.
+    #: The spec type, its flat-design constructor and the live
+    #: constructor live in repro.tlb; the sanctioned factory and the
+    #: sweep's spec catalog may spell levels out.
     allowed_prefixes = ("repro/tlb/",)
     allowed_files = (
         "repro/security/kinds.py",
         "repro/ablations/hierarchy.py",
-        "repro/analysis/certify_gate.py",
     )
 
     def check(self, tree: ast.Module, relpath: str) -> Iterator[LintFinding]:
@@ -446,9 +443,8 @@ class CertifiableHierarchy(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(node)
-            if name in ("TLBHierarchy", "make_hierarchy",
-                        "make_two_level_tlb") and _literal_levels_argument(
-                            node):
+            if name in ("TLBHierarchy", "make_hierarchy") and (
+                    _literal_levels_argument(node)):
                 yield self.finding(
                     node,
                     relpath,

@@ -166,22 +166,24 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
 
 def _cmd_hierarchy_sweep(args: argparse.Namespace) -> int:
     from repro.ablations import (
+        HIERARCHY_EVALUATION,
         SweepDesignResult,
-        evaluate_sweep_cell,
         format_hierarchy_sweep,
         refill_leakage,
         sweep_perf_point,
         sweep_rows,
         sweep_specs,
     )
+    from repro.security import SecurityEvaluator
 
+    evaluator = SecurityEvaluator(HIERARCHY_EVALUATION)
     rows = sweep_rows()
     results = []
     for spec in sweep_specs():
         estimates = {
-            vulnerability: evaluate_sweep_cell(
-                spec, vulnerability, trials=args.trials
-            )
+            vulnerability: evaluator.evaluate_vulnerability(
+                vulnerability, spec, trials=args.trials
+            ).estimate
             for _, vulnerability in rows
         }
         results.append(

@@ -135,6 +135,7 @@ class Table4Experiment(Experiment):
             EvaluationConfig,
             SecurityEvaluator,
             TLBKind,
+            table4_spec,
         )
 
         evaluator = SecurityEvaluator(
@@ -142,7 +143,7 @@ class Table4Experiment(Experiment):
         )
         vulnerability = table2_vulnerabilities()[params["row"]]
         return evaluator.evaluate_vulnerability(
-            vulnerability, TLBKind(params["kind"])
+            vulnerability, table4_spec(TLBKind(params["kind"]))
         )
 
     def assemble(self, values: List[Any], options: Mapping[str, Any]) -> Any:
@@ -181,6 +182,7 @@ class Table7Experiment(Experiment):
             EvaluationConfig,
             SecurityEvaluator,
             TLBKind,
+            table4_spec,
         )
 
         evaluator = SecurityEvaluator(
@@ -188,7 +190,7 @@ class Table7Experiment(Experiment):
         )
         vulnerability = invalidation_only_vulnerabilities()[params["row"]]
         return evaluator.evaluate_vulnerability(
-            vulnerability, TLBKind(params["kind"])
+            vulnerability, table4_spec(TLBKind(params["kind"]))
         )
 
     def assemble(self, values: List[Any], options: Mapping[str, Any]) -> Any:
@@ -375,16 +377,15 @@ class HierarchyExperiment(Experiment):
 
     @staticmethod
     def run(params: Mapping[str, Any]) -> Any:
-        from repro.ablations import evaluate_hierarchy_cell
+        from repro.ablations import HIERARCHY_EVALUATION, study_spec
         from repro.model.table2 import table2_vulnerabilities
-        from repro.security import TLBKind
+        from repro.security import SecurityEvaluator, TLBKind
 
-        return evaluate_hierarchy_cell(
-            TLBKind(params["l1"]),
-            TLBKind(params["l2"]),
+        return SecurityEvaluator(HIERARCHY_EVALUATION).evaluate_vulnerability(
             table2_vulnerabilities()[params["row"]],
+            study_spec(TLBKind(params["l1"]), TLBKind(params["l2"])),
             trials=params["trials"],
-        )
+        ).estimate
 
     def assemble(self, values: List[Any], options: Mapping[str, Any]) -> Any:
         from repro.ablations import HierarchyResult, hierarchy_cells
@@ -449,19 +450,22 @@ class HierarchySweepExperiment(Experiment):
     @staticmethod
     def run(params: Mapping[str, Any]) -> Any:
         from repro.ablations import (
-            evaluate_sweep_cell,
+            HIERARCHY_EVALUATION,
             refill_leakage,
             sweep_perf_point,
         )
         from repro.model.table2 import table2_vulnerabilities
+        from repro.security import SecurityEvaluator
+        from repro.tlb.spec import coerce_spec
 
         part = params["part"]
         if part == "security":
-            return evaluate_sweep_cell(
-                params["spec"],
+            evaluator = SecurityEvaluator(HIERARCHY_EVALUATION)
+            return evaluator.evaluate_vulnerability(
                 table2_vulnerabilities()[params["row"]],
+                coerce_spec(params["spec"]),
                 trials=params["trials"],
-            )
+            ).estimate
         if part == "perf":
             return sweep_perf_point(
                 params["spec"], rsa_runs=params["rsa_runs"]

@@ -27,12 +27,13 @@ of 3 or 31 contiguous pages):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.model.effectiveness import Relation, applicable_relations, step3_timings
 from repro.model.patterns import Observation, Vulnerability
 from repro.model.states import Actor, AddressClass, Operation, State
+from repro.tlb.spec import HierarchySpec
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class BenchmarkLayout:
     #: Simulated process IDs (Figure 6: 0 is the attacker, 1 the victim).
     attacker_pid: int = 0
     victim_pid: int = 1
-    #: How many pages a prime/evict step uses per actor.  The evaluation
-    #: harness shrinks these to the partition size for the SP TLB.
+    #: How many pages a prime/evict step uses per actor (see
+    #: :func:`layout_for_spec`).
     prime_ways_victim: int = 8
     prime_ways_attacker: int = 8
 
@@ -391,12 +392,27 @@ def single_page(state: State, layout: BenchmarkLayout, u_page: int) -> int:
     return layout.dbase  # d
 
 
-def layout_for_partitioned_tlb(
-    layout: BenchmarkLayout, victim_ways: int
+def layout_for_spec(
+    spec: HierarchySpec, partitioned_primes: bool = False
 ) -> BenchmarkLayout:
-    """A layout whose prime widths match an SP TLB's partitions."""
-    return replace(
-        layout,
+    """The benchmark geometry for a design: its *last* level's.
+
+    The last level is the one whose misses the walk counter exposes, so
+    its sets are what the attacker primes, and each prime/evict step
+    fills a whole set (as many pages as it has ways).  With
+    ``partitioned_primes`` an SP last level narrows each actor's primes
+    to its own partition (the Table 4 family's SP rule); the hierarchy
+    study and sweep keep whole-set primes.  The evaluator and
+    :func:`repro.analysis.certify.certify` both take their layout here.
+    """
+    last = spec.levels[-1]
+    victim_ways = attacker_ways = last.ways
+    if partitioned_primes and last.kind == "SP":
+        victim_ways = last.effective_victim_ways()
+        attacker_ways = last.ways - victim_ways
+    return BenchmarkLayout(
+        nsets=last.sets,
+        nways=last.ways,
         prime_ways_victim=victim_ways,
-        prime_ways_attacker=layout.nways - victim_ways,
+        prime_ways_attacker=attacker_ways,
     )

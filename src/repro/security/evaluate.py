@@ -1,20 +1,26 @@
-"""The Table 4 security evaluation harness.
+"""The Section 5.3 security evaluation: one trial loop for every design.
 
-For every Table 2 vulnerability and every TLB design, run the generated
-micro security benchmark 500 times with the victim's secret page mapped to
-the tested block and 500 times unmapped (the paper's 24 x 1000 protocol),
-count Step-3 misses (n_{M,M} and n_{N,M}), estimate p1*/p2* and the channel
-capacity C*, and compare against the theoretical values.
+For a Table 2 (or Table 7) vulnerability and a design described by a
+:class:`repro.tlb.HierarchySpec`, run the generated micro security
+benchmark with the victim's secret page mapped to the tested block and
+unmapped, count Step-3 misses (n_{M,M} and n_{N,M}), estimate p1*/p2* and
+the channel capacity C*, and, for the paper's flat designs, compare
+against the theoretical values.  Table 4 (500 trials per behaviour: the
+paper's 24 x 1000 protocol), Table 7, the mitigation ladder, the large
+pages, the hierarchy study, the hierarchy sweep and both dynamic legs of
+the certify gate all run through
+:meth:`SecurityEvaluator.evaluate_vulnerability`.
 
 Each trial runs on a fresh processor and TLB; the Random-Fill TLB's RNG is
-shared across a design's trials so randomization varies trial to trial, and
-is seeded so the whole table is reproducible.
+shared across a row's trials so randomization varies trial to trial, and
+is seeded from the row's label so every result is reproducible.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.isa import CPU, ExecutionStatus, Program, assemble
@@ -24,52 +30,56 @@ from repro.model.table2 import table2_vulnerabilities
 from repro.mmu import PageTableWalker, SwitchPolicy, make_walker
 from repro.sim.events import EventBus
 from repro.sim.system import MemorySystem
-from repro.tlb import TLBConfig
+from repro.tlb import HierarchySpec, LevelSpec, TLBConfig
 
-from .benchgen import BenchmarkLayout, generate, layout_for_partitioned_tlb
-from .kinds import TLBKind, make_tlb
+from .benchgen import BenchmarkLayout, generate, layout_for_spec
+from .kinds import TLBKind, make_hierarchy, make_tlb
 from .theory import TheoreticalModel
+
+#: The Section 5.3 TLB the paper's flat designs are evaluated on: 32
+#: entries, 8 ways (4 sets).
+TABLE4_TLB = TLBConfig(entries=32, ways=8)
+
+_VICTIM_PID = BenchmarkLayout().victim_pid
+
+
+def table4_spec(kind: TLBKind) -> HierarchySpec:
+    """One of the paper's flat designs over the Section 5.3 TLB."""
+    return HierarchySpec.flat(kind.value, TABLE4_TLB)
+
+
+def bare_level(spec: HierarchySpec) -> Optional[LevelSpec]:
+    """The level of a one-level design with no page-walk cache and its
+    Sec bit set, else ``None``.
+
+    Such a design is exactly one of the paper's flat designs: the
+    evaluator builds it as the bare level TLB, and Section 5.3's closed
+    forms describe it.  A one-level :class:`repro.tlb.TLBHierarchy`
+    gives the same estimates but ran Table 4's 72 rows 8-12% slower in
+    three of four paired runs on a shared 2-vCPU host.
+    """
+    if len(spec.levels) == 1 and spec.pwc is None and spec.levels[0].sec_bit:
+        return spec.levels[0]
+    return None
 
 
 @dataclass(frozen=True)
 class EvaluationConfig:
     """Parameters of the Section 5.3 evaluation."""
 
-    tlb: TLBConfig = TLBConfig(entries=32, ways=8)
     trials: int = 500
     seed: int = 2019
-    #: Victim partition size for the SP TLB (the paper's 50% default).
-    victim_ways: Optional[int] = None
     #: Emulate the Sanctum / Intel SGX software mitigation (Section 2.3):
     #: flush the whole TLB on every process switch.
     flush_on_switch: bool = False
     #: Builds the walker for each trial; override to pre-map pages (e.g.
     #: the large-page mitigation backs the secure region with a superpage).
     walker_factory: Optional[Callable[[], PageTableWalker]] = None
-    layout: BenchmarkLayout = field(default_factory=BenchmarkLayout)
-
-    def resolved_victim_ways(self) -> int:
-        if self.victim_ways is not None:
-            return self.victim_ways
-        return max(self.tlb.ways // 2, 1)
-
-    def layout_for(self, kind: TLBKind) -> BenchmarkLayout:
-        layout = self.layout
-        if layout.nsets != self.tlb.sets or layout.nways != self.tlb.ways:
-            from dataclasses import replace
-
-            layout = replace(
-                layout,
-                nsets=self.tlb.sets,
-                nways=self.tlb.ways,
-                prime_ways_victim=self.tlb.ways,
-                prime_ways_attacker=self.tlb.ways,
-            )
-        if kind is TLBKind.SP:
-            return layout_for_partitioned_tlb(
-                layout, self.resolved_victim_ways()
-            )
-        return layout
+    #: Narrow an SP last level's prime/evict steps to each actor's
+    #: partition (see :func:`repro.security.benchgen.layout_for_spec`):
+    #: the Table 4 family's rule.  The hierarchy study and sweep turn it
+    #: off and prime whole sets.
+    partitioned_primes: bool = True
 
 
 @dataclass(frozen=True)
@@ -77,11 +87,13 @@ class VulnerabilityResult:
     """One Table 4 cell group: a design's behaviour on one row.
 
     The theoretical columns are ``None`` for extended-model (Appendix B)
-    rows, for which the paper gives no closed forms.
+    rows, for which the paper gives no closed forms, and for designs
+    other than the paper's flat ones (see :func:`bare_level`).
     """
 
     vulnerability: Vulnerability
-    kind: TLBKind
+    #: The evaluated design's :meth:`HierarchySpec.label`.
+    design: str
     estimate: ChannelEstimate
     theoretical_p1: Optional[float]
     theoretical_p2: Optional[float]
@@ -100,35 +112,32 @@ class VulnerabilityResult:
 
 
 class SecurityEvaluator:
-    """Runs the micro security benchmarks against the TLB simulators."""
+    """Runs the micro security benchmarks against any TLB design."""
 
     def __init__(self, config: EvaluationConfig = EvaluationConfig()) -> None:
         self.config = config
-        self.theory = TheoreticalModel(
-            nsets=config.tlb.sets, nways=config.tlb.ways
-        )
 
     # -- single trials ------------------------------------------------------------
 
     def run_trial(
         self,
         program: Program,
-        kind: TLBKind,
+        spec: HierarchySpec,
         rng: random.Random,
         bus: Optional[EventBus] = None,
     ) -> bool:
         """Run one benchmark once on a fresh CPU; True iff Step 3 missed."""
-        tlb = make_tlb(
-            kind,
-            self.config.tlb,
-            victim_asid=self.config.layout.victim_pid,
-            victim_ways=(
-                self.config.resolved_victim_ways()
-                if kind is TLBKind.SP
-                else None
-            ),
-            rng=rng,
-        )
+        level = bare_level(spec)
+        if level is None:
+            tlb = make_hierarchy(spec, victim_asid=_VICTIM_PID, rng=rng)
+        else:
+            tlb = make_tlb(
+                TLBKind(level.kind),
+                level.config(),
+                victim_asid=_VICTIM_PID,
+                victim_ways=level.effective_victim_ways(),
+                rng=rng,
+            )
         if self.config.walker_factory is not None:
             walker = self.config.walker_factory()
         else:
@@ -155,17 +164,22 @@ class SecurityEvaluator:
     def evaluate_vulnerability(
         self,
         vulnerability: Vulnerability,
-        kind: TLBKind,
+        spec: HierarchySpec,
         trials: Optional[int] = None,
     ) -> VulnerabilityResult:
-        trials = trials if trials is not None else self.config.trials
-        # Derive a per-(design, vulnerability) seed that is stable across
-        # interpreter runs (str.__hash__ is salted per process).
-        import zlib
+        """Run one row against one design, ``trials`` times per behaviour.
 
-        label = f"{self.config.seed}/{kind.value}/{vulnerability.pretty()}"
+        The benchmark targets the design's last level
+        (:func:`repro.security.benchgen.layout_for_spec`), and the RNG is
+        derived from the row's own label, ``seed/design/row``, so rows
+        are order-independent and shard cleanly.
+        """
+        trials = trials if trials is not None else self.config.trials
+        # zlib.crc32 is stable across interpreter runs (str.__hash__ is
+        # salted per process).
+        label = f"{self.config.seed}/{spec.label()}/{vulnerability.pretty()}"
         rng = random.Random(zlib.crc32(label.encode()))
-        layout = self.config.layout_for(kind)
+        layout = layout_for_spec(spec, self.config.partitioned_primes)
         programs = {
             mapped: assemble(generate(vulnerability, layout, mapped=mapped))
             for mapped in (True, False)
@@ -173,28 +187,31 @@ class SecurityEvaluator:
         misses = {True: 0, False: 0}
         for mapped in (True, False):
             for _ in range(trials):
-                if self.run_trial(programs[mapped], kind, rng):
+                if self.run_trial(programs[mapped], spec, rng):
                     misses[mapped] += 1
         estimate = ChannelEstimate(
             misses_mapped=misses[True],
             misses_unmapped=misses[False],
             trials_per_behaviour=trials,
         )
-        if vulnerability.pattern.uses_extended_states():
+        level = bare_level(spec)
+        if level is None or vulnerability.pattern.uses_extended_states():
             p1 = p2 = capacity = None
         else:
-            p1, p2 = self.theory.probabilities(kind, vulnerability)
-            capacity = self.theory.capacity(kind, vulnerability)
+            kind = TLBKind(level.kind)
+            theory = TheoreticalModel(nsets=level.sets, nways=level.ways)
+            p1, p2 = theory.probabilities(kind, vulnerability)
+            capacity = theory.capacity(kind, vulnerability)
         return VulnerabilityResult(
             vulnerability=vulnerability,
-            kind=kind,
+            design=spec.label(),
             estimate=estimate,
             theoretical_p1=p1,
             theoretical_p2=p2,
             theoretical_capacity=capacity,
         )
 
-    # -- the full table ------------------------------------------------------------------
+    # -- the paper's flat designs (Tables 4 and 7) ---------------------------------
 
     def evaluate_kind(
         self,
@@ -202,11 +219,13 @@ class SecurityEvaluator:
         vulnerabilities: Optional[Sequence[Vulnerability]] = None,
         trials: Optional[int] = None,
     ) -> List[VulnerabilityResult]:
+        """Every Table 2 row (or ``vulnerabilities``) on one flat design."""
+        spec = table4_spec(kind)
+        if vulnerabilities is None:
+            vulnerabilities = table2_vulnerabilities()
         return [
-            self.evaluate_vulnerability(vulnerability, cell_kind, trials)
-            for cell_kind, vulnerability in table4_cells(
-                kinds=(kind,), vulnerabilities=vulnerabilities
-            )
+            self.evaluate_vulnerability(vulnerability, spec, trials)
+            for vulnerability in vulnerabilities
         ]
 
     def evaluate_table4(
@@ -214,12 +233,7 @@ class SecurityEvaluator:
         kinds: Iterable[TLBKind] = (TLBKind.SA, TLBKind.SP, TLBKind.RF),
         trials: Optional[int] = None,
     ) -> Dict[TLBKind, List[VulnerabilityResult]]:
-        table: Dict[TLBKind, List[VulnerabilityResult]] = {}
-        for kind, vulnerability in table4_cells(kinds=kinds):
-            table.setdefault(kind, []).append(
-                self.evaluate_vulnerability(vulnerability, kind, trials)
-            )
-        return table
+        return {kind: self.evaluate_kind(kind, trials=trials) for kind in kinds}
 
     def evaluate_extended(
         self,
@@ -233,10 +247,11 @@ class SecurityEvaluator:
         timing; invalidation probes measure the cycle counter instead of
         the miss counter.
         """
-        return [
-            self.evaluate_vulnerability(vulnerability, cell_kind, trials)
-            for cell_kind, vulnerability in extended_cells(kinds=(kind,))
-        ]
+        from repro.model.extended import invalidation_only_vulnerabilities
+
+        return self.evaluate_kind(
+            kind, invalidation_only_vulnerabilities(), trials
+        )
 
 
 def table4_cells(

@@ -15,7 +15,6 @@ from repro.tlb import (
     StaticPartitionTLB,
     TLBConfig,
     TLBHierarchy,
-    TwoLevelTLB,
 )
 
 
@@ -49,13 +48,23 @@ def make_tlb(
     raise ValueError(f"unknown TLB kind {kind}")  # pragma: no cover
 
 
-def _make_levels(
+def make_hierarchy(
     spec: HierarchySpec,
-    victim_asid: int,
-    rng: Optional[random.Random],
-) -> list:
-    """Build the level TLBs of a spec, outermost first (shared ``rng``)."""
-    return [
+    victim_asid: int = 1,
+    rng: Optional[random.Random] = None,
+) -> TLBHierarchy:
+    """Build a live :class:`repro.tlb.TLBHierarchy` from a declarative spec.
+
+    The one sanctioned constructor for multi-level TLBs (the invariant
+    linter keeps direct ``TLBHierarchy`` construction out of the drive
+    loops).  Levels are instantiated outermost first, sharing ``rng`` so
+    RF levels draw from one stream; SP levels default to the paper's
+    even way split unless the spec's ``victim_ways`` overrides it;
+    levels with ``sec_bit`` disabled are excluded from
+    ``set_secure_region`` propagation; and a ``pwc`` entry appends a
+    :class:`repro.tlb.PageWalkCache` behind the last level.
+    """
+    levels = [
         make_tlb(
             TLBKind(level.kind),
             level.config(),
@@ -65,25 +74,6 @@ def _make_levels(
         )
         for level in spec.levels
     ]
-
-
-def make_hierarchy(
-    spec: HierarchySpec,
-    victim_asid: int = 1,
-    rng: Optional[random.Random] = None,
-) -> TLBHierarchy:
-    """Build a live :class:`repro.tlb.TLBHierarchy` from a declarative spec.
-
-    The one sanctioned constructor for multi-level TLBs (the invariant
-    linter keeps direct ``TLBHierarchy`` / ``TwoLevelTLB`` construction
-    out of the drive loops).  Levels are instantiated outermost first,
-    sharing ``rng`` so RF levels draw from one stream; SP levels default
-    to the paper's even way split unless the spec's ``victim_ways``
-    overrides it; levels with ``sec_bit`` disabled are excluded from
-    ``set_secure_region`` propagation; and a ``pwc`` entry appends a
-    :class:`repro.tlb.PageWalkCache` behind the last level.
-    """
-    levels = _make_levels(spec, victim_asid, rng)
     secure = [
         index for index, level in enumerate(spec.levels) if level.sec_bit
     ]
@@ -94,26 +84,3 @@ def make_hierarchy(
         secure_levels=None if len(secure) == len(spec.levels) else secure,
     )
 
-
-def make_two_level_tlb(
-    l1_kind: TLBKind,
-    l2_kind: TLBKind,
-    l1_config: TLBConfig,
-    l2_config: TLBConfig,
-    victim_asid: int = 1,
-    rng: Optional[random.Random] = None,
-) -> TwoLevelTLB:
-    """A two-level hierarchy with any L1/L2 design combination.
-
-    A thin wrapper over :func:`make_hierarchy`'s spec machinery, kept for
-    the original two-level surface (``.l1`` / ``.l2``).  SP levels default
-    to an even way split, matching the single-level convention the
-    evaluations use.  Like :func:`make_tlb`, this is a registered
-    factory: the invariant linter keeps direct construction out of the
-    drive loops.
-    """
-    spec = HierarchySpec.two_level(
-        l1_kind.value, l2_kind.value, l1_config, l2_config
-    )
-    levels = _make_levels(spec, victim_asid, rng)
-    return TwoLevelTLB(levels[0], levels[1])

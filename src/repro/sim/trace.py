@@ -101,16 +101,22 @@ def _trace_security(bus: EventBus, kind: "TLBKind", seed: int) -> str:
     import random
 
     from repro.model.table2 import table2_vulnerabilities
-    from repro.security.benchgen import generate
-    from repro.security.evaluate import EvaluationConfig, SecurityEvaluator
+    from repro.security.benchgen import generate, layout_for_spec
+    from repro.security.evaluate import (
+        EvaluationConfig,
+        SecurityEvaluator,
+        table4_spec,
+    )
     from repro.isa import assemble
 
-    evaluator = SecurityEvaluator(EvaluationConfig(seed=seed))
+    config = EvaluationConfig(seed=seed)
+    evaluator = SecurityEvaluator(config)
     vulnerability = table2_vulnerabilities()[0]
-    layout = evaluator.config.layout_for(kind)
+    spec = table4_spec(kind)
+    layout = layout_for_spec(spec, config.partitioned_primes)
     program = assemble(generate(vulnerability, layout, mapped=True))
     missed = evaluator.run_trial(
-        program, kind, random.Random(seed), bus=bus
+        program, spec, random.Random(seed), bus=bus
     )
     return (
         f"security trial vs {kind.value} "

@@ -35,7 +35,7 @@ from .replacement import (
     make_policy,
 )
 from .dp import DynamicPartitionTLB
-from .hierarchy import PageWalkCache, PWCStats, TLBHierarchy, TwoLevelTLB
+from .hierarchy import PageWalkCache, PWCStats, TLBHierarchy
 from .spec import HierarchySpec, LevelSpec, PWCSpec
 from .rf import RandomFillEngine, RandomFillTLB
 from .sa import SetAssociativeTLB
@@ -65,7 +65,6 @@ __all__ = [
     "TLBEntry",
     "TLBHierarchy",
     "TLBStats",
-    "TwoLevelTLB",
     "Translator",
     "TreePLRUPolicy",
     "WalkResult",

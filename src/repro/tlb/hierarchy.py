@@ -14,8 +14,7 @@ evictions remain attacker-observable through the miss latency.
 
 Hierarchies are built from a declarative :class:`repro.tlb.HierarchySpec`
 by :func:`repro.security.kinds.make_hierarchy` (the linter-sanctioned
-factory); :class:`TwoLevelTLB` remains as the two-level convenience shape
-the earlier ablation used.
+factory).
 
 While an observer asks for it (:meth:`TLBHierarchy.begin_trace`), the
 inter-level adapters record which levels a request consulted and whether
@@ -364,20 +363,3 @@ class TLBHierarchy:
             raise AttributeError("hierarchy has no L2")
         return self.levels[1]
 
-
-class TwoLevelTLB(TLBHierarchy):
-    """An L1 TLB backed by an L2 TLB (the original two-level shape).
-
-    Kept as a thin :class:`TLBHierarchy` subclass for the existing
-    ablation and test surface; new code should describe hierarchies with
-    :class:`repro.tlb.HierarchySpec` and build them through
-    :func:`repro.security.kinds.make_hierarchy`.
-    """
-
-    def __init__(self, l1: BaseTLB, l2: BaseTLB, name: str = "two-level") -> None:
-        if l1 is l2:
-            raise ValueError("L1 and L2 must be distinct TLB instances")
-        super().__init__((l1, l2), name=name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TwoLevelTLB l1={self.l1!r} l2={self.l2!r}>"

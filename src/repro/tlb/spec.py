@@ -1,16 +1,17 @@
 """Declarative TLB-hierarchy specifications.
 
-A :class:`HierarchySpec` is the one description of a multi-level TLB that
-every layer consumes: the :func:`repro.security.kinds.make_hierarchy`
-factory builds the live :class:`repro.tlb.TLBHierarchy` from it, the
-runner's hierarchy-sweep cells carry it in their params (as the plain
-JSON dict of :meth:`HierarchySpec.to_dict`), and ``repro serve`` specs
-round-trip it over HTTP.  Levels are ordered outermost first (index 0 is
-the L1 the CPU probes); each level picks one of the paper's designs and
-its own geometry, and an optional :class:`PWCSpec` appends a page-walk
-cache behind the last level -- the architectural (latency-bearing)
-version of the walker memo that :mod:`repro.mmu.walker` keeps for pure
-replay speed.
+A :class:`HierarchySpec` is the one description of a TLB design -- flat
+or multi-level -- that every layer consumes: the security evaluator
+measures it, :func:`repro.security.kinds.make_hierarchy` builds the live
+:class:`repro.tlb.TLBHierarchy` from it, the runner's hierarchy-sweep
+cells carry it in their params (as the plain JSON dict of
+:meth:`HierarchySpec.to_dict`, read back by :func:`coerce_spec`), and
+``repro serve`` specs round-trip it over HTTP.  Levels are ordered
+outermost first (index 0 is the L1 the CPU probes); each level picks
+one of the paper's designs and its own geometry, and an optional
+:class:`PWCSpec` appends a page-walk cache behind the last level -- the
+architectural (latency-bearing) version of the walker memo that
+:mod:`repro.mmu.walker` keeps for pure replay speed.
 
 The spec is deliberately plain data -- strings and ints only -- so cells
 stay picklable and cache keys stay stable.
@@ -19,7 +20,7 @@ stay picklable and cache keys stay stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .config import ReplacementKind, TLBConfig
 
@@ -212,6 +213,11 @@ class HierarchySpec:
         )
 
     @classmethod
+    def flat(cls, kind: str, config: TLBConfig) -> "HierarchySpec":
+        """A single-level design, named by its kind (Table 4's designs)."""
+        return cls(levels=(LevelSpec.from_config(kind, config),), name=kind)
+
+    @classmethod
     def two_level(
         cls,
         l1_kind: str,
@@ -219,6 +225,7 @@ class HierarchySpec:
         l1_config: TLBConfig,
         l2_config: TLBConfig,
         pwc: Optional[PWCSpec] = None,
+        name: str = "",
     ) -> "HierarchySpec":
         """The classic L1-backed-by-L2 shape the ablation study uses."""
         return cls(
@@ -227,4 +234,35 @@ class HierarchySpec:
                 LevelSpec.from_config(l2_kind, l2_config),
             ),
             pwc=pwc,
+            name=name,
         )
+
+
+#: A spec or its plain-dict form (the shape runner cells and spec files
+#: carry).
+SpecLike = Union[HierarchySpec, Mapping[str, Any]]
+
+
+def coerce_spec(spec: SpecLike) -> HierarchySpec:
+    """Accept a spec or its :meth:`HierarchySpec.to_dict` form.
+
+    A malformed dict form raises :class:`ValueError` naming the bad
+    field, so spec files fail with a message rather than a traceback.
+    """
+    if isinstance(spec, HierarchySpec):
+        return spec
+    if not isinstance(spec, Mapping):
+        raise ValueError(
+            f"a spec must be an object with 'levels', not a"
+            f" {type(spec).__name__}"
+        )
+    levels = spec.get("levels")
+    if not isinstance(levels, (list, tuple)) or not levels:
+        raise ValueError("'levels' must be a non-empty list of levels")
+    for index, level in enumerate(levels):
+        if not isinstance(level, Mapping):
+            raise ValueError(f"levels[{index}] must be an object")
+        for key in ("kind", "sets", "ways"):
+            if key not in level:
+                raise ValueError(f"levels[{index}] is missing {key!r}")
+    return HierarchySpec.from_dict(spec)

@@ -12,6 +12,17 @@ from repro.security import TLBKind
 TRIALS = 25
 
 
+def sweep_estimate(spec, vulnerability, trials):
+    """One sweep cell: a row on a design at the sweep's settings."""
+    from repro.ablations import HIERARCHY_EVALUATION
+    from repro.security import SecurityEvaluator
+
+    evaluator = SecurityEvaluator(HIERARCHY_EVALUATION)
+    return evaluator.evaluate_vulnerability(
+        vulnerability, spec, trials
+    ).estimate
+
+
 @pytest.fixture(scope="module")
 def sa_sa():
     return evaluate_hierarchy(TLBKind.SA, TLBKind.SA, trials=TRIALS)
@@ -74,7 +85,7 @@ class TestSweepEnumeration:
 
     def test_specs_survive_the_cell_param_round_trip(self):
         from repro.ablations import sweep_specs
-        from repro.ablations.hierarchy import coerce_spec
+        from repro.tlb.spec import coerce_spec
 
         for spec in sweep_specs():
             assert coerce_spec(spec.to_dict()) == spec
@@ -90,28 +101,27 @@ class TestSweepCells:
         raise AssertionError(strategy)
 
     def test_cell_is_deterministic(self):
-        from repro.ablations import evaluate_sweep_cell, sweep_specs
+        from repro.ablations import sweep_specs
 
         spec = sweep_specs()[0]
         vulnerability = self.find_row(Strategy.PRIME_PROBE)
-        first = evaluate_sweep_cell(spec, vulnerability, trials=6)
-        second = evaluate_sweep_cell(spec, vulnerability, trials=6)
+        first = sweep_estimate(spec, vulnerability, trials=6)
+        second = sweep_estimate(spec, vulnerability, trials=6)
         assert (first.p1, first.p2) == (second.p1, second.p2)
 
     def test_sa_sa_leaks_prime_probe_and_rf_rf_defends(self):
-        from repro.ablations import evaluate_sweep_cell
         from repro.tlb import HierarchySpec, TLBConfig
 
         l1 = TLBConfig(entries=32, ways=8, hit_latency=1)
         l2 = TLBConfig(entries=256, ways=8, hit_latency=8)
         vulnerability = self.find_row(Strategy.PRIME_PROBE)
-        leaky = evaluate_sweep_cell(
+        leaky = sweep_estimate(
             HierarchySpec.two_level("SA", "SA", l1, l2),
             vulnerability,
             trials=12,
         )
         assert not leaky.defends()
-        safe = evaluate_sweep_cell(
+        safe = sweep_estimate(
             HierarchySpec.two_level("RF", "RF", l1, l2),
             vulnerability,
             trials=12,
@@ -205,14 +215,13 @@ class TestSweepFormatting:
     def test_matrix_and_leakage_footer(self):
         from repro.ablations import (
             SweepDesignResult,
-            evaluate_sweep_cell,
             format_hierarchy_sweep,
             sweep_specs,
         )
 
         spec = sweep_specs()[0]
         vulnerability = TestSweepCells().find_row(Strategy.PRIME_PROBE)
-        estimate = evaluate_sweep_cell(spec, vulnerability, trials=4)
+        estimate = sweep_estimate(spec, vulnerability, trials=4)
         result = SweepDesignResult(
             label=spec.label(),
             spec=spec.to_dict(),

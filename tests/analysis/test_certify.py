@@ -30,9 +30,9 @@ from repro.analysis.certify import (
     certify,
     expand_benchmark,
     format_certificate,
-    layout_for_spec,
 )
 from repro.model.table2 import table2_vulnerabilities
+from repro.security.benchgen import layout_for_spec
 from repro.tlb.spec import HierarchySpec, LevelSpec
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
@@ -152,18 +152,16 @@ class TestDynamicPin:
             EvaluationConfig,
             SecurityEvaluator,
         )
-        from repro.security.kinds import TLBKind
 
         config = EvaluationConfig(trials=1)
         evaluator = SecurityEvaluator(config)
-        tlb_kind = TLBKind[kind]
-        layout = config.layout_for(tlb_kind)
         spec = HierarchySpec(
             levels=(LevelSpec(kind=kind, sets=4, ways=8),)
         )
+        layout = layout_for_spec(spec, config.partitioned_primes)
         for vulnerability in table2_vulnerabilities():
             result = evaluator.evaluate_vulnerability(
-                vulnerability, tlb_kind, trials=1
+                vulnerability, spec, trials=1
             )
             dynamic = {
                 True: result.estimate.misses_mapped > 0,
@@ -244,13 +242,49 @@ class TestFlatTable4Regression:
         "kind,defended", [("SA", 10), ("SP", 14), ("RF", 24)]
     )
     def test_defended_counts(self, kind, defended):
-        from repro.analysis.certify_gate import flat_spec
-        from repro.security.evaluate import EvaluationConfig
+        from repro.security.evaluate import table4_spec
         from repro.security.kinds import TLBKind
 
-        layout = EvaluationConfig().layout_for(TLBKind[kind])
-        certificate = certify(flat_spec(kind), layout=layout)
+        spec = table4_spec(TLBKind[kind])
+        layout = layout_for_spec(spec, partitioned_primes=True)
+        certificate = certify(spec, layout=layout)
         assert certificate.defended == defended
+
+
+class TestLayoutFollowsTheLastLevelsWays:
+    """Primes fill a whole set of the last level, whatever its ways.
+
+    With prime widths fixed at 8, a plain SA TLB of 4 or 16 ways reads
+    as defended against Prime + Probe (and, at 16 ways, Evict + Time)
+    both statically and dynamically; the certificate and the measurement
+    must find those rows vulnerable.
+    """
+
+    @pytest.mark.parametrize("ways", [4, 16])
+    @pytest.mark.parametrize("strategy", ["PRIME_PROBE", "EVICT_TIME"])
+    def test_sa_leaks_at_any_associativity(self, ways, strategy):
+        from repro.ablations import HIERARCHY_EVALUATION
+        from repro.model.patterns import Strategy
+        from repro.security import SecurityEvaluator
+        from repro.tlb import TLBConfig
+
+        spec = HierarchySpec.flat("SA", TLBConfig(entries=4 * ways, ways=ways))
+        layout = layout_for_spec(spec)
+        assert layout.prime_ways_victim == layout.prime_ways_attacker == ways
+        certificate = certify(spec)
+        evaluator = SecurityEvaluator(HIERARCHY_EVALUATION)
+        rows = [
+            vulnerability
+            for vulnerability in table2_vulnerabilities()
+            if vulnerability.strategy is Strategy[strategy]
+        ]
+        assert rows
+        for vulnerability in rows:
+            assert not certificate.verdict_for(vulnerability).defended
+            estimate = evaluator.evaluate_vulnerability(
+                vulnerability, spec
+            ).estimate
+            assert estimate.capacity == pytest.approx(1.0)
 
 
 class TestRules:

@@ -9,15 +9,15 @@ from repro.analysis.certify_gate import (
     GateCheck,
     GateReport,
     certified_rows,
-    flat_spec,
     run_gate,
     format_report,
 )
+from repro.security import TLBKind, table4_spec
 
 
 class TestFlatSpec:
     def test_matches_the_table4_geometry(self):
-        spec = flat_spec("SP")
+        spec = table4_spec(TLBKind.SP)
         assert spec.label() == "SP"
         assert len(spec.levels) == 1
         level = spec.levels[0]
@@ -46,7 +46,7 @@ class TestCertifiedRows:
 
     @pytest.fixture(scope="class")
     def certificate(self):
-        return certify(flat_spec("SA"))
+        return certify(table4_spec(TLBKind.SA))
 
     def test_agreement_when_dynamics_match(self, certificate):
         rows = certified_rows(

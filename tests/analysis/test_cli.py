@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -185,14 +186,37 @@ class TestCertifyCLI:
         assert [entry["design"] for entry in payload] == ["SA+SA", "RF+RF"]
 
     def test_spec_file_target(self, tmp_path, capsys):
-        from repro.analysis.certify_gate import flat_spec
+        from repro.security import TLBKind, table4_spec
 
         path = tmp_path / "design.json"
-        path.write_text(json.dumps(flat_spec("RF").to_dict()))
+        path.write_text(json.dumps(table4_spec(TLBKind.RF).to_dict()))
         assert main(["certify", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["design"] == "RF"
         assert payload["defended"] == 24
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"levles": []}', "'levels'"),
+            ('{"levels": [{"kind": "SA", "sets": 4}]}', "'ways'"),
+            ("[1, 2]", "'levels'"),
+            ('{"levels": []}', "'levels'"),
+            ('{"levels": [3]}', "levels[0]"),
+            ('{"levels": [{"kind": "XX", "sets": 4, "ways": 2}]}', "'XX'"),
+            ("{not json", "Expecting property name"),
+        ],
+    )
+    def test_malformed_spec_is_a_one_line_error(
+        self, monkeypatch, text, field
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        with pytest.raises(SystemExit) as raised:
+            main(["certify", "-"])
+        message = str(raised.value.code)
+        assert message.startswith("certify: invalid spec '-': ")
+        assert field in message
+        assert "\n" not in message
 
     def test_unknown_label_lists_the_catalog(self):
         with pytest.raises(SystemExit, match="known labels"):

@@ -81,11 +81,18 @@ class TestRunawayPrograms:
 
     def test_evaluator_surfaces_runaway_trials(self):
         # A hostile/buggy benchmark must not hang the harness.
-        from repro.security import EvaluationConfig, SecurityEvaluator, TLBKind
+        from repro.security import (
+            EvaluationConfig,
+            SecurityEvaluator,
+            TLBKind,
+            table4_spec,
+        )
 
         evaluator = SecurityEvaluator(EvaluationConfig(trials=1))
         program = assemble("spin:\nj spin")
         import random
 
         with pytest.raises(ExecutionLimitExceeded):
-            evaluator.run_trial(program, TLBKind.SA, random.Random(0))
+            evaluator.run_trial(
+                program, table4_spec(TLBKind.SA), random.Random(0)
+            )

@@ -86,9 +86,10 @@ class TestAssembly:
         # sweep cells measured at 40 trials must match the static
         # certificate on all 7 rows (the full 24-design version is the
         # `certify --gate` CI job).
-        from repro.ablations.hierarchy import evaluate_sweep_cell, sweep_rows
+        from repro.ablations.hierarchy import HIERARCHY_EVALUATION, sweep_rows
         from repro.analysis.certify import certify
         from repro.analysis.certify_gate import certified_rows
+        from repro.security import SecurityEvaluator
         from repro.tlb import HierarchySpec
 
         unit = next(
@@ -98,10 +99,11 @@ class TestAssembly:
             and HierarchySpec.from_dict(u.params["spec"]).label() == "RF+SA"
         )
         spec = HierarchySpec.from_dict(unit.params["spec"])
+        evaluator = SecurityEvaluator(HIERARCHY_EVALUATION)
         estimates = {
-            vulnerability: evaluate_sweep_cell(
-                spec, vulnerability, trials=40, seed=7
-            )
+            vulnerability: evaluator.evaluate_vulnerability(
+                vulnerability, spec, trials=40
+            ).estimate
             for _, vulnerability in sweep_rows()
         }
         agreement = certified_rows(certify(spec), estimates)

@@ -16,11 +16,13 @@ from repro.model.table2 import table2_vulnerabilities
 from repro.security import (
     BenchmarkLayout,
     alias_page,
+    TABLE4_TLB,
     generate,
-    layout_for_partitioned_tlb,
+    layout_for_spec,
     region_size_for,
     secret_page,
 )
+from repro.tlb import HierarchySpec
 
 
 def vuln(s1, s2, s3, obs):
@@ -105,7 +107,8 @@ class TestGeneratedPrograms:
         assert "sfence.vma" in text
 
     def test_partitioned_layout_narrows_primes(self):
-        layout = layout_for_partitioned_tlb(BenchmarkLayout(), victim_ways=4)
+        sp = HierarchySpec.flat("SP", TABLE4_TLB)
+        layout = layout_for_spec(sp, partitioned_primes=True)
         assert layout.prime_ways_victim == 4
         assert layout.prime_ways_attacker == 4
         text = generate(PRIME_PROBE, layout, mapped=True)

@@ -28,11 +28,12 @@ class TestGeneratedProgramProperties:
     @settings(max_examples=120, deadline=None)
     def test_programs_run_to_a_verdict(self, vulnerability, kind, mapped, seed):
         config = TLBConfig(entries=32, ways=8)
-        layout = BenchmarkLayout()
-        if kind is TLBKind.SP:
-            from repro.security import layout_for_partitioned_tlb
+        from repro.security import layout_for_spec
+        from repro.tlb import HierarchySpec
 
-            layout = layout_for_partitioned_tlb(layout, victim_ways=4)
+        layout = layout_for_spec(
+            HierarchySpec.flat(kind.value, config), partitioned_primes=True
+        )
         program = assemble(generate(vulnerability, layout, mapped=mapped))
         tlb = make_tlb(
             kind,

@@ -11,7 +11,10 @@ from repro.security import (
     TLBKind,
     defended_counts,
     format_table4,
+    table4_spec,
 )
+
+RF = table4_spec(TLBKind.RF)
 
 TRIALS = 40
 
@@ -100,7 +103,7 @@ class TestRFSimulation:
             ThreeStepPattern((A_D, V_U, A_D)), Observation.SLOW
         )
         result = evaluator.evaluate_vulnerability(
-            vulnerability, TLBKind.RF, trials=300
+            vulnerability, RF, trials=300
         )
         assert result.estimate.p1 == pytest.approx(1 / 3, abs=0.08)
         assert result.estimate.p2 == pytest.approx(1 / 3, abs=0.08)
@@ -110,7 +113,7 @@ class TestRFSimulation:
             ThreeStepPattern((A_D, V_U, V_A)), Observation.FAST
         )
         result = evaluator.evaluate_vulnerability(
-            vulnerability, TLBKind.RF, trials=300
+            vulnerability, RF, trials=300
         )
         assert result.estimate.p1 == pytest.approx(2 / 3, abs=0.08)
         assert result.estimate.p2 == pytest.approx(2 / 3, abs=0.08)
@@ -120,7 +123,7 @@ class TestRFSimulation:
             ThreeStepPattern((A_D, V_U, A_D)), Observation.SLOW
         )
         result = evaluator.evaluate_vulnerability(
-            vulnerability, TLBKind.RF, trials=60
+            vulnerability, RF, trials=60
         )
         # Neither all-miss nor all-hit: the channel is genuinely noisy.
         assert 0 < result.estimate.misses_mapped < 60
@@ -129,8 +132,8 @@ class TestRFSimulation:
 class TestHarnessMechanics:
     def test_results_are_reproducible(self, evaluator):
         vulnerability = table2_vulnerabilities()[0]
-        first = evaluator.evaluate_vulnerability(vulnerability, TLBKind.RF, trials=25)
-        second = evaluator.evaluate_vulnerability(vulnerability, TLBKind.RF, trials=25)
+        first = evaluator.evaluate_vulnerability(vulnerability, RF, trials=25)
+        second = evaluator.evaluate_vulnerability(vulnerability, RF, trials=25)
         assert first.estimate == second.estimate
 
     def test_deterministic_designs_yield_all_or_nothing(self, table):

@@ -23,12 +23,7 @@ import pytest
 from repro.mmu import SwitchPolicy, make_walker
 from repro.perf.harness import PerfSettings, Scenario, run_cell
 from repro.perf.timing import ScheduledProcess, simulate
-from repro.security.kinds import (
-    TLBKind,
-    make_hierarchy,
-    make_tlb,
-    make_two_level_tlb,
-)
+from repro.security.kinds import TLBKind, make_hierarchy, make_tlb
 from repro.sim import AccessEvent, EventBus
 from repro.sim.kernel import (
     KERNEL_TELEMETRY,
@@ -169,10 +164,10 @@ class TestSupportsFastpath:
             assert supports_fastpath(tlb)
 
     def test_two_level_supports_it(self):
-        tlb = make_two_level_tlb(
-            TLBKind.SA, TLBKind.SA,
+        tlb = make_hierarchy(HierarchySpec.two_level(
+            "SA", "SA",
             TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
-        )
+        ))
         assert supports_fastpath(tlb)
 
     def test_duck_typing(self):
@@ -389,11 +384,11 @@ class TestHierarchyRunEquivalence:
 
     def test_rf_sa_two_level(self, povray_trace):
         def build():
-            return make_two_level_tlb(
-                TLBKind.RF, TLBKind.SA,
+            spec = HierarchySpec.two_level(
+                "RF", "SA",
                 TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
-                rng=random.Random(7),
             )
+            return make_hierarchy(spec, rng=random.Random(7))
 
         two_way(
             build, povray_trace, asid=2,
@@ -424,10 +419,10 @@ class TestHierarchyRunEquivalence:
     def test_hierarchy_walk_cache_never_engages(self, povray_trace):
         """Level adapters have walk side effects (L2/PWC fills), so the
         cross-quantum walk memo must refuse to cache through them."""
-        tlb = make_two_level_tlb(
-            TLBKind.SA, TLBKind.SA,
+        tlb = make_hierarchy(HierarchySpec.two_level(
+            "SA", "SA",
             TLBConfig(entries=16, ways=4), TLBConfig(entries=64, ways=8),
-        )
+        ))
         walker = make_walker()
         state = RunState()
         for begin in range(0, RUN_COUNT, RUN_STEP):

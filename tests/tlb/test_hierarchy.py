@@ -13,7 +13,7 @@ from repro.tlb import (
     RandomFillTLB,
     SetAssociativeTLB,
     TLBConfig,
-    TwoLevelTLB,
+    TLBHierarchy,
 )
 
 L1 = TLBConfig(entries=8, ways=2, hit_latency=1)
@@ -21,7 +21,7 @@ L2 = TLBConfig(entries=32, ways=4, hit_latency=8)
 
 
 def make_hierarchy():
-    return TwoLevelTLB(SetAssociativeTLB(L1), SetAssociativeTLB(L2))
+    return TLBHierarchy((SetAssociativeTLB(L1), SetAssociativeTLB(L2)))
 
 
 class TestAccessPath:
@@ -92,7 +92,7 @@ class TestMaintenance:
     def test_distinct_levels_required(self):
         l1 = SetAssociativeTLB(L1)
         with pytest.raises(ValueError):
-            TwoLevelTLB(l1, l1)
+            TLBHierarchy((l1, l1))
 
 
 class TestSecureLevels:
@@ -102,7 +102,7 @@ class TestSecureLevels:
         l1 = RandomFillTLB(
             L1, victim_asid=1, sbase=0x100, ssize=3, rng=random.Random(1)
         )
-        tlb = TwoLevelTLB(l1, SetAssociativeTLB(L2))
+        tlb = TLBHierarchy((l1, SetAssociativeTLB(L2)))
         translator = IdentityTranslator()
         result = tlb.translate(0x100, 1, translator)
         assert result.miss and not result.filled  # the L1 no-fill path ran
@@ -111,7 +111,7 @@ class TestSecureLevels:
     def test_secure_region_forwarded_to_rf_levels(self):
         l1 = RandomFillTLB(L1, victim_asid=1, rng=random.Random(1))
         l2 = RandomFillTLB(L2, victim_asid=1, rng=random.Random(2))
-        tlb = TwoLevelTLB(l1, l2)
+        tlb = TLBHierarchy((l1, l2))
         tlb.set_secure_region(0x100, 3, victim_asid=1)
         assert l1.is_secure(0x101, 1)
         assert l2.is_secure(0x101, 1)
@@ -123,7 +123,7 @@ class TestSecureLevels:
         l2 = RandomFillTLB(
             L2, victim_asid=1, sbase=0x100, ssize=3, rng=random.Random(2)
         )
-        tlb = TwoLevelTLB(l1, l2)
+        tlb = TLBHierarchy((l1, l2))
         translator = IdentityTranslator()
         cached_secret = 0
         for _ in range(20):

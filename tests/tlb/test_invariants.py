@@ -15,8 +15,8 @@ import random
 
 import pytest
 
-from repro.security.kinds import TLBKind, make_tlb, make_two_level_tlb
-from repro.tlb import TLBConfig
+from repro.security.kinds import TLBKind, make_hierarchy, make_tlb
+from repro.tlb import HierarchySpec, TLBConfig
 from repro.tlb.base import BaseTLB, IdentityTranslator
 from repro.tlb.entry import TLBEntry
 
@@ -159,14 +159,13 @@ def test_stats_snapshot_isolation() -> None:
 
 def build_hierarchy(l1_kind: str = "SA", l2_kind: str = "SA"):
     """A small L1 over a bigger L2 so L1 evictions leave L2 residue."""
-    return make_two_level_tlb(
-        TLBKind[l1_kind],
-        TLBKind[l2_kind],
+    spec = HierarchySpec.two_level(
+        l1_kind,
+        l2_kind,
         TLBConfig(entries=4, ways=2),
         TLBConfig(entries=32, ways=8),
-        victim_asid=VICTIM_ASID,
-        rng=random.Random(7),
     )
+    return make_hierarchy(spec, victim_asid=VICTIM_ASID, rng=random.Random(7))
 
 
 def spill_l1(tlb, translator, asid: int) -> int:
@@ -299,8 +298,7 @@ def test_hierarchy_protected_l1_flushes_still_reach_the_l2() -> None:
 
 def build_deep_hierarchy():
     """Three levels plus a PWC, RF innermost so secure regions matter."""
-    from repro.security.kinds import make_hierarchy
-    from repro.tlb import HierarchySpec, LevelSpec, PWCSpec
+    from repro.tlb import LevelSpec, PWCSpec
 
     spec = HierarchySpec(
         levels=(

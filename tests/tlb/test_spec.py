@@ -87,6 +87,16 @@ class TestHierarchySpec:
         payload = json.loads(json.dumps(spec.to_dict()))
         assert HierarchySpec.from_dict(payload) == spec
 
+    def test_flat_and_named_constructors(self):
+        flat = HierarchySpec.flat("SP", L1_CONFIG)
+        assert flat.levels == (LevelSpec.from_config("SP", L1_CONFIG),)
+        assert flat.label() == "SP"
+        study = HierarchySpec.two_level(
+            "RF", "SA", L1_CONFIG, L2_CONFIG, name="RF/SA"
+        )
+        assert study.label() == "RF/SA"
+        assert HierarchySpec.from_dict(study.to_dict()) == study
+
     def test_three_levels_round_trip(self):
         spec = HierarchySpec(
             levels=(
@@ -109,3 +119,4 @@ class TestPWCSpec:
     def test_dict_round_trip(self):
         pwc = PWCSpec(entries=4, hit_latency=3)
         assert PWCSpec.from_dict(pwc.to_dict()) == pwc
+
