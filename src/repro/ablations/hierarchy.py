@@ -188,9 +188,11 @@ def sweep_rows() -> List[Tuple[int, Vulnerability]]:
     external miss-based strategies.  All 24 rows cost about 3x: timing
     ``SecurityEvaluator(HIERARCHY_EVALUATION).evaluate_vulnerability(row,
     spec, 40)`` over every ``sweep_specs()`` design in one process (the
-    script is in ``docs/hierarchy.md``), these 7 rows took 8.75 s and
-    7.30 s against 23.82 s and 21.83 s for all 24 (2.72x and 2.99x, two
-    runs on a shared 2-vCPU host).
+    script is in ``docs/hierarchy.md``), these 7 rows took 4.73 s and
+    4.14 s against 14.58 s and 12.61 s for all 24 (3.08x and 3.04x, two
+    runs on a shared 2-vCPU host).  Before the evaluator ran a trial
+    that draws no randomness only once, the same host read 8.28 s and
+    9.27 s against 22.01 s and 20.96 s.
     """
     selected: List[Tuple[int, Vulnerability]] = []
     seen = set()

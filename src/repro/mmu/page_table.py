@@ -32,11 +32,16 @@ class Permission(enum.Flag):
 
     @classmethod
     def rw(cls) -> "Permission":
-        return cls.READ | cls.WRITE | cls.USER
+        # Every auto-mapped page takes this flag, and OR-ing enum.Flag
+        # members costs microseconds a call, so it is built once below.
+        return _USER_RW
 
     @classmethod
     def rx(cls) -> "Permission":
         return cls.READ | cls.EXECUTE | cls.USER
+
+
+_USER_RW = Permission.READ | Permission.WRITE | Permission.USER
 
 
 @dataclass

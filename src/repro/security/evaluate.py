@@ -11,9 +11,13 @@ pages, the hierarchy study, the hierarchy sweep and both dynamic legs of
 the certify gate all run through
 :meth:`SecurityEvaluator.evaluate_vulnerability`.
 
-Each trial runs on a fresh processor and TLB; the Random-Fill TLB's RNG is
-shared across a row's trials so randomization varies trial to trial, and
-is seeded from the row's label so every result is reproducible.
+Each trial runs on a fresh processor, TLB and walker; the row's RNG is
+shared across its trials so a Random-Fill level's randomization varies
+trial to trial, and is seeded from the row's label so every result is
+reproducible.  A behaviour whose first trial draws nothing from that RNG
+is a pure function of its program and design, so the evaluator runs it
+once and counts its outcome for every trial (see
+:meth:`SecurityEvaluator.evaluate_vulnerability`).
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ class EvaluationConfig:
     flush_on_switch: bool = False
     #: Builds the walker for each trial; override to pre-map pages (e.g.
     #: the large-page mitigation backs the secure region with a superpage).
+    #: It must build a fresh walker on every call: the evaluator runs a
+    #: trial that draws no randomness once and counts it for the rest,
+    #: which holds only if no trial sees state an earlier one left behind.
     walker_factory: Optional[Callable[[], PageTableWalker]] = None
     #: Narrow an SP last level's prime/evict steps to each actor's
     #: partition (see :func:`repro.security.benchgen.layout_for_spec`):
@@ -173,6 +180,13 @@ class SecurityEvaluator:
         (:func:`repro.security.benchgen.layout_for_spec`), and the RNG is
         derived from the row's own label, ``seed/design/row``, so rows
         are order-independent and shard cleanly.
+
+        A behaviour whose first trial leaves the RNG's state unchanged
+        runs once and counts that outcome ``trials`` times: every trial
+        builds a fresh CPU, TLB and walker and only reads the program,
+        so the next trial would see identical inputs, repeat the
+        outcome and draw nothing again.  If the first trial draws, the
+        remaining trials run one by one.
         """
         trials = trials if trials is not None else self.config.trials
         # zlib.crc32 is stable across interpreter runs (str.__hash__ is
@@ -186,9 +200,12 @@ class SecurityEvaluator:
         }
         misses = {True: 0, False: 0}
         for mapped in (True, False):
-            for _ in range(trials):
-                if self.run_trial(programs[mapped], spec, rng):
-                    misses[mapped] += 1
+            before = rng.getstate()
+            for trial in range(trials):
+                misses[mapped] += self.run_trial(programs[mapped], spec, rng)
+                if trial == 0 and rng.getstate() == before:
+                    misses[mapped] *= trials
+                    break
         estimate = ChannelEstimate(
             misses_mapped=misses[True],
             misses_unmapped=misses[False],

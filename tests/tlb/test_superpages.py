@@ -1,8 +1,9 @@
 """Property tests for mixed 4 KiB / superpage TLB behaviour."""
 
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.mmu import PageTable, PageTableWalker
 from repro.tlb import SetAssociativeTLB, TLBConfig
@@ -58,14 +59,34 @@ class TestMixedPageSizes:
     @settings(max_examples=50, deadline=None)
     def test_small_and_super_entries_coexist(self, offsets):
         small_pages = [SUPER_SPAN + o for o in offsets]  # second region, 4 KiB
+        config = TLBConfig(entries=64, ways=8)
+        # Coexistence only holds while every set has room: the megapage
+        # takes one way of its set, the small pages the rest.
+        per_set = Counter(config.set_index(vpn) for vpn in set(small_pages))
+        super_set = config.set_index_for_level(5, 1)
+        assume(per_set[super_set] <= config.ways - 1)
+        assume(all(count <= config.ways for count in per_set.values()))
         walker = make_mixed_walker({0}, small_pages)
-        tlb = SetAssociativeTLB(TLBConfig(entries=64, ways=8))
+        tlb = SetAssociativeTLB(config)
         for vpn in small_pages:
             tlb.translate(vpn, 1, walker)
         tlb.translate(5, 1, walker)  # inside the superpage
         assert tlb.translate(5, 1, walker).hit
         for vpn in small_pages:
             assert tlb.resident(vpn, 1)
+
+    def test_megapage_fill_evicts_the_lru_small_page_of_a_full_set(self):
+        # Eight small pages fill all eight ways of set 0, the megapage's
+        # set; its fill must evict the least recently used one, 0x200.
+        small_pages = [SUPER_SPAN + o for o in (0, 8, 16, 24, 32, 40, 56, 80)]
+        walker = make_mixed_walker({0}, small_pages)
+        tlb = SetAssociativeTLB(TLBConfig(entries=64, ways=8))
+        for vpn in small_pages:
+            tlb.translate(vpn, 1, walker)
+        tlb.translate(5, 1, walker)  # inside the superpage
+        assert tlb.translate(5, 1, walker).hit
+        evicted = [vpn for vpn in small_pages if not tlb.resident(vpn, 1)]
+        assert evicted == [0x200]
 
     def test_superpage_and_small_page_hits_do_not_alias(self):
         # A 4 KiB entry must not answer for a different page of the same
