@@ -185,14 +185,14 @@ def sweep_rows() -> List[Tuple[int, Vulnerability]]:
 
     One row per strategy keeps the matrix readable while still
     distinguishing internal-collision, flush/reload, and the five
-    external miss-based strategies.  All 24 rows cost about 3x: timing
+    external miss-based strategies.  All 24 rows cost 2-3x: timing
     ``SecurityEvaluator(HIERARCHY_EVALUATION).evaluate_vulnerability(row,
     spec, 40)`` over every ``sweep_specs()`` design in one process (the
-    script is in ``docs/hierarchy.md``), these 7 rows took 4.73 s and
-    4.14 s against 14.58 s and 12.61 s for all 24 (3.08x and 3.04x, two
-    runs on a shared 2-vCPU host).  Before the evaluator ran a trial
-    that draws no randomness only once, the same host read 8.28 s and
-    9.27 s against 22.01 s and 20.96 s.
+    script is in ``docs/hierarchy.md``), these 7 rows took 2.09 s and
+    2.29 s against 5.57 s and 4.74 s for all 24 (2.66x and 2.07x, two
+    runs on a shared 2-vCPU host).  Before the evaluator rewound a
+    drawing trial to its draw-free prefix, the same host, alternating,
+    read 4.79 s and 3.20 s against 10.58 s and 10.31 s.
     """
     selected: List[Tuple[int, Vulnerability]] = []
     seen = set()

@@ -79,7 +79,17 @@ sweep by :mod:`repro.analysis.certify_gate`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.model.patterns import Observation, Vulnerability
 from repro.model.states import Actor, AddressClass, Operation, State
@@ -492,12 +502,19 @@ def analyze_hypothesis(
     quiet = execute(None)
     envelope = {quiet.window_walks > 0}
     region = range(layout.sbase, layout.sbase + ssize)
-    for site in quiet.sites:
-        if site.redirect:
-            continue  # Redirects cache nothing the probe could test.
-        for d_prime in region:
-            outcome = execute((site.ordinal, d_prime))
-            envelope.add(outcome.window_walks > 0)
+    deviations = (
+        (site.ordinal, d_prime)
+        for site in quiet.sites
+        # Redirects cache nothing the probe could test.
+        if not site.redirect
+        for d_prime in region
+    )
+    for deviation in deviations:
+        envelope.add(execute(deviation).window_walks > 0)
+        if len(envelope) == 2:
+            # Both outcomes seen: no deviation can add a third, and
+            # every other field comes from the quiet run.
+            break
     return HypothesisAnalysis(
         mapped=mapped,
         quiet_walks=quiet.window_walks,
@@ -716,6 +733,29 @@ def certify(
         for vulnerability in table2_vulnerabilities()
     )
     return Certificate(spec=spec, layout=layout, verdicts=verdicts)
+
+
+def certify_all(specs: Iterable[SpecLike]) -> List[Certificate]:
+    """:func:`certify` each spec, deriving verdicts once per level stack.
+
+    A verdict reads only the spec's levels and the layout -- never its
+    page-walk cache or its name -- so specs sharing both (a design and
+    its PWC twin) share one set of verdicts, each in its own
+    :class:`Certificate`.
+    """
+    verdicts: Dict[tuple, Tuple[RowVerdict, ...]] = {}
+    certificates = []
+    for spec in specs:
+        spec = coerce_spec(spec)
+        layout = layout_for_spec(spec)
+        stack = (spec.levels, layout)
+        if stack in verdicts:
+            certificate = Certificate(spec, layout, verdicts[stack])
+        else:
+            certificate = certify(spec, layout)
+            verdicts[stack] = certificate.verdicts
+        certificates.append(certificate)
+    return certificates
 
 
 def format_certificate(certificate: Certificate) -> str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.certify import Certificate, certify
+from repro.analysis.certify import Certificate, certify, certify_all
 
 #: The flat leg's trial count.  The comparison is deterministic, so this
 #: only needs to put the measured capacities clearly on the right side of
@@ -117,8 +117,8 @@ def _sweep_leg(checks: List[GateCheck], trials: int, seed: int) -> None:
 
     evaluator = SecurityEvaluator(replace(HIERARCHY_EVALUATION, seed=seed))
     rows = sweep_rows()
-    for spec in sweep_specs():
-        certificate = certify(spec)
+    specs = sweep_specs()
+    for spec, certificate in zip(specs, certify_all(specs)):
         for _, vulnerability in rows:
             estimate = evaluator.evaluate_vulnerability(
                 vulnerability, spec, trials=trials

@@ -281,7 +281,7 @@ def _load_spec(target: str):
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    from repro.analysis.certify import certify, format_certificate
+    from repro.analysis.certify import certify_all, format_certificate
     from repro.analysis.certify_gate import format_report, run_gate
 
     if args.gate:
@@ -307,7 +307,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "certify: name at least one design/spec, or use --all / --gate"
         )
 
-    certificates = [certify(spec) for spec in targets]
+    certificates = certify_all(targets)
     if args.json:
         payload = [certificate.to_dict() for certificate in certificates]
         print(json.dumps(payload[0] if len(payload) == 1 else payload,
@@ -317,6 +317,17 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             format_certificate(certificate) for certificate in certificates
         ))
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: a trial count of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def add_certify_parser(subparsers) -> None:
@@ -355,7 +366,11 @@ def add_certify_parser(subparsers) -> None:
         "--legs", nargs="+", choices=["sweep", "flat", "refill"],
         default=None, help="gate legs to run (default: all three)",
     )
-    certify_parser.add_argument("--sweep-trials", type=int, default=40)
-    certify_parser.add_argument("--flat-trials", type=int, default=120)
+    certify_parser.add_argument(
+        "--sweep-trials", type=_positive_int, default=40
+    )
+    certify_parser.add_argument(
+        "--flat-trials", type=_positive_int, default=120
+    )
     certify_parser.add_argument("--json", action="store_true")
     certify_parser.set_defaults(func=_cmd_certify)

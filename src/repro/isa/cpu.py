@@ -35,6 +35,8 @@ from .memory import Memory
 PAGE_BITS = 12
 PAGE_SIZE = 1 << PAGE_BITS
 MASK64 = (1 << 64) - 1
+#: :meth:`CPU.run`'s default step budget.
+MAX_STEPS = 1_000_000
 
 
 class ExecutionStatus(enum.Enum):
@@ -171,9 +173,36 @@ class CPU:
                 sbase=self.csr.read("sbase"), ssize=self.csr.read("ssize")
             )
 
+    # -- checkpoints ----------------------------------------------------------------
+
+    def checkpoint(self) -> tuple:
+        """The whole machine's state between two steps, for :meth:`rewind`:
+        registers, counters, CSRs, physical memory and the memory system
+        (which needs a checkpointable TLB and walker)."""
+        return (
+            self.mem.checkpoint(),
+            self.memory.checkpoint(),
+            self.csr.checkpoint(),
+            list(self.registers),
+            self.pc,
+            self.cycles,
+            self.instructions_retired,
+            self._program,
+        )
+
+    def rewind(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint`, in place: the CSR hooks and
+        counters keep reading this CPU and its memory system."""
+        (mem, memory, csr, registers, self.pc, self.cycles,
+         self.instructions_retired, self._program) = state
+        self.mem.rewind(mem)
+        self.memory.rewind(memory)
+        self.csr.rewind(csr)
+        self.registers[:] = registers
+
     # -- execution ----------------------------------------------------------------
 
-    def run(self, max_steps: int = 1_000_000) -> ExecutionResult:
+    def run(self, max_steps: int = MAX_STEPS) -> ExecutionResult:
         """Execute until a terminator; raise if the budget is exhausted."""
         if self._program is None:
             raise RuntimeError("no program loaded")

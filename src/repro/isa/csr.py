@@ -81,6 +81,16 @@ class CSRFile:
         if hook is not None:
             hook(value)
 
+    def checkpoint(self) -> dict:
+        """The writable registers' values, for :meth:`rewind`."""
+        return dict(self._values)
+
+    def rewind(self, state: dict) -> None:
+        """Return to a :meth:`checkpoint`, in place and without running
+        the write hooks: their effects are rewound by their owners."""
+        self._values.clear()
+        self._values.update(state)
+
     @staticmethod
     def _check_known(name: str) -> None:
         if name not in CSR_ADDRESSES:

@@ -39,3 +39,12 @@ class Memory:
 
     def __len__(self) -> int:
         return len(self._words)
+
+    def checkpoint(self) -> dict:
+        """A copy of every written word, for :meth:`rewind`."""
+        return dict(self._words)
+
+    def rewind(self, state: dict) -> None:
+        """Return to a :meth:`checkpoint`, in place."""
+        self._words.clear()
+        self._words.update(state)

@@ -200,6 +200,32 @@ class PageTable:
             node = child
         return touched, None  # pragma: no cover - leaves end traversal
 
+    def checkpoint(self) -> tuple:
+        """This table's mappings and counters, for :meth:`rewind`.
+
+        Holds each radix node with a copy of its children; leaf PTEs are
+        shared, since a remap installs a new one rather than editing it.
+        """
+        nodes = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            nodes.append((node, dict(node.children)))
+            stack.extend(
+                child for child in node.children.values()
+                if isinstance(child, _Node)
+            )
+        return nodes, self._mapped, self._version, self.superpages_ever
+
+    def rewind(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint`, in place: nodes created since
+        become unreachable and every checkpointed node gets its children
+        back."""
+        nodes, self._mapped, self._version, self.superpages_ever = state
+        for node, children in nodes:
+            node.children.clear()
+            node.children.update(children)
+
     def mapped_pages(self) -> Iterator[int]:
         """All mapped VPNs (for inspection; order unspecified)."""
 

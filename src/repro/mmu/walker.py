@@ -15,12 +15,15 @@ request, so a walk for an RFE-drawn address never page-faults.  With
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.tlb.base import WalkResult
 
 from .address import LEVELS
 from .page_table import PageFault, PageTable, Permission
+
+#: Auto-mapped pages take sequential physical frames from here up.
+_FIRST_AUTO_FRAME = 0x8000
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,12 @@ class PageTableWalker:
         self,
         config: WalkerConfig = WalkerConfig(),
         auto_map: bool = False,
-        frame_allocator: Optional[Callable[[], int]] = None,
     ) -> None:
         self.config = config
         self.auto_map = auto_map
         self._tables: Dict[int, PageTable] = {}
-        self._frame_allocator = frame_allocator or _SequentialFrames().allocate
+        #: The physical frame the next auto-mapped page receives.
+        self._next_frame = _FIRST_AUTO_FRAME
         self.walks = 0
         self.faults = 0
         #: Bumped whenever an address space is (re-)registered, so
@@ -146,9 +149,8 @@ class PageTableWalker:
             if not self.auto_map:
                 self.faults += 1
                 raise PageFault(vpn=vpn, asid=asid)
-            entry = table.map_page(
-                vpn, self._frame_allocator(), Permission.rw()
-            )
+            entry = table.map_page(vpn, self._next_frame, Permission.rw())
+            self._next_frame += 1
             levels_touched = LEVELS
         result = WalkResult(
             ppn=entry.translate(vpn),
@@ -195,23 +197,44 @@ class PageTableWalker:
         """Latency of a complete (successful) walk."""
         return LEVELS * self.config.cycles_per_level
 
+    # -- checkpoints ----------------------------------------------------------------
 
-class _SequentialFrames:
-    """Default physical frame allocator for auto-mapped pages."""
+    def checkpoint(self) -> tuple:
+        """This walker's state, for :meth:`rewind`: every registered
+        table's own checkpoint, the next frame, the counters and the
+        walk memo."""
+        return (
+            [
+                (asid, table, table.checkpoint())
+                for asid, table in self._tables.items()
+            ],
+            self._next_frame,
+            self.walks,
+            self.faults,
+            self._register_epoch,
+            dict(self._memo),
+        )
 
-    def __init__(self, start: int = 0x8000) -> None:
-        self._next = start
+    def rewind(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint`, in place.
 
-    def allocate(self) -> int:
-        frame = self._next
-        self._next += 1
-        return frame
+        Tables auto-created since are dropped and the rest rewound, so a
+        rewound walker maps, memoizes and allocates frames exactly as it
+        did after the checkpoint.
+        """
+        (tables, self._next_frame, self.walks, self.faults,
+         self._register_epoch, memo) = state
+        self._tables.clear()
+        for asid, table, table_state in tables:
+            self._tables[asid] = table
+            table.rewind(table_state)
+        self._memo.clear()
+        self._memo.update(memo)
 
 
 def make_walker(
     config: Optional[WalkerConfig] = None,
     auto_map: bool = True,
-    frame_allocator: Optional[Callable[[], int]] = None,
 ) -> PageTableWalker:
     """The registered walker factory the drive loops go through.
 
@@ -221,8 +244,4 @@ def make_walker(
     and in the :class:`repro.sim.MemorySystem` default, so the cost model
     stays configured in one place.
     """
-    return PageTableWalker(
-        config=config or WalkerConfig(),
-        auto_map=auto_map,
-        frame_allocator=frame_allocator,
-    )
+    return PageTableWalker(config=config or WalkerConfig(), auto_map=auto_map)

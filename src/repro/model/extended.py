@@ -17,7 +17,8 @@ is present (a second cycle is needed to clear it), *fast* when it is not.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import functools
+from typing import Dict, List, Tuple
 
 from .effectiveness import derive_vulnerabilities
 from .patterns import Observation, Strategy, Vulnerability
@@ -31,11 +32,18 @@ def derive_extended_vulnerabilities() -> List[Vulnerability]:
 
 def invalidation_only_vulnerabilities() -> List[Vulnerability]:
     """The Table 7 rows: vulnerabilities that need targeted invalidation."""
-    return [
+    return list(_invalidation_only_rows())
+
+
+@functools.lru_cache(maxsize=None)
+def _invalidation_only_rows() -> Tuple[Vulnerability, ...]:
+    # Derived once per process: the derivation takes tens of
+    # milliseconds, and the rows depend on no input.
+    return tuple(
         vulnerability
         for vulnerability in derive_extended_vulnerabilities()
         if vulnerability.pattern.uses_extended_states()
-    ]
+    )
 
 
 def strategy_label(vulnerability: Vulnerability) -> str:

@@ -511,15 +511,15 @@ class HierarchySweepExperiment(Experiment):
         # (at degenerate trial counts the dynamic side can't resolve the
         # channels the certificates predict, and this honestly reads
         # False).  Threaded into result envelopes and serve metrics.
-        from repro.analysis.certify import certify
+        from repro.analysis.certify import certify_all
         from repro.analysis.certify_gate import certified_rows
 
+        certificates = certify_all(
+            HierarchySpec.from_dict(design.spec) for design in designs
+        )
         certification = {}
-        for design in designs:
-            agreement = certified_rows(
-                certify(HierarchySpec.from_dict(design.spec)),
-                design.estimates,
-            )
+        for design, certificate in zip(designs, certificates):
+            agreement = certified_rows(certificate, design.estimates)
             certification[design.label] = all(agreement.values())
         return {
             "designs": designs,

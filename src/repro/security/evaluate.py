@@ -11,13 +11,15 @@ pages, the hierarchy study, the hierarchy sweep and both dynamic legs of
 the certify gate all run through
 :meth:`SecurityEvaluator.evaluate_vulnerability`.
 
-Each trial runs on a fresh processor, TLB and walker; the row's RNG is
-shared across its trials so a Random-Fill level's randomization varies
-trial to trial, and is seeded from the row's label so every result is
-reproducible.  A behaviour whose first trial draws nothing from that RNG
-is a pure function of its program and design, so the evaluator runs it
-once and counts its outcome for every trial (see
-:meth:`SecurityEvaluator.evaluate_vulnerability`).
+The reference trial, :meth:`SecurityEvaluator.run_trial`, runs on a
+fresh processor, TLB and walker; the row's RNG is shared across its
+trials so a Random-Fill level's randomization varies trial to trial, and
+is seeded from the row's label so every result is reproducible.  The
+evaluator gives the estimates of that trial repeated ``trials`` times
+without repeating what the trials share: a behaviour whose first trial
+draws nothing from the RNG runs once, and one that draws rewinds a
+machine checkpointed just before its first drawing step for every later
+trial (see :meth:`SecurityEvaluator.evaluate_vulnerability`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.isa import CPU, ExecutionStatus, Program, assemble
+from repro.isa.cpu import MAX_STEPS, ExecutionLimitExceeded
 from repro.model.capacity import ChannelEstimate
 from repro.model.patterns import Vulnerability
 from repro.model.table2 import table2_vulnerabilities
@@ -76,11 +79,12 @@ class EvaluationConfig:
     #: Emulate the Sanctum / Intel SGX software mitigation (Section 2.3):
     #: flush the whole TLB on every process switch.
     flush_on_switch: bool = False
-    #: Builds the walker for each trial; override to pre-map pages (e.g.
-    #: the large-page mitigation backs the secure region with a superpage).
-    #: It must build a fresh walker on every call: the evaluator runs a
-    #: trial that draws no randomness once and counts it for the rest,
-    #: which holds only if no trial sees state an earlier one left behind.
+    #: Builds the walker for each machine; override to pre-map pages
+    #: (e.g. the large-page mitigation backs the secure region with a
+    #: superpage).  It must build a fresh walker on every call: the
+    #: evaluator counts a trial that draws no randomness for every trial
+    #: and replays a drawing trial's draw-free prefix only once, which
+    #: holds only if every machine starts from the same state.
     walker_factory: Optional[Callable[[], PageTableWalker]] = None
     #: Narrow an SP last level's prime/evict steps to each actor's
     #: partition (see :func:`repro.security.benchgen.layout_for_spec`):
@@ -126,14 +130,14 @@ class SecurityEvaluator:
 
     # -- single trials ------------------------------------------------------------
 
-    def run_trial(
+    def _machine(
         self,
         program: Program,
         spec: HierarchySpec,
         rng: random.Random,
         bus: Optional[EventBus] = None,
-    ) -> bool:
-        """Run one benchmark once on a fresh CPU; True iff Step 3 missed."""
+    ) -> CPU:
+        """A fresh CPU, TLB and walker with ``program`` loaded."""
         level = bare_level(spec)
         if level is None:
             tlb = make_hierarchy(spec, victim_asid=_VICTIM_PID, rng=rng)
@@ -161,10 +165,17 @@ class SecurityEvaluator:
         )
         cpu = CPU(memory_system=memory)
         cpu.load(program)
-        result = cpu.run()
-        if result.status is ExecutionStatus.HALTED:  # pragma: no cover
-            raise RuntimeError("benchmark ended without a pass/fail verdict")
-        return result.status is ExecutionStatus.PASSED
+        return cpu
+
+    def run_trial(
+        self,
+        program: Program,
+        spec: HierarchySpec,
+        rng: random.Random,
+        bus: Optional[EventBus] = None,
+    ) -> bool:
+        """Run one benchmark once on a fresh CPU; True iff Step 3 missed."""
+        return _missed(self._machine(program, spec, rng, bus).run().status)
 
     # -- per-vulnerability evaluation ------------------------------------------------
 
@@ -181,14 +192,25 @@ class SecurityEvaluator:
         derived from the row's own label, ``seed/design/row``, so rows
         are order-independent and shard cleanly.
 
-        A behaviour whose first trial leaves the RNG's state unchanged
-        runs once and counts that outcome ``trials`` times: every trial
-        builds a fresh CPU, TLB and walker and only reads the program,
-        so the next trial would see identical inputs, repeat the
-        outcome and draw nothing again.  If the first trial draws, the
-        remaining trials run one by one.
+        Each behaviour's results equal those of :meth:`run_trial` called
+        ``trials`` times on that RNG, without repeating the work every
+        such trial shares.  The first trial runs one step at a time,
+        watching the RNG.  The steps before the first one that draws are
+        a pure function of the program, the design and this config, so
+        every trial passes through the same machine state there:
+
+        * if no step draws, the whole trial is pure, and its outcome
+          counts ``trials`` times;
+        * otherwise a second machine is advanced to that step and
+          checkpointed once, and every later trial rewinds it in place
+          and runs from there, drawing from the RNG exactly as a fresh
+          trial would.
         """
         trials = trials if trials is not None else self.config.trials
+        if trials < 1:
+            raise ValueError(
+                f"need at least one trial per behaviour, got {trials}"
+            )
         # zlib.crc32 is stable across interpreter runs (str.__hash__ is
         # salted per process).
         label = f"{self.config.seed}/{spec.label()}/{vulnerability.pretty()}"
@@ -198,14 +220,11 @@ class SecurityEvaluator:
             mapped: assemble(generate(vulnerability, layout, mapped=mapped))
             for mapped in (True, False)
         }
-        misses = {True: 0, False: 0}
-        for mapped in (True, False):
-            before = rng.getstate()
-            for trial in range(trials):
-                misses[mapped] += self.run_trial(programs[mapped], spec, rng)
-                if trial == 0 and rng.getstate() == before:
-                    misses[mapped] *= trials
-                    break
+        # The mapped behaviour first: both draw from the one RNG.
+        misses = {
+            mapped: self._behaviour_misses(program, spec, rng, trials)
+            for mapped, program in programs.items()
+        }
         estimate = ChannelEstimate(
             misses_mapped=misses[True],
             misses_unmapped=misses[False],
@@ -227,6 +246,29 @@ class SecurityEvaluator:
             theoretical_p2=p2,
             theoretical_capacity=capacity,
         )
+
+    def _behaviour_misses(
+        self,
+        program: Program,
+        spec: HierarchySpec,
+        rng: random.Random,
+        trials: int,
+    ) -> int:
+        """Step-3 misses over ``trials`` trials of one program (see
+        :meth:`evaluate_vulnerability`)."""
+        missed, prefix = _first_trial(self._machine(program, spec, rng), rng)
+        if prefix is None:
+            return missed * trials
+        misses = int(missed)
+        if trials > 1:
+            cpu = self._machine(program, spec, rng)
+            for _ in range(prefix):
+                cpu.step()
+            start = cpu.checkpoint()
+            for _ in range(trials - 1):
+                cpu.rewind(start)
+                misses += _missed(cpu.run().status)
+        return misses
 
     # -- the paper's flat designs (Tables 4 and 7) ---------------------------------
 
@@ -271,6 +313,33 @@ class SecurityEvaluator:
         )
 
 
+def _missed(status: ExecutionStatus) -> bool:
+    """A finished benchmark's verdict: True iff Step 3 missed."""
+    if status is ExecutionStatus.HALTED:  # pragma: no cover
+        raise RuntimeError("benchmark ended without a pass/fail verdict")
+    return status is ExecutionStatus.PASSED
+
+
+def _first_trial(cpu: CPU, rng: random.Random) -> Tuple[bool, Optional[int]]:
+    """Run a loaded machine's trial one step at a time, watching ``rng``.
+
+    Returns the verdict and the number of steps before the first step
+    that drew from ``rng``, or ``None`` if no step did.
+    """
+    state = rng.getstate()
+    for steps in range(MAX_STEPS):
+        status = cpu.step()
+        if rng.getstate() != state:
+            if status is None:
+                status = cpu.run().status
+            return _missed(status), steps
+        if status is not None:
+            return _missed(status), None
+    raise ExecutionLimitExceeded(
+        f"no terminator within {MAX_STEPS} steps (pc={cpu.pc})"
+    )
+
+
 def table4_cells(
     kinds: Iterable[TLBKind] = (TLBKind.SA, TLBKind.SP, TLBKind.RF),
     vulnerabilities: Optional[Sequence[Vulnerability]] = None,
@@ -296,11 +365,8 @@ def extended_cells(
     """The Appendix B work-list (Table 7 rows), at cell granularity."""
     from repro.model.extended import invalidation_only_vulnerabilities
 
-    return [
-        (kind, vulnerability)
-        for kind in kinds
-        for vulnerability in invalidation_only_vulnerabilities()
-    ]
+    rows = invalidation_only_vulnerabilities()
+    return [(kind, vulnerability) for kind in kinds for vulnerability in rows]
 
 
 def defended_counts(

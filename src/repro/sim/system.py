@@ -289,6 +289,27 @@ class MemorySystem:
             )
         return result
 
+    # -- checkpoints ----------------------------------------------------------------
+
+    def checkpoint(self) -> tuple:
+        """The TLB's and the walker's checkpoints plus this facade's
+        counters, for :meth:`rewind`."""
+        return (
+            self.tlb.checkpoint(),
+            self.walker.checkpoint(),
+            self.current_asid,
+            self.switches,
+            self.cycles,
+            self.accesses,
+        )
+
+    def rewind(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint`, in place."""
+        (tlb, walker, self.current_asid, self.switches, self.cycles,
+         self.accesses) = state
+        self.tlb.rewind(tlb)
+        self.walker.rewind(walker)
+
     # -- pass-throughs ------------------------------------------------------------
 
     def set_secure_region(

@@ -954,6 +954,74 @@ class BaseTLB(abc.ABC):
                 )
         return problems
 
+    # -- checkpoints ----------------------------------------------------------------
+
+    def checkpoint(self) -> tuple:
+        """This TLB's state, for :meth:`rewind`.
+
+        Saves a copy of every entry a fill has reached (``filled_at`` is
+        0 only on a way no fill has reached, since every fill happens at
+        a positive clock), the fast index, the victim queues, the
+        counters and the replacement policy's own state.  Designs add
+        their own fields.
+        """
+        return (
+            [
+                (entry, entry.snapshot())
+                for tlb_set in self._sets
+                for entry in tlb_set
+                if entry.filled_at
+            ],
+            dict(self._index),
+            {key: list(queue) for key, queue in self._victim_queues.items()},
+            self.stats.snapshot(),
+            self._policy.checkpoint(),
+            (
+                self._clock,
+                self._super_entries,
+                self._mutations,
+                self._sec_resident,
+                self._evicted_vpn,
+                self._evicted_asid,
+                self._evicted_level,
+                self._inval_epoch,
+            ),
+        )
+
+    def rewind(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint`, in place.
+
+        Every entry stays the same object, so the fast index, SP
+        partition views and victim queues keep pointing at live slots.
+        Only the ways a fill has reached are rewritten: each is blanked,
+        then the checkpointed ones get their saved fields back.
+        """
+        entries, index, queues, stats, policy, counters = state
+        blank = TLBEntry()
+        for tlb_set in self._sets:
+            for entry in tlb_set:
+                if entry.filled_at:
+                    entry.restore(blank)
+        for entry, saved in entries:
+            entry.restore(saved)
+        self._index.clear()
+        self._index.update(index)
+        self._victim_queues.clear()
+        for key, queue in queues.items():
+            self._victim_queues[key] = list(queue)
+        self.stats.restore(stats)
+        self._policy.rewind(policy)
+        (
+            self._clock,
+            self._super_entries,
+            self._mutations,
+            self._sec_resident,
+            self._evicted_vpn,
+            self._evicted_asid,
+            self._evicted_level,
+            self._inval_epoch,
+        ) = counters
+
     # -- fill helper shared by the designs ---------------------------------------
 
     def _fill_entry(

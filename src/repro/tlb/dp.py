@@ -23,6 +23,13 @@ class DynamicPartitionTLB(StaticPartitionTLB):
         super().__init__(*args, **kwargs)
         self.repartitions = 0
 
+    def checkpoint(self) -> tuple:
+        return super().checkpoint(), self.repartitions
+
+    def rewind(self, state: tuple) -> None:
+        base, self.repartitions = state
+        super().rewind(base)
+
     def repartition(
         self, victim_ways: int, flush_reassigned: bool = True
     ) -> int:

@@ -106,6 +106,18 @@ class TLBEntry:
         """Record a use (LRU update on hit)."""
         self.last_used = now
 
+    def restore(self, saved: "TLBEntry") -> None:
+        """Copy every field of ``saved`` (a :meth:`snapshot`) into this
+        slot, which stays the same object."""
+        self.vpn = saved.vpn
+        self.ppn = saved.ppn
+        self.asid = saved.asid
+        self.valid = saved.valid
+        self.level = saved.level
+        self.sec = saved.sec
+        self.last_used = saved.last_used
+        self.filled_at = saved.filled_at
+
     def snapshot(self) -> "TLBEntry":
         """An independent copy (used by eviction reporting and the RF
         TLB's no-fill buffer)."""

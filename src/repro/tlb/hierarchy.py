@@ -26,7 +26,7 @@ movement without the hierarchy itself knowing about the event bus.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .base import AccessResult, BaseTLB, Translator, WalkResult
@@ -93,6 +93,17 @@ class PageWalkCache:
 
     def occupancy(self) -> int:
         return len(self._cache)
+
+    def checkpoint(self) -> tuple:
+        """The cached walks, in LRU order, and the counters."""
+        return OrderedDict(self._cache), replace(self.stats)
+
+    def rewind(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint`, in place."""
+        cache, stats = state
+        self._cache.clear()
+        self._cache.update(cache)
+        vars(self.stats).update(vars(stats))
 
     # -- maintenance (driven by the owning hierarchy) --------------------------
 
@@ -331,6 +342,25 @@ class TLBHierarchy:
             for number, level in enumerate(self.levels, start=1)
             for problem in level.audit()
         ]
+
+    def checkpoint(self) -> tuple:
+        """Every level's and the page-walk cache's checkpoint, plus the
+        adapter chain, which stays wired to the same live levels."""
+        return (
+            [level.checkpoint() for level in self.levels],
+            None if self.pwc is None else self.pwc.checkpoint(),
+            self._walker,
+            self._chain,
+            self._trace,
+        )
+
+    def rewind(self, state: tuple) -> None:
+        """Return to a :meth:`checkpoint`, in place."""
+        levels, pwc, self._walker, self._chain, self._trace = state
+        for level, level_state in zip(self.levels, levels):
+            level.rewind(level_state)
+        if self.pwc is not None:
+            self.pwc.rewind(pwc)
 
     def set_secure_region(
         self, sbase: int, ssize: int, victim_asid: Optional[int] = None

@@ -23,6 +23,13 @@ class ReplacementPolicy(abc.ABC):
         """Pick the entry to evict.  ``candidates`` is non-empty and contains
         only valid entries (invalid slots are always preferred upstream)."""
 
+    def checkpoint(self) -> object:
+        """The policy's own state, for :meth:`rewind` (none by default)."""
+        return None
+
+    def rewind(self, state: object) -> None:
+        """Return to a :meth:`checkpoint`."""
+
     def select(self, candidates: Sequence[TLBEntry]) -> TLBEntry:
         """Prefer an invalid slot; otherwise defer to the policy."""
         if not candidates:
@@ -94,6 +101,12 @@ class RandomPolicy(ReplacementPolicy):
 
     def choose_victim(self, candidates: Sequence[TLBEntry]) -> TLBEntry:
         return self._rng.choice(list(candidates))
+
+    def checkpoint(self) -> object:
+        return self._rng.getstate()
+
+    def rewind(self, state: object) -> None:
+        self._rng.setstate(state)
 
 
 def make_policy(

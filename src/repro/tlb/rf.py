@@ -96,6 +96,23 @@ class RandomFillTLB(BaseTLB):
         #: next request, mirroring the hardware's clean-up.
         self.buffer: Optional[TLBEntry] = None
 
+    def checkpoint(self) -> tuple:
+        # The engine's RNG is never saved: in the security evaluator it
+        # is the row's stream, which must run on across a rewind.  A
+        # buffered entry is replaced, never edited, so keeping it keeps
+        # its contents.
+        return (
+            super().checkpoint(),
+            self.victim_asid,
+            self.sbase,
+            self.ssize,
+            self.buffer,
+        )
+
+    def rewind(self, state: tuple) -> None:
+        base, self.victim_asid, self.sbase, self.ssize, self.buffer = state
+        super().rewind(base)
+
     # -- the trusted-OS-managed registers ---------------------------------------
 
     def set_secure_region(

@@ -56,6 +56,22 @@ class StaticPartitionTLB(BaseTLB):
     def is_victim(self, asid: int) -> bool:
         return asid == self.victim_asid
 
+    def checkpoint(self) -> tuple:
+        # The partition views are rebuilt, never edited, when the
+        # boundary moves, so keeping the lists keeps their contents.
+        return (
+            super().checkpoint(),
+            self.victim_asid,
+            self.victim_ways,
+            self._victim_parts,
+            self._other_parts,
+        )
+
+    def rewind(self, state: tuple) -> None:
+        (base, self.victim_asid, self.victim_ways, self._victim_parts,
+         self._other_parts) = state
+        super().rewind(base)
+
     def _build_partitions(self) -> None:
         """Materialise each set's two partitions as persistent sublists.
 

@@ -75,6 +75,14 @@ class TLBStats:
         copy.misses_by_asid = dict(self.misses_by_asid)
         return copy
 
+    def restore(self, saved: "TLBStats") -> None:
+        """Set every counter back to a :meth:`snapshot`'s, in place."""
+        by_asid = self.misses_by_asid
+        self.__dict__.update(saved.__dict__)
+        self.misses_by_asid = by_asid
+        by_asid.clear()
+        by_asid.update(saved.misses_by_asid)
+
     def reset(self) -> None:
         self.accesses = 0
         self.hits = 0

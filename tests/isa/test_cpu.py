@@ -220,6 +220,63 @@ class TestCSRs:
             cpu.run()
 
 
+class TestRewind:
+    SOURCE = """
+        la x1, buf
+        ld x3, 0(x1)
+        li x2, 1234
+        sd x2, 0(x1)
+        csrw sbase, 100
+        csrw ssize, 3
+        csrw process_id, 0
+        la x4, far
+        ld x5, 0(x4)
+        halt
+        .data
+        buf: .dword 7
+        .org 0x400000
+        far: .dword 0
+    """
+
+    @staticmethod
+    def buf(cpu, walker):
+        vaddr = cpu.registers[1]
+        return walker.peek(vaddr >> 12, 1) * 4096 + vaddr % 4096
+
+    def observe(self, cpu, tlb, walker):
+        return (
+            list(cpu.registers),
+            cpu.pc,
+            cpu.cycles,
+            cpu.instructions_retired,
+            cpu.asid,
+            cpu.mem.current_asid,
+            (cpu.csr.read("sbase"), cpu.csr.read("ssize")),
+            (tlb.sbase, tlb.ssize),
+            tlb.entries(),
+            tlb.stats.snapshot(),
+            walker.walks,
+            walker.peek(0x400, 0),
+            len(cpu.memory),
+            cpu.memory.load(self.buf(cpu, walker)),
+        )
+
+    def test_rewind_undoes_stores_csr_writes_and_new_mappings(self):
+        tlb = RandomFillTLB(TLBConfig(entries=32, ways=8), victim_asid=1)
+        cpu, tlb, walker = make_cpu(tlb)
+        cpu.load(assemble(self.SOURCE))
+        cpu.step()
+        cpu.step()
+        start = cpu.checkpoint()
+        before = self.observe(cpu, tlb, walker)
+        first = cpu.run()
+        assert walker.peek(0x400, 0) is not None
+        cpu.rewind(start)
+        assert self.observe(cpu, tlb, walker) == before
+        assert cpu.memory.load(self.buf(cpu, walker)) == 7
+        assert cpu.run() == first
+        assert cpu.registers[2] == 1234
+
 class TestSfence:
     def test_full_flush(self):
         cpu, tlb, walker = make_cpu()

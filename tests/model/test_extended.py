@@ -40,6 +40,19 @@ class TestExtendedDerivation:
         # finds 48.  The discrepancy is documented in EXPERIMENTS.md.
         assert len(invalidation_only_vulnerabilities()) == 48
 
+    def test_rows_are_derived_once_and_handed_out_as_fresh_lists(self):
+        first = invalidation_only_vulnerabilities()
+        first.clear()
+        rows = invalidation_only_vulnerabilities()
+        assert rows == [
+            vulnerability
+            for vulnerability in derive_extended_vulnerabilities()
+            if vulnerability.pattern.uses_extended_states()
+        ]
+        assert all(
+            a is b for a, b in zip(rows, invalidation_only_vulnerabilities())
+        )
+
     def test_base_and_extended_partition(self):
         extended = derive_extended_vulnerabilities()
         base = [v for v in extended if not v.pattern.uses_extended_states()]
