@@ -10,14 +10,18 @@ continuously while a SPEC benchmark runs in the background.
 All translations and the switch-policy flushing go through one shared
 :class:`repro.sim.MemorySystem`; pass a ``bus`` to observe the run.
 
-Two interchangeable drive loops exist: the reference :class:`_Runner`
-(per-event generator dispatch, ``AccessResult`` objects) and the
-:class:`_FastRunner` (the :mod:`repro.sim.kernel` fast path: traces
-compiled to flat arrays and shared through the process's
-:data:`~repro.sim.kernel.TRACE_STORE`, replayed by the run kernel).  They
-are counter-for-counter equivalent --
-``tests/sim/test_fastpath_equivalence.py`` and ``repro bench`` enforce
-it -- and ``fastpath=False`` selects the reference loop.
+The reference :class:`_Runner` loop is the specification: it dispatches
+generator events one at a time, spending each quantum's budget as it
+goes.  The fast path (``fastpath=True``, the :mod:`repro.sim.kernel`
+machinery) notices that no quantum's extent depends on the TLB -- only on
+the trace, the quantum and the instruction limit -- so it plans the whole
+round-robin schedule once (:func:`_plan`), over traces compiled to flat
+arrays and shared through the process's
+:data:`~repro.sim.kernel.TRACE_STORE`, and then replays the planned
+segments through the run kernel, whose oracle tier can retire the shared
+TLB's merged stream in O(misses).  The two paths are counter-for-counter
+equivalent -- ``tests/sim/test_fastpath_equivalence.py`` and ``repro
+bench`` enforce it -- and ``fastpath=False`` selects the reference loop.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mmu import PageTableWalker, SwitchPolicy, make_walker
 from repro.sim.events import EventBus
 from repro.sim.kernel import (
     KERNEL_TELEMETRY,
     TRACE_STORE,
+    OracleTier,
     RunState,
     supports_fastpath,
 )
@@ -92,18 +97,36 @@ def simulate(
     bus: Optional[EventBus] = None,
     fastpath: bool = True,
 ) -> Dict[str, PerfResult]:
-    """Run the processes to completion, returning per-process results plus
-    a ``"total"`` aggregate (which also reports the context-switch count).
+    """Run the processes to completion, returning per-process results
+    keyed by workload name, plus a ``"total"`` aggregate (which also
+    reports the context-switch count).
 
-    ``fastpath`` selects the compiled :class:`_FastRunner` loop, which
-    drives quanta through :meth:`BaseTLB.translate_runs`, when the TLB
-    supports it.  Results are identical either way (differentially
-    verified), so it is purely a speed knob.
+    Names must be unique and none may be ``"total"``, or a result would
+    be lost; instruction limits may not be negative.
+
+    ``fastpath`` selects the planned replay through
+    :meth:`BaseTLB.translate_runs`, when the TLB supports it.  Results
+    are identical either way (differentially verified), so it is purely
+    a speed knob.
     """
     if not processes:
         raise ValueError("need at least one process")
     if quantum <= 0:
         raise ValueError("quantum must be positive")
+    names = [process.workload.name for process in processes]
+    if len(set(names)) != len(names):
+        raise ValueError(
+            f"process names must be unique (got {names}): results are keyed"
+            " by workload name"
+        )
+    if "total" in names:
+        raise ValueError('no process may be named "total": the aggregate is')
+    for process in processes:
+        if process.instructions is not None and process.instructions < 0:
+            raise ValueError(
+                f"{process.workload.name}: instruction limit"
+                f" {process.instructions} is negative"
+            )
     memory = MemorySystem(
         tlb,
         walker or make_walker(),
@@ -117,26 +140,48 @@ def simulate(
             _FastRunner(process, memory, stream_seed)
             for process, stream_seed in zip(processes, stream_seeds)
         ]
+        plan = _plan(runners, quantum)
+        if (
+            switch_policy is SwitchPolicy.KEEP
+            or len({process.asid for process in processes}) == 1
+        ):
+            tier = OracleTier(
+                [
+                    (runner._trace, runner.process.asid, runner._run_state)
+                    for runner in runners
+                ],
+                plan,
+            )
+        else:
+            # A flushing switch between ASIDs empties the TLB under every
+            # schedule: no runner engages the oracle tier.
+            tier = OracleTier()
+        for runner in runners:
+            runner._run_state.o_tier = tier
+        for number, start, stop in plan:
+            runner = runners[number]
+            memory.context_switch(runner.process.asid)
+            runner.replay(start, stop)
     else:
         runners = [
             _Runner(process, memory, random.Random(stream_seed))
             for process, stream_seed in zip(processes, stream_seeds)
         ]
-    if len(runners) == 1:
-        # Single-process runs need no per-quantum rescheduling: latch the
-        # ASID once (repeat same-ASID switches are no-ops anyway) and spin
-        # the one runner to completion.
-        runner = runners[0]
-        memory.context_switch(runner.process.asid)
-        while not runner.done:
-            runner.run_quantum(quantum)
-    else:
-        while any(not runner.done for runner in runners):
-            for runner in runners:
-                if runner.done:
-                    continue
-                memory.context_switch(runner.process.asid)
+        if len(runners) == 1:
+            # Single-process runs need no per-quantum rescheduling: latch
+            # the ASID once (repeat same-ASID switches are no-ops anyway)
+            # and spin the one runner to completion.
+            runner = runners[0]
+            memory.context_switch(runner.process.asid)
+            while not runner.done:
                 runner.run_quantum(quantum)
+        else:
+            while any(not runner.done for runner in runners):
+                for runner in runners:
+                    if runner.done:
+                        continue
+                    memory.context_switch(runner.process.asid)
+                    runner.run_quantum(quantum)
 
     results = {runner.process.workload.name: runner.result for runner in runners}
     total = PerfResult(name="total")
@@ -147,6 +192,87 @@ def simulate(
     total.switches = memory.switches
     results["total"] = total
     return results
+
+
+def _plan(
+    runners: Sequence["_FastRunner"], quantum: int
+) -> List[Tuple[int, int, int]]:
+    """Every quantum of a fast-path run, as ``(runner number, start,
+    stop)`` trace slices in the order the reference loop schedules them.
+
+    No slice depends on the TLB: each is fixed by its trace's ``cum``
+    column, the quantum and the runner's instruction limit.  So the
+    whole round-robin interleaving is known once the traces compile.
+    An empty slice is the quantum in which a runner finds itself done
+    before its first event; it still costs a context switch, as in the
+    reference loop, which ends a runner's turns exactly when it does.
+    """
+    plan: List[Tuple[int, int, int]] = []
+    cursors = [0] * len(runners)
+    live = list(range(len(runners)))
+    while live:
+        running = []
+        for number in live:
+            runner = runners[number]
+            start = cursors[number]
+            stop, done = _quantum(
+                runner._trace, runner.process.instructions, start, quantum
+            )
+            plan.append((number, start, stop))
+            cursors[number] = stop
+            if not done:
+                running.append(number)
+        live = running
+    return plan
+
+
+def _quantum(
+    trace, limit: Optional[int], cursor: int, quantum: int
+) -> Tuple[int, bool]:
+    """One quantum's slice ``[cursor, stop)`` of a compiled trace, and
+    whether its runner is done after it; returns ``(stop, done)``.
+
+    Same semantics as the reference runner -- an event costing more
+    than the whole quantum executes anyway (provided budget remains);
+    one merely exceeding the remaining budget pends (here: the slice
+    simply ends before it).  One binary search over the trace's
+    cumulative-cost column finds the boundary, so no budget arithmetic
+    is paid per event.
+    """
+    cum = trace.cum
+    compiled = len(cum)
+    base = cum[cursor - 1] if cursor else 0
+    remaining = None if limit is None else limit - base
+    if (remaining is not None and remaining <= 0) or cursor >= compiled:
+        return cursor, True
+    reach = base + quantum
+    # Largest prefix of events fitting the budget...
+    stop = bisect_right(cum, reach, cursor, compiled)
+    # ...extended by one oversized event (cost > quantum) if budget
+    # remains when it is reached, exactly like the reference loop.
+    if (
+        stop < compiled
+        and (stop == cursor or cum[stop - 1] < reach)
+        and trace.gaps[stop] + 1 > quantum
+    ):
+        stop += 1
+    if remaining is not None:
+        # The instruction limit is checked *before* each event: events
+        # run while the pre-event instruction count is below it.
+        stop = min(stop, bisect_left(cum, base + remaining, cursor, compiled) + 1)
+    # stop >= cursor + 1 always: the first event either fits the full
+    # budget, is an oversized execute-anyway, and passes the limit
+    # pre-check (remaining > 0 was verified above).
+    cost = cum[stop - 1] - base
+    # The reference loop marks itself done *within* a quantum when, with
+    # budget left over, the limit pre-check fails or the trace ends;
+    # mirror that so the schedule (and hence the context-switch count)
+    # is identical.  (A trace cut short at its need ends on the event
+    # that spends the limit.)
+    done = quantum - cost > 0 and (
+        (remaining is not None and remaining - cost <= 0) or stop >= compiled
+    )
+    return stop, done
 
 
 class _Runner:
@@ -197,25 +323,20 @@ class _Runner:
 
 
 class _FastRunner:
-    """:class:`_Runner` over a compiled trace and the run kernel.
+    """One process's side of the planned replay: a compiled trace, the
+    run kernel's :class:`RunState`, and the result its slices add up to.
 
     The trace comes complete from :data:`TRACE_STORE`: compiled through
     the first event whose cumulative cost reaches the process's
     instruction limit (or to exhaustion without a limit), which is as
-    far as any quantum can read, and structured.
-
-    Same quantum semantics as the reference runner -- an event costing more
-    than the whole quantum executes anyway (provided budget remains); one
-    merely exceeding the remaining budget pends (here: the cursor simply
-    does not advance).  The quantum's slice boundary is found with one
-    binary search over the trace's cumulative-cost array, and the slice is
+    far as any quantum can read, and structured.  Each planned slice is
     translated in one batched :meth:`BaseTLB.translate_runs` call with a
-    persistent cross-quantum :class:`RunState`, so neither budget
-    arithmetic nor a Python call is paid per event.  With observers
-    subscribed to the bus, quanta fall back to a per-event loop through
-    the reference ``MemorySystem.translate``, so the event stream stays
-    complete; the run kernel's resume checks notice the skipped positions
-    and rebuild their proofs, so mixing is safe.
+    persistent cross-quantum :class:`RunState`.  With observers
+    subscribed to the bus, a slice is translated event by event through
+    the reference ``MemorySystem.translate`` instead, so the event
+    stream stays complete; the run kernel's resume checks notice the
+    positions it did not see and rebuild their proofs, so mixing is
+    safe.
     """
 
     def __init__(
@@ -229,108 +350,36 @@ class _FastRunner:
         self._trace = TRACE_STORE.get(
             process.workload, stream_seed, process.instructions
         )
-        self._cursor = 0
         self._run_state = RunState()
         self.result = PerfResult(name=process.workload.name)
-        self.done = False
 
-    def run_quantum(self, quantum: int) -> None:
+    def replay(self, start: int, stop: int) -> None:
+        """Translate the planned slice ``[start, stop)`` of the trace."""
+        if start == stop:
+            return
         memory = self._memory
-        if memory.bus.active:
-            self._run_quantum_evented(quantum)
-            return
-        result = self.result
-        limit = self.process.instructions
-        remaining = None if limit is None else limit - result.instructions
-        if remaining is not None and remaining <= 0:
-            self.done = True
-            return
         trace = self._trace
+        asid = self.process.asid
+        count = stop - start
+        if memory.bus.active:
+            translate = memory.translate
+            cycles = 0
+            misses = 0
+            for vpn in trace.vpns[start:stop]:
+                access = translate(vpn, asid)
+                cycles += access.cycles
+                if not access.hit:
+                    misses += 1
+        else:
+            cycles, misses = memory.tlb.translate_runs(
+                trace, start, stop, asid, memory.walker, self._run_state,
+            )
+            memory.accesses += count
+            memory.cycles += cycles
         cum = trace.cum
-        compiled = len(cum)
-        cursor = self._cursor
-        if cursor >= compiled:
-            self.done = True
-            return
-        base = cum[cursor - 1] if cursor else 0
-        reach = base + quantum
-        # Largest prefix of events fitting the budget...
-        stop = bisect_right(cum, reach, cursor, compiled)
-        # ...extended by one oversized event (cost > quantum) if budget
-        # remains when it is reached, exactly like the reference loop.
-        if (
-            stop < compiled
-            and (stop == cursor or cum[stop - 1] < reach)
-            and trace.gaps[stop] + 1 > quantum
-        ):
-            stop += 1
-        if remaining is not None:
-            # The instruction limit is checked *before* each event: events
-            # run while the pre-event instruction count is below it.
-            stop = min(stop, bisect_left(cum, base + remaining, cursor, compiled) + 1)
-        # stop >= cursor + 1 always: the first event either fits the full
-        # budget, is an oversized execute-anyway, and passes the limit
-        # pre-check (remaining > 0 was verified above).
-        count = stop - cursor
-        cycles, misses = memory.tlb.translate_runs(
-            trace, cursor, stop, self.process.asid, memory.walker,
-            self._run_state,
-        )
-        cost = cum[stop - 1] - base
-        self._cursor = stop
-        memory.accesses += count
-        memory.cycles += cycles
+        cost = cum[stop - 1] - (cum[start - 1] if start else 0)
+        result = self.result
         result.instructions += cost
         result.cycles += (cost - count) + cycles
         result.memory_accesses += count
         result.misses += misses
-        # The reference loop marks itself done *within* a quantum when,
-        # with budget left over, the limit pre-check fails or the trace
-        # ends; mirror that here so multiprogrammed scheduling (and hence
-        # the context-switch count) is identical.  (A trace cut short at
-        # its need ends on the event that spends the limit.)
-        if quantum - cost > 0:
-            if (remaining is not None and remaining - cost <= 0) or (
-                stop >= compiled
-            ):
-                self.done = True
-
-    def _run_quantum_evented(self, quantum: int) -> None:
-        budget = quantum
-        limit = self.process.instructions
-        result = self.result
-        trace = self._trace
-        gaps = trace.gaps
-        vpns = trace.vpns
-        compiled = len(gaps)
-        cursor = self._cursor
-        translate = self._memory.translate
-        asid = self.process.asid
-        instructions = result.instructions
-        cycles = result.cycles
-        accesses = result.memory_accesses
-        misses = result.misses
-        while budget > 0:
-            if limit is not None and instructions >= limit:
-                self.done = True
-                break
-            if cursor >= compiled:
-                self.done = True
-                break
-            gap = gaps[cursor]
-            cost = gap + 1
-            if cost > budget and cost <= quantum:
-                break  # Pend: the event runs in the next quantum.
-            access = translate(vpns[cursor], asid)
-            cursor += 1
-            instructions += cost
-            cycles += gap + access.cycles
-            accesses += 1
-            if not access.hit:
-                misses += 1
-            budget -= cost
-        self._cursor = cursor
-        result.instructions = instructions
-        result.cycles = cycles
-        result.memory_accesses = accesses
-        result.misses = misses

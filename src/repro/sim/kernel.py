@@ -23,15 +23,25 @@ the specification* and adds one differentially-verified fast path:
   beyond MRU reordering, advancing access/hit counters, the clock and
   the cycle accumulator for the entire run at once, and falls back to a
   per-access index probe only at the positions where a fill, eviction,
-  no-fill buffer return, superpage probe or context switch could occur.  :class:`RunState` carries the proof threshold across
-  quanta (validated against the TLB's mutation counter), and
+  no-fill buffer return, superpage probe or context switch could occur.
+  :class:`RunState` carries the proof threshold across quanta
+  (validated against the TLB's mutation counter), and
   :data:`KERNEL_TELEMETRY` aggregates how often the run proofs engaged.
+* The **oracle tier** above it: a :class:`ReuseOracle` precomputes the
+  exact per-set LRU miss schedule of a stream, so slices retire in
+  O(misses).  A planned ``simulate()`` hands every runner one
+  :class:`OracleTier`; processes filling ways of their own replay
+  against their trace's cached oracle, and processes sharing ways --
+  the multiprogrammed Figure 7 cells -- against one
+  :class:`OracleUniverse` oracle over the run's merged ``(asid, page)``
+  stream, built for that call and dropped with it.
 
 The structure pre-pass has two interchangeable backends: pure Python
 (always present) and a numpy-vectorised one (:mod:`repro.sim.kernel_np`,
-auto-detected; :data:`STRUCTURE_BACKEND` reports which is active).  The
-run loop itself is pure Python either way -- numpy's per-call overhead
-loses on the short runs that dominate miss-heavy traces.
+auto-detected; :data:`STRUCTURE_BACKEND` reports which is active), which
+also spares the oracle build the accesses that cannot change an LRU set.
+The run loop itself is pure Python either way -- numpy's per-call
+overhead loses on the short runs that dominate miss-heavy traces.
 
 Equivalence is enforced three ways: by construction (both paths share
 the TLB state machine, statistics and cycle model -- the run kernel only
@@ -47,7 +57,7 @@ import random
 import threading
 from array import array
 from collections import OrderedDict
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Events materialised per :meth:`CompiledTrace.ensure` pull.  Large enough
 #: to amortise the generator resumption, small enough that infinite SPEC
@@ -269,61 +279,59 @@ class CompiledTrace:
                 oracle = self._oracles.get(key)
                 if oracle is None:
                     oracle = ReuseOracle(nsets, ways)
-                    oracle.extend(self)
+                    oracle.extend(((self.vpns, 0),))
                     self._oracles[key] = oracle
         return oracle
 
 
 class ReuseOracle:
-    """Exact per-set LRU miss schedule for one trace x one TLB geometry.
+    """Exact per-set LRU miss schedule for one key stream x one TLB
+    geometry.
 
     The run kernel's *horizon ledger* proves hit-runs incrementally, one
-    probe per miss.  For a single-ASID trace replayed into an LRU
-    set-associative TLB starting empty, the entire hit/miss schedule is a
-    pure function of the trace and the geometry -- so this pre-pass
-    simulates each set as an insertion-ordered dict (Python dicts *are*
-    LRU stacks: delete + reinsert moves a key to MRU, ``next(iter(s))``
-    is the LRU victim) and records, per compiled position, only the
-    misses:
+    probe per miss.  When the TLB starts empty and every process fills
+    plain per-set LRU ways, the entire hit/miss schedule is a pure
+    function of the stream of accesses and the geometry -- so this
+    pre-pass simulates each set as an insertion-ordered dict (Python
+    dicts *are* LRU stacks: delete + reinsert moves a key to MRU,
+    ``next(iter(s))`` is the LRU victim) and records, per stream
+    position, only the misses.  A key is a page, or -- in a stream
+    merged from several ASIDs' segments -- the packed ``(asid, page)``
+    of :class:`OracleUniverse`; either way ``key % nsets`` is its set.
+    With the numpy backend, accesses that re-touch their set's MRU key
+    (hits that move nothing) are found vectorised and never simulated.
 
-    ``miss_pos[k]`` / ``miss_page[k]``
-        Trace position and page of the k-th miss.
+    ``miss_pos[k]`` / ``miss_key[k]``
+        Stream position and key of the k-th miss.
     ``miss_evict[k]``
-        The page evicted by the k-th miss's fill, or -1 when the fill
+        The key evicted by the k-th miss's fill, or -1 when the fill
         took an invalid way (TLB not yet warm in that set).
-    ``inv_cum[k]``
-        Cumulative count of invalid-way fills through miss ``k``
-        (inclusive) -- lets a slice replay derive its eviction count by
-        subtraction.
-    ``page_misses``
-        ``vpn -> ascending positions of that page's misses``, an
-        ``array('q')`` per page (an oracle lives as long as its stored
-        trace); a miss that is the page's *first* miss globally is its
-        first-ever walk (the one that may auto-map and allocate the
-        physical frame).
+    ``miss_first[k]``
+        1 when the k-th miss is its key's first: its first-ever walk,
+        the one that may auto-map and allocate the physical frame.
 
     ``BaseTLB.translate_runs`` replays a whole quantum slice against
     this schedule in O(misses), touching Python-level TLB entry objects
     only once per slice (reconciliation), instead of O(misses) probe
-    calls through the ledger.  The engagement predicate -- empty TLB,
-    position 0, true-LRU policy, single ASID, auto-mapping walker, no
-    superpages, no secure region -- lives in the TLB layer, which falls
-    back to the ledger (and from there to per-access probes) whenever
-    any assumption breaks; the oracle itself is policy-free trace math.
+    calls through the ledger.  The engagement premises -- empty TLB,
+    true-LRU policy, auto-mapping walker, no superpages, a fill universe
+    per ASID -- live in the TLB layer, which falls back to the ledger
+    (and from there to per-access probes) whenever any assumption
+    breaks; the oracle itself is policy-free stream math.
 
-    :meth:`CompiledTrace.reuse_oracle` builds it in one pass over the
-    complete trace.  A fully-associative geometry is simply
-    ``nsets == 1``.
+    :meth:`CompiledTrace.reuse_oracle` builds and caches one over a
+    complete trace's pages; :class:`OracleUniverse` builds one, for the
+    length of a ``simulate()`` call, over a run's merged stream.  A
+    fully-associative geometry is simply ``nsets == 1``.
     """
 
     __slots__ = (
         "nsets",
         "ways",
         "miss_pos",
-        "miss_page",
+        "miss_key",
         "miss_evict",
-        "inv_cum",
-        "page_misses",
+        "miss_first",
     )
 
     def __init__(self, nsets: int, ways: int) -> None:
@@ -332,47 +340,57 @@ class ReuseOracle:
         self.nsets = nsets
         self.ways = ways
         self.miss_pos = array("q")
-        self.miss_page = array("q")
+        self.miss_key = array("q")
         self.miss_evict = array("q")
-        self.inv_cum = array("q")
-        self.page_misses: dict = {}
+        self.miss_first = bytearray()
 
-    def extend(self, trace: "CompiledTrace") -> None:
-        """Fill this fresh oracle's schedule over every event of
-        ``trace``, in one pass."""
-        vpns = trace.vpns
+    def extend(self, chunks: Iterable[Tuple[array, int]]) -> None:
+        """Fill this fresh oracle's schedule, in one pass, over the key
+        stream that ``(column, offset)`` chunks spell out one after
+        another: an ``array('q')`` of pages each, keyed ``page +
+        offset``."""
         nsets = self.nsets
         ways = self.ways
         sets: List[dict] = [dict() for _ in range(nsets)]
-        page_misses = self.page_misses
+        seen = set()
         append_pos = self.miss_pos.append
-        append_page = self.miss_page.append
+        append_key = self.miss_key.append
         append_evict = self.miss_evict.append
-        append_inv = self.inv_cum.append
-        invalid = 0
-        for position in range(len(vpns)):
-            vpn = vpns[position]
-            lru = sets[vpn % nsets]
-            if vpn in lru:
-                del lru[vpn]  # Re-insert below: dict order is LRU order.
-                lru[vpn] = None
-                continue
-            if len(lru) >= ways:
-                victim = next(iter(lru))
-                del lru[victim]
-                append_evict(victim)
-            else:
-                append_evict(-1)
-                invalid += 1
-            lru[vpn] = None
-            append_pos(position)
-            append_page(vpn)
-            append_inv(invalid)
-            chain = page_misses.get(vpn)
-            if chain is None:
-                page_misses[vpn] = array("q", (position,))
-            else:
-                chain.append(position)
+        append_first = self.miss_first.append
+        if _structure_np is not None:
+            pieces = _structure_np.lru_changes(chunks, nsets)
+        else:
+            pieces = (
+                (
+                    len(column),
+                    range(len(column)),
+                    map(offset.__add__, column) if offset else column,
+                )
+                for column, offset in chunks
+            )
+        base = 0
+        for length, positions, keys in pieces:
+            for position, key in zip(positions, keys):
+                lru = sets[key % nsets]
+                if key in lru:
+                    del lru[key]  # Re-insert below: dict order is LRU order.
+                    lru[key] = None
+                    continue
+                if len(lru) >= ways:
+                    victim = next(iter(lru))
+                    del lru[victim]
+                    append_evict(victim)
+                else:
+                    append_evict(-1)
+                lru[key] = None
+                append_pos(base + position)
+                append_key(key)
+                if key in seen:
+                    append_first(0)
+                else:
+                    seen.add(key)
+                    append_first(1)
+            base += length
 
 
 #: Compiled events :data:`TRACE_STORE` keeps before it evicts its
@@ -573,21 +591,16 @@ class RunState:
     (hierarchy level adapters, whose "walks" have lower-level side
     effects) never engage the cache.
 
-    The ``o_*`` fields carry the *oracle tier* (see :class:`ReuseOracle`):
-    while ``o_active``, whole quantum slices retire against the
-    precomputed miss schedule and the ledger fields above lie fallow.
-    ``o_resident`` maps each resident page to its :class:`~repro.tlb.entry.TLBEntry`
-    object and ``o_free`` holds the per-set never-filled entry objects;
-    ``o_pos`` / ``o_cursor`` are the trace position and miss-schedule
-    index the oracle has retired through; ``o_clock0`` anchors the TLB
-    clock at engagement so LRU timestamps reconstruct as ``clock0 +
-    position + 1``.  ``o_accesses`` / ``o_fills`` / ``o_mut`` /
-    ``o_token`` snapshot the TLB's access/fill counters, its mutation
-    counter and the translator's mapping token after each slice; any
-    between-quanta delta (another process touched the TLB, a remap, an
-    ``sfence.vma``) disengages the oracle permanently for this state and
-    the ledger takes over -- its own ``mut`` mismatch handles the
-    hand-off reset.
+    The ``o_*`` fields carry the *oracle tier*: ``o_tier`` is the
+    :class:`OracleTier` of the replay this state belongs to -- shared by
+    every runner of one ``simulate()``, or made for this state alone by
+    its first replay from position 0 -- and, once the tier bound it,
+    ``o_lane`` is its lane's number there, ``o_universe`` the
+    :class:`OracleUniverse` it retires against and ``o_slot`` its
+    ASID's index in that universe.  While the tier is ``active`` whole
+    quantum slices retire against the precomputed miss schedule and the
+    ledger fields above lie fallow; once it drops, the ledger takes
+    over from the resume position (``mut`` is still -1).
     """
 
     __slots__ = (
@@ -599,18 +612,10 @@ class RunState:
         "runs",
         "walk_cache",
         "walk_token",
-        "o_active",
-        "o_oracle",
-        "o_cursor",
-        "o_pos",
-        "o_clock0",
-        "o_resident",
-        "o_free",
-        "o_accesses",
-        "o_fills",
-        "o_mut",
-        "o_token",
-        "o_asid",
+        "o_tier",
+        "o_lane",
+        "o_universe",
+        "o_slot",
     )
 
     def __init__(self) -> None:
@@ -622,18 +627,186 @@ class RunState:
         self.runs = 0
         self.walk_cache: dict = {}
         self.walk_token = -1
-        self.o_active = False
-        self.o_oracle = None
-        self.o_cursor = 0
-        self.o_pos = 0
-        self.o_clock0 = 0
-        self.o_resident: dict = {}
-        self.o_free: List[list] = []
-        self.o_accesses = 0
-        self.o_fills = 0
-        self.o_mut = 0
-        self.o_token = -1
-        self.o_asid = -1
+        self.o_tier: Optional["OracleTier"] = None
+        self.o_lane = 0
+        self.o_universe: Optional["OracleUniverse"] = None
+        self.o_slot = 0
+
+    def oracle_lanes(self, trace: CompiledTrace, asid: int) -> Sequence:
+        """The lanes a first replay of ``trace`` for ``asid`` may bind to
+        the oracle tier, all or none; empty when it may bind none.
+
+        Takes the tier's one engagement attempt: a state outside any
+        ``simulate()`` gets a tier holding just its own lane, and a
+        state whose tier was tried already, or whose lane does not match
+        this replay, gets nothing.
+        """
+        tier = self.o_tier
+        if tier is None:
+            tier = self.o_tier = OracleTier([(trace, asid, self)])
+        lanes = tier.lanes
+        tier.lanes = ()
+        for lane_trace, lane_asid, lane_state in lanes:
+            if lane_state is self:
+                if lane_trace is trace and lane_asid == asid:
+                    return lanes
+                break
+        return ()
+
+
+class OracleTier:
+    """The oracle tier of one replay: its lanes, its plan, and the TLB
+    snapshot every lane's resume check compares against.
+
+    ``lanes`` lists ``(trace, asid, RunState)`` per runner, and
+    ``plan`` every quantum's slice as ``(lane number, start, stop)`` in
+    the order they will be translated.  The one engagement attempt
+    (``BaseTLB._oracle_engage``) takes both and binds every lane or
+    none (:meth:`bind`); a tier without lanes never engages --
+    ``simulate()`` builds one for a run whose switch policy flushes
+    between ASIDs, so that every runner stays on the ledger.  Nothing
+    here refers back to a state once the attempt is over, so a replay's
+    oracles die with its runners.
+
+    While ``active``, ``accesses`` / ``fills`` / ``mut`` snapshot the
+    TLB's access and fill counters and its mutation epoch after the
+    latest oracle slice of *any* lane, and ``tokens`` each ASID's
+    mapping token.  A mismatch when a lane resumes means something
+    beside the plan touched the TLB or a page table (an observer-driven
+    evented quantum, a flush, a remap): the tier drops, and every lane
+    falls to the ledger for good.
+    """
+
+    __slots__ = ("lanes", "plan", "active", "accesses", "fills", "mut", "tokens")
+
+    def __init__(self, lanes: Sequence = (), plan: Sequence = ()) -> None:
+        self.lanes = lanes
+        self.plan = plan
+        self.active = False
+        self.accesses = 0
+        self.fills = 0
+        self.mut = 0
+        self.tokens: dict = {}
+
+    def bind(self, lanes: Sequence, universes: list) -> None:
+        """Bind lane ``i`` to the fill universe ``universes[i]`` -- the
+        ``(nsets, way lists)`` its ASID fills -- and activate the tier.
+        Lanes whose ways are the same list objects share one
+        :class:`OracleUniverse`."""
+        shared: dict = {}
+        for number, (nsets, way_lists) in enumerate(universes):
+            shared.setdefault(id(way_lists), (nsets, way_lists, []))[2].append(
+                number
+            )
+        plan = self.plan
+        self.plan = ()
+        for nsets, way_lists, numbers in shared.values():
+            universe = OracleUniverse(nsets, way_lists, lanes, numbers, plan)
+            for number in numbers:
+                _, asid, state = lanes[number]
+                state.o_lane = number
+                state.o_universe = universe
+                state.o_slot = universe.asids.index(asid)
+        self.active = True
+
+
+class OracleUniverse:
+    """One fill universe's share of the oracle tier: the ways some lanes
+    fill into, and the schedule they retire against.
+
+    The lanes' pages are keyed per ASID: ``page + slot * stride``, where
+    ``slot`` is the ASID's index in ``asids`` and ``stride`` is a
+    multiple of ``nsets`` above every page, so ``key % nsets`` is still
+    the page's set and a key decodes with one division.
+
+    * A lane alone in its universe retires against its trace's own
+      cached :meth:`CompiledTrace.reuse_oracle`: slot 0, key = page,
+      stream positions = trace positions, any segmentation.
+    * Lanes sharing a universe retire against one :class:`ReuseOracle`
+      built over the plan's *merged* stream -- their slices' keys,
+      concatenated in plan order -- which lives as long as the lanes'
+      states.  ``segments`` lists those slices as ``(lane number,
+      start, stop)``; each replayed slice must be the next one
+      (``step``), or the tier drops.
+
+    ``pos`` / ``cursor`` are the stream position and miss-schedule
+    index retired through, ``resident`` maps each resident key to its
+    :class:`~repro.tlb.entry.TLBEntry` and ``free`` holds the per-set
+    never-filled entries, reversed so ``.pop()`` hands them out in the
+    reference's scan order (the first invalid way fills first), which
+    keeps way occupancy bit-identical to the reference.
+    """
+
+    __slots__ = (
+        "oracle",
+        "stride",
+        "asids",
+        "segments",
+        "step",
+        "pos",
+        "cursor",
+        "resident",
+        "free",
+    )
+
+    def __init__(
+        self,
+        nsets: int,
+        way_lists: list,
+        lanes: Sequence,
+        numbers: List[int],
+        plan: Sequence,
+    ) -> None:
+        self.asids: List[int] = []
+        for number in numbers:
+            asid = lanes[number][1]
+            if asid not in self.asids:
+                self.asids.append(asid)
+        top = max(
+            (max(lanes[number][0].occ) for number in numbers
+             if lanes[number][0].occ),
+            default=0,
+        )
+        self.stride = nsets * (top // nsets + 1)
+        ways = len(way_lists[0])
+        if len(numbers) == 1:
+            self.oracle = lanes[numbers[0]][0].reuse_oracle(nsets, ways)
+            self.segments = None
+        else:
+            offsets = {
+                number: self.asids.index(lanes[number][1]) * self.stride
+                for number in numbers
+            }
+            self.segments = [
+                (number, start, stop)
+                for number, start, stop in plan
+                if number in offsets and stop > start
+            ]
+            self.oracle = ReuseOracle(nsets, ways)
+            self.oracle.extend(self._merged_keys(lanes, offsets))
+        self.step = 0
+        self.pos = 0
+        self.cursor = 0
+        self.resident: dict = {}
+        self.free = [list(reversed(ways_of_set)) for ways_of_set in way_lists]
+
+    def _merged_keys(
+        self, lanes: Sequence, offsets: dict
+    ) -> Iterator[Tuple[array, int]]:
+        """The merged stream as ``(pages, key offset)`` per segment."""
+        for number, start, stop in self.segments:
+            yield lanes[number][0].vpns[start:stop], offsets[number]
+
+    def placed(self, lane: int, start: int, stop: int) -> bool:
+        """Whether ``[start, stop)`` of lane ``lane``'s trace is the next
+        stretch of this universe's stream."""
+        segments = self.segments
+        if segments is None:
+            return self.pos == start
+        if self.step >= len(segments):
+            return False
+        owner, first, last = segments[self.step]
+        return owner == lane and first == start and last == stop
 
 
 class KernelTelemetry:

@@ -1,11 +1,13 @@
-"""Vectorised structure pre-pass for :class:`repro.sim.kernel.CompiledTrace`.
+"""Vectorised pre-passes for :mod:`repro.sim.kernel`: a
+:class:`~repro.sim.kernel.CompiledTrace`'s structure columns, and the
+accesses a :class:`~repro.sim.kernel.ReuseOracle` must simulate.
 
 Optional backend: :mod:`repro.sim.kernel` imports this module inside a
 ``try`` and falls back to the pure-Python pre-pass when numpy is absent,
 so nothing else may import it directly.  The module is allow-listed by
 the ``allocation-free-run-kernel`` lint rule -- numpy's array ops
-allocate internally, but the pre-pass runs once per compiled chunk, not
-per access.
+allocate internally, but a pre-pass runs once per compiled chunk or
+oracle, not per access.
 
 The job: given the freshly-compiled positions ``[start, limit)`` of a
 trace, append (as raw ``int64`` bytes onto its ``array('q')`` columns)
@@ -25,6 +27,7 @@ than events.
 from __future__ import annotations
 
 from array import array
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -80,3 +83,54 @@ def extend_structure(trace, start: int, limit: int, inf: int) -> None:
 
     trace.prev.frombytes(prev_arr.tobytes())
     nxt_col.frombytes(nxt_arr.tobytes())
+
+
+#: Stream positions one :func:`lru_changes` step compares at once, so its
+#: temporaries stay near 200 KiB however long a chunk is (16x that cost
+#: RSA-only Figure 7 cells 0.65 MiB of peak resident set, for no speed).
+SPAN = 1 << 12
+
+
+def lru_changes(
+    chunks: Iterable[Tuple[array, int]], nsets: int
+) -> Iterator[Tuple[int, memoryview, memoryview]]:
+    """For each ``(column, offset)`` chunk of a key stream -- keys
+    ``column[i] + offset``, non-negative, in set ``key % nsets`` --
+    its length and the positions in it, with their keys, at which a
+    per-set LRU stack over the stream can change.
+
+    Every access but an MRU re-touch -- one whose set's previous access
+    was to the same key -- may reorder its set, miss or evict; a
+    re-touch is a hit that moves nothing, so :class:`ReuseOracle`
+    skips it without looking.  Like the structure pre-pass, a stable
+    argsort by set puts each set's accesses side by side in stream
+    order, so one shifted comparison finds the re-touches; each set's
+    latest key carries from one :data:`SPAN` (and chunk) to the next.
+    Positions and keys are views of ``int64`` arrays, positions
+    ascending, whose items iterate as Python ints.
+    """
+    latest = np.full(nsets, -1, dtype=np.int64)
+    for column, offset in chunks:
+        stream = np.frombuffer(column, dtype=np.int64)
+        if offset:
+            stream = stream + offset
+        keep = np.empty(len(stream), dtype=bool)
+        for low in range(0, len(stream), SPAN):
+            span = stream[low:low + SPAN]
+            sets = span % nsets
+            order = np.argsort(sets, kind="stable")
+            grouped = span[order]
+            grouped_sets = sets[order]
+            # In set order, an access's predecessor in its set is the one
+            # before it, or -- heading its set's group -- the set's
+            # latest key from earlier spans.
+            heads = np.ones(len(span), dtype=bool)
+            heads[1:] = grouped_sets[1:] != grouped_sets[:-1]
+            before = np.empty_like(grouped)
+            before[1:] = grouped[:-1]
+            before[heads] = latest[grouped_sets[heads]]
+            keep[low + order] = grouped != before
+            tails = np.roll(heads, -1)
+            latest[grouped_sets[tails]] = grouped[tails]
+        positions = np.flatnonzero(keep)
+        yield len(stream), memoryview(positions), memoryview(stream[positions])

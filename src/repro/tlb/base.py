@@ -227,42 +227,44 @@ class BaseTLB(abc.ABC):
         differential suite and ``python -m repro bench`` enforce it.
 
         Above both halves sits the *oracle tier*: when a fresh state
-        starts at position 0 against an empty TLB and the design's
-        single-ASID cold-start behaviour is pure LRU
-        (:meth:`_oracle_engage`), the entire hit/miss schedule is a
-        function of the trace alone, precomputed once by
-        :class:`repro.sim.kernel.ReuseOracle` and retired slice-at-a-time
-        by :meth:`_oracle_slice` in O(misses).  Any between-quanta
-        interference -- foreign accesses, mutations, remaps -- fails the
-        resume check and drops the state to the ledger tier permanently.
+        starts at position 0 against an empty TLB and every ASID of its
+        replay fills plain per-set LRU ways (:meth:`_oracle_engage`),
+        the entire hit/miss schedule is a function of the planned
+        access stream alone, precomputed by
+        :class:`repro.sim.kernel.ReuseOracle` -- per trace for a process
+        alone in its ways, over the merged stream for processes sharing
+        them -- and retired slice-at-a-time by :meth:`_oracle_slice` in
+        O(misses).  Any interference between slices -- accesses off the
+        plan, mutations, remaps -- fails the resume check and drops
+        every lane of the replay to the ledger tier permanently.
         """
         if stop > len(trace.prev) or len(trace.prev) != len(trace.gaps):
             raise ValueError(
                 "translate_runs needs a complete trace: ensure_structure "
                 "over every compiled event, through stop"
             )
-        if state.o_active:
-            o_token_fn = getattr(translator, "memo_token", None)
+        tier = state.o_tier
+        if tier is not None and tier.active:
+            universe = state.o_universe
+            token_fn = getattr(translator, "memo_token", None)
             if (
-                state.o_pos == start
-                and state.o_asid == asid
-                and state.o_mut == self._mutations
-                and state.o_accesses == self.stats.accesses
-                and state.o_fills == self.stats.fills
-                and o_token_fn is not None
-                and o_token_fn(asid) == state.o_token
+                universe.placed(state.o_lane, start, stop)
+                and universe.asids[state.o_slot] == asid
+                and tier.mut == self._mutations
+                and tier.accesses == self.stats.accesses
+                and tier.fills == self.stats.fills
+                and token_fn is not None
+                and token_fn(asid) == tier.tokens.get(asid)
             ):
                 return self._oracle_slice(
                     trace, start, stop, asid, translator, state
                 )
-            # Something touched the TLB, the counters or the mappings
-            # between quanta: the precomputed schedule no longer applies.
-            # Drop to the ledger tier for good -- its own mutation check
-            # (state.mut is still -1) rebuilds the proof from `start`.
-            state.o_active = False
-            state.o_oracle = None
-            state.o_resident = {}
-            state.o_free = []
+            # Something beside the plan touched the TLB, its counters or
+            # a mapping since the last oracle slice: the precomputed
+            # schedules no longer apply.  Every lane drops to the ledger
+            # tier for good -- its own mutation check (state.mut is
+            # still -1) rebuilds each proof from its resume position.
+            tier.active = False
         elif (
             state.mut == -1
             and start == 0
@@ -481,31 +483,37 @@ class BaseTLB(abc.ABC):
         would fill into, or None when the design's miss behaviour for
         this ASID is not plain per-set LRU even from a cold start.
 
-        The base answer covers every design whose single-ASID cold-start
-        miss path degenerates to the SA fill: the whole TLB.  Designs
-        override to narrow the universe (SP: the ASID's partition) or
-        veto engagement (RF: a programmed secure region makes misses
-        take the random-fill paths).
+        The base answer covers every design whose cold-start miss path
+        degenerates to the SA fill: the whole TLB, shared by every ASID.
+        Designs override to narrow the universe (SP: the ASID's
+        partition) or veto engagement (RF: a programmed secure region
+        makes the victim's misses take the random-fill paths).  ASIDs
+        given the same list objects share one universe.
         """
         return self._nsets, self._sets
 
     def _oracle_engage(self, trace, asid: int, translator, state) -> bool:
-        """Try to bind a fresh :class:`~repro.sim.kernel.RunState` to the
-        oracle tier; True when every engagement premise holds.
+        """Try to bind every lane of ``state``'s replay to the oracle
+        tier; True when every engagement premise holds for all of them.
 
-        The premises make the hit/miss schedule a pure function of the
-        trace: the TLB starts empty (no residency the oracle cannot
-        see), replacement is true LRU, the translator is a real
+        The lanes are ``state.oracle_lanes(trace, asid)``: every runner
+        of a planned ``simulate()``, or this state alone.  The premises
+        make each universe's hit/miss schedule a pure function of its
+        planned stream: the TLB starts empty (no residency the oracle
+        cannot see), replacement is true LRU, the translator is a real
         page-table walker (auto-mapping, so no fault can diverge;
         ``memo_token`` + ``has_superpages`` so remaps and superpage
         leaves are detectable; ``peek`` + ``full_walk_cycles`` so
-        reconciliation needs no per-miss WalkResult), the ASID's table
-        has never held a superpage, and the design's universe hook
-        grants plain per-set LRU for this ASID.  Engagement is attempted
-        exactly once per state (``state.mut`` leaves -1 after the first
-        ledger quantum); any later premise break fails the resume check
+        reconciliation needs no per-miss WalkResult), no lane's table
+        has ever held a superpage, and the design's universe hook grants
+        plain per-set LRU for every lane's ASID.  If any premise fails,
+        no lane engages.  Engagement is attempted once per replay (the
+        lanes are taken); any later premise break fails the resume check
         instead.
         """
+        lanes = state.oracle_lanes(trace, asid)
+        if not lanes:
+            return False
         if self._index or self._super_entries or self._sec_resident:
             return False
         if type(self._policy) is not LRUPolicy:
@@ -521,109 +529,129 @@ class BaseTLB(abc.ABC):
             or getattr(translator, "full_walk_cycles", None) is None
         ):
             return False
-        if superpages_fn(asid):
-            return False
-        universe = self._oracle_universe(asid)
-        if universe is None:
-            return False
-        nsets, way_lists = universe
-        ways = len(way_lists[0]) if way_lists else 0
-        if nsets <= 0 or ways <= 0:
-            return False
-        state.o_active = True
-        state.o_oracle = trace.reuse_oracle(nsets, ways)
-        state.o_cursor = 0
-        state.o_pos = 0
-        state.o_clock0 = self._clock
-        state.o_resident = {}
-        # Reversed so .pop() hands out ways in reference scan order (the
-        # first invalid way fills first) -- not load-bearing for the
-        # architectural state, but it keeps way occupancy bit-identical
-        # to the reference for anyone diffing raw sets.
-        state.o_free = [list(reversed(ws)) for ws in way_lists]
-        state.o_asid = asid
-        state.o_accesses = self.stats.accesses
-        state.o_fills = self.stats.fills
-        state.o_mut = self._mutations
-        state.o_token = token_fn(asid)
+        universes = []
+        for _, lane_asid, _ in lanes:
+            if superpages_fn(lane_asid):
+                return False
+            universe = self._oracle_universe(lane_asid)
+            if universe is None:
+                return False
+            nsets, way_lists = universe
+            if nsets <= 0 or not way_lists or not way_lists[0]:
+                return False
+            universes.append(universe)
+        tier = state.o_tier
+        tier.bind(lanes, universes)
+        tier.accesses = self.stats.accesses
+        tier.fills = self.stats.fills
+        tier.mut = self._mutations
+        for _, lane_asid, _ in lanes:
+            tier.tokens[lane_asid] = token_fn(lane_asid)
         return True
 
     def _oracle_slice(
         self, trace, start: int, stop: int, asid: int, translator, state
     ) -> Tuple[int, int]:
-        """Retire trace positions ``[start, stop)`` against the reuse
-        oracle's precomputed miss schedule; returns ``(cycles, misses)``.
+        """Retire trace positions ``[start, stop)`` against the lane's
+        universe's precomputed miss schedule; returns ``(cycles,
+        misses)``.
 
+        The slice is universe stream positions ``[base, base + n)`` from
+        ``base = universe.pos``: trace positions themselves for a lane
+        alone in its universe, merged positions for lanes sharing one.
         The replay costs O(misses in the slice) dict moves plus an
         O(resident) reconciliation: hits need no work at all (their
         entire effect is MRU reordering, reconstructed afterwards from
         the trace's occurrence lists), and a miss is one ``resident``
-        dict move.  Only each page's globally *first* miss runs a real
-        walk -- that is the walk that may auto-map and must allocate the
-        physical frame in first-access order; every later miss of the
-        same page walks an unchanged mapping, so its counter effect
-        (``walks += 1``) and cycle cost (a full radix traversal:
-        superpages are excluded by engagement) are applied in bulk.
+        dict move, keyed ``page + slot * stride`` (see
+        :class:`repro.sim.kernel.OracleUniverse`).  Only each key's
+        *first* miss runs a real walk -- that is the walk that may
+        auto-map and must allocate the physical frame, and slices retire
+        in the order the reference translates, so frames are allocated
+        in the same order; every later miss of the same key walks an
+        unchanged mapping, so its counter effect (``walks += 1``) and
+        cycle cost (a full radix traversal: superpages are excluded by
+        engagement) are applied in bulk.
 
-        Reconciliation then rewrites the architectural entry state --
-        vpn/ppn/asid/level/Sec, the fast-index keys, and the LRU
-        timestamps ``last_used`` / ``filled_at`` via bisects on the
-        occurrence and miss lists -- so between quanta the TLB is
+        A fill stamps ``filled_at`` on its entry as it is replayed;
+        reconciliation then sets ``last_used`` on every entry the slice
+        touched (one bisect of the trace's occurrence list, mapped onto
+        the TLB clock from the slice's start) and installs the
+        translation -- vpn/ppn/asid/level/Sec and the fast-index key --
+        in every entry it filled, so between quanta the TLB is
         indistinguishable from the reference's, entry for entry.
         """
-        oracle = state.o_oracle
+        universe = state.o_universe
+        oracle = universe.oracle
         n = stop - start
+        base = universe.pos
+        end = base + n
+        stride = universe.stride
+        offset = state.o_slot * stride
         miss_pos = oracle.miss_pos
-        page_misses = oracle.page_misses
-        ka = state.o_cursor
-        kb = bisect_left(miss_pos, stop, ka)
+        ka = universe.cursor
+        kb = bisect_left(miss_pos, end, ka)
         k = kb - ka
-        resident = state.o_resident
+        resident = universe.resident
         index = self._index
-        first_walks = 0
+        # The TLB clock of the slice's first access: universe stream
+        # position m runs at fresh - base + m.
+        fresh = self._clock + 1
+        evictions = 0
         if k:
-            miss_page = oracle.miss_page
+            miss_key = oracle.miss_key
             miss_evict = oracle.miss_evict
-            free = state.o_free
+            miss_first = oracle.miss_first
+            free = universe.free
+            asids = universe.asids
             nsets = oracle.nsets
             walk = translator.walk
+            filled = fresh - base
+            first_walks = 0
             for idx in range(ka, kb):
-                page = miss_page[idx]
+                key = miss_key[idx]
                 evicted = miss_evict[idx]
                 if evicted >= 0:
                     entry = resident.pop(evicted)
                     # Dropping the key is final only if the page stays
-                    # out: reconciliation re-keys every resident page.
-                    index.pop((evicted, asid, 0), None)
+                    # out: reconciliation re-keys every page it fills.
+                    slot = evicted // stride
+                    index.pop((evicted - slot * stride, asids[slot], 0), None)
+                    evictions += 1
                 else:
-                    entry = free[page % nsets].pop()
-                resident[page] = entry
-                if page_misses[page][0] == miss_pos[idx]:
-                    walk(page, asid)
+                    entry = free[key % nsets].pop()
+                entry.filled_at = filled + miss_pos[idx]
+                resident[key] = entry
+                if miss_first[idx]:
+                    walk(key - offset, asid)
                     first_walks += 1
             translator.walks += k - first_walks
         # -- reconcile the architectural entry state at the slice edge.
         occ = trace.occ
         peek = translator.peek
-        clock0 = state.o_clock0
-        for page, entry in resident.items():
-            chain = occ[page]
-            last = chain[bisect_left(chain, stop) - 1]
-            if last < start:
+        touched = fresh - start  # Trace position j runs at touched + j.
+        for key, entry in resident.items():
+            page = key - offset
+            if page < 0 or page >= stride:
+                continue  # Another ASID's page.
+            chain = occ.get(page)
+            if chain is None:
+                continue  # Only another process of this ASID touches it.
+            last = bisect_left(chain, stop)
+            if not last or chain[last - 1] < start:
                 # Untouched this slice: a prior reconciliation already
                 # wrote this entry (and its index key) exactly.
                 continue
-            chain = page_misses[page]
-            filled = chain[bisect_left(chain, stop) - 1]
-            entry.vpn = page
-            entry.ppn = peek(page, asid)
-            entry.asid = asid
-            entry.valid = True
-            entry.level = 0
-            entry.sec = False
-            entry.last_used = clock0 + last + 1
-            entry.filled_at = clock0 + filled + 1
-            index[(page, asid, 0)] = entry
+            entry.last_used = touched + chain[last - 1]
+            if entry.filled_at >= fresh:
+                # Filled by this slice: install the translation itself.
+                entry.vpn = page
+                entry.ppn = peek(page, asid)
+                entry.asid = asid
+                entry.valid = True
+                entry.level = 0
+                entry.sec = False
+                index[(page, asid, 0)] = entry
         stats = self.stats
         stats.accesses += n
         stats.hits += n - k
@@ -632,8 +660,6 @@ class BaseTLB(abc.ABC):
             by_asid = stats.misses_by_asid
             by_asid[asid] = by_asid.get(asid, 0) + k
             stats.fills += k
-            inv_cum = oracle.inv_cum
-            evictions = k - (inv_cum[kb - 1] - (inv_cum[ka - 1] if ka else 0))
             if evictions:
                 stats.evictions += evictions
                 self._mutations += evictions
@@ -641,13 +667,15 @@ class BaseTLB(abc.ABC):
         if self._NOFILL_BUFFER:
             self.buffer = None
         total_cycles = n * self._hit_latency + k * translator.full_walk_cycles
-        state.o_cursor = kb
-        state.o_pos = stop
-        state.o_accesses = stats.accesses
-        state.o_fills = stats.fills
-        state.o_mut = self._mutations
+        universe.cursor = kb
+        universe.pos = end
+        universe.step += 1
+        tier = state.o_tier
+        tier.accesses = stats.accesses
+        tier.fills = stats.fills
+        tier.mut = self._mutations
         # Re-snapshot after our own auto-maps bumped the version.
-        state.o_token = translator.memo_token(asid)
+        tier.tokens[asid] = translator.memo_token(asid)
         state.run_hits += n - k
         state.probed += k
         if n > k:

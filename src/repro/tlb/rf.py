@@ -142,12 +142,14 @@ class RandomFillTLB(BaseTLB):
 
     def _oracle_universe(self, asid: int):
         # With no secure region programmed for this ASID, Sec_D is
-        # identically false and -- cold-starting from an empty TLB, so no
-        # Sec-bit entry can ever become resident -- Sec_R too: every miss
-        # takes Figure 3's plain-SA branch and the whole TLB is the fill
-        # universe.  A programmed region vetoes engagement outright (the
-        # random-fill paths are not a function of the trace); programming
-        # one later bumps the mutation epoch, failing the resume check.
+        # identically false; if no running ASID has one, then --
+        # cold-starting from an empty TLB, so no Sec-bit entry can ever
+        # become resident -- Sec_R is too: every miss takes Figure 3's
+        # plain-SA branch and the whole TLB is the fill universe every
+        # ASID shares.  A programmed region vetoes the victim's
+        # engagement, and with it every lane of its run (the random-fill
+        # paths are not a function of the trace); programming one later
+        # bumps the mutation epoch, failing the resume check.
         if self.ssize > 0 and asid == self.victim_asid:
             return None
         return self._nsets, self._sets

@@ -94,12 +94,14 @@ class StaticPartitionTLB(BaseTLB):
 
     def _oracle_universe(self, asid: int):
         # Partitioning narrows the oracle's fill universe, nothing more:
-        # a lone ASID cold-starting against its own partition is plain
-        # per-set LRU over those ways (the other side's ways stay empty,
-        # so hits are partition-blind by vacuity).  Also correct for
-        # DynamicPartitionTLB -- repartition bumps the mutation epoch,
-        # which fails the oracle's resume check before the stale sublists
-        # could matter.
+        # from a cold start each side is plain per-set LRU over its own
+        # ways, and hits are partition-blind only in a way that cannot
+        # matter -- an ASID's entries all live on its own side.  The
+        # victim thus has a universe of its own, and every other ASID
+        # shares the attacker side's (the whole run when no victim is
+        # designated).  Also correct for DynamicPartitionTLB --
+        # repartition bumps the mutation epoch, which fails the oracle's
+        # resume check before the stale sublists could matter.
         if asid == self.victim_asid:
             return self.config.sets, self._victim_parts
         return self.config.sets, self._other_parts

@@ -110,6 +110,57 @@ class TestMultiprogramming:
             simulate(make_tlb(), [ScheduledProcess(trace, asid=1)], quantum=0)
 
 
+class Untouchable(FixedTrace):
+    """A workload whose trace must never be generated."""
+
+    def events(self, rng):
+        raise AssertionError("compiled a process simulate() should refuse")
+
+
+class TestRejectedProcesses:
+    """Processes whose results ``simulate()`` could not report refuse
+    before anything compiles, on both paths."""
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_repeated_name_rejected(self, fastpath):
+        # One workload twice: its first result would be overwritten.
+        omnetpp = Untouchable([], name="omnetpp")
+        with pytest.raises(ValueError, match="unique"):
+            simulate(
+                make_tlb(),
+                [ScheduledProcess(omnetpp, 1, 20_000),
+                 ScheduledProcess(omnetpp, 2, 20_000)],
+                fastpath=fastpath,
+            )
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_total_name_rejected(self, fastpath):
+        # The aggregate would overwrite it.
+        with pytest.raises(ValueError, match="total"):
+            simulate(
+                make_tlb(),
+                [ScheduledProcess(Untouchable([], name="total"), 1)],
+                fastpath=fastpath,
+            )
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_negative_limit_rejected(self, fastpath):
+        with pytest.raises(ValueError, match="negative"):
+            simulate(
+                make_tlb(),
+                [ScheduledProcess(Untouchable([], name="a"), 1, -1)],
+                fastpath=fastpath,
+            )
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    def test_zero_limit_runs_nothing(self, fastpath):
+        trace = FixedTrace([(0, 1)] * 10, name="a")
+        results = simulate(
+            make_tlb(), [ScheduledProcess(trace, 1, 0)], fastpath=fastpath
+        )
+        assert results["a"] == PerfResult(name="a")
+
+
 class TestPerfResult:
     def test_absorb_accumulates(self):
         first = PerfResult("a", instructions=10, cycles=20, memory_accesses=3, misses=1)
