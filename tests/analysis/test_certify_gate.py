@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.certify import certify
@@ -13,6 +16,23 @@ from repro.analysis.certify_gate import (
     format_report,
 )
 from repro.security import TLBKind, table4_spec
+
+#: SHA-256 of each dynamic leg's checks (``GateCheck.to_dict()`` with
+#: sorted keys, in gate order).  The ``detail`` strings carry every
+#: measured capacity, so these pin the numbers, not only the verdicts.
+FLAT_LEG_SHA256 = (
+    "6e9d2746238aad29db1f58d9306af40f297c2165f964110b4f71795d44fbe6a9"
+)
+SWEEP_LEG_SHA256 = (
+    "3bf62c9c66a3e838341e58713c2d9e3cf560c02d8655ef67cc41fccc65ee9dbe"
+)
+
+
+def checks_sha256(report: GateReport) -> str:
+    payload = json.dumps(
+        [check.to_dict() for check in report.checks], sort_keys=True
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestFlatSpec:
@@ -91,6 +111,17 @@ class TestFlatLeg:
         assert len(report.checks) == 72
         designs = {check.design for check in report.checks}
         assert designs == {"SA", "SP", "RF"}
+        assert checks_sha256(report) == FLAT_LEG_SHA256
+
+
+class TestSweepLeg:
+    def test_sweep_leg_capacities_are_pinned(self):
+        """168 checks: 7 rows on each of the 24 sweep designs, at 40
+        trials and seed 7."""
+        report = run_gate(legs=["sweep"])
+        assert report.passed
+        assert len(report.checks) == 168
+        assert checks_sha256(report) == SWEEP_LEG_SHA256
 
 
 class TestReportFormatting:
