@@ -185,14 +185,15 @@ def sweep_rows() -> List[Tuple[int, Vulnerability]]:
 
     One row per strategy keeps the matrix readable while still
     distinguishing internal-collision, flush/reload, and the five
-    external miss-based strategies.  All 24 rows cost 2-3x: timing
+    external miss-based strategies.  All 24 rows cost 3-5x: timing
     ``SecurityEvaluator(HIERARCHY_EVALUATION).evaluate_vulnerability(row,
     spec, 40)`` over every ``sweep_specs()`` design in one process (the
-    script is in ``docs/hierarchy.md``), these 7 rows took 2.09 s and
-    2.29 s against 5.57 s and 4.74 s for all 24 (2.66x and 2.07x, two
-    runs on a shared 2-vCPU host).  Before the evaluator rewound a
-    drawing trial to its draw-free prefix, the same host, alternating,
-    read 4.79 s and 3.20 s against 10.58 s and 10.31 s.
+    script is in ``docs/hierarchy.md``), these 7 rows took 0.79-1.18 s
+    against 3.19-4.32 s for all 24 (3.3x-4.9x, five runs on a shared
+    2-vCPU host); they repeat their draw sequences more than the other
+    17 rows do.  Before the evaluator simulated each distinct sequence
+    of draws once, the same host, alternating, read 1.95-2.47 s against
+    5.20-5.70 s.
     """
     selected: List[Tuple[int, Vulnerability]] = []
     seen = set()

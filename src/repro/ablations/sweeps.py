@@ -164,28 +164,21 @@ def _evaluate_with_region(
 ) -> ChannelEstimate:
     """Run one vulnerability's benchmark with an explicit region size.
 
-    Kept apart from :meth:`SecurityEvaluator.evaluate_vulnerability`: the
-    region size is not part of a design, and the committed region sweep
-    draws from one RNG per size (not per row label).
+    The region size is not part of a design, so this builds the two
+    programs itself, and the committed region sweep draws from one RNG
+    per size (not per row label).
     """
     from repro.isa import assemble
     from repro.security.benchgen import generate, layout_for_spec
 
     spec = table4_spec(TLBKind.RF)
     layout = layout_for_spec(spec)
-    rng = random.Random(pages * 7919 + 13)
-    misses = {True: 0, False: 0}
-    for mapped in (True, False):
-        program = assemble(
-            generate(vulnerability, layout, mapped=mapped, ssize=pages)
-        )
-        for _ in range(evaluator.config.trials):
-            if evaluator.run_trial(program, spec, rng):
-                misses[mapped] += 1
-    return ChannelEstimate(
-        misses_mapped=misses[True],
-        misses_unmapped=misses[False],
-        trials_per_behaviour=evaluator.config.trials,
+    mapped, unmapped = (
+        assemble(generate(vulnerability, layout, mapped=mapped, ssize=pages))
+        for mapped in (True, False)
+    )
+    return evaluator.channel_estimate(
+        mapped, unmapped, spec, pages * 7919 + 13, evaluator.config.trials
     )
 
 

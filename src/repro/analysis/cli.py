@@ -30,6 +30,7 @@ import json
 import sys
 from typing import List, Tuple
 
+from repro.cli import positive_int
 from repro.isa.assembler import assemble
 
 ANALYZE_SCHEMA = "repro/analyze/v1"
@@ -319,17 +320,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: a trial count of at least one."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def add_certify_parser(subparsers) -> None:
     """Wire ``certify`` into the top-level repro CLI."""
     certify_parser = subparsers.add_parser(
@@ -367,10 +357,10 @@ def add_certify_parser(subparsers) -> None:
         default=None, help="gate legs to run (default: all three)",
     )
     certify_parser.add_argument(
-        "--sweep-trials", type=_positive_int, default=40
+        "--sweep-trials", type=positive_int, default=40
     )
     certify_parser.add_argument(
-        "--flat-trials", type=_positive_int, default=120
+        "--flat-trials", type=positive_int, default=120
     )
     certify_parser.add_argument("--json", action="store_true")
     certify_parser.set_defaults(func=_cmd_certify)

@@ -34,6 +34,17 @@ import sys
 from typing import List, Optional
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: a trial count of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.model import (
         candidate_patterns,
@@ -481,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     table2.set_defaults(func=_cmd_table2)
 
     table4 = subparsers.add_parser("table4", help="security evaluation")
-    table4.add_argument("--trials", type=int, default=100)
+    table4.add_argument("--trials", type=positive_int, default=100)
     _add_design_argument(table4)
     table4.set_defaults(func=_cmd_table4)
 
     table7 = subparsers.add_parser("table7", help="Appendix B extension")
     table7.add_argument("--evaluate", action="store_true")
-    table7.add_argument("--trials", type=int, default=60)
+    table7.add_argument("--trials", type=positive_int, default=60)
     table7.set_defaults(func=_cmd_table7)
 
     fig7 = subparsers.add_parser("fig7", help="performance evaluation")
@@ -506,13 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
     mitigations = subparsers.add_parser(
         "mitigations", help="Section 2.3 mitigation ladder"
     )
-    mitigations.add_argument("--trials", type=int, default=60)
+    mitigations.add_argument("--trials", type=positive_int, default=60)
     mitigations.set_defaults(func=_cmd_mitigations)
 
     hierarchy = subparsers.add_parser(
         "hierarchy", help="two-level TLB hierarchy security study"
     )
-    hierarchy.add_argument("--trials", type=int, default=40)
+    hierarchy.add_argument("--trials", type=positive_int, default=40)
     hierarchy.set_defaults(func=_cmd_hierarchy)
 
     hierarchy_sweep = subparsers.add_parser(
@@ -526,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
             " cross-check on the inter-level refill event stream."
         ),
     )
-    hierarchy_sweep.add_argument("--trials", type=int, default=25)
+    hierarchy_sweep.add_argument("--trials", type=positive_int, default=25)
     hierarchy_sweep.add_argument("--rsa-runs", type=int, default=10)
     hierarchy_sweep.add_argument(
         "--no-leakage", action="store_true",
@@ -537,11 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
     largepages = subparsers.add_parser(
         "largepages", help="large-page software mitigation"
     )
-    largepages.add_argument("--trials", type=int, default=40)
+    largepages.add_argument("--trials", type=positive_int, default=40)
     largepages.set_defaults(func=_cmd_largepages)
 
     sweeps = subparsers.add_parser("sweeps", help="design-space sweeps")
-    sweeps.add_argument("--trials", type=int, default=80)
+    sweeps.add_argument("--trials", type=positive_int, default=80)
     sweeps.set_defaults(func=_cmd_sweeps)
 
     attack = subparsers.add_parser("attack", help="TLBleed key recovery")

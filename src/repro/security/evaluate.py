@@ -16,10 +16,14 @@ fresh processor, TLB and walker; the row's RNG is shared across its
 trials so a Random-Fill level's randomization varies trial to trial, and
 is seeded from the row's label so every result is reproducible.  The
 evaluator gives the estimates of that trial repeated ``trials`` times
-without repeating what the trials share: a behaviour whose first trial
-draws nothing from the RNG runs once, and one that draws rewinds a
-machine checkpointed just before its first drawing step for every later
-trial (see :meth:`SecurityEvaluator.evaluate_vulnerability`).
+without repeating what the trials share.  The row RNG is a
+:class:`RecordingRandom`, so the evaluator sees each draw through the
+call that made it and what that call returned.  A trial's verdict is a
+function of those values, so each behaviour simulates each distinct
+sequence of them once: a behaviour whose first trial draws nothing runs
+once, and a later trial that draws a value no earlier trial drew
+rewinds a machine checkpointed just before the first drawing step (see
+:meth:`SecurityEvaluator.channel_estimate`).
 """
 
 from __future__ import annotations
@@ -27,7 +31,17 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.isa import CPU, ExecutionStatus, Program, assemble
 from repro.isa.cpu import MAX_STEPS, ExecutionLimitExceeded
@@ -82,9 +96,9 @@ class EvaluationConfig:
     #: Builds the walker for each machine; override to pre-map pages
     #: (e.g. the large-page mitigation backs the secure region with a
     #: superpage).  It must build a fresh walker on every call: the
-    #: evaluator counts a trial that draws no randomness for every trial
-    #: and replays a drawing trial's draw-free prefix only once, which
-    #: holds only if every machine starts from the same state.
+    #: evaluator simulates each distinct sequence of draws once and
+    #: replays a drawing trial's draw-free prefix only once, which holds
+    #: only if every machine starts from the same state.
     walker_factory: Optional[Callable[[], PageTableWalker]] = None
     #: Narrow an SP last level's prime/evict steps to each actor's
     #: partition (see :func:`repro.security.benchgen.layout_for_spec`):
@@ -191,44 +205,18 @@ class SecurityEvaluator:
         (:func:`repro.security.benchgen.layout_for_spec`), and the RNG is
         derived from the row's own label, ``seed/design/row``, so rows
         are order-independent and shard cleanly.
-
-        Each behaviour's results equal those of :meth:`run_trial` called
-        ``trials`` times on that RNG, without repeating the work every
-        such trial shares.  The first trial runs one step at a time,
-        watching the RNG.  The steps before the first one that draws are
-        a pure function of the program, the design and this config, so
-        every trial passes through the same machine state there:
-
-        * if no step draws, the whole trial is pure, and its outcome
-          counts ``trials`` times;
-        * otherwise a second machine is advanced to that step and
-          checkpointed once, and every later trial rewinds it in place
-          and runs from there, drawing from the RNG exactly as a fresh
-          trial would.
         """
         trials = trials if trials is not None else self.config.trials
-        if trials < 1:
-            raise ValueError(
-                f"need at least one trial per behaviour, got {trials}"
-            )
         # zlib.crc32 is stable across interpreter runs (str.__hash__ is
         # salted per process).
         label = f"{self.config.seed}/{spec.label()}/{vulnerability.pretty()}"
-        rng = random.Random(zlib.crc32(label.encode()))
         layout = layout_for_spec(spec, self.config.partitioned_primes)
-        programs = {
-            mapped: assemble(generate(vulnerability, layout, mapped=mapped))
+        mapped, unmapped = (
+            assemble(generate(vulnerability, layout, mapped=mapped))
             for mapped in (True, False)
-        }
-        # The mapped behaviour first: both draw from the one RNG.
-        misses = {
-            mapped: self._behaviour_misses(program, spec, rng, trials)
-            for mapped, program in programs.items()
-        }
-        estimate = ChannelEstimate(
-            misses_mapped=misses[True],
-            misses_unmapped=misses[False],
-            trials_per_behaviour=trials,
+        )
+        estimate = self.channel_estimate(
+            mapped, unmapped, spec, zlib.crc32(label.encode()), trials
         )
         level = bare_level(spec)
         if level is None or vulnerability.pattern.uses_extended_states():
@@ -247,27 +235,96 @@ class SecurityEvaluator:
             theoretical_capacity=capacity,
         )
 
+    def channel_estimate(
+        self,
+        mapped: Program,
+        unmapped: Program,
+        spec: HierarchySpec,
+        seed: int,
+        trials: int,
+    ) -> ChannelEstimate:
+        """Section 5.3's estimate from a benchmark's two programs.
+
+        It equals the plain loop's: :meth:`run_trial` called ``trials``
+        times on ``mapped``, then ``trials`` times on ``unmapped``, all
+        drawing from one RNG seeded with ``seed``.  Each behaviour gets
+        there without repeating the work such trials share.  The first
+        trial runs one step at a time, logging the RNG's calls.  The
+        steps before the first one that draws are a pure function of the
+        program, the design and this config, so every trial passes
+        through the same machine state there; from there on, a trial is
+        a function of what its draws return:
+
+        * if no step draws, the whole trial is pure, and its outcome
+          counts ``trials`` times;
+        * otherwise a second machine is advanced to that step and
+          checkpointed once, and the first trial's calls and verdict
+          seed a trie keyed by what each call returned.  Every later
+          trial walks the trie, making each node's call on the RNG, and
+          counts the verdict at the leaf it reaches.  Only a trial that
+          draws a value the trie has not seen rewinds the checkpoint and
+          runs from there, taking back the values the walk drew, and its
+          calls and verdict join the trie.
+
+        A walk makes exactly the calls a simulated trial would, so the
+        RNG advances as in the plain loop, and the unmapped behaviour
+        starts from the state the plain loop leaves.
+        """
+        if trials < 1:
+            raise ValueError(
+                f"need at least one trial per behaviour, got {trials}"
+            )
+        rng = RecordingRandom(seed)
+        # The mapped behaviour first: both draw from the one RNG.
+        return ChannelEstimate(
+            misses_mapped=self._behaviour_misses(mapped, spec, rng, trials),
+            misses_unmapped=self._behaviour_misses(
+                unmapped, spec, rng, trials
+            ),
+            trials_per_behaviour=trials,
+        )
+
     def _behaviour_misses(
         self,
         program: Program,
         spec: HierarchySpec,
-        rng: random.Random,
+        rng: RecordingRandom,
         trials: int,
     ) -> int:
         """Step-3 misses over ``trials`` trials of one program (see
-        :meth:`evaluate_vulnerability`)."""
+        :meth:`channel_estimate`)."""
+        rng.log = []
         missed, prefix = _first_trial(self._machine(program, spec, rng), rng)
         if prefix is None:
             return missed * trials
         misses = int(missed)
         if trials > 1:
+            root = _chain(rng.log, missed)
             cpu = self._machine(program, spec, rng)
             for _ in range(prefix):
                 cpu.step()
             start = cpu.checkpoint()
             for _ in range(trials - 1):
+                rng.log = []
+                node: Optional[_Trie] = root
+                while isinstance(node, _Call):
+                    call, value = node, getattr(rng, node.name)(*node.args)
+                    node = call.after.get(value)
+                if node is not None:
+                    misses += node
+                    continue
+                # A value no earlier trial drew: simulate this trial.
+                drawn = len(rng.log)
+                rng.hand_back(rng.log)
                 cpu.rewind(start)
-                misses += _missed(cpu.run().status)
+                missed = _missed(cpu.run().status)
+                if rng.pending:
+                    raise RuntimeError(
+                        "a trial made fewer RNG calls than an earlier "
+                        "trial that drew the same values"
+                    )
+                call.after[value] = _chain(rng.log[drawn:], missed)
+                misses += missed
         return misses
 
     # -- the paper's flat designs (Tables 4 and 7) ---------------------------------
@@ -320,16 +377,22 @@ def _missed(status: ExecutionStatus) -> bool:
     return status is ExecutionStatus.PASSED
 
 
-def _first_trial(cpu: CPU, rng: random.Random) -> Tuple[bool, Optional[int]]:
-    """Run a loaded machine's trial one step at a time, watching ``rng``.
+def _first_trial(
+    cpu: CPU, rng: RecordingRandom
+) -> Tuple[bool, Optional[int]]:
+    """Run a loaded machine's trial one step at a time, watching the log
+    of ``rng``, the machine's RNG: a draw is seen by the call that made
+    it, never by comparing the RNG's state.
 
     Returns the verdict and the number of steps before the first step
-    that drew from ``rng``, or ``None`` if no step did.
+    that drew from ``rng`` (made a call that grew its log), or ``None``
+    if no step did.
     """
-    state = rng.getstate()
+    log = rng.log
+    drawn = len(log)
     for steps in range(MAX_STEPS):
         status = cpu.step()
-        if rng.getstate() != state:
+        if len(log) != drawn:
             if status is None:
                 status = cpu.run().status
             return _missed(status), steps
@@ -338,6 +401,97 @@ def _first_trial(cpu: CPU, rng: random.Random) -> Tuple[bool, Optional[int]]:
     raise ExecutionLimitExceeded(
         f"no terminator within {MAX_STEPS} steps (pc={cpu.pc})"
     )
+
+
+#: One logged RNG call: the method's name, its arguments and its result.
+Draw = Tuple[str, Tuple[Any, ...], Any]
+
+
+class RecordingRandom(random.Random):
+    """A :class:`random.Random` that logs each draw made of it.
+
+    Each ``randrange``, ``getrandbits`` or ``random`` call made from
+    outside appends ``(name, args, result)`` to :attr:`log`; the
+    ``getrandbits`` calls inside a ``randrange`` are not logged.  Every
+    other :class:`random.Random` method draws through ``getrandbits`` or
+    ``random``, so no draw escapes the log.  After :meth:`hand_back`,
+    the next calls return the values handed back, in order, instead of
+    drawing, and each must be the call logged with its value.  The
+    stream advances only on a live draw, exactly as a
+    :class:`random.Random` with the same seed would.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.log: List[Draw] = []
+        #: Handed-back draws not yet returned, the next one last.
+        self.pending: List[Draw] = []
+        self._drawing = False
+        super().__init__(seed)
+
+    def hand_back(self, draws: Sequence[Draw]) -> None:
+        """Return ``draws``' values from the next calls; start a new log."""
+        self.pending = list(reversed(draws))
+        self.log = []
+
+    def _call(self, name: str, args: Tuple[Any, ...], draw: Callable) -> Any:
+        if self._drawing:
+            return draw(*args)
+        if self.pending:
+            logged, logged_args, value = self.pending.pop()
+            if (logged, logged_args) != (name, args):
+                raise RuntimeError(
+                    f"a trial called {name}{args} where an earlier trial "
+                    f"that drew the same values called "
+                    f"{logged}{logged_args}: it is not a function of its "
+                    f"draws"
+                )
+        else:
+            self._drawing = True
+            try:
+                value = draw(*args)
+            finally:
+                self._drawing = False
+        self.log.append((name, args, value))
+        return value
+
+    def randrange(
+        self, start: int, stop: Optional[int] = None, step: int = 1
+    ) -> int:
+        return self._call("randrange", (start, stop, step), super().randrange)
+
+    def getrandbits(self, k: int) -> int:
+        return self._call("getrandbits", (k,), super().getrandbits)
+
+    def random(self) -> float:
+        return self._call("random", (), super().random)
+
+
+class _Call:
+    """A trie node: the RNG call a behaviour's trials make next, given
+    what their earlier calls returned.  ``after`` maps each value the
+    call returned to the next node, or to the verdict of a trial that
+    made no further call."""
+
+    __slots__ = ("name", "args", "after")
+
+    def __init__(self, name: str, args: Tuple[Any, ...]) -> None:
+        self.name = name
+        self.args = args
+        self.after: Dict[Any, _Trie] = {}
+
+
+#: A node of a behaviour's draw trie, or its leaf: a trial's verdict.
+_Trie = Union[_Call, bool]
+
+
+def _chain(draws: Sequence[Draw], verdict: bool) -> _Trie:
+    """A trie path: ``draws`` in order, ending in ``verdict``."""
+    node: _Trie = verdict
+    for name, args, value in reversed(draws):
+        call = _Call(name, args)
+        call.after[value] = node
+        node = call
+    return node
 
 
 def table4_cells(

@@ -74,6 +74,10 @@ TRIALS_OPTION = {
     "largepages": "largepage_trials",
 }
 
+#: Every option that counts trials.  Each must be a positive integer,
+#: whether it is given in ``options`` or through the shorthand.
+TRIAL_COUNT_OPTIONS = frozenset(TRIALS_OPTION.values()) | {"rf_region_trials"}
+
 DESIGN_NAMES = ("SA", "SP", "RF")
 
 #: Top-level spec fields; anything else is a 400 (catches typos early).
@@ -155,6 +159,11 @@ def _bad_spec(detail: str) -> HttpError:
     return HttpError(400, "bad-spec", detail)
 
 
+def _positive_count(value: Any) -> bool:
+    """A trial count: an ``int`` of at least one, and not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def parse_spec(
     payload: Any,
     extra_option_keys: FrozenSet[str] = frozenset(),
@@ -205,11 +214,13 @@ def parse_spec(
             raise _bad_spec(
                 f"option {key!r} must be a plain JSON value"
             ) from None
+        if key in TRIAL_COUNT_OPTIONS and not _positive_count(value):
+            raise _bad_spec(f"option {key!r} must be a positive integer")
         options[key] = value
 
     trials = payload.get("trials")
     if trials is not None:
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        if not _positive_count(trials):
             raise _bad_spec("'trials' must be a positive integer")
         option_key = TRIALS_OPTION.get(experiment)
         if option_key is None:

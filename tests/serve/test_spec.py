@@ -82,6 +82,31 @@ class TestParseSpec:
         _reject({"experiment": "table2", "client": ""})
         _reject({"experiment": "table2", "options": []})
 
+    @pytest.mark.parametrize("count", [0, -3, True, 2.5, "many", None])
+    @pytest.mark.parametrize(
+        "experiment,option",
+        [
+            ("table4", "table4_trials"),
+            ("table7", "table7_trials"),
+            ("mitigations", "mitigation_trials"),
+            ("hierarchy", "hierarchy_trials"),
+            ("hierarchy_sweep", "hierarchy_sweep_trials"),
+            ("largepages", "largepage_trials"),
+            ("sweeps", "rf_region_trials"),
+        ],
+    )
+    def test_a_trial_count_is_positive_however_spelled(
+        self, experiment, option, count
+    ):
+        detail = _reject({"experiment": experiment, "options": {option: count}})
+        assert detail == f"option {option!r} must be a positive integer"
+        # A null shorthand means "not given"; sweeps has no shorthand.
+        if count is not None and experiment != "sweeps":
+            detail = _reject({"experiment": experiment, "trials": count})
+            assert detail == "'trials' must be a positive integer"
+        spec = parse_spec({"experiment": experiment, "options": {option: 3}})
+        assert dict(spec.options)[option] == 3
+
     def test_client_default(self):
         spec = parse_spec({"experiment": "table2"}, default_client="bob")
         assert spec.client == "bob"

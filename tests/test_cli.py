@@ -39,6 +39,28 @@ class TestParser:
         assert callable(args.func)
 
 
+    @pytest.mark.parametrize("count", ["0", "-1", "many"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "table4",
+            "table7",
+            "mitigations",
+            "hierarchy",
+            "hierarchy-sweep",
+            "largepages",
+            "sweeps",
+        ],
+    )
+    def test_a_bad_trial_count_is_a_usage_error(self, capsys, command, count):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--trials", count])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --trials:" in err
+        assert "Traceback" not in err
+
+
 class TestExecution:
     def test_table2_exits_zero_and_prints_table(self, capsys):
         assert main(["table2", "--verbose"]) == 0
