@@ -35,7 +35,7 @@ from typing import List, Optional
 
 
 def positive_int(text: str) -> int:
-    """An argparse type: a trial count of at least one."""
+    """An argparse type: a count (trials, runs, bits, ...) of at least one."""
     try:
         value = int(text)
     except ValueError:
@@ -502,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     table7.set_defaults(func=_cmd_table7)
 
     fig7 = subparsers.add_parser("fig7", help="performance evaluation")
-    fig7.add_argument("--rsa-runs", type=int, default=10)
-    fig7.add_argument("--spec-instructions", type=int, default=80_000)
-    fig7.add_argument("--key-bits", type=int, default=64)
+    fig7.add_argument("--rsa-runs", type=positive_int, default=10)
+    fig7.add_argument("--spec-instructions", type=positive_int, default=80_000)
+    fig7.add_argument("--key-bits", type=positive_int, default=64)
     fig7.add_argument("--configs", nargs="+", default=None)
     fig7.add_argument("--full", action="store_true",
                       help="the paper's 50/100/150 decryption series")
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     hierarchy_sweep.add_argument("--trials", type=positive_int, default=25)
-    hierarchy_sweep.add_argument("--rsa-runs", type=int, default=10)
+    hierarchy_sweep.add_argument("--rsa-runs", type=positive_int, default=10)
     hierarchy_sweep.add_argument(
         "--no-leakage", action="store_true",
         help="skip the refill-leakage cross-check footer",
@@ -556,13 +556,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweeps.set_defaults(func=_cmd_sweeps)
 
     attack = subparsers.add_parser("attack", help="TLBleed key recovery")
-    attack.add_argument("--key-bits", type=int, default=64)
+    attack.add_argument("--key-bits", type=positive_int, default=64)
     attack.add_argument("--seed", type=int, default=2019)
     _add_design_argument(attack)
     attack.set_defaults(func=_cmd_attack)
 
     covert = subparsers.add_parser("covert", help="covert channel")
-    covert.add_argument("--bits", type=int, default=200)
+    covert.add_argument("--bits", type=positive_int, default=200)
     covert.add_argument("--seed", type=int, default=1)
     _add_design_argument(covert)
     covert.set_defaults(func=_cmd_covert)

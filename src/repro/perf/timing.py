@@ -34,10 +34,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.mmu import PageTableWalker, SwitchPolicy, make_walker
 from repro.sim.events import EventBus
 from repro.sim.kernel import (
-    KERNEL_TELEMETRY,
     TRACE_STORE,
     OracleTier,
     RunState,
+    count_run_state,
     supports_fastpath,
 )
 from repro.sim.system import MemorySystem
@@ -188,7 +188,7 @@ def simulate(
     for runner in runners:
         total.absorb(runner.result)
         if isinstance(runner, _FastRunner):
-            KERNEL_TELEMETRY.record(runner._run_state)
+            count_run_state(runner._run_state)
     total.switches = memory.switches
     results["total"] = total
     return results

@@ -7,9 +7,10 @@ shardable job graph:
 * :mod:`repro.runner.registry` -- named experiments enumerating their
   cells as picklable :class:`Unit` coordinates;
 * :mod:`repro.runner.scheduler` -- the :class:`Executor` seam
-  (``submit(cell) -> outcome``) and its backends: the multiprocessing
-  pool with retries and crash recovery, the in-process path, and the
-  asyncio executor behind :mod:`repro.serve`;
+  (``submit(cell) -> outcome``), the one cell-execution function
+  :func:`execute` every backend runs cells through, and the backends:
+  the multiprocessing pool with retries and crash recovery, the
+  in-process path, and the asyncio executor behind :mod:`repro.serve`;
 * :mod:`repro.runner.cache` -- a content-addressed result cache keyed on
   (experiment, params, seed, code version);
 * :mod:`repro.runner.distributed` -- the lease-based multi-host
@@ -72,7 +73,7 @@ from .scheduler import (
     ResultEnvelope,
     Scheduler,
     TaskOutcome,
-    run_units_serially,
+    execute,
 )
 
 __all__ = [
@@ -105,13 +106,13 @@ __all__ = [
     "completed_idents",
     "default_jobs",
     "ensure_default_experiments",
+    "execute",
     "expand_units",
     "get_experiment",
     "matches_filter",
     "register",
     "replay_run_log",
     "run_all",
-    "run_units_serially",
     "stable_seed",
     "unit_cache_key",
     "worker_loop",

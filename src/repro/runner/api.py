@@ -26,7 +26,7 @@ from .progress import (
     replay_run_log,
 )
 from .registry import all_experiments, ensure_default_experiments, expand_units
-from .scheduler import Scheduler, TaskOutcome, run_units_serially
+from .scheduler import InProcessExecutor, Scheduler, TaskOutcome
 from .results import write_artifacts
 
 
@@ -78,10 +78,9 @@ def run_all(
     ``heartbeat_interval``, ``fallback_after``, ...) and
     ``executor_chaos`` arms the executor-level fault campaign.
     """
-    from repro.sim.kernel import KERNEL_TELEMETRY, STRUCTURE_BACKEND
+    from repro.sim.kernel import STRUCTURE_BACKEND
 
     started = time.monotonic()
-    telemetry_base = KERNEL_TELEMETRY.snapshot()
     ensure_default_experiments()
     jobs = jobs if jobs is not None else default_jobs()
     jobs = max(1, jobs)
@@ -229,7 +228,7 @@ def run_all(
         report.interrupted = scheduler.interrupted
         report.worker_busy = dict(scheduler.worker_busy)
     elif to_run:
-        fresh = run_units_serially(to_run, log)
+        fresh = InProcessExecutor(log).run(to_run)
         # The serial path records an outcome for every cell it reaches
         # (even failures); a shortfall means Ctrl-C stopped it early.
         report.interrupted = len(fresh) < len(to_run)
@@ -321,13 +320,12 @@ def run_all(
         # A fully successful run clears the previous quarantine record.
         manifest_path.unlink()
 
-    # This run's run-kernel engagement: the process-global telemetry
-    # delta (serial cells accrue directly; pool workers shipped their
-    # counts home in their farewell messages, absorbed by the scheduler).
-    final = KERNEL_TELEMETRY.snapshot()
-    report.kernel_run_hits = final[0] - telemetry_base[0]
-    report.kernel_fallback_accesses = final[1] - telemetry_base[1]
-    report.kernel_runs = final[2] - telemetry_base[2]
+    # This run's run-kernel engagement: every backend brings each fresh
+    # cell's counts home on its outcome.
+    for outcome in fresh.values():
+        report.kernel_run_hits += outcome.kernel.run_hits
+        report.kernel_fallback_accesses += outcome.kernel.fallback_accesses
+        report.kernel_runs += outcome.kernel.runs
     report.kernel_backend = STRUCTURE_BACKEND
 
     report.elapsed = time.monotonic() - started

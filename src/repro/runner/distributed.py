@@ -28,7 +28,8 @@ coordination happens exclusively through atomic filesystem operations in
 ``results/<cell>.pkl``
     The sealed outcome: a pickled record carrying the
     :class:`~repro.runner.scheduler.ResultEnvelope` blob + SHA-256 plus
-    the producing worker and code fingerprint.  The parent refuses any
+    the producing worker, its code fingerprint and the cell's run-kernel
+    counts (beside the envelope, never inside it).  The parent refuses any
     result whose digest, cell id, or code fingerprint does not match --
     tampered, torn, or stale results are deleted and re-executed, never
     served.
@@ -59,18 +60,24 @@ import os
 import pickle
 import platform
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.faults.chaos import ExecutorChaosConfig
+from repro.sim.kernel import KernelCounts
 
 from .backoff import backoff_delay
 from .cache import _atomic_write, code_fingerprint, unit_cache_key
 from .progress import ProgressPrinter, RunLog
-from .registry import Unit, ensure_default_experiments, get_experiment
-from .scheduler import Executor, IntegrityError, ResultEnvelope, TaskOutcome
+from .registry import Unit, ensure_default_experiments
+from .scheduler import (
+    Executor,
+    IntegrityError,
+    ResultEnvelope,
+    TaskOutcome,
+    execute,
+)
 
 #: Board directory name inside the shared cache directory.
 BOARD_DIR = "board"
@@ -394,6 +401,7 @@ class Board:
         envelope: ResultEnvelope,
         elapsed: float,
         code_version: str,
+        kernel: Optional[KernelCounts] = None,
     ) -> None:
         record = {
             "cell": cell,
@@ -403,6 +411,7 @@ class Board:
             "sha256": envelope.sha256,
             "blob": envelope.blob,
             "elapsed": elapsed,
+            "kernel": kernel,
         }
         _atomic_write(
             self.result_path(cell),
@@ -472,9 +481,6 @@ class Board:
         record: Dict[str, Any] = {"event": event, "time": time.time()}
         record.update(fields)
         _append_jsonl(self.journals / f"{worker}.jsonl", record)
-
-    def journal_events(self, worker: str) -> List[Dict[str, Any]]:
-        return _read_jsonl_quiet(self.journals / f"{worker}.jsonl")
 
     def stop_requested(self) -> bool:
         return self.stop_path.is_file()
@@ -642,11 +648,9 @@ class WorkerLoop:
         renewer = threading.Thread(target=renew_loop, daemon=True)
         renewer.start()
         unit = self.board.task_unit(task)
-        started = time.perf_counter()
+        code_version = str(task.get("code_version") or code_fingerprint())
         abandoned = False
         try:
-            if fault == "poison":
-                raise RuntimeError(f"chaos: poisoned cell {ident}")
             if fault == "stale-lease" and self.chaos is not None:
                 # Hold the cell past the lease TTL so the reclaimers see
                 # the (deliberately expired) lease and take it away while
@@ -662,37 +666,41 @@ class WorkerLoop:
                 self._journal("abandon", cell=cell)
                 abandoned = True
                 return
-            value = get_experiment(unit.experiment).run(dict(unit.params))
-        except BaseException:
-            elapsed = time.perf_counter() - started
-            error = traceback.format_exc()
-            delay = backoff_delay(
-                attempt,
-                base=float(backoff.get("base", 0.05)),
-                cap=float(backoff.get("cap", 5.0)),
-                ident=cell,
-                seed=int(backoff.get("seed", 0)),
+            outcome = (
+                TaskOutcome(
+                    unit, failed=True,
+                    error=f"RuntimeError: chaos: poisoned cell {ident}",
+                )
+                if fault == "poison" else execute(unit)
             )
-            self.board.record_attempt(
-                cell,
-                {
-                    "attempt": attempt,
-                    "worker": self.worker_id,
-                    "status": "error",
-                    "error": error.splitlines()[-1],
-                    "elapsed": round(elapsed, 4),
-                    "backoff": round(delay, 4),
-                    "not_before": time.time() + delay,
-                    "time": time.time(),
-                },
-            )
-            self._journal(
-                "error", cell=cell, attempt=attempt,
-            )
-            self.cells_failed += 1
-        else:
-            elapsed = time.perf_counter() - started
-            envelope = ResultEnvelope.seal(value)
+            if outcome.failed:
+                delay = backoff_delay(
+                    attempt,
+                    base=float(backoff.get("base", 0.05)),
+                    cap=float(backoff.get("cap", 5.0)),
+                    ident=cell,
+                    seed=int(backoff.get("seed", 0)),
+                )
+                self.board.record_attempt(
+                    cell,
+                    {
+                        "attempt": attempt,
+                        "worker": self.worker_id,
+                        "status": "error",
+                        "error": outcome.error.splitlines()[-1],
+                        "elapsed": round(outcome.elapsed, 4),
+                        "backoff": round(delay, 4),
+                        "not_before": time.time() + delay,
+                        "time": time.time(),
+                    },
+                )
+                self._journal(
+                    "error", cell=cell, attempt=attempt,
+                )
+                self.cells_failed += 1
+                return
+            elapsed = outcome.elapsed
+            envelope = outcome.envelope
             if fault == "result-tamper":
                 tampered = bytearray(envelope.blob)
                 tampered[len(tampered) // 2] ^= 0xFF
@@ -701,7 +709,7 @@ class WorkerLoop:
                 )
             self.board.write_result(
                 cell, ident, self.worker_id, envelope, elapsed,
-                str(task.get("code_version") or code_fingerprint()),
+                code_version, outcome.kernel,
             )
             self.board.record_attempt(
                 cell,
@@ -727,13 +735,11 @@ class WorkerLoop:
                 self.board.try_claim(
                     cell, self.worker_id, attempt, force=True
                 )
-                dup_value = get_experiment(unit.experiment).run(
-                    dict(unit.params)
-                )
+                duplicate = execute(unit)
                 self.board.write_result(
                     cell, ident, f"{self.worker_id}+dup",
-                    ResultEnvelope.seal(dup_value), elapsed,
-                    str(task.get("code_version") or code_fingerprint()),
+                    duplicate.envelope, elapsed, code_version,
+                    duplicate.kernel,
                 )
                 self.board.record_attempt(
                     cell,
@@ -1082,6 +1088,7 @@ class WorkStealingExecutor(Executor):
             worker=worker,
             attempts=attempts,
             envelope=envelope,
+            kernel=record.get("kernel") or KernelCounts(),
         )
 
     def _reconcile_reclaims(self, records: List[Mapping[str, Any]]) -> None:

@@ -123,10 +123,9 @@ class RunReport:
     cells_stolen: int = 0
     #: Worker journals found torn mid-record (masked, but never silent).
     torn_journals: int = 0
-    #: -- run-kernel telemetry (this run's delta of
-    #: :data:`repro.sim.KERNEL_TELEMETRY`; pool workers ship their counts
-    #: home in their farewell message, work-stealing peers on other hosts
-    #: do not, so their cells count as zero here) ---------------------------
+    #: -- run-kernel counts, summed over this run's freshly run cells (each
+    #: backend brings a cell's counts home on its TaskOutcome; cache hits
+    #: count zero) ------------------------------------------------------------
     #: Accesses retired by proven hit-runs without a per-access probe.
     kernel_run_hits: int = 0
     #: Accesses that fell back to the per-access probe.

@@ -19,9 +19,11 @@ it sit three implementations:
   a concurrency semaphore, so a long-lived asyncio service stays
   responsive while cells execute.
 
-Results can travel as a :class:`ResultEnvelope` -- the pickled payload
-plus its SHA-256 -- so any boundary (a worker queue, a service response)
-can verify the bytes it received are the bytes the cell produced.
+Every backend (work stealing included) runs a cell through :func:`execute`:
+under a fresh per-cell kernel count, timed, and sealed into a
+:class:`ResultEnvelope` -- the pickled payload plus its SHA-256 -- so any
+boundary can verify the bytes it received are the bytes the cell produced.
+The counts travel on the :class:`TaskOutcome` beside the envelope.
 
 Determinism comes from the units, not the schedule: every
 :class:`~repro.runner.registry.Unit` carries its own stable seed and its
@@ -37,6 +39,7 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_module
+import signal
 import time
 import traceback
 from collections import deque
@@ -44,10 +47,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.faults.chaos import ChaosConfig
+from repro.sim.kernel import KernelCounts, kernel_count
 
 from .backoff import backoff_delay
 from .progress import ProgressPrinter, RunLog
-from .registry import Unit, get_experiment
+from .registry import Unit, ensure_default_experiments, get_experiment
 
 
 class IntegrityError(RuntimeError):
@@ -109,12 +113,37 @@ class TaskOutcome:
     cached: bool = False
     failed: bool = False
     error: Optional[str] = None
-    #: Sealed form of ``value`` when the backend produced one (the async
-    #: executor always seals; the serial path only when asked).
+    #: Sealed form of ``value``; set on every freshly run cell.
     envelope: Optional[ResultEnvelope] = None
     #: Per-attempt records (worker, fault/exception, backoff applied) for
     #: every non-first attempt -- the quarantine manifest's evidence.
     history: List[Dict[str, Any]] = field(default_factory=list)
+    #: Run-kernel engagement of the run that produced ``value``; zero for
+    #: cache hits and failures.
+    kernel: KernelCounts = field(default_factory=KernelCounts)
+
+
+def execute(unit: Unit) -> TaskOutcome:
+    """Run one cell under a fresh kernel count; time it and seal it.
+
+    A cell that raises comes back as ``TaskOutcome(failed=True)`` with
+    its traceback; ``KeyboardInterrupt`` and ``SystemExit`` propagate.
+    Every backend runs its cells through here, so the counts, the clock
+    and the envelope mean the same thing under each of them.
+    """
+    start = time.perf_counter()
+    with kernel_count() as kernel:
+        try:
+            value = get_experiment(unit.experiment).run(dict(unit.params))
+        except Exception:
+            return TaskOutcome(
+                unit, failed=True, error=traceback.format_exc(),
+                elapsed=time.perf_counter() - start,
+            )
+    elapsed = time.perf_counter() - start
+    return TaskOutcome(
+        unit, value, elapsed, envelope=ResultEnvelope.seal(value), kernel=kernel
+    )
 
 
 class Executor:
@@ -132,8 +161,8 @@ class Executor:
         raise NotImplementedError
 
     def run(self, units: List[Tuple[int, Unit]]) -> Dict[int, TaskOutcome]:
-        """Bulk execution; the default just drains ``submit`` in order."""
-        return {task_id: self.submit(unit) for task_id, unit in units}
+        """Bulk execution: the outcomes of ``(task_id, unit)`` pairs by id."""
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release backend resources (worker pools, threads)."""
@@ -142,46 +171,53 @@ class Executor:
 class InProcessExecutor(Executor):
     """Run cells in the calling process (the ``--jobs 1`` path).
 
-    Emits the same ``unit_done`` telemetry as the process pool.  With
-    ``seal=True`` every outcome carries a :class:`ResultEnvelope`, which
-    :mod:`repro.serve` uses to hand integrity-checked bytes to its
-    result store.
+    Emits the same ``unit_done`` telemetry as the process pool.  Every
+    outcome carries its :class:`ResultEnvelope`, which :mod:`repro.serve`
+    uses to hand integrity-checked bytes to its result store.
     """
 
-    def __init__(self, log: Optional[RunLog] = None, seal: bool = False) -> None:
+    def __init__(self, log: Optional[RunLog] = None) -> None:
         self.log = log or RunLog(None)
-        self.seal = seal
 
     def submit(self, unit: Unit) -> TaskOutcome:
-        start = time.perf_counter()
-        try:
-            value = get_experiment(unit.experiment).run(dict(unit.params))
-        except Exception:
-            error = traceback.format_exc()
+        outcome = execute(unit)
+        if outcome.failed:
             self.log.emit(
                 "unit_done",
                 experiment=unit.experiment,
                 key=unit.key,
                 status="failed",
-                error=error.splitlines()[-1],
+                error=outcome.error.splitlines()[-1],
             )
-            return TaskOutcome(unit=unit, failed=True, error=error)
-        elapsed = time.perf_counter() - start
-        envelope = ResultEnvelope.seal(value) if self.seal else None
+            return outcome
+        outcome.worker = 0
         self.log.emit(
             "unit_done",
             experiment=unit.experiment,
             key=unit.key,
             status="ok",
             cached=False,
-            elapsed=round(elapsed, 4),
+            elapsed=round(outcome.elapsed, 4),
             worker=0,
             attempts=1,
         )
-        return TaskOutcome(
-            unit=unit, value=value, elapsed=elapsed, worker=0,
-            envelope=envelope,
-        )
+        return outcome
+
+    def run(self, units: List[Tuple[int, Unit]]) -> Dict[int, TaskOutcome]:
+        """Submit each cell in order; Ctrl-C returns the outcomes so far
+        (``run_all`` reads the shortfall as an interrupted run)."""
+        outcomes: Dict[int, TaskOutcome] = {}
+        for task_id, unit in units:
+            try:
+                outcomes[task_id] = self.submit(unit)
+            except KeyboardInterrupt:
+                self.log.emit(
+                    "interrupted",
+                    completed=len(outcomes),
+                    remaining=len(units) - len(outcomes),
+                )
+                break
+        return outcomes
 
 
 class AsyncInProcessExecutor(Executor):
@@ -189,19 +225,20 @@ class AsyncInProcessExecutor(Executor):
 
     ``submit`` is a coroutine: it acquires a concurrency semaphore and
     runs the cell via :func:`asyncio.to_thread`, so an event loop can
-    keep serving requests while simulations execute.  The semaphore is
-    created lazily on the first running loop and the executor is bound
-    to it from then on -- one executor per service lifetime.
+    keep serving requests while simulations execute.  Each thread runs
+    in a copy of the caller's context, so its cell's kernel count is its
+    own.  The semaphore is created lazily on the first running loop and
+    the executor is bound to it from then on -- one executor per service
+    lifetime.
     """
 
     def __init__(
         self,
         max_concurrency: int = 2,
         log: Optional[RunLog] = None,
-        seal: bool = True,
     ) -> None:
         self.max_concurrency = max(1, max_concurrency)
-        self._inner = InProcessExecutor(log=log, seal=seal)
+        self._inner = InProcessExecutor(log=log)
         self._semaphore: Optional[Any] = None
 
     async def submit(self, unit: Unit) -> TaskOutcome:  # type: ignore[override]
@@ -225,67 +262,58 @@ def _worker_main(
     payload plus its SHA-256, hashed worker-side over the exact bytes put
     on the queue, so the parent can reject a payload corrupted anywhere
     between ``run`` returning and the queue read (or by the chaos mode
-    that simulates exactly that).
+    that simulates exactly that).  The cell's kernel counts ride beside
+    the envelope in the same ``"ok"`` message.
 
     With a :class:`~repro.faults.chaos.ChaosConfig`, the worker misbehaves
     deterministically per ``(cell, attempt)``: hanging (to exercise the
     parent's watchdog), dying without a word (crash recovery), tampering
-    with the payload after hashing (envelope verification), or raising on
+    with the payload after hashing (envelope verification), or failing on
     every attempt (poison-cell quarantine).
     """
-    from repro.runner.registry import ensure_default_experiments
-    from repro.sim.kernel import KERNEL_TELEMETRY
-
     ensure_default_experiments()
-    # Forked workers inherit whatever kernel telemetry the parent had
-    # already accumulated; reset so the farewell snapshot below is this
-    # worker's own contribution and the parent can absorb it as a delta.
-    KERNEL_TELEMETRY.reset()
+    # Ctrl-C reaches the whole process group; the parent answers it by
+    # terminating the pool, so a worker keeps computing until then.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         item = task_queue.get()
         if item is None:
-            result_queue.put(
-                ("bye", worker_id, -1, KERNEL_TELEMETRY.snapshot(), 0.0)
-            )
             return
-        task_id, experiment_name, params, ident, attempt = item
+        task_id, unit, attempt = item
         result_queue.put(("claim", worker_id, task_id, None, 0.0))
-        fault = chaos.fault_for(ident, attempt) if chaos is not None else None
+        fault = (
+            chaos.fault_for(unit.ident, attempt) if chaos is not None else None
+        )
         if fault == "hang":
             time.sleep(chaos.hang_seconds)
         elif fault == "crash":
             os._exit(113)
-        start = time.perf_counter()
-        try:
-            if fault == "poison":
-                raise RuntimeError(f"chaos: poisoned cell {ident}")
-            value = get_experiment(experiment_name).run(params)
-        except BaseException:
-            result_queue.put(
-                (
-                    "err",
-                    worker_id,
-                    task_id,
-                    traceback.format_exc(),
-                    time.perf_counter() - start,
-                )
+        outcome = (
+            TaskOutcome(
+                unit, failed=True,
+                error=f"RuntimeError: chaos: poisoned cell {unit.ident}",
             )
-        else:
-            envelope = ResultEnvelope.seal(value)
-            blob = envelope.blob
-            if fault == "corrupt-result":
-                tampered = bytearray(blob)
-                tampered[len(tampered) // 2] ^= 0xFF
-                blob = bytes(tampered)
+            if fault == "poison" else execute(unit)
+        )
+        if outcome.failed:
             result_queue.put(
-                (
-                    "ok",
-                    worker_id,
-                    task_id,
-                    (blob, envelope.sha256),
-                    time.perf_counter() - start,
-                )
+                ("err", worker_id, task_id, outcome.error, outcome.elapsed)
             )
+            continue
+        blob = outcome.envelope.blob
+        if fault == "corrupt-result":
+            tampered = bytearray(blob)
+            tampered[len(tampered) // 2] ^= 0xFF
+            blob = bytes(tampered)
+        result_queue.put(
+            (
+                "ok",
+                worker_id,
+                task_id,
+                (blob, outcome.envelope.sha256, outcome.kernel),
+                outcome.elapsed,
+            )
+        )
 
 
 class Scheduler(Executor):
@@ -448,15 +476,8 @@ class Scheduler(Executor):
                         deferred.append((task_id, not_before))
                         continue
                     try:
-                        unit = by_id[task_id]
                         task_queue.put_nowait(
-                            (
-                                task_id,
-                                unit.experiment,
-                                dict(unit.params),
-                                unit.ident,
-                                attempts[task_id] + 1,
-                            )
+                            (task_id, by_id[task_id], attempts[task_id] + 1)
                         )
                         dispatched.add(task_id)
                     except queue_module.Full:
@@ -499,15 +520,6 @@ class Scheduler(Executor):
                             )
                     continue
 
-                if kind == "bye":
-                    # A worker's farewell carries its run-kernel telemetry
-                    # snapshot; workers killed mid-cell simply lose theirs
-                    # (observability, not correctness).
-                    if payload is not None:
-                        from repro.sim.kernel import KERNEL_TELEMETRY
-
-                        KERNEL_TELEMETRY.absorb(payload)
-                    continue
                 if kind == "claim":
                     claimed[task_id] = worker_id
                     claim_times[task_id] = time.monotonic()
@@ -522,7 +534,8 @@ class Scheduler(Executor):
                     continue  # duplicate completion after a lost-task retry
                 unit = by_id[task_id]
                 if kind == "ok":
-                    envelope = ResultEnvelope(*payload)
+                    blob, sha256, kernel = payload
+                    envelope = ResultEnvelope(blob, sha256)
                     try:
                         value = envelope.open()
                     except IntegrityError as error:
@@ -546,6 +559,7 @@ class Scheduler(Executor):
                         attempts=attempts[task_id] + 1,
                         envelope=envelope,
                         history=list(history[task_id]),
+                        kernel=kernel,
                     )
                     self.log.emit(
                         "unit_done",
@@ -584,9 +598,7 @@ class Scheduler(Executor):
                 remaining=len(by_id) - len(outcomes),
             )
         finally:
-            self._shutdown(
-                workers, task_queue, result_queue, force=self.interrupted
-            )
+            self._shutdown(workers, task_queue, force=self.interrupted)
         return outcomes
 
     def _watchdog(
@@ -688,15 +700,13 @@ class Scheduler(Executor):
             )
             self.worker_busy.setdefault(replacement_id, 0.0)
 
-    def _shutdown(
-        self, workers, task_queue, result_queue=None, force: bool = False
-    ) -> None:
+    def _shutdown(self, workers, task_queue, force: bool = False) -> None:
         """Stop all workers; ``force`` terminates without draining.
 
-        The forced path serves Ctrl-C: workers are interrupted mid-cell,
+        The forced path serves Ctrl-C: workers are terminated mid-cell,
         so waiting for sentinel pickup would hang on a full queue.  The
-        graceful path drains the workers' farewell messages, absorbing
-        the run-kernel telemetry snapshots they carry.
+        graceful path sends one sentinel per worker and joins them within
+        a shared deadline, terminating any that outstay it.
         """
         if force:
             for process in workers.values():
@@ -716,21 +726,6 @@ class Scheduler(Executor):
             except queue_module.Full:  # pragma: no cover - tiny queue race
                 pass
         deadline = time.monotonic() + 5.0
-        if result_queue is not None:
-            from repro.sim.kernel import KERNEL_TELEMETRY
-
-            farewells = 0
-            while farewells < len(workers) and time.monotonic() < deadline:
-                try:
-                    kind, _worker, _task, payload, _elapsed = (
-                        result_queue.get(timeout=0.2)
-                    )
-                except queue_module.Empty:
-                    continue
-                if kind == "bye":
-                    farewells += 1
-                    if payload is not None:
-                        KERNEL_TELEMETRY.absorb(payload)
         for process in workers.values():
             process.join(timeout=max(0.0, deadline - time.monotonic()))
         for process in workers.values():
@@ -739,27 +734,3 @@ class Scheduler(Executor):
                 process.join(timeout=1.0)
         task_queue.close()
         task_queue.cancel_join_thread()
-
-
-def run_units_serially(
-    units: List[Tuple[int, Unit]], log: Optional[RunLog] = None
-) -> Dict[int, TaskOutcome]:
-    """In-process execution (``--jobs 1``): same semantics, no processes.
-
-    A ``KeyboardInterrupt`` stops the loop between (or inside) cells and
-    returns the outcomes gathered so far; ``run_all`` reads the shortfall
-    as an interrupted run and reports partially.
-    """
-    executor = InProcessExecutor(log=log or RunLog(None))
-    outcomes: Dict[int, TaskOutcome] = {}
-    for task_id, unit in units:
-        try:
-            outcomes[task_id] = executor.submit(unit)
-        except KeyboardInterrupt:
-            executor.log.emit(
-                "interrupted",
-                completed=len(outcomes),
-                remaining=len(units) - len(outcomes),
-            )
-            return outcomes
-    return outcomes

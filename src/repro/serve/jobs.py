@@ -59,6 +59,7 @@ from repro.runner.registry import (
     matches_filter,
 )
 from repro.runner.scheduler import Executor, TaskOutcome
+from repro.sim.kernel import STRUCTURE_BACKEND, KernelCounts
 
 from .http import HttpError
 from .metrics import ServiceMetrics
@@ -74,9 +75,14 @@ TRIALS_OPTION = {
     "largepages": "largepage_trials",
 }
 
-#: Every option that counts trials.  Each must be a positive integer,
-#: whether it is given in ``options`` or through the shorthand.
-TRIAL_COUNT_OPTIONS = frozenset(TRIALS_OPTION.values()) | {"rf_region_trials"}
+#: Every option that counts trials (however spelled), instructions, bits,
+#: seeds or runs.  Each must be a positive integer; the run-count series
+#: (lists in ``DEFAULT_OPTIONS``) must be non-empty lists of them.
+COUNT_OPTIONS = frozenset(TRIALS_OPTION.values()) | {
+    "rf_region_trials", "fig7_spec_instructions", "fig7_key_bits",
+    "fig7_rsa_runs", "series_rsa_runs", "hierarchy_sweep_rsa_runs",
+    "attack_key_bits", "covert_bits", "dpf_seeds", "profiling_seeds",
+}
 
 DESIGN_NAMES = ("SA", "SP", "RF")
 
@@ -160,7 +166,7 @@ def _bad_spec(detail: str) -> HttpError:
 
 
 def _positive_count(value: Any) -> bool:
-    """A trial count: an ``int`` of at least one, and not a ``bool``."""
+    """A count: an ``int`` of at least one, and not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
@@ -214,8 +220,15 @@ def parse_spec(
             raise _bad_spec(
                 f"option {key!r} must be a plain JSON value"
             ) from None
-        if key in TRIAL_COUNT_OPTIONS and not _positive_count(value):
-            raise _bad_spec(f"option {key!r} must be a positive integer")
+        if key in COUNT_OPTIONS:
+            series = isinstance(DEFAULT_OPTIONS[key], list)
+            counts = value if series else [value]
+            if not (isinstance(counts, list) and counts
+                    and all(map(_positive_count, counts))):
+                raise _bad_spec(f"option {key!r} must be " + (
+                    "a non-empty list of positive integers" if series
+                    else "a positive integer"
+                ))
         options[key] = value
 
     trials = payload.get("trials")
@@ -336,6 +349,8 @@ class Job:
     from_store: bool = False
     result_sha256: Optional[str] = None
     error: Optional[str] = None
+    #: Run-kernel engagement summed over the cells this job ran fresh.
+    kernel: KernelCounts = field(default_factory=KernelCounts)
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
 
     def status_dict(self, progress_events: int = 25) -> Dict[str, Any]:
@@ -381,6 +396,7 @@ class Job:
             "cells": cells,
             "attached": self.attached,
             "from_store": self.from_store,
+            "kernel": dataclasses.asdict(self.kernel),
             "progress": recent,
         }
         if self.result_sha256 is not None:
@@ -439,25 +455,19 @@ class JobManager:
         )
         self._sequence = 0
         self._tasks: List[asyncio.Task] = []
+        #: Run-kernel engagement summed over every job's fresh cells.
+        self.kernel = KernelCounts()
         metrics.register_gauge("queue_depth", self.queue_depth)
         metrics.register_gauge("jobs_inflight", lambda: len(self.inflight))
         metrics.register_gauge(
             "inflight_dedup_attached",
             lambda: sum(job.attached for job in self.inflight.values()),
         )
-        # Run-kernel engagement across every cell this process has run
-        # (the service's executors are in-process, so the process-global
-        # telemetry covers them all; see repro.sim.KernelTelemetry).
-        from repro.sim.kernel import KERNEL_TELEMETRY, STRUCTURE_BACKEND
-
+        metrics.register_gauge("kernel_run_hits", lambda: self.kernel.run_hits)
         metrics.register_gauge(
-            "kernel_run_hits", lambda: KERNEL_TELEMETRY.run_hits
+            "kernel_fallback_accesses", lambda: self.kernel.fallback_accesses
         )
-        metrics.register_gauge(
-            "kernel_fallback_accesses",
-            lambda: KERNEL_TELEMETRY.fallback_accesses,
-        )
-        metrics.register_gauge("kernel_runs", lambda: KERNEL_TELEMETRY.runs)
+        metrics.register_gauge("kernel_runs", lambda: self.kernel.runs)
         metrics.register_gauge("kernel_backend", lambda: STRUCTURE_BACKEND)
 
     def queue_depth(self) -> int:
@@ -740,6 +750,8 @@ class JobManager:
         else:
             job.cells_done += 1
             self.metrics.cells_run += 1
+            job.kernel.add(outcome.kernel)
+            self.kernel.add(outcome.kernel)
             if self.cache is not None:
                 self.cache.put(outcome.unit, outcome.value, outcome.elapsed)
             log.emit(

@@ -39,12 +39,12 @@ from .events import (
     WalkEvent,
 )
 from .kernel import (
-    KERNEL_TELEMETRY,
     STRUCTURE_BACKEND,
     CompiledTrace,
-    KernelTelemetry,
+    KernelCounts,
     ReuseOracle,
     RunState,
+    kernel_count,
     supports_fastpath,
 )
 from .observers import (
@@ -59,7 +59,6 @@ from .system import MemorySystem
 from .trace import SCENARIOS, TraceReport, read_trace, run_scenario
 
 __all__ = [
-    "KERNEL_TELEMETRY",
     "SCENARIOS",
     "STRUCTURE_BACKEND",
     "TraceReport",
@@ -71,7 +70,7 @@ __all__ = [
     "FillEvent",
     "FlushEvent",
     "JsonlWriter",
-    "KernelTelemetry",
+    "KernelCounts",
     "MemorySystem",
     "ProbeOutcome",
     "RefillEvent",
@@ -82,6 +81,7 @@ __all__ = [
     "TornRecordError",
     "TraceObserver",
     "WalkEvent",
+    "kernel_count",
     "pages_for_set",
     "read_jsonl",
     "read_trace",

@@ -26,7 +26,8 @@ the specification* and adds one differentially-verified fast path:
   no-fill buffer return, superpage probe or context switch could occur.
   :class:`RunState` carries the proof threshold across quanta
   (validated against the TLB's mutation counter), and
-  :data:`KERNEL_TELEMETRY` aggregates how often the run proofs engaged.
+  :class:`KernelCounts` records how often the run proofs engaged in one
+  cell (:func:`kernel_count`).
 * The **oracle tier** above it: a :class:`ReuseOracle` precomputes the
   exact per-set LRU miss schedule of a stream, so slices retire in
   O(misses).  A planned ``simulate()`` hands every runner one
@@ -57,6 +58,9 @@ import random
 import threading
 from array import array
 from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Events materialised per :meth:`CompiledTrace.ensure` pull.  Large enough
@@ -580,7 +584,7 @@ class RunState:
 
     ``run_hits`` / ``probed`` / ``runs`` count accesses proven by runs,
     accesses that went through the per-access probe, and the number of
-    nonempty runs -- harvested into :data:`KERNEL_TELEMETRY`.
+    nonempty runs -- added to the open :func:`kernel_count`.
 
     ``walk_cache`` / ``walk_token`` memoize page-table walks on the
     probed-miss path (``vpn -> ppn << 20 | cycles << 2 | level``),
@@ -809,46 +813,51 @@ class OracleUniverse:
         return owner == lane and first == start and last == stop
 
 
-class KernelTelemetry:
-    """Aggregate run-kernel engagement counters (process-wide).
+@dataclass
+class KernelCounts:
+    """How often the run kernel's proofs engaged, over one cell.
 
-    Operators need to see whether the run tier actually engages (a
-    miss-heavy workload degenerates to the per-access probe without any
-    correctness signal).  Runners absorb their :class:`RunState` counts
-    here at the end of each simulation; worker processes ship a snapshot
-    delta back to the orchestrator, which absorbs it into its own
-    instance, so ``run-all`` summaries and ``serve`` metrics see the
-    whole fleet.
+    They are the only sign that a cell did not quietly degenerate to the
+    per-access probe.  ``simulate()`` adds each fast runner's finished
+    :class:`RunState` to the count :func:`kernel_count` opened in its
+    context; the runner opens one per cell.
     """
 
-    __slots__ = ("run_hits", "fallback_accesses", "runs")
+    #: Accesses retired by proven hit-runs without a per-access probe.
+    run_hits: int = 0
+    #: Accesses that went through the per-access probe.
+    fallback_accesses: int = 0
+    #: Nonempty proven runs.
+    runs: int = 0
 
-    def __init__(self) -> None:
-        self.run_hits = 0
-        self.fallback_accesses = 0
-        self.runs = 0
-
-    def reset(self) -> None:
-        self.run_hits = 0
-        self.fallback_accesses = 0
-        self.runs = 0
-
-    def record(self, state: RunState) -> None:
-        """Fold one runner's finished :class:`RunState` into the totals."""
-        self.run_hits += state.run_hits
-        self.fallback_accesses += state.probed
-        self.runs += state.runs
-
-    def snapshot(self) -> Tuple[int, int, int]:
-        return (self.run_hits, self.fallback_accesses, self.runs)
-
-    def absorb(self, delta: Tuple[int, int, int]) -> None:
-        """Add a worker's ``snapshot`` delta to this instance."""
-        self.run_hits += delta[0]
-        self.fallback_accesses += delta[1]
-        self.runs += delta[2]
+    def add(self, other: "KernelCounts") -> None:
+        self.run_hits += other.run_hits
+        self.fallback_accesses += other.fallback_accesses
+        self.runs += other.runs
 
 
-#: Process-wide run-kernel engagement counters (see
-#: :class:`KernelTelemetry`); surfaced by ``run-all`` and ``serve``.
-KERNEL_TELEMETRY = KernelTelemetry()
+_OPEN_COUNT: ContextVar[Optional[KernelCounts]] = ContextVar(
+    "repro_kernel_count", default=None
+)
+
+
+@contextmanager
+def kernel_count() -> Iterator[KernelCounts]:
+    """Open a fresh :class:`KernelCounts` for the replays in this block.
+
+    Context-local: replays on other threads never add to it, and replays
+    outside an open count are not counted.
+    """
+    counts = KernelCounts()
+    token = _OPEN_COUNT.set(counts)
+    try:
+        yield counts
+    finally:
+        _OPEN_COUNT.reset(token)
+
+
+def count_run_state(state: RunState) -> None:
+    """Add one runner's finished :class:`RunState` to the open count."""
+    counts = _OPEN_COUNT.get()
+    if counts is not None:
+        counts.add(KernelCounts(state.run_hits, state.probed, state.runs))

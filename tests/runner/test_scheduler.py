@@ -13,10 +13,10 @@ import time
 
 from repro.runner import (
     Experiment,
+    InProcessExecutor,
     RunLog,
     Scheduler,
     register,
-    run_units_serially,
 )
 
 
@@ -163,7 +163,7 @@ class TestSerialExecution:
         units = list(
             enumerate(experiment.units({"toy_square_values": range(10)}))
         )
-        serial = run_units_serially(units)
+        serial = InProcessExecutor().run(units)
         parallel = Scheduler(jobs=3).run(units)
         assert {k: v.value for k, v in serial.items()} == {
             k: v.value for k, v in parallel.items()
@@ -172,6 +172,6 @@ class TestSerialExecution:
     def test_records_failures(self):
         experiment = AlwaysFailsExperiment()
         units = list(enumerate(experiment.units({"toy_fail_count": 1})))
-        outcomes = run_units_serially(units)
+        outcomes = InProcessExecutor().run(units)
         assert outcomes[0].failed
         assert "intentional test failure" in outcomes[0].error

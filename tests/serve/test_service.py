@@ -288,3 +288,53 @@ def test_job_listing(serve_harness):
     _s, _h, listing = harness.request_json("GET", "/v1/jobs")
     assert [job["id"] for job in listing["jobs"]] == [one["job_id"]]
     assert listing["jobs"][0]["state"] == "done"
+
+
+def _fig7_spec(scenario):
+    # A small Figure 7 job: the SA, SP and RF cells of one scenario.
+    return {
+        "experiment": "fig7",
+        "filters": [f"fig7/grid/*/4W 32/{scenario}/*"],
+        "options": {
+            "fig7_spec_instructions": 20_000,
+            "fig7_key_bits": 64,
+            "fig7_rsa_runs": [3],
+        },
+    }
+
+
+def _job_kernels(harness, specs):
+    """Submit every spec at once; each finished job's kernel counts."""
+    bodies = [
+        harness.request_json("POST", "/v1/jobs", spec)[2] for spec in specs
+    ]
+    docs = [harness.poll_job(body["status_url"]) for body in bodies]
+    assert [doc["state"] for doc in docs] == ["done"] * len(docs)
+    return docs
+
+
+def test_concurrent_jobs_each_report_their_solo_kernel_counts(
+    serve_harness, tmp_path
+):
+    specs = [_fig7_spec("SecRSA+omnetpp"), _fig7_spec("RSA+xalancbmk")]
+    # No cell cache, and a result store per service: every job runs fresh.
+    alone = serve_harness(use_cache=False, state_dir=tmp_path / "alone")
+    solo = [_job_kernels(alone, [spec])[0]["kernel"] for spec in specs]
+    assert all(all(count > 0 for count in kernel.values()) for kernel in solo)
+    assert solo[0] != solo[1]
+
+    together = serve_harness(use_cache=False, state_dir=tmp_path / "together")
+    docs = _job_kernels(together, specs)
+    # The two jobs' cells ran on the service's threads at the same time.
+    assert max(doc["started"] for doc in docs) < min(
+        doc["finished"] for doc in docs
+    )
+    assert [doc["kernel"] for doc in docs] == solo
+
+    for harness in (alone, together):
+        _s, _h, metrics = harness.request_json("GET", "/v1/metrics")
+        gauges = metrics["gauges"]
+        for name in ("run_hits", "fallback_accesses", "runs"):
+            assert gauges[f"kernel_{name}"] == sum(
+                kernel[name] for kernel in solo
+            )

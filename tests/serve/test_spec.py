@@ -8,6 +8,7 @@ import pytest
 
 from repro.serve.http import HttpError
 from repro.serve.jobs import (
+    TRIALS_OPTION,
     JobSpec,
     canonical_payload,
     parse_spec,
@@ -81,6 +82,12 @@ class TestParseSpec:
         _reject({"experiment": "table2", "filters": [""]})
         _reject({"experiment": "table2", "client": ""})
         _reject({"experiment": "table2", "options": []})
+        _reject({"experiment": "attacks", "options": {"attack_key_bits": -4}})
+        _reject({"experiment": "fig7", "options": {"fig7_rsa_runs": [0]}})
+        _reject({"experiment": "attacks", "options": {"covert_bits": 0}})
+        _reject(
+            {"experiment": "fig7", "options": {"fig7_spec_instructions": "many"}}
+        )
 
     @pytest.mark.parametrize("count", [0, -3, True, 2.5, "many", None])
     @pytest.mark.parametrize(
@@ -93,6 +100,13 @@ class TestParseSpec:
             ("hierarchy_sweep", "hierarchy_sweep_trials"),
             ("largepages", "largepage_trials"),
             ("sweeps", "rf_region_trials"),
+            ("fig7", "fig7_spec_instructions"),
+            ("fig7", "fig7_key_bits"),
+            ("hierarchy_sweep", "hierarchy_sweep_rsa_runs"),
+            ("attacks", "attack_key_bits"),
+            ("attacks", "covert_bits"),
+            ("attacks", "dpf_seeds"),
+            ("attacks", "profiling_seeds"),
         ],
     )
     def test_a_trial_count_is_positive_however_spelled(
@@ -100,12 +114,23 @@ class TestParseSpec:
     ):
         detail = _reject({"experiment": experiment, "options": {option: count}})
         assert detail == f"option {option!r} must be a positive integer"
-        # A null shorthand means "not given"; sweeps has no shorthand.
-        if count is not None and experiment != "sweeps":
+        # A null shorthand means "not given"; only trial counts have one,
+        # and sweeps has none.
+        if count is not None and TRIALS_OPTION.get(experiment) == option:
             detail = _reject({"experiment": experiment, "trials": count})
             assert detail == "'trials' must be a positive integer"
         spec = parse_spec({"experiment": experiment, "options": {option: 3}})
         assert dict(spec.options)[option] == 3
+
+    @pytest.mark.parametrize("option", ["fig7_rsa_runs", "series_rsa_runs"])
+    @pytest.mark.parametrize("value", [[0], [], [50, -1], [True], 50, "50"])
+    def test_a_run_count_series_is_a_nonempty_list(self, option, value):
+        detail = _reject({"experiment": "fig7", "options": {option: value}})
+        assert detail == (
+            f"option {option!r} must be a non-empty list of positive integers"
+        )
+        spec = parse_spec({"experiment": "fig7", "options": {option: [5, 10]}})
+        assert dict(spec.options)[option] == [5, 10]
 
     def test_client_default(self):
         spec = parse_spec({"experiment": "table2"}, default_client="bob")

@@ -35,11 +35,11 @@ from repro.perf.timing import ScheduledProcess, simulate
 from repro.security.kinds import TLBKind, make_hierarchy, make_tlb
 from repro.sim import AccessEvent, EventBus, kernel
 from repro.sim.kernel import (
-    KERNEL_TELEMETRY,
     STRUCTURE_BACKEND,
     CompiledTrace,
     ReuseOracle,
     RunState,
+    kernel_count,
     supports_fastpath,
 )
 from repro.tlb.config import TLBConfig
@@ -728,9 +728,9 @@ class TestSimulateEquivalence:
         bus = EventBus()
         events = []
         bus.on_access(events.append)
-        before = KERNEL_TELEMETRY.snapshot()
-        evented = self.secrsa_omnetpp(kind, bus=bus)
-        assert KERNEL_TELEMETRY.snapshot()[:2] == before[:2]
+        with kernel_count() as counts:
+            evented = self.secrsa_omnetpp(kind, bus=bus)
+        assert counts.run_hits == counts.fallback_accesses == 0
         assert evented == self.secrsa_omnetpp(kind, fastpath=False)
         assert len(events) == evented["total"].memory_accesses == 10_618
 
@@ -748,12 +748,11 @@ class TestSimulateEquivalence:
                     bus.unsubscribe(AccessEvent, watch)
 
             bus.on_access(watch)
-            before = KERNEL_TELEMETRY.snapshot()
-            results = self.secrsa_omnetpp(kind, bus=bus)
-            after = KERNEL_TELEMETRY.snapshot()
+            with kernel_count() as counts:
+                results = self.secrsa_omnetpp(kind, bus=bus)
             assert len(seen) == handoff
             # Everything past the handoff quantum went through the kernel.
-            kernel_accesses = (after[0] - before[0]) + (after[1] - before[1])
+            kernel_accesses = counts.run_hits + counts.fallback_accesses
             total = results["total"].memory_accesses
             assert 0 < kernel_accesses <= total - handoff
             assert results == self.secrsa_omnetpp(kind, fastpath=False)

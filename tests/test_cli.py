@@ -41,23 +41,36 @@ class TestParser:
 
     @pytest.mark.parametrize("count", ["0", "-1", "many"])
     @pytest.mark.parametrize(
-        "command",
+        "command,flag",
         [
-            "table4",
-            "table7",
-            "mitigations",
-            "hierarchy",
-            "hierarchy-sweep",
-            "largepages",
-            "sweeps",
+            pytest.param(command, "--trials", id=command)
+            for command in (
+                "table4",
+                "table7",
+                "mitigations",
+                "hierarchy",
+                "hierarchy-sweep",
+                "largepages",
+                "sweeps",
+            )
+        ]
+        + [
+            ("fig7", "--rsa-runs"),
+            ("fig7", "--spec-instructions"),
+            ("fig7", "--key-bits"),
+            ("hierarchy-sweep", "--rsa-runs"),
+            ("attack", "--key-bits"),
+            ("covert", "--bits"),
         ],
     )
-    def test_a_bad_trial_count_is_a_usage_error(self, capsys, command, count):
+    def test_a_bad_trial_count_is_a_usage_error(
+        self, capsys, command, flag, count
+    ):
         with pytest.raises(SystemExit) as raised:
-            main([command, "--trials", count])
+            main([command, flag, count])
         assert raised.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --trials:" in err
+        assert f"argument {flag}:" in err
         assert "Traceback" not in err
 
 
