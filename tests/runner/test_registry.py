@@ -1,5 +1,6 @@
 """Tests for the experiment registry and unit enumeration."""
 
+import hashlib
 import json
 import pickle
 
@@ -104,3 +105,31 @@ class TestFilters:
     def test_options_change_trial_params(self):
         units = expand_units({"table4_trials": 7}, ["table4*"])
         assert all(unit.params["trials"] == 7 for unit in units)
+
+
+def _sha256_json(value):
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedDefaults:
+    """The full-fidelity protocol, pinned by digest.
+
+    A default option value, a cell's seed or its params (and with them
+    every cache key and ``results/`` byte) cannot move unnoticed.
+    """
+
+    def test_default_options_digest(self):
+        assert _sha256_json(DEFAULT_OPTIONS) == (
+            "0c4d0d4ff20b03bcbd1f2d1b2434a46117075a0c5aeacdd20576034e66b7517c"
+        )
+
+    def test_default_units_digest(self):
+        cells = [
+            [unit.ident, unit.seed, unit.params]
+            for unit in expand_units(DEFAULT_OPTIONS)
+            if unit.experiment in EXPECTED_COUNTS
+        ]
+        assert len(cells) == sum(EXPECTED_COUNTS.values())
+        assert _sha256_json(cells) == (
+            "36c3147e1e10acb929e3f145bf4502b39982a1bdc63f0e9347f6d789518c6a1b"
+        )
