@@ -10,8 +10,10 @@ and holds the service to its contract:
 3. the served document is *byte-identical* to what a direct, in-process
    runner invocation of the same spec produces -- the service adds
    transport, not meaning;
-4. the server leaks no child processes while idle;
-5. SIGTERM produces a graceful exit with code 0.
+4. a spec with a bad option value is refused with a ``400 bad-spec``
+   whose detail is the very message ``run_all`` raises for that value;
+5. the server leaks no child processes while idle;
+6. SIGTERM produces a graceful exit with code 0.
 
 Any violation exits nonzero (and says why), so the CI job fails loudly.
 """
@@ -45,6 +47,10 @@ SWEEP_SPEC = {
     "options": {"hierarchy_sweep_rsa_runs": 2},
     "filters": ["hierarchy_sweep/RF+SA/*", "hierarchy_sweep/perf/RF+SA"],
 }
+
+#: A seed option given a list: the service must refuse it up front, in
+#: the runner's own words, instead of admitting cells that die later.
+BAD_OPTION_SPEC = {"experiment": "attacks", "options": {"covert_seed": [1]}}
 
 
 def fail(message: str):
@@ -86,19 +92,16 @@ def expected_payload(spec_payload) -> bytes:
     """What a direct runner invocation of the same spec produces."""
     from repro.runner.cache import code_fingerprint
     from repro.runner.registry import (
-        ensure_default_experiments,
         get_experiment,
         matches_filter,
+        resolve_options,
     )
     from repro.runner.scheduler import InProcessExecutor
     from repro.serve.jobs import canonical_payload, parse_spec, result_document
-    from repro.runner.experiments import DEFAULT_OPTIONS
 
-    ensure_default_experiments()
     spec = parse_spec(spec_payload)
     experiment = get_experiment(spec.experiment)
-    options = dict(DEFAULT_OPTIONS)
-    options.update(spec.options_dict)
+    options = resolve_options(spec.options_dict, spec.experiment)
     all_units = experiment.units(options)
     if spec.filters:
         units = [
@@ -128,6 +131,37 @@ def expected_payload(spec_payload) -> bytes:
         ),
     )
     return canonical_payload(document)
+
+
+def check_bad_option_refused(base: str) -> None:
+    """POST a bad option; the 400 detail must be ``run_all``'s error."""
+    from repro.runner import run_all
+
+    try:
+        run_all(
+            filters=["attacks*"],
+            options=BAD_OPTION_SPEC["options"],
+            results_dir=tempfile.mkdtemp(prefix="serve-smoke-refused-"),
+            progress=False,
+        )
+    except ValueError as error:
+        expected = str(error)
+    else:
+        fail("run_all admitted a list as covert_seed")
+    try:
+        http_json("POST", f"{base}/v1/jobs", BAD_OPTION_SPEC)
+    except urllib.error.HTTPError as error:
+        status, body = error.code, json.loads(error.read())
+    else:
+        fail("the service admitted a list as covert_seed")
+    if status != 400 or body.get("error") != "bad-spec":
+        fail(f"bad option: want 400 bad-spec, got {status} {body}")
+    if body.get("detail") != expected:
+        fail(
+            f"bad option: served detail {body.get('detail')!r} is not"
+            f" run_all's {expected!r}"
+        )
+    print(f"serve smoke: bad option refused with run_all's words: {expected}")
 
 
 def child_pids(pid: int):
@@ -213,6 +247,8 @@ def main() -> int:
                 "hierarchy_sweep: expected the 8-cell RF+SA batch, got"
                 f" {payload['cells']}"
             )
+
+        check_bad_option_refused(base)
 
         leaked = child_pids(process.pid)
         if leaked:

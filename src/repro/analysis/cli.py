@@ -30,8 +30,8 @@ import json
 import sys
 from typing import List, Tuple
 
-from repro.cli import positive_int
 from repro.isa.assembler import assemble
+from repro.runner.registry import COUNT
 
 ANALYZE_SCHEMA = "repro/analyze/v1"
 
@@ -357,10 +357,10 @@ def add_certify_parser(subparsers) -> None:
         default=None, help="gate legs to run (default: all three)",
     )
     certify_parser.add_argument(
-        "--sweep-trials", type=positive_int, default=40
+        "--sweep-trials", type=COUNT.parse, default=40
     )
     certify_parser.add_argument(
-        "--flat-trials", type=positive_int, default=120
+        "--flat-trials", type=COUNT.parse, default=120
     )
     certify_parser.add_argument("--json", action="store_true")
     certify_parser.set_defaults(func=_cmd_certify)

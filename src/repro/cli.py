@@ -34,17 +34,6 @@ import sys
 from typing import List, Optional
 
 
-def positive_int(text: str) -> int:
-    """An argparse type: a count (trials, runs, bits, ...) of at least one."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.model import (
         candidate_patterns,
@@ -481,6 +470,9 @@ def _add_design_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runner.api import RETRIES, SECONDS
+    from repro.runner.registry import COUNT
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Secure TLBs' (ISCA 2019)",
@@ -492,19 +484,19 @@ def build_parser() -> argparse.ArgumentParser:
     table2.set_defaults(func=_cmd_table2)
 
     table4 = subparsers.add_parser("table4", help="security evaluation")
-    table4.add_argument("--trials", type=positive_int, default=100)
+    table4.add_argument("--trials", type=COUNT.parse, default=100)
     _add_design_argument(table4)
     table4.set_defaults(func=_cmd_table4)
 
     table7 = subparsers.add_parser("table7", help="Appendix B extension")
     table7.add_argument("--evaluate", action="store_true")
-    table7.add_argument("--trials", type=positive_int, default=60)
+    table7.add_argument("--trials", type=COUNT.parse, default=60)
     table7.set_defaults(func=_cmd_table7)
 
     fig7 = subparsers.add_parser("fig7", help="performance evaluation")
-    fig7.add_argument("--rsa-runs", type=positive_int, default=10)
-    fig7.add_argument("--spec-instructions", type=positive_int, default=80_000)
-    fig7.add_argument("--key-bits", type=positive_int, default=64)
+    fig7.add_argument("--rsa-runs", type=COUNT.parse, default=10)
+    fig7.add_argument("--spec-instructions", type=COUNT.parse, default=80_000)
+    fig7.add_argument("--key-bits", type=COUNT.parse, default=64)
     fig7.add_argument("--configs", nargs="+", default=None)
     fig7.add_argument("--full", action="store_true",
                       help="the paper's 50/100/150 decryption series")
@@ -517,13 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     mitigations = subparsers.add_parser(
         "mitigations", help="Section 2.3 mitigation ladder"
     )
-    mitigations.add_argument("--trials", type=positive_int, default=60)
+    mitigations.add_argument("--trials", type=COUNT.parse, default=60)
     mitigations.set_defaults(func=_cmd_mitigations)
 
     hierarchy = subparsers.add_parser(
         "hierarchy", help="two-level TLB hierarchy security study"
     )
-    hierarchy.add_argument("--trials", type=positive_int, default=40)
+    hierarchy.add_argument("--trials", type=COUNT.parse, default=40)
     hierarchy.set_defaults(func=_cmd_hierarchy)
 
     hierarchy_sweep = subparsers.add_parser(
@@ -537,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
             " cross-check on the inter-level refill event stream."
         ),
     )
-    hierarchy_sweep.add_argument("--trials", type=positive_int, default=25)
-    hierarchy_sweep.add_argument("--rsa-runs", type=positive_int, default=10)
+    hierarchy_sweep.add_argument("--trials", type=COUNT.parse, default=25)
+    hierarchy_sweep.add_argument("--rsa-runs", type=COUNT.parse, default=10)
     hierarchy_sweep.add_argument(
         "--no-leakage", action="store_true",
         help="skip the refill-leakage cross-check footer",
@@ -548,21 +540,21 @@ def build_parser() -> argparse.ArgumentParser:
     largepages = subparsers.add_parser(
         "largepages", help="large-page software mitigation"
     )
-    largepages.add_argument("--trials", type=positive_int, default=40)
+    largepages.add_argument("--trials", type=COUNT.parse, default=40)
     largepages.set_defaults(func=_cmd_largepages)
 
     sweeps = subparsers.add_parser("sweeps", help="design-space sweeps")
-    sweeps.add_argument("--trials", type=positive_int, default=80)
+    sweeps.add_argument("--trials", type=COUNT.parse, default=80)
     sweeps.set_defaults(func=_cmd_sweeps)
 
     attack = subparsers.add_parser("attack", help="TLBleed key recovery")
-    attack.add_argument("--key-bits", type=positive_int, default=64)
+    attack.add_argument("--key-bits", type=COUNT.parse, default=64)
     attack.add_argument("--seed", type=int, default=2019)
     _add_design_argument(attack)
     attack.set_defaults(func=_cmd_attack)
 
     covert = subparsers.add_parser("covert", help="covert channel")
-    covert.add_argument("--bits", type=positive_int, default=200)
+    covert.add_argument("--bits", type=COUNT.parse, default=200)
     covert.add_argument("--seed", type=int, default=1)
     _add_design_argument(covert)
     covert.set_defaults(func=_cmd_covert)
@@ -629,11 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL run log (default: <results-dir>/run_log.jsonl)",
     )
     run_all.add_argument(
-        "--max-retries", type=int, default=2,
+        "--max-retries", type=RETRIES.parse, default=2,
         help="retries per cell before marking it failed (default: 2)",
     )
     run_all.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", type=SECONDS.parse, default=None, metavar="SECONDS",
         help=(
             "per-cell wall-clock watchdog: kill and requeue any cell"
             " running longer than this (default: off)"

@@ -254,22 +254,22 @@ def run_sim_campaign(
 def ensure_probe_experiment() -> None:
     """Register the campaign's cheap probe experiment (idempotent).
 
-    Inert in normal runs: it enumerates no cells unless the
-    ``chaos_probe_cells`` option is set, exactly like the test-only toy
-    experiments.  Worker processes inherit the registration via fork.
+    Inert in normal runs: its ``chaos_probe_cells`` option defaults to
+    zero cells.  Worker processes inherit the registration via fork.
     """
-    from repro.runner.registry import REGISTRY, Experiment, register
+    from repro.runner.registry import COUNT, REGISTRY, Experiment, Option, register
 
     if PROBE_EXPERIMENT in REGISTRY:
         return
 
     @register(PROBE_EXPERIMENT)
     class ChaosProbe(Experiment):
+        declared_options = (Option("chaos_probe_cells", 0, COUNT),)
+
         def units(self, options):
-            cells = int(options.get("chaos_probe_cells", 0) or 0)
             return [
                 self.unit(f"cell-{index:02d}", index=index)
-                for index in range(cells)
+                for index in range(options["chaos_probe_cells"])
             ]
 
         @staticmethod

@@ -17,7 +17,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 from repro.faults.chaos import ChaosConfig, ExecutorChaosConfig
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache
-from .experiments import DEFAULT_OPTIONS
 from .progress import (
     ProgressPrinter,
     RunLog,
@@ -25,9 +24,19 @@ from .progress import (
     completed_idents,
     replay_run_log,
 )
-from .registry import all_experiments, ensure_default_experiments, expand_units
+from .registry import SEED, Kind, all_experiments, expand_units, resolve_options
 from .scheduler import InProcessExecutor, Scheduler, TaskOutcome
 from .results import write_artifacts
+
+
+#: ``run_all``'s retry budget and watchdog; ``run-all --max-retries`` and
+#: ``--task-timeout`` parse with them.
+RETRIES = Kind("a non-negative integer", lambda value: SEED.admits(value) and value >= 0)
+SECONDS = Kind(
+    "a positive number of seconds",
+    lambda value: isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
+    read=float,
+)
 
 
 def default_jobs() -> int:
@@ -55,9 +64,10 @@ def run_all(
     """Run every (filtered) experiment cell and merge the artifacts.
 
     ``log_path`` defaults to ``<results_dir>/run_log.jsonl``; pass an
-    explicit path to redirect it.  ``options`` overrides entries of
-    :data:`~repro.runner.experiments.DEFAULT_OPTIONS` (e.g. smaller trial
-    counts for smoke tests).
+    explicit path to redirect it.  ``options`` overrides declared
+    experiment options (e.g. smaller trial counts for smoke tests).  A
+    bad option, ``max_retries``, ``task_timeout`` or ``executor`` raises
+    :class:`ValueError` before the run log, the cache or any cell is read.
 
     ``task_timeout`` arms the scheduler's per-cell wall-clock watchdog;
     ``chaos`` injects deterministic worker faults (testing only; see
@@ -81,15 +91,20 @@ def run_all(
     from repro.sim.kernel import STRUCTURE_BACKEND
 
     started = time.monotonic()
-    ensure_default_experiments()
+    merged_options = resolve_options(options or {})
+    if not RETRIES.admits(max_retries):
+        raise ValueError(f"max_retries must be {RETRIES.noun}")
+    if task_timeout is not None and not SECONDS.admits(task_timeout):
+        raise ValueError(f"task_timeout must be {SECONDS.noun}")
+    if executor not in ("pool", "work-stealing"):
+        raise ValueError(
+            f"unknown executor {executor!r}; known: pool, work-stealing"
+        )
     jobs = jobs if jobs is not None else default_jobs()
     jobs = max(1, jobs)
-    merged_options: Dict[str, Any] = dict(DEFAULT_OPTIONS)
-    if options:
-        merged_options.update(options)
     filters = list(filters) if filters else None
 
-    units = expand_units(merged_options, filters)
+    units = expand_units(options or {}, filters)
     report = RunReport(units_total=len(units), jobs=jobs)
     report.executor = (
         "work-stealing" if executor == "work-stealing"
@@ -174,10 +189,6 @@ def run_all(
             f" {len(to_run)} to run"
         )
 
-    if executor not in ("pool", "work-stealing"):
-        raise ValueError(
-            f"unknown executor {executor!r}; known: pool, work-stealing"
-        )
     if to_run and executor == "work-stealing":
         from .distributed import WorkStealingExecutor
 
@@ -277,9 +288,7 @@ def run_all(
             continue
         assembled[name] = experiment.assemble(grouped[name], merged_options)
 
-    report.artifacts = write_artifacts(
-        assembled, results_dir, merged_options, log
-    )
+    report.artifacts = write_artifacts(assembled, results_dir, log)
 
     # Quarantine manifest: which cells failed (with errors), which never
     # ran, and whether the run was cut short -- machine-readable, so CI

@@ -34,18 +34,20 @@ coordination happens exclusively through atomic filesystem operations in
     tampered, torn, or stale results are deleted and re-executed, never
     served.
 ``workers/<worker>.json`` / ``journal/<worker>.jsonl``
-    Worker presence heartbeats (the parent's degraded-mode signal) and
-    per-worker event journals, read with the torn-tail-tolerant
-    :func:`repro.sim.read_jsonl`.
+    Worker presence heartbeats, carrying the worker's code fingerprint
+    (the parent's degraded-mode signal), and per-worker event journals,
+    read with the torn-tail-tolerant :func:`repro.sim.read_jsonl`.
 
 Retry pacing is the shared :func:`~repro.runner.backoff.backoff_delay`
 (exponential + CRC32-deterministic jitter), so every host computes the
 identical schedule.  A cell whose attempts exhaust the budget -- or that
 kills ``worker_kill_threshold`` distinct workers -- is quarantined with
-its full attempt history.  If no worker (local or remote) ever checks
-in, the parent degrades gracefully: it claims cells through the very
-same lease protocol and runs them inline, so ``--executor
-work-stealing`` on a lonely host still completes.
+its full attempt history.  If no worker (local or remote) with the
+parent's code fingerprint checks in, the parent degrades gracefully: it
+claims cells through the very same lease protocol and runs them inline,
+so ``--executor work-stealing`` on a lonely host still completes.  (A
+worker from another source tree declines every task, so its heartbeat
+does not count; its journal says why.)
 
 Determinism makes duplicate execution harmless: two workers racing the
 same cell (a stale lease reclaimed while its owner was merely slow, a
@@ -62,7 +64,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.faults.chaos import ExecutorChaosConfig
 from repro.sim.kernel import KernelCounts
@@ -460,12 +462,14 @@ class Board:
                     "heartbeat": time.time(),
                     "pid": os.getpid(),
                     "host": platform.node(),
+                    "code_version": code_fingerprint(),
                 },
                 sort_keys=True,
             ) + "\n",
         )
 
-    def fresh_workers(self, ttl: float) -> List[str]:
+    def fresh_workers(self, ttl: float, code_version: str) -> List[str]:
+        """Workers heard from within ``ttl`` that run ``code_version``."""
         now = time.time()
         fresh = []
         for path in self.workers.glob("*.json"):
@@ -473,7 +477,10 @@ class Board:
                 payload = json.loads(path.read_text())
             except (OSError, ValueError):
                 continue
-            if now - float(payload.get("heartbeat", 0.0)) <= ttl:
+            if (
+                now - float(payload.get("heartbeat", 0.0)) <= ttl
+                and payload.get("code_version") == code_version
+            ):
                 fresh.append(str(payload.get("worker", path.stem)))
         return sorted(fresh)
 
@@ -520,6 +527,8 @@ class WorkerLoop:
         self.cells_completed = 0
         self.cells_failed = 0
         self._journal_torn = False
+        #: Foreign code fingerprints already journaled as declined.
+        self._declined: Set[str] = set()
 
     # -- journal helper (a torn journal must stay torn at the tail) --------------
 
@@ -584,9 +593,16 @@ class WorkerLoop:
                     backoff,
                 ) is not None:
                     reclaimed_any = True
-            if task.get("code_version") not in (None, own_fingerprint):
+            foreign = task.get("code_version")
+            if foreign not in (None, own_fingerprint):
                 # A task published by a different source tree: running it
                 # here would bank a result under the wrong fingerprint.
+                if foreign not in self._declined:
+                    self._declined.add(foreign)
+                    self._journal(
+                        "declined", cell=cell, code_version=foreign,
+                        own_code_version=own_fingerprint,
+                    )
                 continue
             attempt = self._claimable(cell, task)
             if attempt is None:
@@ -1277,7 +1293,8 @@ class WorkStealingExecutor(Executor):
                     others = [
                         worker
                         for worker in self.board.fresh_workers(
-                            self.lease_ttl + self.heartbeat_interval
+                            self.lease_ttl + self.heartbeat_interval,
+                            self.code_version,
                         )
                         if worker != inline.worker_id
                     ]

@@ -19,45 +19,15 @@ attacks    every end-to-end attack, one cell per (attack, design)
 Cells carry their complete inputs in ``params`` (picklable plain types
 only -- enum *names*, row indices, trial counts), so a worker process can
 run any cell from the registry alone and the cache can key on the params
-verbatim.  Defaults in :data:`DEFAULT_OPTIONS` reproduce the serial
-script's full-fidelity artifacts byte for byte.
+verbatim.  The options each experiment declares, at their defaults
+(:data:`DEFAULT_OPTIONS`), reproduce the serial script's artifacts exactly.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping
 
-from .registry import Experiment, Unit, register
-
-#: Full-fidelity knobs, matching scripts/run_full_evaluation.py exactly.
-DEFAULT_OPTIONS: Dict[str, Any] = {
-    "table4_trials": 500,
-    "table7_trials": 200,
-    "fig7_spec_instructions": 150_000,
-    "fig7_key_bits": 128,
-    "fig7_rsa_runs": [50],
-    #: Drive Figure 7 cells through the repro.sim.kernel fast path.  The
-    #: artifacts are byte-identical either way (differentially verified);
-    #: ``repro run-all --no-fastpath`` flips this to the reference model.
-    "fig7_fastpath": True,
-    "series_rsa_runs": [50, 100, 150],
-    "mitigation_trials": 200,
-    "hierarchy_trials": 100,
-    "hierarchy_sweep_trials": 40,
-    "hierarchy_sweep_rsa_runs": 10,
-    "largepage_trials": 200,
-    "rf_region_trials": 200,
-    "attack_key_bits": 128,
-    "attack_key_seed": 11,
-    "covert_bits": 500,
-    "covert_seed": 5,
-    "dpf_seeds": 50,
-    "profiling_seeds": 40,
-}
-
-
-def opt(options: Mapping[str, Any], key: str) -> Any:
-    return options.get(key, DEFAULT_OPTIONS[key])
+from .registry import COUNT, COUNT_SERIES, FLAG, REGISTRY, SEED, Experiment, Option, Unit, register
 
 
 def _kind_names() -> List[str]:
@@ -112,18 +82,20 @@ class Table2Experiment(Experiment):
 class Table4Experiment(Experiment):
     """One cell per (design, Table 2 vulnerability)."""
 
+    declared_options = (Option("table4_trials", 500, COUNT),)
+    trials_option = "table4_trials"
+
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
         from repro.model.table2 import table2_vulnerabilities
         from repro.security import table4_cells
 
         rows = table2_vulnerabilities()
-        trials = opt(options, "table4_trials")
         return [
             self.unit(
                 f"{kind.value}/{vulnerability.pretty()}",
                 kind=kind.value,
                 row=rows.index(vulnerability),
-                trials=trials,
+                trials=options["table4_trials"],
             )
             for kind, vulnerability in table4_cells()
         ]
@@ -159,18 +131,20 @@ class Table4Experiment(Experiment):
 class Table7Experiment(Experiment):
     """One cell per (design, Appendix B invalidation-only vulnerability)."""
 
+    declared_options = (Option("table7_trials", 200, COUNT),)
+    trials_option = "table7_trials"
+
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
         from repro.model.extended import invalidation_only_vulnerabilities
         from repro.security import extended_cells
 
         rows = invalidation_only_vulnerabilities()
-        trials = opt(options, "table7_trials")
         return [
             self.unit(
                 f"{kind.value}/{vulnerability.pretty()}",
                 kind=kind.value,
                 row=rows.index(vulnerability),
-                trials=trials,
+                trials=options["table7_trials"],
             )
             for kind, vulnerability in extended_cells()
         ]
@@ -212,9 +186,9 @@ def _fig7_unit_sets(options: Mapping[str, Any]):
     from repro.perf import Scenario, figure7_units
     from repro.workloads.spec import OMNETPP
 
-    grid = figure7_units(rsa_runs=tuple(opt(options, "fig7_rsa_runs")))
+    grid = figure7_units(rsa_runs=tuple(options["fig7_rsa_runs"]))
     series = figure7_units(
-        rsa_runs=tuple(opt(options, "series_rsa_runs")),
+        rsa_runs=tuple(options["series_rsa_runs"]),
         scenarios=[
             Scenario(secure=True),
             Scenario(secure=True, spec=OMNETPP),
@@ -233,10 +207,17 @@ class Figure7Experiment(Experiment):
     split back apart in :meth:`assemble`.
     """
 
+    declared_options = (
+        Option("fig7_spec_instructions", 150_000, COUNT),
+        Option("fig7_key_bits", 128, COUNT),
+        Option("fig7_rsa_runs", [50], COUNT_SERIES),
+        # The repro.sim.kernel fast path; ``run-all --no-fastpath`` runs the
+        # reference model instead, with byte-identical artifacts.
+        Option("fig7_fastpath", True, FLAG),
+        Option("series_rsa_runs", [50, 100, 150], COUNT_SERIES),
+    )
+
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
-        spec_instructions = opt(options, "fig7_spec_instructions")
-        key_bits = opt(options, "fig7_key_bits")
-        fastpath = opt(options, "fig7_fastpath")
         units = []
         grid, series = _fig7_unit_sets(options)
         for part, cells in (("grid", grid), ("series", series)):
@@ -250,9 +231,9 @@ class Figure7Experiment(Experiment):
                         config=cell.config_label,
                         scenario=cell.scenario.label,
                         rsa_runs=cell.rsa_runs,
-                        spec_instructions=spec_instructions,
-                        key_bits=key_bits,
-                        fastpath=fastpath,
+                        spec_instructions=options["fig7_spec_instructions"],
+                        key_bits=options["fig7_key_bits"],
+                        fastpath=options["fig7_fastpath"],
                     )
                 )
         return units
@@ -315,16 +296,18 @@ class Table5Experiment(Experiment):
 class MitigationsExperiment(Experiment):
     """One cell per (mitigation spec, Table 2 vulnerability)."""
 
+    declared_options = (Option("mitigation_trials", 200, COUNT),)
+    trials_option = "mitigation_trials"
+
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
         from repro.ablations import mitigation_cells
 
-        trials = opt(options, "mitigation_trials")
         return [
             self.unit(
                 f"{spec.key}/{vulnerability.pretty()}",
                 mitigation=spec.key,
                 row=index,
-                trials=trials,
+                trials=options["mitigation_trials"],
             )
             for spec, index, vulnerability in mitigation_cells()
         ]
@@ -360,17 +343,19 @@ class MitigationsExperiment(Experiment):
 class HierarchyExperiment(Experiment):
     """One cell per (L1 kind, L2 kind, Table 2 vulnerability)."""
 
+    declared_options = (Option("hierarchy_trials", 100, COUNT),)
+    trials_option = "hierarchy_trials"
+
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
         from repro.ablations import hierarchy_cells
 
-        trials = opt(options, "hierarchy_trials")
         return [
             self.unit(
                 f"{l1.value}-{l2.value}/{vulnerability.pretty()}",
                 l1=l1.value,
                 l2=l2.value,
                 row=index,
-                trials=trials,
+                trials=options["hierarchy_trials"],
             )
             for l1, l2, index, vulnerability in hierarchy_cells()
         ]
@@ -413,11 +398,15 @@ class HierarchySweepExperiment(Experiment):
     alone and ``repro serve`` specs can scale the sweep's trials.
     """
 
+    declared_options = (
+        Option("hierarchy_sweep_trials", 40, COUNT),
+        Option("hierarchy_sweep_rsa_runs", 10, COUNT),
+    )
+    trials_option = "hierarchy_sweep_trials"
+
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
         from repro.ablations import leakage_spec, sweep_rows, sweep_specs
 
-        trials = opt(options, "hierarchy_sweep_trials")
-        rsa_runs = opt(options, "hierarchy_sweep_rsa_runs")
         units = []
         for spec in sweep_specs():
             for index, vulnerability in sweep_rows():
@@ -427,7 +416,7 @@ class HierarchySweepExperiment(Experiment):
                         part="security",
                         spec=spec.to_dict(),
                         row=index,
-                        trials=trials,
+                        trials=options["hierarchy_sweep_trials"],
                     )
                 )
             units.append(
@@ -435,7 +424,7 @@ class HierarchySweepExperiment(Experiment):
                     f"perf/{spec.label()}",
                     part="perf",
                     spec=spec.to_dict(),
-                    rsa_runs=rsa_runs,
+                    rsa_runs=options["hierarchy_sweep_rsa_runs"],
                 )
             )
         units.append(
@@ -533,16 +522,18 @@ class HierarchySweepExperiment(Experiment):
 class LargePagesExperiment(Experiment):
     """One cell per (page model, Table 2 vulnerability) on the SA TLB."""
 
+    declared_options = (Option("largepage_trials", 200, COUNT),)
+    trials_option = "largepage_trials"
+
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
         from repro.ablations import large_page_cells
 
-        trials = opt(options, "largepage_trials")
         return [
             self.unit(
                 f"{model}/{vulnerability.pretty()}",
                 model=model,
                 row=index,
-                trials=trials,
+                trials=options["largepage_trials"],
             )
             for model, index, vulnerability in large_page_cells()
         ]
@@ -573,6 +564,8 @@ class LargePagesExperiment(Experiment):
 class SweepsExperiment(Experiment):
     """One cell per sweep point across the four design-space sweeps."""
 
+    declared_options = (Option("rf_region_trials", 200, COUNT),)
+
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
         from repro.tlb.config import ReplacementKind
 
@@ -585,14 +578,13 @@ class SweepsExperiment(Experiment):
                     victim_ways=victim_ways,
                 )
             )
-        region_trials = opt(options, "rf_region_trials")
         for pages in (1, 2, 3, 8, 16, 31):
             units.append(
                 self.unit(
                     f"region/{pages}",
                     point="region",
                     pages=pages,
-                    trials=region_trials,
+                    trials=options["rf_region_trials"],
                 )
             )
         for policy in (
@@ -667,28 +659,36 @@ _ATTACK_ROWS = (
 class AttacksExperiment(Experiment):
     """One cell per (attack, TLB design)."""
 
+    declared_options = (
+        Option("attack_key_bits", 128, COUNT),
+        Option("attack_key_seed", 11, SEED),
+        Option("covert_bits", 500, COUNT),
+        Option("covert_seed", 5, SEED),
+        Option("dpf_seeds", 50, COUNT),
+        Option("profiling_seeds", 40, COUNT),
+    )
+
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
-        key_bits = opt(options, "attack_key_bits")
-        key_seed = opt(options, "attack_key_seed")
-        covert_bits = opt(options, "covert_bits")
-        covert_seed = opt(options, "covert_seed")
-        dpf_seeds = opt(options, "dpf_seeds")
-        profiling_seeds = opt(options, "profiling_seeds")
         units = []
         for attack, kinds in _ATTACK_ROWS:
             for kind in kinds:
                 params: Dict[str, Any] = {"attack": attack, "kind": kind}
                 if attack in ("tlbleed", "multitrace", "itlb",
                               "itlb_hardened"):
-                    params.update(key_bits=key_bits, key_seed=key_seed)
+                    params.update(
+                        key_bits=options["attack_key_bits"],
+                        key_seed=options["attack_key_seed"],
+                    )
                 if attack == "multitrace":
                     params["traces"] = 15
                 if attack == "dpf":
-                    params["seeds"] = dpf_seeds
+                    params["seeds"] = options["dpf_seeds"]
                 if attack in ("covert_serial", "covert_parallel"):
-                    params.update(bits=covert_bits, msg_seed=covert_seed)
+                    params.update(
+                        bits=options["covert_bits"], msg_seed=options["covert_seed"]
+                    )
                 if attack == "profiling":
-                    params["seeds"] = profiling_seeds
+                    params["seeds"] = options["profiling_seeds"]
                 units.append(self.unit(f"{attack}/{kind}", **params))
         return units
 
@@ -764,3 +764,10 @@ class AttacksExperiment(Experiment):
             (unit.params, value)
             for unit, value in zip(self.units(options), values)
         ]
+
+
+#: The full-fidelity protocol: the standard set's options at their defaults
+#: (no other experiment can register before this module has run).
+DEFAULT_OPTIONS: Dict[str, Any] = {
+    option.name: option.default for e in REGISTRY.values() for option in e.declared_options
+}

@@ -20,6 +20,7 @@ them.
 
 from __future__ import annotations
 
+import argparse
 import fnmatch
 import zlib
 from dataclasses import dataclass, field
@@ -30,7 +31,9 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
+    Tuple,
     Type,
 )
 
@@ -46,6 +49,43 @@ def stable_seed(*parts: Any) -> int:
     """
     label = "/".join(str(part) for part in parts)
     return zlib.crc32(label.encode())
+
+
+class Kind(NamedTuple):
+    """A family of option values: what it admits, and its name in errors."""
+
+    noun: str
+    admits: Callable[[Any], bool]
+    read: Callable[[str], Any] = int
+
+    def parse(self, text: str) -> Any:
+        """An argparse ``type``: the CLI refuses what the option refuses."""
+        try:
+            value = self.read(text)
+            if self.admits(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {self.noun}, got {text!r}")
+
+
+#: A seed; trials, runs, bits or instructions; a series of them; a switch.
+SEED = Kind("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool))
+COUNT = Kind("a positive integer", lambda value: SEED.admits(value) and value >= 1)
+COUNT_SERIES = Kind(
+    "a non-empty list of positive integers",
+    lambda value: isinstance(value, list) and bool(value) and all(map(COUNT.admits, value)),
+)
+FLAG = Kind("a boolean", lambda value: isinstance(value, bool))
+
+
+class Option(NamedTuple):
+    """One experiment option: its name, its default, and the kind of value
+    an override must be."""
+
+    name: str
+    default: Any
+    kind: Kind
 
 
 @dataclass(frozen=True)
@@ -76,6 +116,11 @@ class Experiment:
     """
 
     name: str = ""
+    #: Every option :meth:`units` reads; no other experiment declares one.
+    #: A default may lie outside its kind (say, zero cells: inert).
+    declared_options: Tuple[Option, ...] = ()
+    #: The declared option a service spec's ``trials`` shorthand sets.
+    trials_option: Optional[str] = None
 
     def unit(self, key: str, **params: Any) -> Unit:
         return Unit(
@@ -153,11 +198,41 @@ def matches_filter(unit: Unit, patterns: Optional[Iterable[str]]) -> bool:
     )
 
 
+def resolve_options(
+    overrides: Mapping[str, Any], experiment: Optional[str] = None
+) -> Dict[str, Any]:
+    """Every declared option (only ``experiment``'s, if given), overridden.
+
+    Raises :class:`ValueError` naming the first override that no
+    experiment declares, that ``experiment`` does not read, or whose
+    value its kind does not admit.
+    """
+    declared = {
+        option.name: (owner.name, option)
+        for owner in all_experiments()
+        for option in owner.declared_options
+    }
+    for key, value in overrides.items():
+        if key not in declared:
+            raise ValueError(f"unknown option {key!r}; known: {', '.join(sorted(declared))}")
+        owner, option = declared[key]
+        if experiment not in (None, owner):
+            raise ValueError(f"option {key!r} is read by experiment {owner!r}, not {experiment!r}")
+        if not option.kind.admits(value):
+            raise ValueError(f"option {key!r} must be {option.kind.noun}")
+    return {
+        name: overrides.get(name, option.default)
+        for name, (owner, option) in declared.items()
+        if experiment in (None, owner)
+    }
+
+
 def expand_units(
     options: Mapping[str, Any],
     filters: Optional[Iterable[str]] = None,
 ) -> List[Unit]:
     """Enumerate every registered experiment's units, filtered."""
+    options = resolve_options(options)
     units: List[Unit] = []
     for experiment in all_experiments():
         units.extend(

@@ -182,7 +182,6 @@ def _attacks_text(rows: List[Tuple[Mapping[str, Any], Any]]) -> str:
 def write_artifacts(
     assembled: Mapping[str, Any],
     results_dir: Path | str,
-    options: Mapping[str, Any],
     log: Optional[RunLog] = None,
 ) -> List[str]:
     """Write every artifact whose source experiments are all present.

@@ -28,7 +28,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Any, FrozenSet, Mapping, Optional, Union
+from typing import Optional, Union
 
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.registry import ensure_default_experiments
@@ -60,8 +60,6 @@ class ServeApp:
         dispatchers: int = 2,
         quota_rate: float = 0.0,
         quota_burst: float = 10.0,
-        options: Optional[Mapping[str, Any]] = None,
-        extra_option_keys: FrozenSet[str] = frozenset(),
         drain_timeout: float = 20.0,
         quiet: bool = False,
     ) -> None:
@@ -87,8 +85,6 @@ class ServeApp:
             metrics=self.metrics,
             cache=self.cache,
             state_dir=self.state_dir,
-            base_options=options,
-            extra_option_keys=extra_option_keys,
             dispatchers=dispatchers,
         )
         self.router, self.routes = make_router(

@@ -1,9 +1,9 @@
 """Job specs, validation, content hashing, and the async job manager.
 
 A *job* is one experiment spec submitted over HTTP: an experiment name
-(validated against the runner registry), optional config overrides
-(validated against the runner's option keys), optional cell filters, a
-priority, and a client identity.  The manager turns it into runner
+(validated against the runner registry), optional option overrides
+(validated against the options that experiment declares), optional cell
+filters, a priority, and a client identity.  The manager turns it into runner
 cells, resolves what it can from the content-addressed result cache,
 pushes the rest through the :class:`~repro.runner.scheduler.Executor`
 seam, and seals the assembled artifact into the result store.
@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     List,
     Mapping,
     Optional,
@@ -49,14 +48,15 @@ from typing import (
 )
 
 from repro.runner.cache import ResultCache, code_fingerprint
-from repro.runner.experiments import DEFAULT_OPTIONS
 from repro.runner.progress import RunLog
 from repro.runner.registry import (
+    COUNT,
     REGISTRY,
     Unit,
     ensure_default_experiments,
     get_experiment,
     matches_filter,
+    resolve_options,
 )
 from repro.runner.scheduler import Executor, TaskOutcome
 from repro.sim.kernel import STRUCTURE_BACKEND, KernelCounts
@@ -64,25 +64,6 @@ from repro.sim.kernel import STRUCTURE_BACKEND, KernelCounts
 from .http import HttpError
 from .metrics import ServiceMetrics
 from .store import ResultStore
-
-#: ``trials`` spec shorthand -> the experiment's trial-count option.
-TRIALS_OPTION = {
-    "table4": "table4_trials",
-    "table7": "table7_trials",
-    "mitigations": "mitigation_trials",
-    "hierarchy": "hierarchy_trials",
-    "hierarchy_sweep": "hierarchy_sweep_trials",
-    "largepages": "largepage_trials",
-}
-
-#: Every option that counts trials (however spelled), instructions, bits,
-#: seeds or runs.  Each must be a positive integer; the run-count series
-#: (lists in ``DEFAULT_OPTIONS``) must be non-empty lists of them.
-COUNT_OPTIONS = frozenset(TRIALS_OPTION.values()) | {
-    "rf_region_trials", "fig7_spec_instructions", "fig7_key_bits",
-    "fig7_rsa_runs", "series_rsa_runs", "hierarchy_sweep_rsa_runs",
-    "attack_key_bits", "covert_bits", "dpf_seeds", "profiling_seeds",
-}
 
 DESIGN_NAMES = ("SA", "SP", "RF")
 
@@ -165,24 +146,14 @@ def _bad_spec(detail: str) -> HttpError:
     return HttpError(400, "bad-spec", detail)
 
 
-def _positive_count(value: Any) -> bool:
-    """A count: an ``int`` of at least one, and not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def parse_spec(
-    payload: Any,
-    extra_option_keys: FrozenSet[str] = frozenset(),
-    default_client: str = "anonymous",
-) -> JobSpec:
+def parse_spec(payload: Any, default_client: str = "anonymous") -> JobSpec:
     """Validate a raw JSON body into a :class:`JobSpec` or raise a 400.
 
     ``design``, ``workload``, and ``trials`` are conveniences that lower
     onto the runner's native vocabulary: design/workload become unit
     ident globs, trials becomes the experiment's trial-count option.
-    ``extra_option_keys`` widens the accepted option keys beyond
-    :data:`~repro.runner.experiments.DEFAULT_OPTIONS` for embedders
-    (tests register toy experiments with their own knobs).
+    Options are checked by :func:`~repro.runner.registry.resolve_options`
+    against the spec's experiment; its message is the 400's detail.
     """
     if not isinstance(payload, dict):
         raise _bad_spec("spec must be a JSON object")
@@ -203,45 +174,26 @@ def parse_spec(
             f" known: {', '.join(sorted(REGISTRY))}"
         )
 
-    options: Dict[str, Any] = {}
-    raw_options = payload.get("options", {})
-    if not isinstance(raw_options, dict):
+    options = payload.get("options", {})
+    if not isinstance(options, dict):
         raise _bad_spec("'options' must be an object")
-    allowed_keys = set(DEFAULT_OPTIONS) | set(extra_option_keys)
-    for key, value in raw_options.items():
-        if key not in allowed_keys:
-            raise _bad_spec(
-                f"unknown option {key!r};"
-                f" known: {', '.join(sorted(allowed_keys))}"
-            )
-        try:
-            json.dumps(value)
-        except (TypeError, ValueError):
-            raise _bad_spec(
-                f"option {key!r} must be a plain JSON value"
-            ) from None
-        if key in COUNT_OPTIONS:
-            series = isinstance(DEFAULT_OPTIONS[key], list)
-            counts = value if series else [value]
-            if not (isinstance(counts, list) and counts
-                    and all(map(_positive_count, counts))):
-                raise _bad_spec(f"option {key!r} must be " + (
-                    "a non-empty list of positive integers" if series
-                    else "a positive integer"
-                ))
-        options[key] = value
+    try:
+        resolve_options(options, experiment)
+    except ValueError as error:
+        raise _bad_spec(str(error)) from None
 
     trials = payload.get("trials")
     if trials is not None:
-        if not _positive_count(trials):
+        if not COUNT.admits(trials):
             raise _bad_spec("'trials' must be a positive integer")
-        option_key = TRIALS_OPTION.get(experiment)
+        option_key = REGISTRY[experiment].trials_option
         if option_key is None:
+            supported = sorted(n for n, e in REGISTRY.items() if e.trials_option)
             raise _bad_spec(
                 f"experiment {experiment!r} has no trials knob"
-                f" (supported: {', '.join(sorted(TRIALS_OPTION))})"
+                f" (supported: {', '.join(supported)})"
             )
-        options[option_key] = trials
+        options = {**options, option_key: trials}
 
     filters: List[str] = []
     design = payload.get("design")
@@ -423,8 +375,6 @@ class JobManager:
         metrics: ServiceMetrics,
         cache: Optional[ResultCache] = None,
         state_dir: Union[Path, str, None] = None,
-        base_options: Optional[Mapping[str, Any]] = None,
-        extra_option_keys: FrozenSet[str] = frozenset(),
         dispatchers: int = 2,
         max_queued_jobs: int = 256,
     ) -> None:
@@ -438,10 +388,6 @@ class JobManager:
             if self.state_dir is not None
             else None
         )
-        self.base_options: Dict[str, Any] = dict(DEFAULT_OPTIONS)
-        if base_options:
-            self.base_options.update(base_options)
-        self.extra_option_keys = frozenset(extra_option_keys)
         self.dispatchers = max(1, dispatchers)
         self.max_queued_jobs = max_queued_jobs
         self.code_version = (
@@ -526,9 +472,7 @@ class JobManager:
         survivors: List[str] = []
         for raw in pending.values():
             try:
-                spec = parse_spec(
-                    raw, extra_option_keys=self.extra_option_keys
-                )
+                spec = parse_spec(raw)
                 job, disposition = self.submit(spec)
             except (HttpError, KeyError, TypeError, ValueError):
                 continue  # spec no longer admits; the compaction drops it
@@ -580,15 +524,9 @@ class JobManager:
 
     # -- submission ----------------------------------------------------------------
 
-    def _merged_options(self, spec: JobSpec) -> Dict[str, Any]:
-        merged = dict(self.base_options)
-        merged.update(spec.options_dict)
-        return merged
-
     def _expand(self, spec: JobSpec) -> Tuple[List[Unit], int]:
         experiment = get_experiment(spec.experiment)
-        merged = self._merged_options(spec)
-        all_units = experiment.units(merged)
+        all_units = experiment.units(resolve_options(spec.options_dict, spec.experiment))
         if spec.filters:
             selected = [
                 unit for unit in all_units
@@ -804,10 +742,10 @@ class JobManager:
                 return
             values = [outcome.value for outcome in outcomes]
             experiment = get_experiment(job.spec.experiment)
-            merged = self._merged_options(job.spec)
             assembled: Any = None
             if len(values) == job.full_units:
-                assembled = experiment.assemble(values, merged)
+                options = resolve_options(job.spec.options_dict, job.spec.experiment)
+                assembled = experiment.assemble(values, options)
             document = result_document(
                 spec=job.spec,
                 content_hash=job.content_hash,

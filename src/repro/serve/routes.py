@@ -100,11 +100,7 @@ class ApiRoutes:
                 f"client {client!r} is over its submission quota",
                 headers={"Retry-After": f"{max(1, round(retry_after))}"},
             )
-        spec = parse_spec(
-            payload,
-            extra_option_keys=self.manager.extra_option_keys,
-            default_client=client,
-        )
+        spec = parse_spec(payload, default_client=client)
         job, disposition = self.manager.submit(spec)
         body = {
             "job_id": job.id,

@@ -3,8 +3,8 @@
 Each test aims one deterministic fault mode (:mod:`repro.faults.chaos`)
 at the cheap probe experiment and asserts the matching hardening
 mechanism engaged *and* the run still converged to correct artifacts.
-The interrupt tests register their own toy experiment, gated on an
-``options`` key like the scheduler-test toys.
+The interrupt tests register their own toy experiment, which declares
+the marker-file option it is gated on.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 from repro.faults import ChaosConfig
 from repro.faults.campaign import PROBE_EXPERIMENT, ensure_probe_experiment
 from repro.runner import Experiment, register, run_all
-from repro.runner.registry import REGISTRY
+from repro.runner.registry import REGISTRY, Kind, Option
 
 ensure_probe_experiment()
 
@@ -133,8 +133,15 @@ class TestChaosDeterminism:
 class InterruptOnceExperiment(Experiment):
     """Raises KeyboardInterrupt on one cell, once (marker-file gated)."""
 
+    declared_options = (
+        # No marker, no cells.
+        Option("toy_interrupt_marker", None, Kind(
+            "a path or null", lambda value: value is None or isinstance(value, str)
+        )),
+    )
+
     def units(self, options):
-        if "toy_interrupt_marker" not in options:
+        if options["toy_interrupt_marker"] is None:
             return []
         return [
             self.unit(

@@ -7,12 +7,14 @@ graceful degradation to inline execution, and cross-worker poison
 quarantine with its full attempt history.
 """
 
+import json
 import time
 
 import pytest
 
 from repro.faults.chaos import ExecutorChaosConfig
 from repro.runner.backoff import backoff_delay
+from repro.runner.cache import code_fingerprint
 from repro.runner.distributed import (
     Board,
     Lease,
@@ -160,6 +162,52 @@ class TestWorkStealingExecutor:
         assert all(not outcome.failed for outcome in outcomes.values())
         assert executor.fallback_cells == 3
         assert executor.worker_crashes == 0
+
+    def test_a_foreign_worker_does_not_hold_off_the_fallback(
+        self, tmp_path, toy
+    ):
+        # A fresh heartbeat from a worker started from another source
+        # tree: it declines every task this parent publishes, so it must
+        # not keep the parent waiting out its drain timeout.
+        executor = _executor(
+            tmp_path, lease_ttl=10.0, fallback_after=1.0, drain_timeout=6.0
+        )
+        executor.board.ensure_layout()
+        (executor.board.workers / "foreign.json").write_text(json.dumps({
+            "worker": "foreign",
+            "heartbeat": time.time(),
+            "code_version": "another-source-tree",
+        }))
+        started = time.monotonic()
+        try:
+            outcomes = executor.run([(0, toy.unit("solo", value=5))])
+        finally:
+            executor.close()
+        assert not outcomes[0].failed
+        assert outcomes[0].value == 15
+        assert executor.fallback_cells == 1
+        assert time.monotonic() - started < 6.0
+
+    def test_a_worker_journals_the_first_task_it_declines(
+        self, board, toy
+    ):
+        for index in range(2):
+            board.publish(
+                toy.unit(str(index), value=index), f"cell-{index}",
+                {"code_version": "another-source-tree"},
+            )
+        loop = WorkerLoop(board, worker_id="w1")
+        assert not loop.run_once()
+        assert not loop.run_once()
+        events = [
+            json.loads(line)
+            for line in (board.journals / "w1.jsonl").read_text().splitlines()
+        ]
+        assert [event["event"] for event in events] == ["declined"]
+        assert events[0]["code_version"] == "another-source-tree"
+        assert events[0]["own_code_version"] == code_fingerprint()
+        heartbeat = json.loads((board.workers / "w1.json").read_text())
+        assert heartbeat["code_version"] == code_fingerprint()
 
     def test_submit_satisfies_the_executor_seam(self, tmp_path, toy):
         executor = _executor(tmp_path)

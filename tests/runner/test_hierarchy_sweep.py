@@ -111,9 +111,7 @@ class TestAssembly:
         assert all(agreement.values())
 
     def test_artifact_is_written(self, assembled, tmp_path):
-        written = write_artifacts(
-            {"hierarchy_sweep": assembled}, tmp_path, OPTIONS
-        )
+        written = write_artifacts({"hierarchy_sweep": assembled}, tmp_path)
         assert "hierarchy_sweep.txt" in written
         text = (tmp_path / "hierarchy_sweep.txt").read_text()
         assert "hierarchy sweep" in text

@@ -113,6 +113,57 @@ class TestCaching:
         assert changed.cache_hits == 0
 
 
+class TestExecutorArguments:
+    @pytest.mark.parametrize(
+        "arguments,message",
+        [
+            (
+                {"executor": "work-stealing", "workers": 1, "max_retries": -1},
+                "max_retries must be a non-negative integer",
+            ),
+            ({"max_retries": -1}, "max_retries must be a non-negative integer"),
+            ({"max_retries": 1.5}, "max_retries must be a non-negative integer"),
+            (
+                {"jobs": 2, "task_timeout": 0},
+                "task_timeout must be a positive number of seconds",
+            ),
+            (
+                {"jobs": 2, "task_timeout": -1.0},
+                "task_timeout must be a positive number of seconds",
+            ),
+            ({"executor": "threads"}, "unknown executor 'threads'"),
+        ],
+    )
+    def test_a_bad_budget_is_refused_before_any_cell(
+        self, tmp_path, arguments, message
+    ):
+        # Once, a budget of -1 quarantined the cell unrun (zero attempts)
+        # and a zero timeout had the watchdog kill every cell.
+        with pytest.raises(ValueError, match=message):
+            run_all(
+                filters=["table5*"],
+                results_dir=tmp_path / "results",
+                cache_dir=tmp_path / "cache",
+                progress=False,
+                **arguments,
+            )
+        assert not (tmp_path / "results").exists()
+        assert not (tmp_path / "cache").exists()
+
+    def test_zero_retries_still_runs_each_cell_once(self, tmp_path):
+        report = run_all(
+            executor="work-stealing",
+            workers=1,
+            max_retries=0,
+            filters=["table5*"],
+            results_dir=tmp_path / "results",
+            cache_dir=tmp_path / "cache",
+            progress=False,
+        )
+        assert report.ok
+        assert report.quarantined == 0
+
+
 class TestArtifacts:
     def test_partial_experiment_writes_no_artifact(self, tmp_path):
         report = run_all(

@@ -275,7 +275,7 @@ class TestTrialsRun:
         assert trials_run[0] == distinct
 
     @pytest.mark.parametrize("trials", [0, -1])
-    def test_a_non_positive_count_is_rejected_before_any_machine(
+    def test_a_trial_count_below_one_is_rejected_before_any_machine(
         self, monkeypatch, trials
     ):
         built = []

@@ -20,7 +20,15 @@ import http.client
 
 import pytest
 
-from repro.runner.registry import REGISTRY, Experiment, register
+from repro.runner.registry import (
+    COUNT_SERIES,
+    FLAG,
+    REGISTRY,
+    Experiment,
+    Kind,
+    Option,
+    register,
+)
 from repro.serve import ServeApp
 
 #: One entry per toy-cell execution (thread-safe append), so tests can
@@ -28,30 +36,40 @@ from repro.serve import ServeApp
 RUN_CALLS = []
 _RUN_LOCK = threading.Lock()
 
-#: Spec option keys the toy experiment understands; passed to the app as
-#: ``extra_option_keys`` so validation admits them.
-TOY_OPTION_KEYS = frozenset(
-    {
-        "serve_toy_values",
-        "serve_toy_delay",
-        "serve_toy_fail",
-        "serve_toy_certified",
-    }
+#: A toy's cell sleep, in seconds.
+DELAY = Kind(
+    "a non-negative number",
+    lambda value: isinstance(value, (int, float))
+    and not isinstance(value, bool)
+    and value >= 0,
 )
 
 
 class ServeToyExperiment(Experiment):
     """Squares its values; optionally sleeps or fails, for test control."""
 
+    declared_options = (
+        # No values, no cells: the toy stays out of every other expansion.
+        Option("serve_toy_values", [], Kind(
+            "a list of positive integers",
+            lambda value: value == [] or COUNT_SERIES.admits(value),
+        )),
+        Option("serve_toy_delay", 0.0, DELAY),
+        Option("serve_toy_fail", False, FLAG),
+        # ``None``: the toy makes no certification claim.
+        Option("serve_toy_certified", None, Kind(
+            "a boolean or null",
+            lambda value: value is None or isinstance(value, bool),
+        )),
+    )
+
     def units(self, options):
-        if "serve_toy_values" not in options:
-            return []
         return [
             self.unit(
                 str(value),
                 value=value,
-                delay=options.get("serve_toy_delay", 0.0),
-                fail=options.get("serve_toy_fail", False),
+                delay=options["serve_toy_delay"],
+                fail=options["serve_toy_fail"],
             )
             for value in options["serve_toy_values"]
         ]
@@ -68,10 +86,10 @@ class ServeToyExperiment(Experiment):
 
     def assemble(self, values, options):
         assembled = {"squares": list(values)}
-        if "serve_toy_certified" in options:
+        if options["serve_toy_certified"] is not None:
             # Mimic a certifying experiment (e.g. hierarchy_sweep): the
             # assembled payload carries a static/dynamic agreement flag.
-            assembled["certified"] = bool(options["serve_toy_certified"])
+            assembled["certified"] = options["serve_toy_certified"]
         return assembled
 
 
@@ -89,7 +107,6 @@ class ServeHarness:
     def __init__(self, **app_kwargs: Any) -> None:
         app_kwargs.setdefault("port", 0)
         app_kwargs.setdefault("quiet", True)
-        app_kwargs.setdefault("extra_option_keys", TOY_OPTION_KEYS)
         self.app = ServeApp(**app_kwargs)
         self._ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -178,19 +178,24 @@ import sys
 
 sys.path.insert(0, sys.argv[1])
 
-from repro.runner.registry import Experiment, register
+from repro.runner.registry import COUNT_SERIES, Experiment, Kind, Option, register
 
 
 class DrainToy(Experiment):
+    declared_options = (
+        Option("drain_toy_values", [], Kind(
+            "a list of positive integers",
+            lambda value: value == [] or COUNT_SERIES.admits(value),
+        )),
+        Option("drain_toy_delay", 0.0, Kind(
+            "a non-negative number",
+            lambda value: isinstance(value, (int, float)) and value >= 0,
+        )),
+    )
+
     def units(self, options):
-        if "drain_toy_values" not in options:
-            return []
         return [
-            self.unit(
-                str(value),
-                value=value,
-                delay=options.get("drain_toy_delay", 0.0),
-            )
+            self.unit(str(value), value=value, delay=options["drain_toy_delay"])
             for value in options["drain_toy_values"]
         ]
 
@@ -218,7 +223,6 @@ app = ServeApp(
     cache_dir=cache_dir,
     max_concurrency=1,
     dispatchers=1,
-    extra_option_keys=frozenset({"drain_toy_values", "drain_toy_delay"}),
     drain_timeout=float(drain_timeout),
     quiet=False,
 )

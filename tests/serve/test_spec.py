@@ -6,9 +6,16 @@ import json
 
 import pytest
 
+from repro.runner.registry import (
+    COUNT,
+    REGISTRY,
+    Experiment,
+    Option,
+    get_experiment,
+    register,
+)
 from repro.serve.http import HttpError
 from repro.serve.jobs import (
-    TRIALS_OPTION,
     JobSpec,
     canonical_payload,
     parse_spec,
@@ -60,13 +67,30 @@ class TestParseSpec:
         detail = _reject({"experiment": "table2", "options": {"nope": 1}})
         assert "unknown option" in detail
 
-    def test_extra_option_keys_widen_validation(self):
+    def test_a_declared_toy_option_is_admitted_for_its_experiment_only(self):
+        class KnobToy(Experiment):
+            declared_options = (Option("custom_knob", 1, COUNT),)
+
         _reject({"experiment": "table2", "options": {"custom_knob": 1}})
-        spec = parse_spec(
-            {"experiment": "table2", "options": {"custom_knob": 1}},
-            extra_option_keys=frozenset({"custom_knob"}),
-        )
-        assert dict(spec.options)["custom_knob"] == 1
+        register("knob-toy")(KnobToy)
+        try:
+            spec = parse_spec(
+                {"experiment": "knob-toy", "options": {"custom_knob": 2}}
+            )
+            assert dict(spec.options)["custom_knob"] == 2
+            detail = _reject(
+                {"experiment": "table2", "options": {"custom_knob": 2}}
+            )
+            assert detail == (
+                "option 'custom_knob' is read by experiment 'knob-toy',"
+                " not 'table2'"
+            )
+            detail = _reject(
+                {"experiment": "knob-toy", "options": {"table4_trials": 2}}
+            )
+            assert "'table4_trials' is read by experiment 'table4'" in detail
+        finally:
+            REGISTRY.pop("knob-toy", None)
 
     def test_rejections(self):
         _reject("not a dict")
@@ -116,7 +140,10 @@ class TestParseSpec:
         assert detail == f"option {option!r} must be a positive integer"
         # A null shorthand means "not given"; only trial counts have one,
         # and sweeps has none.
-        if count is not None and TRIALS_OPTION.get(experiment) == option:
+        if (
+            count is not None
+            and get_experiment(experiment).trials_option == option
+        ):
             detail = _reject({"experiment": experiment, "trials": count})
             assert detail == "'trials' must be a positive integer"
         spec = parse_spec({"experiment": experiment, "options": {option: 3}})

@@ -74,6 +74,31 @@ class TestParser:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--max-retries", "-1"),
+            ("--max-retries", "two"),
+            ("--task-timeout", "0"),
+            ("--task-timeout", "-0.5"),
+            ("--task-timeout", "soon"),
+        ],
+    )
+    def test_a_bad_run_all_budget_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as raised:
+            main(["run-all", "--filter", "table5*", flag, value])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+
+    def test_run_all_budgets_parse(self):
+        args = build_parser().parse_args(
+            ["run-all", "--max-retries", "0", "--task-timeout", "0.5"]
+        )
+        assert (args.max_retries, args.task_timeout) == (0, 0.5)
+
+
 class TestExecution:
     def test_table2_exits_zero_and_prints_table(self, capsys):
         assert main(["table2", "--verbose"]) == 0
