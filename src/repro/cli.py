@@ -294,6 +294,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_run_all(args: argparse.Namespace) -> int:
     from repro.runner import run_all
 
+    if args.task_timeout is not None and args.executor == "work-stealing":
+        args.usage_error(
+            "--task-timeout arms the pool executor's watchdog;"
+            " --executor work-stealing has none"
+        )
     options = {}
     if args.no_fastpath:
         options["fig7_fastpath"] = False
@@ -470,7 +475,7 @@ def _add_design_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.runner.api import RETRIES, SECONDS
+    from repro.runner.api import NON_NEGATIVE, SECONDS
     from repro.runner.registry import COUNT
 
     parser = argparse.ArgumentParser(
@@ -621,14 +626,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL run log (default: <results-dir>/run_log.jsonl)",
     )
     run_all.add_argument(
-        "--max-retries", type=RETRIES.parse, default=2,
+        "--max-retries", type=NON_NEGATIVE.parse, default=2,
         help="retries per cell before marking it failed (default: 2)",
     )
     run_all.add_argument(
         "--task-timeout", type=SECONDS.parse, default=None, metavar="SECONDS",
         help=(
-            "per-cell wall-clock watchdog: kill and requeue any cell"
-            " running longer than this (default: off)"
+            "per-cell wall-clock watchdog of the pool executor: kill and"
+            " requeue any cell running longer than this (default: off)"
         ),
     )
     run_all.add_argument(
@@ -640,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_all.add_argument(
-        "--workers", type=int, default=2, metavar="N",
+        "--workers", type=NON_NEGATIVE.parse, default=2, metavar="N",
         help=(
             "local stealing workers to spawn with --executor work-stealing"
             " (default: 2); remote hosts join with"
@@ -658,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_all.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
     )
-    run_all.set_defaults(func=_cmd_run_all)
+    run_all.set_defaults(func=_cmd_run_all, usage_error=run_all.error)
 
     worker = subparsers.add_parser(
         "worker",
@@ -806,16 +811,17 @@ def build_parser() -> argparse.ArgumentParser:
             " dropped flushes, walk jitter, spurious evictions) and the"
             " runner (hung/crashing/lying workers, torn cache entries,"
             " poison cells), then verify each is caught by a detector or"
-            " recovered by the hardening machinery.  The executor campaign"
-            " attacks the work-stealing lease protocol itself: SIGKILLed"
-            " workers, frozen heartbeats, duplicate and stale leases, torn"
-            " journal tails, tampered results, cross-host poison cells --"
-            " each must be masked (byte-identical artifacts) or detected"
-            " and quarantined.  Exits nonzero on any silent fault."
+            " recovered by the hardening machinery.  The runner campaign"
+            " aims each fault at every executor backend that implements"
+            " it -- the process pool and the work-stealing lease protocol"
+            " (frozen heartbeats, duplicate and stale leases, torn journal"
+            " tails) -- and each must be masked (byte-identical artifacts)"
+            " or quarantined with its history.  Exits nonzero on any"
+            " silent fault."
         ),
     )
     chaos.add_argument(
-        "campaign", choices=["sim", "runner", "executor", "all"],
+        "campaign", choices=["sim", "runner", "all"],
         help="which layer's campaign to run",
     )
     chaos.add_argument("--seed", type=int, default=2019)
@@ -845,8 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="executor-campaign worker topology (default: 2)",
+        "--workers", type=NON_NEGATIVE.parse, default=2, metavar="N",
+        help="local work-stealing workers in the runner campaign (default: 2)",
     )
     chaos.set_defaults(func=_cmd_chaos)
 

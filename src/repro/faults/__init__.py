@@ -12,16 +12,17 @@ layers, and requires every attack to be *caught*:
 * :mod:`repro.faults.detectors` -- the assertion battery (structural
   audit, shadow model, page-table oracle, Sec-bit, walk timing, flush
   efficacy) that must flag each injected fault;
-* :mod:`repro.faults.chaos` -- deterministic runner-layer misbehaviour
-  (hang / crash / corrupt result / poison cells) for the scheduler's
-  watchdog, integrity-envelope and quarantine hardening, plus the
-  executor-layer :class:`ExecutorChaosConfig` (SIGKILLs, frozen
-  heartbeats, duplicate/stale leases, torn journals, tampered results)
-  for the work-stealing lease protocol;
 * :mod:`repro.faults.campaign` -- the campaigns behind
   ``python -m repro chaos``, producing the detection matrix that fails
   CI on any silent fault.
+
+Runner-layer misbehaviour (hung, crashing and lying workers, frozen
+heartbeats, duplicate and stale leases, torn journals, poison cells) is
+injected by :class:`~repro.runner.policy.ChaosConfig`, which lives beside
+the executors that implement its modes and is re-exported here.
 """
+
+from repro.runner.policy import FAULT_MODES, ChaosConfig
 
 from .campaign import (
     PROBE_EXPERIMENT,
@@ -31,16 +32,8 @@ from .campaign import (
     drive_workload,
     ensure_probe_experiment,
     run_campaigns,
-    run_executor_campaign,
     run_runner_campaign,
     run_sim_campaign,
-)
-from .chaos import (
-    EXECUTOR_FAULT_MODES,
-    WORKER_FAULT_MODES,
-    ChaosConfig,
-    ExecutorChaosConfig,
-    default_chaos,
 )
 from .detectors import (
     Detector,
@@ -54,13 +47,11 @@ from .detectors import (
 )
 from .injector import InjectedFault, SimFaultInjector
 from .plan import (
-    EXECUTOR_FAULT_KINDS,
     FAULT_KINDS,
     RUNNER_FAULT_KINDS,
     SIM_FAULT_KINDS,
     FaultPlan,
     FaultSpec,
-    default_executor_plan,
     default_runner_plan,
     default_sim_plan,
 )
@@ -71,10 +62,8 @@ __all__ = [
     "ChaosConfig",
     "Detector",
     "DetectorSuite",
-    "EXECUTOR_FAULT_KINDS",
-    "EXECUTOR_FAULT_MODES",
-    "ExecutorChaosConfig",
     "FAULT_KINDS",
+    "FAULT_MODES",
     "FaultPlan",
     "FaultSpec",
     "FlushEfficacyDetector",
@@ -87,17 +76,13 @@ __all__ = [
     "SimFaultInjector",
     "TLBAuditDetector",
     "TranslationOracleDetector",
-    "WORKER_FAULT_MODES",
     "WalkTimingDetector",
     "build_campaign_memory",
-    "default_chaos",
-    "default_executor_plan",
     "default_runner_plan",
     "default_sim_plan",
     "drive_workload",
     "ensure_probe_experiment",
     "run_campaigns",
-    "run_executor_campaign",
     "run_runner_campaign",
     "run_sim_campaign",
 ]

@@ -10,37 +10,31 @@ Two campaigns mirror the package's two layers:
   A fault no detector reports is a **silent fault** -- the campaign's
   failure condition, gating CI.
 
-* :func:`run_runner_campaign` aims each runner-layer fault mode at a
-  cheap probe experiment executed through the real ``run_all`` stack
-  (worker processes, cache, artifacts) and checks the matching hardening
-  mechanism engaged *and* the final artifacts are byte-identical to a
-  clean run's (or, for poison cells, that the run quarantined them and
-  reported partially).
-
-Runner imports happen lazily inside the functions: the scheduler imports
-:mod:`repro.faults.chaos`, so a module-level import here would cycle.
+* :func:`run_runner_campaign` aims each runner-layer fault at a cheap
+  probe experiment under each executor backend that implements it
+  (:data:`repro.runner.policy.BACKEND_FAULT_MODES`), through the real
+  ``run_all`` stack (worker processes, lease board, cache, artifacts),
+  and checks the matching hardening mechanism engaged *and* the final
+  artifacts are byte-identical to one clean pool run's (or, for poison
+  cells, that the run quarantined them with their attempt history).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.mmu.walker import make_walker
+from repro.runner.api import run_all
+from repro.runner.policy import BACKEND_FAULT_MODES, ChaosConfig
+from repro.runner.registry import COUNT, REGISTRY, Experiment, Option, register
 from repro.sim.system import MemorySystem
 
 from .detectors import DetectorSuite
 from .injector import SimFaultInjector
-from .plan import (
-    EXECUTOR_FAULT_KINDS,
-    RUNNER_FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    default_executor_plan,
-    default_runner_plan,
-    default_sim_plan,
-)
+from .plan import FaultPlan, default_runner_plan, default_sim_plan
 
 #: The probe experiment the runner campaign schedules.
 PROBE_EXPERIMENT = "chaos-probe"
@@ -58,6 +52,12 @@ class CampaignRow:
     detected_by: Tuple[str, ...]
     #: Human-readable evidence: injection details and violation messages.
     evidence: List[str] = field(default_factory=list)
+    #: The executor backend a runner fault ran under (None for sim faults).
+    backend: Optional[str] = None
+
+    @property
+    def label(self) -> str:
+        return f"{self.kind}/{self.backend}" if self.backend else self.kind
 
     @property
     def silent(self) -> bool:
@@ -68,6 +68,7 @@ class CampaignRow:
         return {
             "kind": self.kind,
             "layer": self.layer,
+            "backend": self.backend,
             "injections": self.injections,
             "detected_by": list(self.detected_by),
             "silent": self.silent,
@@ -87,11 +88,11 @@ class CampaignReport:
 
     @property
     def silent_faults(self) -> List[str]:
-        return [row.kind for row in self.rows if row.silent]
+        return [row.label for row in self.rows if row.silent]
 
     @property
     def not_injected(self) -> List[str]:
-        return [row.kind for row in self.rows if row.injections == 0]
+        return [row.label for row in self.rows if row.injections == 0]
 
     @property
     def ok(self) -> bool:
@@ -117,13 +118,20 @@ class CampaignReport:
         """The detection matrix as an aligned console table."""
         lines = [f"chaos campaign: {self.name} (seed {self.seed})", ""]
         width = max((len(row.kind) for row in self.rows), default=4)
-        header = f"{'fault':<{width}}  inj  detected by"
+        backends = max(
+            (len(row.backend or "") for row in self.rows), default=0
+        )
+        column = f"{'backend':<{backends}}  " if backends else ""
+        header = f"{'fault':<{width}}  {column}inj  detected by"
         lines += [header, "-" * len(header)]
         for row in self.rows:
             caught = ", ".join(row.detected_by) if row.detected_by else (
                 "SILENT" if row.injections else "not injected"
             )
-            lines.append(f"{row.kind:<{width}}  {row.injections:>3}  {caught}")
+            backend = f"{row.backend or '':<{backends}}  " if backends else ""
+            lines.append(
+                f"{row.kind:<{width}}  {backend}{row.injections:>3}  {caught}"
+            )
         lines.append("")
         if self.baseline_violations:
             lines.append("baseline (no faults) FALSE POSITIVES:")
@@ -257,8 +265,6 @@ def ensure_probe_experiment() -> None:
     Inert in normal runs: its ``chaos_probe_cells`` option defaults to
     zero cells.  Worker processes inherit the registration via fork.
     """
-    from repro.runner.registry import COUNT, REGISTRY, Experiment, Option, register
-
     if PROBE_EXPERIMENT in REGISTRY:
         return
 
@@ -289,37 +295,117 @@ def _artifact_bytes(results_dir: Path) -> Dict[str, bytes]:
     }
 
 
+#: The executor backends the runner campaign aims its faults at.
+BACKENDS: Tuple[str, ...] = ("pool", "work-stealing")
+
+#: Runner fault kind -> (the hardening mechanism that must engage, the
+#: :class:`~repro.runner.progress.RunReport` counter that shows it did).
+MECHANISMS: Dict[str, Tuple[str, str]] = {
+    "hang": ("watchdog", "watchdog_kills"),
+    "crash": ("crash-recovery", "worker_crashes"),
+    "corrupt-result": ("integrity-envelope", "corrupt_results"),
+    "heartbeat-freeze": ("lease-reclaim", "leases_reclaimed"),
+    "duplicate-lease": ("duplicate-detect", "duplicate_completions"),
+    "stale-lease": ("lease-reclaim", "leases_reclaimed"),
+    "torn-journal": ("torn-tail-reader", "torn_journals"),
+    "poison": ("quarantine", "quarantined"),
+    "torn-cache": ("cache-checksum", "cache_corrupt"),
+}
+
+#: Tight timings, so every recovery path fires within seconds: a 1 s
+#: pool watchdog and lease TTL, and hung or frozen workers that hold
+#: their cell 2.5 s, past both.
+HOLD_SECONDS = 2.5
+BACKEND_RUNS: Dict[str, Dict[str, Any]] = {
+    "pool": dict(task_timeout=1.0),
+    "work-stealing": dict(
+        executor="work-stealing",
+        executor_options=dict(
+            lease_ttl=1.0,
+            heartbeat_interval=0.25,
+            poll_interval=0.05,
+            fallback_after=120.0,
+            drain_timeout=180.0,
+        ),
+    ),
+}
+
+
+def backends_for(kind: str) -> Tuple[str, ...]:
+    """The backends a runner fault kind runs under in the matrix."""
+    if kind == "torn-cache":
+        return BACKENDS  # the cache sits in front of either backend
+    return tuple(
+        backend for backend in BACKENDS
+        if kind in BACKEND_FAULT_MODES[backend]
+    )
+
+
+def _tear_one_cache_entry(cache_dir: Path) -> Optional[str]:
+    """Truncate one cache entry mid-file; returns its name."""
+    entries = sorted(Path(cache_dir).rglob("*.pkl"))
+    if not entries:
+        return None
+    victim = entries[len(entries) // 2]
+    blob = victim.read_bytes()
+    victim.write_bytes(blob[: max(1, len(blob) // 2)])
+    return victim.name
+
+
+def _quarantine_history(
+    results_dir: Path, ident: str
+) -> List[Dict[str, Any]]:
+    """The attempt history ``failed_cells.json`` carries for ``ident``."""
+    manifest_path = results_dir / "failed_cells.json"
+    if not manifest_path.is_file():
+        return []
+    manifest = json.loads(manifest_path.read_text())
+    return next(
+        (
+            entry.get("history", [])
+            for entry in manifest.get("failed", [])
+            if entry.get("ident") == ident
+        ),
+        [],
+    )
+
+
 def run_runner_campaign(
     workdir: Path | str,
     plan: Optional[FaultPlan] = None,
     seed: int = 2019,
     cells: int = 6,
     jobs: int = 2,
-    task_timeout: float = 2.0,
+    workers: int = 2,
 ) -> CampaignReport:
-    """Aim each runner fault mode at the probe cells through ``run_all``."""
-    from repro.faults.chaos import ChaosConfig
-    from repro.runner.api import run_all
+    """Aim each runner fault at the probe cells under each backend.
 
+    Every (fault, backend) cell of the matrix gets its own results and
+    cache directories (so its own lease board) and runs the probe cells
+    through the real ``run_all`` stack: a ``jobs``-process pool, or
+    ``workers`` local work-stealing workers.  The zero-silent-fault
+    contract: each injected fault must be *masked* -- its mechanism
+    engaged and the merged artifacts byte-identical to one clean pool
+    run's -- or *quarantined*, the poison cell failing alone with its
+    attempt history in ``failed_cells.json``.
+    """
     plan = plan if plan is not None else default_runner_plan(seed)
-    kinds = [
-        spec.kind for spec in plan.specs if spec.kind in RUNNER_FAULT_KINDS
-    ]
     workdir = Path(workdir)
     report = CampaignReport(name="runner", seed=plan.seed)
     ensure_probe_experiment()
 
     common: Dict[str, Any] = dict(
-        jobs=jobs,
         filters=[f"{PROBE_EXPERIMENT}/*"],
         options={"chaos_probe_cells": cells},
         progress=False,
     )
 
-    # Clean reference run: the artifact bytes every chaotic run must match.
+    # The one clean reference run: the artifact bytes every chaotic run
+    # under either backend must match.
     clean_dir = workdir / "clean"
     clean_report = run_all(
-        results_dir=clean_dir, cache_dir=workdir / "clean-cache", **common
+        jobs=jobs, results_dir=clean_dir, cache_dir=workdir / "clean-cache",
+        **common,
     )
     if not clean_report.ok:
         report.baseline_violations.append(
@@ -329,291 +415,79 @@ def run_runner_campaign(
     if not reference:
         report.baseline_violations.append("clean run produced no artifacts")
 
-    chaos_seed = plan.seed
-    for kind in kinds:
-        results_dir = workdir / kind
-        cache_dir = workdir / f"{kind}-cache"
-        detected: List[str] = []
-        evidence: List[str] = []
-        injections = 0
-
-        if kind == "torn-cache":
-            # Populate the cache, tear one entry mid-write, rerun: the
-            # checksum/atomic-read path must spot the torn file, recompute
-            # the cell, and still converge to the reference artifacts.
-            run_all(results_dir=results_dir, cache_dir=cache_dir, **common)
-            torn = sorted(Path(cache_dir).rglob("*.pkl"))
-            if torn:
-                victim = torn[len(torn) // 2]
-                blob = victim.read_bytes()
-                victim.write_bytes(blob[: max(1, len(blob) // 2)])
+    poisoned = f"{PROBE_EXPERIMENT}/cell-00"
+    for spec in plan.specs:
+        if spec.layer != "runner":
+            continue
+        kind = spec.kind
+        mechanism, counter = MECHANISMS[kind]
+        for backend in backends_for(kind):
+            results_dir = workdir / f"{kind}-{backend}"
+            run: Dict[str, Any] = dict(
+                results_dir=results_dir,
+                cache_dir=workdir / f"{kind}-{backend}-cache",
+                jobs=jobs,
+                workers=workers,
+                **BACKEND_RUNS[backend],
+                **common,
+            )
+            detected: List[str] = []
+            evidence: List[str] = []
+            chaos: Optional[ChaosConfig] = None
+            if kind == "torn-cache":
+                # Populate the cache, tear one entry mid-write, rerun: the
+                # checksum read must spot the torn file and recompute it.
+                run_all(**run)
+                victim = _tear_one_cache_entry(run["cache_dir"])
+                injections = 1 if victim else 0
+                evidence.append(f"truncated {victim}")
+            elif kind == "poison":
+                chaos = ChaosConfig(seed=plan.seed, poison_idents=(poisoned,))
                 injections = 1
-                evidence.append(f"truncated {victim.name}")
-            rerun = run_all(
-                results_dir=results_dir, cache_dir=cache_dir, **common
-            )
-            if rerun.cache_corrupt:
-                detected.append("cache-checksum")
-                evidence.append(
-                    f"{rerun.cache_corrupt} torn entries recomputed"
+                evidence.append(f"poisoned {poisoned} on every attempt")
+            else:
+                chaos = ChaosConfig(
+                    seed=plan.seed, modes=(kind,), rate=1.0,
+                    hang_seconds=HOLD_SECONDS,
                 )
-            if rerun.ok and _artifact_bytes(results_dir) == reference:
-                detected.append("artifact-match")
-        elif kind == "poison":
-            poisoned = f"{PROBE_EXPERIMENT}/cell-00"
-            chaos = ChaosConfig(
-                seed=chaos_seed, modes=(), poison_idents=(poisoned,)
-            )
-            injections = 1
-            evidence.append(f"poisoned {poisoned}")
-            outcome = run_all(
-                results_dir=results_dir,
-                cache_dir=cache_dir,
-                chaos=chaos,
-                **common,
-            )
-            quarantined = (
-                not outcome.ok
-                and poisoned in outcome.failed
-                and outcome.completed == cells - 1
-                and (results_dir / "failed_cells.json").is_file()
-            )
-            if quarantined:
-                detected.append("quarantine")
-                evidence.append(
-                    f"failed-cell manifest written, {outcome.completed}"
-                    f"/{cells} healthy cells completed"
-                )
-        else:
-            mode_map = {
-                "hang": ("watchdog", "watchdog_kills"),
-                "crash": ("crash-retry", "worker_crashes"),
-                "corrupt-result": ("integrity-envelope", "corrupt_results"),
-            }
-            mechanism, counter = mode_map[kind]
-            chaos = ChaosConfig(
-                seed=chaos_seed,
-                modes=(kind,),
-                rate=1.0,
-                hang_seconds=task_timeout * 30,
-            )
-            outcome = run_all(
-                results_dir=results_dir,
-                cache_dir=cache_dir,
-                chaos=chaos,
-                task_timeout=(task_timeout if kind == "hang" else None),
-                **common,
-            )
+                injections = cells  # rate=1.0 targets every first attempt
+            outcome = run_all(chaos=chaos, **run)
             engaged = getattr(outcome, counter)
-            injections = cells  # rate=1.0 targets every first attempt
             if engaged:
                 detected.append(mechanism)
                 evidence.append(f"{counter}={engaged}")
-            if outcome.ok and _artifact_bytes(results_dir) == reference:
-                detected.append("artifact-match")
-            elif not outcome.ok:
-                evidence.append(f"run not ok: failed={outcome.failed}")
-
-        report.rows.append(
-            CampaignRow(
-                kind=kind,
-                layer="runner",
-                injections=injections,
-                detected_by=tuple(detected),
-                evidence=evidence,
-            )
-        )
-    return report
-
-
-# -- the executor-layer campaign ----------------------------------------------
-
-
-def run_executor_campaign(
-    workdir: Path | str,
-    plan: Optional[FaultPlan] = None,
-    seed: int = 2019,
-    cells: int = 6,
-    workers: int = 2,
-) -> CampaignReport:
-    """Aim each lease-protocol fault at the work-stealing executor.
-
-    Every fault mode gets a fresh board (its own cache directory) and a
-    ``workers``-strong local topology running the probe cells through the
-    real ``run_all`` stack with ``executor="work-stealing"``.  The
-    zero-silent-fault contract: each injected fault must be *masked* --
-    the affected cells re-executed and the merged artifacts byte-identical
-    to a clean local-pool run -- or *detected and quarantined* (the
-    cross-host poison cell, with its full attempt history in
-    ``failed_cells.json``).  Never a corrupt or missing result.
-    """
-    import json
-
-    from repro.faults.chaos import ExecutorChaosConfig
-    from repro.runner.api import run_all
-
-    plan = plan if plan is not None else default_executor_plan(seed)
-    kinds = [
-        spec.kind for spec in plan.specs if spec.kind in EXECUTOR_FAULT_KINDS
-    ]
-    workdir = Path(workdir)
-    report = CampaignReport(name="executor", seed=plan.seed)
-    ensure_probe_experiment()
-
-    common: Dict[str, Any] = dict(
-        filters=[f"{PROBE_EXPERIMENT}/*"],
-        options={"chaos_probe_cells": cells},
-        progress=False,
-    )
-    #: Tight protocol timings so every recovery path fires within seconds;
-    #: freeze/stale holds must exceed the lease TTL to go stale mid-run.
-    protocol: Dict[str, Any] = dict(
-        lease_ttl=1.0,
-        heartbeat_interval=0.25,
-        poll_interval=0.05,
-        fallback_after=120.0,
-        drain_timeout=180.0,
-        worker_kill_threshold=3,
-    )
-
-    # Clean reference run through the *local pool*: the acceptance bar is
-    # that every chaotic work-stealing run converges to these exact bytes.
-    clean_dir = workdir / "clean"
-    clean_report = run_all(
-        jobs=2, results_dir=clean_dir, cache_dir=workdir / "clean-cache",
-        **common,
-    )
-    if not clean_report.ok:
-        report.baseline_violations.append(
-            f"clean run failed: {clean_report.failed}"
-        )
-    reference = _artifact_bytes(clean_dir)
-    if not reference:
-        report.baseline_violations.append("clean run produced no artifacts")
-
-    # Fault-free work-stealing baseline: the protocol itself must add no
-    # retries, reclaims, or divergence before any fault is injected.
-    steal_dir = workdir / "steal-clean"
-    steal_report = run_all(
-        results_dir=steal_dir,
-        cache_dir=workdir / "steal-clean-cache",
-        executor="work-stealing",
-        workers=workers,
-        executor_options=dict(protocol),
-        **common,
-    )
-    if not steal_report.ok:
-        report.baseline_violations.append(
-            f"fault-free work-stealing run failed: {steal_report.failed}"
-        )
-    elif _artifact_bytes(steal_dir) != reference:
-        report.baseline_violations.append(
-            "fault-free work-stealing artifacts diverge from the local pool"
-        )
-
-    #: fault kind -> (hardening mechanism, RunReport counter).
-    mode_map = {
-        "worker-sigkill": ("lease-reclaim", "leases_reclaimed"),
-        "heartbeat-freeze": ("lease-reclaim", "leases_reclaimed"),
-        "duplicate-lease": ("duplicate-detect", "duplicate_completions"),
-        "stale-lease": ("lease-reclaim", "leases_reclaimed"),
-        "torn-journal": ("torn-tail-reader", "torn_journals"),
-        "result-tamper": ("integrity-envelope", "corrupt_results"),
-    }
-    for kind in kinds:
-        results_dir = workdir / kind
-        cache_dir = workdir / f"{kind}-cache"
-        detected: List[str] = []
-        evidence: List[str] = []
-        injections = 0
-
-        if kind == "cross-host-poison":
-            poisoned = f"{PROBE_EXPERIMENT}/cell-00"
-            chaos = ExecutorChaosConfig(
-                seed=plan.seed, modes=(), rate=0.0, poison_idents=(poisoned,)
-            )
-            injections = 1
-            evidence.append(f"poisoned {poisoned} on every worker")
-            outcome = run_all(
-                results_dir=results_dir,
-                cache_dir=cache_dir,
-                executor="work-stealing",
-                workers=workers,
-                executor_options=dict(protocol),
-                executor_chaos=chaos,
-                **common,
-            )
-            manifest_path = results_dir / "failed_cells.json"
-            quarantined = (
-                not outcome.ok
-                and poisoned in outcome.failed
-                and outcome.completed == cells - 1
-                and manifest_path.is_file()
-            )
-            if quarantined:
-                detected.append("quarantine")
-                manifest = json.loads(manifest_path.read_text())
-                history = next(
-                    (
-                        entry.get("history", [])
-                        for entry in manifest.get("failed", [])
-                        if entry.get("ident") == poisoned
-                    ),
-                    [],
-                )
-                attempt_workers = {
-                    str(record.get("worker"))
-                    for record in history
-                    if record.get("worker")
+            if kind == "poison":
+                history = _quarantine_history(results_dir, poisoned)
+                workers_seen = {
+                    str(record.get("worker")) for record in history
+                    if record.get("worker") is not None
                 }
-                if history and attempt_workers:
+                if (
+                    outcome.failed == [poisoned]
+                    and outcome.completed == cells - 1
+                    and workers_seen
+                ):
                     detected.append("attempt-history")
                     evidence.append(
                         f"{len(history)} attempts across"
-                        f" {len(attempt_workers)} workers in the manifest"
+                        f" {len(workers_seen)} workers in the manifest"
                     )
-        else:
-            mechanism, counter = mode_map[kind]
-            chaos = ExecutorChaosConfig(
-                seed=plan.seed,
-                modes=(kind,),
-                rate=1.0,
-                max_attempt=1,
-                freeze_seconds=2.5,
-            )
-            outcome = run_all(
-                results_dir=results_dir,
-                cache_dir=cache_dir,
-                executor="work-stealing",
-                workers=workers,
-                executor_options=dict(protocol),
-                executor_chaos=chaos,
-                **common,
-            )
-            injections = cells  # rate=1.0 targets every first attempt
-            engaged = getattr(outcome, counter)
-            if engaged:
-                detected.append(mechanism)
-                evidence.append(f"{counter}={engaged}")
-            if kind == "worker-sigkill" and outcome.worker_crashes:
-                detected.append("worker-respawn")
-                evidence.append(f"worker_crashes={outcome.worker_crashes}")
-            if outcome.ok and _artifact_bytes(results_dir) == reference:
+            elif outcome.ok and _artifact_bytes(results_dir) == reference:
                 detected.append("artifact-match")
             elif not outcome.ok:
                 evidence.append(f"run not ok: failed={outcome.failed}")
-            elif _artifact_bytes(results_dir) != reference:
-                evidence.append("artifacts diverge from the local pool")
-
-        report.rows.append(
-            CampaignRow(
-                kind=kind,
-                layer="executor",
-                injections=injections,
-                detected_by=tuple(detected),
-                evidence=evidence,
+            else:
+                evidence.append("artifacts diverge from the clean pool run")
+            report.rows.append(
+                CampaignRow(
+                    kind=kind,
+                    layer="runner",
+                    injections=injections,
+                    detected_by=tuple(detected),
+                    evidence=evidence,
+                    backend=backend,
+                )
             )
-        )
     return report
 
 
@@ -624,16 +498,12 @@ def run_campaigns(
     design: str = "SA",
     workers: int = 2,
 ) -> List[CampaignReport]:
-    """The CLI's entry: ``sim``, ``runner``, ``executor`` or ``all``."""
+    """The CLI's entry: ``sim``, ``runner`` or ``all``."""
     reports: List[CampaignReport] = []
     if which in ("sim", "all"):
         reports.append(run_sim_campaign(design=design, seed=seed))
     if which in ("runner", "all"):
-        reports.append(run_runner_campaign(Path(workdir), seed=seed))
-    if which in ("executor", "all"):
         reports.append(
-            run_executor_campaign(
-                Path(workdir) / "executor", seed=seed, workers=workers
-            )
+            run_runner_campaign(Path(workdir), seed=seed, workers=workers)
         )
     return reports

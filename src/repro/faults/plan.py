@@ -4,7 +4,8 @@ A :class:`FaultPlan` is the complete, JSON-serializable description of one
 chaos campaign.  Each :class:`FaultSpec` names a *fault class* from a fixed
 taxonomy -- sim-layer faults corrupt the simulated hardware below the
 architectural interface, runner-layer faults misbehave inside the
-orchestration stack -- plus a trigger point and repeat count.  All
+orchestration stack (either executor backend, or the result cache) --
+plus a trigger point and repeat count.  All
 randomness (which entry to corrupt, which bit to flip, how much jitter) is
 drawn from a :class:`random.Random` derived from the plan seed and the
 spec's position, so a campaign replays bit-for-bit from its plan alone.
@@ -17,6 +18,8 @@ import zlib
 import random
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Mapping, Tuple
+
+from repro.runner.policy import FAULT_MODES
 
 #: Sim-layer fault classes: hardware misbehaviour below the ISA.
 SIM_FAULT_KINDS: Tuple[str, ...] = (
@@ -43,32 +46,12 @@ SIM_FAULT_KINDS: Tuple[str, ...] = (
     "index-corrupt",
 )
 
-#: Runner-layer fault classes: orchestration-stack misbehaviour.
-RUNNER_FAULT_KINDS: Tuple[str, ...] = (
-    "hang",            # a worker stops making progress mid-cell
-    "crash",           # a worker dies at a random point
-    "corrupt-result",  # a worker returns a tampered result payload
-    "torn-cache",      # a cache entry is truncated mid-write
-    "poison",          # a cell that misbehaves on every attempt
-)
+#: Runner-layer fault classes: every executor fault mode
+#: (:data:`repro.runner.policy.FAULT_MODES`) plus a cache entry truncated
+#: mid-write.
+RUNNER_FAULT_KINDS: Tuple[str, ...] = FAULT_MODES + ("torn-cache",)
 
-#: Executor-layer fault classes: lease-protocol misbehaviour in the
-#: work-stealing executor (see :mod:`repro.runner.distributed`).  Names
-#: match :data:`repro.faults.chaos.EXECUTOR_FAULT_MODES`, plus the
-#: cross-host poison case (a cell that fails on every worker it reaches).
-EXECUTOR_FAULT_KINDS: Tuple[str, ...] = (
-    "worker-sigkill",     # a worker dies by SIGKILL mid-cell
-    "heartbeat-freeze",   # a worker holds its lease but stops renewing
-    "duplicate-lease",    # two workers hold the same cell at once
-    "stale-lease",        # a lease claimed with an expired heartbeat
-    "torn-journal",       # a worker journal cut mid-record by a kill
-    "result-tamper",      # a result payload flipped after sealing
-    "cross-host-poison",  # a cell that fails on every worker, everywhere
-)
-
-FAULT_KINDS: Tuple[str, ...] = (
-    SIM_FAULT_KINDS + RUNNER_FAULT_KINDS + EXECUTOR_FAULT_KINDS
-)
+FAULT_KINDS: Tuple[str, ...] = SIM_FAULT_KINDS + RUNNER_FAULT_KINDS
 
 
 @dataclass(frozen=True)
@@ -98,11 +81,7 @@ class FaultSpec:
 
     @property
     def layer(self) -> str:
-        if self.kind in SIM_FAULT_KINDS:
-            return "sim"
-        if self.kind in EXECUTOR_FAULT_KINDS:
-            return "executor"
-        return "runner"
+        return "sim" if self.kind in SIM_FAULT_KINDS else "runner"
 
 
 @dataclass(frozen=True)
@@ -185,27 +164,16 @@ def default_sim_plan(seed: int = 2019) -> FaultPlan:
 
 
 def default_runner_plan(seed: int = 2019) -> FaultPlan:
-    """One spec per runner-layer fault class: the chaos-hardening campaign."""
+    """One spec per runner-layer fault class: the chaos-hardening campaign.
+
+    Every spec triggers on the first attempt: each backend must recover
+    from each fault with honest retries, so faults firing any later
+    would only retest the same mechanism with less budget left.
+    """
     return FaultPlan(
         name="runner-default",
         seed=seed,
         specs=tuple(
             FaultSpec(kind=kind, trigger=1) for kind in RUNNER_FAULT_KINDS
-        ),
-    )
-
-
-def default_executor_plan(seed: int = 2019) -> FaultPlan:
-    """One spec per executor-layer fault class: the lease-protocol campaign.
-
-    Every spec triggers on the first attempt: the protocol must recover
-    each violation with honest retries, so faults firing any later would
-    only retest the same clauses with less budget left.
-    """
-    return FaultPlan(
-        name="executor-default",
-        seed=seed,
-        specs=tuple(
-            FaultSpec(kind=kind, trigger=1) for kind in EXECUTOR_FAULT_KINDS
         ),
     )

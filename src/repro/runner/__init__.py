@@ -16,8 +16,10 @@ shardable job graph:
 * :mod:`repro.runner.distributed` -- the lease-based multi-host
   :class:`WorkStealingExecutor` and the ``python -m repro worker`` loop,
   coordinating through atomic lease files in the shared cache directory;
-* :mod:`repro.runner.backoff` -- the shared exponential-backoff +
-  deterministic-jitter retry schedule;
+* :mod:`repro.runner.policy` -- what both multi-process backends decide
+  alike: the failure policy (retry budget, backoff, attempt records,
+  quarantine), the chaos config over one fault-mode vocabulary, and the
+  run counters;
 * :mod:`repro.runner.progress` -- live console progress plus a JSONL run
   log;
 * :mod:`repro.runner.results` -- byte-exact reassembly of the serial
@@ -29,7 +31,6 @@ experiments.
 """
 
 from .api import default_jobs, run_all
-from .backoff import JITTER_FRACTION, backoff_delay
 from .cache import (
     DEFAULT_CACHE_DIR,
     CacheStats,
@@ -64,6 +65,15 @@ from .distributed import (
     WorkerLoop,
     worker_loop,
 )
+from .policy import (
+    BACKEND_FAULT_MODES,
+    FAULT_MODES,
+    JITTER_FRACTION,
+    ChaosConfig,
+    FailurePolicy,
+    RunCounters,
+    backoff_delay,
+)
 from .results import ARTIFACT_SOURCES, write_artifacts
 from .scheduler import (
     AsyncInProcessExecutor,
@@ -79,12 +89,16 @@ from .scheduler import (
 __all__ = [
     "ARTIFACT_SOURCES",
     "AsyncInProcessExecutor",
+    "BACKEND_FAULT_MODES",
     "Board",
     "CacheStats",
+    "ChaosConfig",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_OPTIONS",
     "Executor",
     "Experiment",
+    "FAULT_MODES",
+    "FailurePolicy",
     "InProcessExecutor",
     "IntegrityError",
     "JITTER_FRACTION",
@@ -93,6 +107,7 @@ __all__ = [
     "REGISTRY",
     "ResultCache",
     "ResultEnvelope",
+    "RunCounters",
     "RunLog",
     "RunReport",
     "Scheduler",

@@ -14,9 +14,9 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.faults.chaos import ChaosConfig, ExecutorChaosConfig
-
 from .cache import DEFAULT_CACHE_DIR, ResultCache
+from .distributed import WorkStealingExecutor
+from .policy import ChaosConfig
 from .progress import (
     ProgressPrinter,
     RunLog,
@@ -25,13 +25,16 @@ from .progress import (
     replay_run_log,
 )
 from .registry import SEED, Kind, all_experiments, expand_units, resolve_options
-from .scheduler import InProcessExecutor, Scheduler, TaskOutcome
+from .scheduler import Executor, InProcessExecutor, Scheduler, TaskOutcome
 from .results import write_artifacts
 
 
-#: ``run_all``'s retry budget and watchdog; ``run-all --max-retries`` and
-#: ``--task-timeout`` parse with them.
-RETRIES = Kind("a non-negative integer", lambda value: SEED.admits(value) and value >= 0)
+#: ``run_all``'s retry budget and local worker count, and its watchdog;
+#: ``run-all --max-retries``, ``--workers`` and ``--task-timeout`` parse
+#: with them.
+NON_NEGATIVE = Kind(
+    "a non-negative integer", lambda value: SEED.admits(value) and value >= 0
+)
 SECONDS = Kind(
     "a positive number of seconds",
     lambda value: isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
@@ -59,17 +62,19 @@ def run_all(
     executor: str = "pool",
     workers: int = 0,
     executor_options: Optional[Mapping[str, Any]] = None,
-    executor_chaos: Optional[ExecutorChaosConfig] = None,
 ) -> RunReport:
     """Run every (filtered) experiment cell and merge the artifacts.
 
     ``log_path`` defaults to ``<results_dir>/run_log.jsonl``; pass an
     explicit path to redirect it.  ``options`` overrides declared
     experiment options (e.g. smaller trial counts for smoke tests).  A
-    bad option, ``max_retries``, ``task_timeout`` or ``executor`` raises
+    bad option, ``max_retries``, ``task_timeout``, ``executor`` or
+    ``workers``, a ``task_timeout`` under work stealing, or a ``chaos``
+    mode the chosen backend does not implement (the serial ``jobs=1``
+    path implements none) raises
     :class:`ValueError` before the run log, the cache or any cell is read.
 
-    ``task_timeout`` arms the scheduler's per-cell wall-clock watchdog;
+    ``task_timeout`` arms the pool's per-cell wall-clock watchdog;
     ``chaos`` injects deterministic worker faults (testing only; see
     :mod:`repro.faults`).  If the previous run at this ``results_dir`` was
     interrupted, its run log is replayed for a ``run_resume`` event and
@@ -83,33 +88,43 @@ def run_all(
     ``"work-stealing"`` -- the lease-based multi-host executor of
     :mod:`repro.runner.distributed`, which coordinates through the shared
     cache directory and accepts any ``python -m repro worker`` process on
-    any host.  ``workers`` spawns that many local stealing workers;
+    any host.  ``workers`` spawns that many local stealing workers, and
     ``executor_options`` forwards protocol knobs (``lease_ttl``,
-    ``heartbeat_interval``, ``fallback_after``, ...) and
-    ``executor_chaos`` arms the executor-level fault campaign.
+    ``heartbeat_interval``, ``fallback_after``, ...).  Both backends
+    retry and quarantine by one
+    :class:`~repro.runner.policy.FailurePolicy` and report the same
+    :class:`~repro.runner.policy.RunCounters`.
     """
     from repro.sim.kernel import STRUCTURE_BACKEND
 
     started = time.monotonic()
     merged_options = resolve_options(options or {})
-    if not RETRIES.admits(max_retries):
-        raise ValueError(f"max_retries must be {RETRIES.noun}")
+    if not NON_NEGATIVE.admits(max_retries):
+        raise ValueError(f"max_retries must be {NON_NEGATIVE.noun}")
     if task_timeout is not None and not SECONDS.admits(task_timeout):
         raise ValueError(f"task_timeout must be {SECONDS.noun}")
     if executor not in ("pool", "work-stealing"):
         raise ValueError(
             f"unknown executor {executor!r}; known: pool, work-stealing"
         )
+    if not NON_NEGATIVE.admits(workers):
+        raise ValueError(f"workers must be {NON_NEGATIVE.noun}")
     jobs = jobs if jobs is not None else default_jobs()
     jobs = max(1, jobs)
-    filters = list(filters) if filters else None
-
-    units = expand_units(options or {}, filters)
-    report = RunReport(units_total=len(units), jobs=jobs)
-    report.executor = (
+    backend = (
         "work-stealing" if executor == "work-stealing"
         else ("pool" if jobs > 1 else "serial")
     )
+    if task_timeout is not None and backend == "work-stealing":
+        raise ValueError(
+            "task_timeout arms the pool's watchdog; work stealing has none"
+        )
+    if chaos is not None:
+        chaos.check_backend(backend)
+    filters = list(filters) if filters else None
+
+    units = expand_units(options or {}, filters)
+    report = RunReport(units_total=len(units), jobs=jobs, executor=backend)
 
     log_file = Path(
         log_path if log_path is not None
@@ -189,65 +204,39 @@ def run_all(
             f" {len(to_run)} to run"
         )
 
-    if to_run and executor == "work-stealing":
-        from .distributed import WorkStealingExecutor
-
-        stealer = WorkStealingExecutor(
-            cache_dir=cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR,
-            local_workers=workers,
-            max_retries=max_retries,
-            backoff=backoff,
-            log=log,
-            progress=printer,
-            chaos=executor_chaos,
-            **dict(executor_options or {}),
-        )
+    fresh: Dict[int, TaskOutcome] = {}
+    if to_run:
+        runner: Executor
+        if backend == "work-stealing":
+            runner = WorkStealingExecutor(
+                cache_dir=(
+                    cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR
+                ),
+                local_workers=workers,
+                max_retries=max_retries,
+                backoff=backoff,
+                log=log,
+                progress=printer,
+                chaos=chaos,
+                **dict(executor_options or {}),
+            )
+        elif backend == "pool":
+            runner = Scheduler(
+                jobs=jobs,
+                max_retries=max_retries,
+                backoff=backoff,
+                log=log,
+                progress=printer,
+                task_timeout=task_timeout,
+                chaos=chaos,
+            )
+        else:
+            runner = InProcessExecutor(log)
         try:
-            fresh = stealer.run(to_run)
+            fresh = runner.run(to_run)
         finally:
-            stealer.close()
-        report.retries = stealer.retries
-        report.worker_crashes = stealer.worker_crashes
-        report.corrupt_results = stealer.corrupt_results
-        report.interrupted = stealer.interrupted
-        report.leases_reclaimed = stealer.leases_reclaimed
-        report.duplicate_completions = stealer.duplicate_completions
-        report.quarantined = stealer.quarantined
-        report.fallback_cells = stealer.fallback_cells
-        report.torn_journals = stealer.torn_journals
-        report.worker_busy = dict(stealer.worker_busy)
-        report.cells_stolen = sum(
-            count
-            for worker, count in stealer.cells_by_worker.items()
-            if not worker.startswith("orchestrator-")
-        )
-    elif to_run and jobs > 1:
-        scheduler = Scheduler(
-            jobs=jobs,
-            max_retries=max_retries,
-            backoff=backoff,
-            log=log,
-            progress=printer,
-            task_timeout=task_timeout,
-            chaos=chaos,
-        )
-        fresh = scheduler.run(to_run)
-        report.retries = scheduler.retries
-        report.worker_crashes = scheduler.worker_crashes
-        report.watchdog_kills = scheduler.watchdog_kills
-        report.corrupt_results = scheduler.corrupt_results
-        report.interrupted = scheduler.interrupted
-        report.worker_busy = dict(scheduler.worker_busy)
-    elif to_run:
-        fresh = InProcessExecutor(log).run(to_run)
-        # The serial path records an outcome for every cell it reaches
-        # (even failures); a shortfall means Ctrl-C stopped it early.
-        report.interrupted = len(fresh) < len(to_run)
-        report.worker_busy = {
-            0: sum(outcome.elapsed for outcome in fresh.values())
-        }
-    else:
-        fresh = {}
+            runner.close()
+        report.absorb(runner.counters)
 
     if cache is not None:
         for outcome in fresh.values():

@@ -10,9 +10,10 @@ coordination happens exclusively through atomic filesystem operations in
 
 ``tasks/<cell>.json``
     One published cell: the unit's coordinates, the code fingerprint it
-    must be executed under, and the retry/lease parameters.  The cell id
-    is :func:`~repro.runner.cache.unit_cache_key` -- the same content
-    address the result cache uses.
+    must be executed under, the lease TTL, and the
+    :class:`~repro.runner.policy.FailurePolicy` (retry budget, backoff).
+    The cell id is :func:`~repro.runner.cache.unit_cache_key` -- the
+    same content address the result cache uses.
 ``leases/<cell>.json``
     The claim.  Created with ``O_CREAT | O_EXCL`` so exactly one worker
     wins; holds ``{cell, worker, heartbeat, attempt}``.  The owner
@@ -20,11 +21,12 @@ coordination happens exclusively through atomic filesystem operations in
     finds a heartbeat older than the lease TTL *reclaims* the lease --
     rename-to-private-name first, so exactly one reclaimer wins too.
 ``attempts/<cell>.jsonl``
-    Append-only per-cell attempt history: every error, reclaim, and
-    completion lands here with the worker id, the backoff applied, and
-    the ``not_before`` time gating the next claim.  This journal is the
-    quarantine evidence: a poison cell's full cross-worker history goes
-    into ``failed_cells.json`` verbatim.
+    Append-only per-cell attempt history: every error, reclaim, rejected
+    result and completion lands here as a
+    :meth:`~repro.runner.policy.FailurePolicy.record` -- worker id,
+    status, backoff, and the ``not_before`` time gating the next claim.
+    This journal is the quarantine evidence: a poison cell's failed
+    attempts go into ``failed_cells.json`` as they stand.
 ``results/<cell>.pkl``
     The sealed outcome: a pickled record carrying the
     :class:`~repro.runner.scheduler.ResultEnvelope` blob + SHA-256 plus
@@ -38,16 +40,15 @@ coordination happens exclusively through atomic filesystem operations in
     (the parent's degraded-mode signal), and per-worker event journals,
     read with the torn-tail-tolerant :func:`repro.sim.read_jsonl`.
 
-Retry pacing is the shared :func:`~repro.runner.backoff.backoff_delay`
-(exponential + CRC32-deterministic jitter), so every host computes the
-identical schedule.  A cell whose attempts exhaust the budget -- or that
-kills ``worker_kill_threshold`` distinct workers -- is quarantined with
-its full attempt history.  If no worker (local or remote) with the
-parent's code fingerprint checks in, the parent degrades gracefully: it
-claims cells through the very same lease protocol and runs them inline,
-so ``--executor work-stealing`` on a lonely host still completes.  (A
-worker from another source tree declines every task, so its heartbeat
-does not count; its journal says why.)
+Retry pacing and quarantine are the pool's, decided by the shared
+:class:`~repro.runner.policy.FailurePolicy`, so every host computes the
+identical schedule: a cell whose failed attempts fill the budget is
+quarantined with its attempt history.  If no worker (local or remote)
+with the parent's code fingerprint checks in, the parent degrades
+gracefully: it claims cells through the very same lease protocol and
+runs them inline, so ``--executor work-stealing`` on a lonely host still
+completes.  (A worker from another source tree declines every task, so
+its heartbeat does not count; its journal says why.)
 
 Determinism makes duplicate execution harmless: two workers racing the
 same cell (a stale lease reclaimed while its owner was merely slow, a
@@ -64,13 +65,21 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.faults.chaos import ExecutorChaosConfig
 from repro.sim.kernel import KernelCounts
 
-from .backoff import backoff_delay
 from .cache import _atomic_write, code_fingerprint, unit_cache_key
+from .policy import (
+    CORRUPT,
+    ERROR,
+    OK,
+    RECLAIMED,
+    ChaosConfig,
+    FailurePolicy,
+    RunCounters,
+    failed_attempts,
+)
 from .progress import ProgressPrinter, RunLog
 from .registry import Unit, ensure_default_experiments
 from .scheduler import (
@@ -326,15 +335,15 @@ class Board:
 
     def reclaim_if_stale(
         self, cell: str, reclaimer: str, lease_ttl: float,
-        backoff: Mapping[str, Any],
+        policy: FailurePolicy, unit: Unit,
     ) -> Optional[Lease]:
         """Reclaim ``cell``'s lease if its heartbeat expired.
 
         The winner is decided by ``os.rename`` to a reclaimer-private
         name: the filesystem guarantees exactly one rename succeeds, so
         a fleet of reclaimers never double-counts an attempt.  The dead
-        attempt is closed out in the attempt journal with the shared
-        backoff schedule gating the next claim.
+        attempt is closed out in the attempt journal by ``policy``, whose
+        backoff gates the next claim.
         """
         lease = self.read_lease(cell)
         if lease is None:
@@ -360,25 +369,13 @@ class Board:
                 takeover.unlink()
             except OSError:
                 pass
-        delay = backoff_delay(
-            moved.attempt,
-            base=float(backoff.get("base", 0.05)),
-            cap=float(backoff.get("cap", 5.0)),
-            ident=cell,
-            seed=int(backoff.get("seed", 0)),
-        )
+        age = time.time() - moved.heartbeat
         self.record_attempt(
             cell,
-            {
-                "attempt": moved.attempt,
-                "worker": moved.worker,
-                "status": "reclaimed",
-                "by": reclaimer,
-                "heartbeat_age": round(time.time() - moved.heartbeat, 3),
-                "backoff": round(delay, 4),
-                "not_before": time.time() + delay,
-                "time": time.time(),
-            },
+            policy.record(
+                unit, moved.attempt, RECLAIMED, moved.worker,
+                f"lease heartbeat {age:.3f}s old, reclaimed by {reclaimer}",
+            ),
         )
         return moved
 
@@ -419,6 +416,10 @@ class Board:
             self.result_path(cell),
             pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL),
         )
+
+    def has_result(self, cell: str) -> bool:
+        """Whether a result record exists (a stat, not a read)."""
+        return self.result_path(cell).is_file()
 
     def read_result(self, cell: str) -> Optional[Dict[str, Any]]:
         """Load one result record; unreadable bytes read as ``None``."""
@@ -507,8 +508,8 @@ class WorkerLoop:
 
     Drives ``claim -> heartbeat -> run -> complete/fail`` for one cell at
     a time; shared by ``python -m repro worker``, the executor's locally
-    spawned workers, and the parent's degraded inline mode.  With an
-    :class:`~repro.faults.chaos.ExecutorChaosConfig` the loop misbehaves
+    spawned workers, and the parent's degraded inline mode.  With a
+    :class:`~repro.runner.policy.ChaosConfig` the loop misbehaves
     deterministically per ``(cell ident, attempt)`` -- every fault mode
     attacks a specific clause of the protocol (see the chaos campaign).
     """
@@ -518,7 +519,7 @@ class WorkerLoop:
         board: Board,
         worker_id: Optional[str] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        chaos: Optional[ExecutorChaosConfig] = None,
+        chaos: Optional[ChaosConfig] = None,
     ) -> None:
         self.board = board
         self.worker_id = worker_id or default_worker_id()
@@ -551,21 +552,16 @@ class WorkerLoop:
 
     # -- claiming ----------------------------------------------------------------
 
-    def _claimable(self, cell: str, task: Mapping[str, Any]) -> Optional[int]:
+    def _claimable(self, cell: str, policy: FailurePolicy) -> Optional[int]:
         """The attempt number a claim would use, or ``None``."""
-        if self.board.read_result(cell) is not None:
-            return None
-        if self.board.is_quarantined(cell):
+        if self.board.has_result(cell) or self.board.is_quarantined(cell):
             return None
         records = self.board.attempt_records(cell)
-        attempt = len(records) + 1
-        if attempt > int(task.get("max_attempts", 4)):
+        if policy.exhausted(records):
             return None
-        if records:
-            not_before = float(records[-1].get("not_before", 0.0))
-            if not_before > time.time():
-                return None
-        return attempt
+        if records and float(records[-1].get("not_before", 0.0)) > time.time():
+            return None
+        return policy.next_attempt(records)
 
     def run_once(self) -> bool:
         """Claim and run at most one cell; returns whether work was done.
@@ -581,16 +577,12 @@ class WorkerLoop:
             task = self.board.load_task(cell)
             if task is None:
                 continue
-            backoff = {
-                "base": task.get("backoff_base", 0.05),
-                "cap": task.get("backoff_cap", 5.0),
-                "seed": task.get("backoff_seed", 0),
-            }
-            if self.board.read_result(cell) is None and not reclaimed_any:
+            policy = FailurePolicy.from_dict(task)
+            unit = self.board.task_unit(task)
+            lease_ttl = float(task.get("lease_ttl", DEFAULT_LEASE_TTL))
+            if not reclaimed_any and not self.board.has_result(cell):
                 if self.board.reclaim_if_stale(
-                    cell, self.worker_id,
-                    float(task.get("lease_ttl", DEFAULT_LEASE_TTL)),
-                    backoff,
+                    cell, self.worker_id, lease_ttl, policy, unit
                 ) is not None:
                     reclaimed_any = True
             foreign = task.get("code_version")
@@ -604,12 +596,11 @@ class WorkerLoop:
                         own_code_version=own_fingerprint,
                     )
                 continue
-            attempt = self._claimable(cell, task)
+            attempt = self._claimable(cell, policy)
             if attempt is None:
                 continue
-            ident = str(task.get("ident", cell))
             fault = (
-                self.chaos.fault_for(ident, attempt)
+                self.chaos.fault_for(unit.ident, attempt)
                 if self.chaos is not None else None
             )
             force = fault == "duplicate-lease"
@@ -619,16 +610,14 @@ class WorkerLoop:
             if fault == "stale-lease":
                 # Claim with an already-expired heartbeat and never renew:
                 # the reclaimers must take the cell away mid-run.
-                heartbeat = time.time() - 100.0 * float(
-                    task.get("lease_ttl", DEFAULT_LEASE_TTL)
-                )
+                heartbeat = time.time() - 100.0 * lease_ttl
             lease = self.board.try_claim(
                 cell, self.worker_id, attempt,
                 heartbeat=heartbeat, force=force,
             )
             if lease is None:
                 continue
-            self._run_claimed(cell, ident, task, attempt, fault, backoff)
+            self._run_claimed(cell, unit, task, attempt, fault, policy)
             return True
         return reclaimed_any
 
@@ -637,16 +626,17 @@ class WorkerLoop:
     def _run_claimed(
         self,
         cell: str,
-        ident: str,
+        unit: Unit,
         task: Mapping[str, Any],
         attempt: int,
         fault: Optional[str],
-        backoff: Mapping[str, Any],
+        policy: FailurePolicy,
     ) -> None:
         import threading
 
+        ident = unit.ident
         self._journal("claim", cell=cell, ident=ident, attempt=attempt)
-        if fault == "worker-sigkill":
+        if fault == "crash":
             # Die the hard way mid-cell: no result, no release, no goodbye.
             os.kill(os.getpid(), 9)
 
@@ -663,7 +653,6 @@ class WorkerLoop:
 
         renewer = threading.Thread(target=renew_loop, daemon=True)
         renewer.start()
-        unit = self.board.task_unit(task)
         code_version = str(task.get("code_version") or code_fingerprint())
         abandoned = False
         try:
@@ -671,14 +660,14 @@ class WorkerLoop:
                 # Hold the cell past the lease TTL so the reclaimers see
                 # the (deliberately expired) lease and take it away while
                 # this worker is still computing.
-                time.sleep(self.chaos.freeze_seconds)
+                time.sleep(self.chaos.hang_seconds)
             if fault == "heartbeat-freeze" and self.chaos is not None:
                 # Hold the cell, silent, past the lease TTL, then walk
                 # away without a result or release: the worst-behaved
                 # slow worker.  The abandoned (now stale) lease is left
                 # for the reclaimers -- releasing it would hide the
                 # fault and let the same attempt fire again.
-                time.sleep(self.chaos.freeze_seconds)
+                time.sleep(self.chaos.hang_seconds)
                 self._journal("abandon", cell=cell)
                 abandoned = True
                 return
@@ -690,25 +679,11 @@ class WorkerLoop:
                 if fault == "poison" else execute(unit)
             )
             if outcome.failed:
-                delay = backoff_delay(
-                    attempt,
-                    base=float(backoff.get("base", 0.05)),
-                    cap=float(backoff.get("cap", 5.0)),
-                    ident=cell,
-                    seed=int(backoff.get("seed", 0)),
-                )
                 self.board.record_attempt(
                     cell,
-                    {
-                        "attempt": attempt,
-                        "worker": self.worker_id,
-                        "status": "error",
-                        "error": outcome.error.splitlines()[-1],
-                        "elapsed": round(outcome.elapsed, 4),
-                        "backoff": round(delay, 4),
-                        "not_before": time.time() + delay,
-                        "time": time.time(),
-                    },
+                    policy.record(
+                        unit, attempt, ERROR, self.worker_id, outcome.error
+                    ),
                 )
                 self._journal(
                     "error", cell=cell, attempt=attempt,
@@ -717,7 +692,7 @@ class WorkerLoop:
                 return
             elapsed = outcome.elapsed
             envelope = outcome.envelope
-            if fault == "result-tamper":
+            if fault == "corrupt-result":
                 tampered = bytearray(envelope.blob)
                 tampered[len(tampered) // 2] ^= 0xFF
                 envelope = ResultEnvelope(
@@ -728,14 +703,7 @@ class WorkerLoop:
                 code_version, outcome.kernel,
             )
             self.board.record_attempt(
-                cell,
-                {
-                    "attempt": attempt,
-                    "worker": self.worker_id,
-                    "status": "ok",
-                    "elapsed": round(elapsed, 4),
-                    "time": time.time(),
-                },
+                cell, policy.record(unit, attempt, OK, self.worker_id)
             )
             self._journal(
                 "done", cell=cell, attempt=attempt,
@@ -759,14 +727,7 @@ class WorkerLoop:
                 )
                 self.board.record_attempt(
                     cell,
-                    {
-                        "attempt": attempt,
-                        "worker": f"{self.worker_id}+dup",
-                        "status": "ok",
-                        "elapsed": round(elapsed, 4),
-                        "duplicate": True,
-                        "time": time.time(),
-                    },
+                    policy.record(unit, attempt, OK, f"{self.worker_id}+dup"),
                 )
             if fault == "torn-journal":
                 self._tear_journal()
@@ -783,7 +744,7 @@ def worker_loop(
     poll_interval: float = 0.5,
     idle_exit: Optional[float] = 30.0,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-    chaos: Optional[ExecutorChaosConfig] = None,
+    chaos: Optional[ChaosConfig] = None,
     quiet: bool = True,
 ) -> int:
     """The ``python -m repro worker <cache-dir>`` entry point.
@@ -857,13 +818,9 @@ def _spawned_worker_main(
     worker_id: str,
     poll_interval: float,
     heartbeat_interval: float,
-    chaos_payload: Optional[Dict[str, Any]],
+    chaos: Optional[ChaosConfig],
 ) -> None:
     """Target for the executor's locally spawned worker processes."""
-    chaos = (
-        ExecutorChaosConfig.from_dict(chaos_payload)
-        if chaos_payload is not None else None
-    )
     worker_loop(
         cache_dir,
         worker_id=worker_id,
@@ -900,51 +857,31 @@ class WorkStealingExecutor(Executor):
         local_workers: int = 0,
         max_retries: int = 2,
         backoff: float = 0.05,
-        backoff_cap: float = 5.0,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         poll_interval: float = 0.2,
         fallback_after: float = 10.0,
-        worker_kill_threshold: int = 2,
         drain_timeout: Optional[float] = None,
-        retire_cells: bool = True,
         log: Optional[RunLog] = None,
         progress: Optional[ProgressPrinter] = None,
-        chaos: Optional[ExecutorChaosConfig] = None,
+        chaos: Optional[ChaosConfig] = None,
     ) -> None:
         self.cache_dir = Path(cache_dir)
         self.board = Board(cache_dir)
         self.local_workers = max(0, local_workers)
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
+        self.policy = FailurePolicy(max_retries, backoff)
         self.lease_ttl = lease_ttl
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
         self.fallback_after = fallback_after
-        self.worker_kill_threshold = max(1, worker_kill_threshold)
         self.drain_timeout = drain_timeout
-        #: Remove a cell's board files once its outcome is banked; the
-        #: durable layer is the regular result cache, not the board.
-        self.retire_cells = retire_cells
         self.log = log or RunLog(None)
         self.progress = progress
         self.chaos = chaos
         self.code_version = code_fingerprint()
-        # -- counters mirrored into the run report -------------------------------
-        self.retries = 0
-        self.leases_reclaimed = 0
-        self.corrupt_results = 0
-        self.duplicate_completions = 0
-        self.worker_crashes = 0
-        self.quarantined = 0
-        self.fallback_cells = 0
-        #: Worker journals found ending mid-record (a kill during append).
-        self.torn_journals = 0
-        self.interrupted = False
+        self.counters = RunCounters()
         #: cells completed per worker id (remote ids included).
         self.cells_by_worker: Dict[str, int] = {}
-        self.worker_busy: Dict[Any, float] = {}
         try:
             import multiprocessing
 
@@ -976,7 +913,7 @@ class WorkStealingExecutor(Executor):
                 worker_id,
                 min(self.poll_interval, 0.2),
                 self.heartbeat_interval,
-                self.chaos.to_dict() if self.chaos is not None else None,
+                self.chaos,
             ),
             daemon=True,
             name=f"repro-steal-{worker_id}",
@@ -990,7 +927,7 @@ class WorkStealingExecutor(Executor):
             if process.is_alive():
                 continue
             del self._processes[worker_id]
-            self.worker_crashes += 1
+            self.counters.worker_crashes += 1
             self.log.emit(
                 "worker_crash",
                 worker=worker_id,
@@ -1019,6 +956,7 @@ class WorkStealingExecutor(Executor):
     ) -> Optional[TaskOutcome]:
         """Verify one board result record; corrupt records are re-queued."""
         cell = pending.cell
+        unit = pending.unit
         reject: Optional[str] = None
         if record.get("unreadable"):
             reject = "unreadable result record (torn or truncated write)"
@@ -1039,58 +977,35 @@ class WorkStealingExecutor(Executor):
                 reject = "result payload failed its integrity check"
             except Exception:
                 reject = "result payload failed to deserialize"
+        worker = str(record.get("worker", "?"))
+        records = self.board.attempt_records(cell)
         if reject is not None:
-            self.corrupt_results += 1
+            self.counters.corrupt_results += 1
             self.board.drop_result(cell)
-            records = self.board.attempt_records(cell)
-            attempt = max(1, len(records))
-            delay = backoff_delay(
-                attempt + 1,
-                base=self.backoff,
-                cap=self.backoff_cap,
-                ident=cell,
-                seed=pending.unit.seed,
-            )
             self.board.record_attempt(
                 cell,
-                {
-                    "attempt": attempt,
-                    "worker": str(record.get("worker", "?")),
-                    "status": "corrupt",
-                    "error": reject,
-                    "backoff": round(delay, 4),
-                    "not_before": time.time() + delay,
-                    "time": time.time(),
-                },
+                self.policy.record(
+                    unit, self.policy.next_attempt(records), CORRUPT,
+                    worker, reject,
+                ),
             )
-            self.retries += 1
             self.log.emit(
                 "corrupt_result",
-                experiment=pending.unit.experiment,
-                key=pending.unit.key,
+                experiment=unit.experiment,
+                key=unit.key,
                 worker=record.get("worker"),
                 reason=reject,
             )
             return None
-        worker = str(record.get("worker", "?"))
         elapsed = float(record.get("elapsed", 0.0))
-        records = self.board.attempt_records(cell)
-        self._reconcile_reclaims(records)
-        attempts = max(
-            1,
-            sum(
-                1 for item in records
-                if item.get("status") in ("ok", "error", "reclaimed", "corrupt")
-            ),
-        )
+        attempts = self.policy.next_attempt(records)
         self.cells_by_worker[worker] = self.cells_by_worker.get(worker, 0) + 1
-        self.worker_busy[worker] = (
-            self.worker_busy.get(worker, 0.0) + elapsed
-        )
+        busy = self.counters.worker_busy
+        busy[worker] = busy.get(worker, 0.0) + elapsed
         self.log.emit(
             "unit_done",
-            experiment=pending.unit.experiment,
-            key=pending.unit.key,
+            experiment=unit.experiment,
+            key=unit.key,
             status="ok",
             cached=False,
             elapsed=round(elapsed, 4),
@@ -1098,84 +1013,48 @@ class WorkStealingExecutor(Executor):
             attempts=attempts,
         )
         return TaskOutcome(
-            unit=pending.unit,
+            unit=unit,
             value=value,
             elapsed=elapsed,
             worker=worker,
             attempts=attempts,
             envelope=envelope,
+            history=failed_attempts(records),
             kernel=record.get("kernel") or KernelCounts(),
-        )
-
-    def _reconcile_reclaims(self, records: List[Mapping[str, Any]]) -> None:
-        """Fold worker-performed reclaims into ``leases_reclaimed``.
-
-        Any participant may win a stale-lease reclaim, but only the
-        orchestrator's own wins increment the counter live; the attempt
-        records are the protocol-wide ground truth, read exactly once per
-        cell (at acceptance or quarantine, before retirement).
-        """
-        self.leases_reclaimed += sum(
-            1
-            for item in records
-            if item.get("status") == "reclaimed"
-            and item.get("by") != "orchestrator"
         )
 
     def _quarantine_check(
         self, pending: _PendingCell
     ) -> Optional[TaskOutcome]:
-        """Fail a cell whose budget is spent or that kills workers."""
+        """Fail a cell whose failed attempts fill the budget."""
         records = self.board.attempt_records(pending.cell)
-        fatal = [
-            item for item in records
-            if item.get("status") in ("error", "reclaimed", "corrupt")
-        ]
-        killed_workers = {
-            str(item.get("worker"))
-            for item in records
-            if item.get("status") == "reclaimed"
-        }
-        exhausted = len(records) >= self.max_retries + 1 and len(fatal) >= (
-            self.max_retries + 1
-        )
-        killer = len(killed_workers) >= self.worker_kill_threshold
-        if not exhausted and not killer:
+        if not self.policy.exhausted(records):
             return None
-        self._reconcile_reclaims(records)
-        reason = (
-            f"cell killed {len(killed_workers)} distinct workers"
-            if killer and not exhausted
-            else "attempt budget exhausted"
+        history = failed_attempts(records)
+        reason = "attempt budget exhausted"
+        error = next(
+            (item["error"] for item in reversed(history) if item.get("error")),
+            reason,
         )
-        errors = [
-            str(item.get("error"))
-            for item in fatal if item.get("error")
-        ]
-        error = errors[-1] if errors else reason
-        self.quarantined += 1
+        self.counters.quarantined += 1
         self.board.quarantine_cell(
             pending.cell,
-            {
-                "ident": pending.unit.ident,
-                "reason": reason,
-                "history": records,
-            },
+            {"ident": pending.unit.ident, "reason": reason, "history": history},
         )
         self.log.emit(
             "unit_done",
             experiment=pending.unit.experiment,
             key=pending.unit.key,
             status="failed",
-            attempts=len(records),
+            attempts=len(history),
             error=error,
         )
         return TaskOutcome(
             unit=pending.unit,
             failed=True,
             error=f"{reason}: {error}",
-            attempts=len(records),
-            history=list(records),
+            attempts=len(history),
+            history=history,
         )
 
     def _scan_journals(self) -> None:
@@ -1193,13 +1072,13 @@ class WorkStealingExecutor(Executor):
             if not raw:
                 continue
             if not raw.endswith(b"\n"):
-                self.torn_journals += 1
+                self.counters.torn_journals += 1
                 continue
             last = raw.rstrip(b"\n").rsplit(b"\n", 1)[-1]
             try:
                 json.loads(last)
             except ValueError:
-                self.torn_journals += 1
+                self.counters.torn_journals += 1
 
     # -- the drain loop ----------------------------------------------------------
 
@@ -1210,17 +1089,13 @@ class WorkStealingExecutor(Executor):
         self.board.clear_stop()
         task_config = {
             "code_version": self.code_version,
-            "max_attempts": self.max_retries + 1,
             "lease_ttl": self.lease_ttl,
-            "backoff_base": self.backoff,
-            "backoff_cap": self.backoff_cap,
+            **self.policy.to_dict(),
         }
         pending: Dict[int, _PendingCell] = {}
         for task_id, unit in units:
             cell = unit_cache_key(unit, self.code_version)
-            self.board.publish(
-                unit, cell, {**task_config, "backoff_seed": unit.seed}
-            )
+            self.board.publish(unit, cell, task_config)
             pending[task_id] = _PendingCell(
                 task_id=task_id, unit=unit, cell=cell
             )
@@ -1257,23 +1132,14 @@ class WorkStealingExecutor(Executor):
                             if self.progress is not None:
                                 self.progress.update(
                                     done=len(outcomes),
-                                    retries=self.retries,
                                     workers=len(self._processes),
                                 )
                         continue
                     reclaimed = self.board.reclaim_if_stale(
-                        cell.cell,
-                        "orchestrator",
-                        self.lease_ttl,
-                        {
-                            "base": self.backoff,
-                            "cap": self.backoff_cap,
-                            "seed": cell.unit.seed,
-                        },
+                        cell.cell, "orchestrator", self.lease_ttl,
+                        self.policy, cell.unit,
                     )
                     if reclaimed is not None:
-                        self.leases_reclaimed += 1
-                        self.retries += 1
                         self.log.emit(
                             "lease_reclaimed",
                             experiment=cell.unit.experiment,
@@ -1305,7 +1171,7 @@ class WorkStealingExecutor(Executor):
                         )
                 if fallback_engaged:
                     if inline.run_once():
-                        self.fallback_cells += 1
+                        self.counters.fallback_cells += 1
                         made_progress = True
                 if (
                     self.drain_timeout is not None
@@ -1321,58 +1187,66 @@ class WorkStealingExecutor(Executor):
                                 "work-stealing drain timeout"
                                 f" ({self.drain_timeout}s)"
                             ),
-                            history=self.board.attempt_records(cell.cell),
+                            history=failed_attempts(
+                                self.board.attempt_records(cell.cell)
+                            ),
                         )
                     break
                 if not made_progress:
                     time.sleep(self.poll_interval)
         except KeyboardInterrupt:
-            self.interrupted = True
+            self.counters.interrupted = True
             self.log.emit(
                 "interrupted",
                 completed=len(outcomes),
                 remaining=len(pending) - len(outcomes),
             )
         finally:
-            self._stop_local_workers(force=self.interrupted)
+            self._stop_local_workers(force=self.counters.interrupted)
             self._scan_journals()
-            # Duplicate completions (two ok records = one cell run twice:
-            # a lease race or violation made harmless by determinism) are
-            # counted after the workers have drained, so late-landing
-            # duplicate records are never missed.
-            self.duplicate_completions = sum(
-                max(
-                    0,
-                    sum(
-                        1
-                        for item in self.board.attempt_records(cell.cell)
-                        if item.get("status") == "ok"
-                    ) - 1,
-                )
-                for cell in pending.values()
-            )
-            if self.retire_cells and not self.interrupted:
+            self._count_attempts(pending.values())
+            # Successful cells leave the board: the durable layer is the
+            # regular result cache, not the board.
+            if not self.counters.interrupted:
                 for task_id, cell in pending.items():
                     if task_id in outcomes and not outcomes[task_id].failed:
                         self.board.retire(cell.cell)
             self.board.clear_stop()
-        stolen = {
-            worker: count
+        counters = self.counters
+        counters.cells_stolen = sum(
+            count
             for worker, count in self.cells_by_worker.items()
             if worker != inline.worker_id
-        }
+        )
         self.log.emit(
             "steal_summary",
             cells_by_worker=dict(sorted(self.cells_by_worker.items())),
-            stolen=sum(stolen.values()),
-            reclaimed=self.leases_reclaimed,
-            corrupt=self.corrupt_results,
-            duplicates=self.duplicate_completions,
-            fallback_cells=self.fallback_cells,
-            quarantined=self.quarantined,
-            torn_journals=self.torn_journals,
+            stolen=counters.cells_stolen,
+            reclaimed=counters.leases_reclaimed,
+            corrupt=counters.corrupt_results,
+            duplicates=counters.duplicate_completions,
+            fallback_cells=counters.fallback_cells,
+            quarantined=counters.quarantined,
+            torn_journals=counters.torn_journals,
         )
         return outcomes
+
+    def _count_attempts(self, cells: Iterable[_PendingCell]) -> None:
+        """Fold every cell's attempt journal into the counters.
+
+        Read once, after the workers have drained, so late-landing
+        records are never missed: any participant may reclaim a lease,
+        and two ``ok`` records mean one cell ran twice (a lease race or
+        violation, made harmless by determinism).
+        """
+        for cell in cells:
+            records = self.board.attempt_records(cell.cell)
+            statuses = [item.get("status") for item in records]
+            self.counters.retries += self.policy.retries(records)
+            self.counters.leases_reclaimed += statuses.count(RECLAIMED)
+            self.counters.duplicate_completions += max(
+                0, statuses.count(OK) - 1
+            )
 
 
 __all__ = [

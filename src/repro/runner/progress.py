@@ -28,6 +28,8 @@ from typing import Any, Dict, IO, List, Optional
 
 from repro.sim.observers import JsonlWriter
 
+from .policy import RunCounters
+
 
 class RunLog:
     """Append-only JSONL event log (no-op when constructed with ``None``).
@@ -82,47 +84,27 @@ def completed_idents(events: List[Dict[str, Any]]) -> List[str]:
 
 
 @dataclass
-class RunReport:
-    """Summary statistics of one orchestrated run."""
+class RunReport(RunCounters):
+    """Summary statistics of one orchestrated run.
+
+    The :class:`~repro.runner.policy.RunCounters` fields come from
+    whichever backend ran the cells.
+    """
 
     units_total: int = 0
     completed: int = 0
     failed: List[str] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    retries: int = 0
-    worker_crashes: int = 0
-    #: Hung workers killed (and their cells requeued) by the watchdog.
-    watchdog_kills: int = 0
-    #: Results rejected by the integrity envelope and recomputed.
-    corrupt_results: int = 0
     #: On-disk cache entries found unreadable (torn writes) and recomputed.
     cache_corrupt: int = 0
-    #: The run stopped early (Ctrl-C); artifacts/manifest are partial.
-    interrupted: bool = False
     #: Cells a previous interrupted run had already completed (log replay).
     resumed_cells: int = 0
     jobs: int = 1
     elapsed: float = 0.0
-    #: Per-worker busy seconds, for the utilization figure.
-    worker_busy: Dict[Any, float] = field(default_factory=dict)
     artifacts: List[str] = field(default_factory=list)
     #: Which executor backend ran the cells ("serial"/"pool"/"work-stealing").
     executor: str = "pool"
-    #: -- work-stealing executor counters (zero under other backends) --------
-    #: Stale leases taken away from silent workers.
-    leases_reclaimed: int = 0
-    #: Cells observed to complete more than once (lease races/violations);
-    #: harmless by determinism, but counted as protocol evidence.
-    duplicate_completions: int = 0
-    #: Cells quarantined into failed_cells.json with full attempt history.
-    quarantined: int = 0
-    #: Cells the parent ran inline after no worker ever checked in.
-    fallback_cells: int = 0
-    #: Cells completed by workers other than the parent process.
-    cells_stolen: int = 0
-    #: Worker journals found torn mid-record (masked, but never silent).
-    torn_journals: int = 0
     #: -- run-kernel counts, summed over this run's freshly run cells (each
     #: backend brings a cell's counts home on its TaskOutcome; cache hits
     #: count zero) ------------------------------------------------------------

@@ -9,9 +9,9 @@ it sit three implementations:
   :meth:`Scheduler.run`): workers fed from a bounded task queue, each
   announcing a *claim* before running a cell so the parent always knows
   which cell died with a crashed worker.  Crashed or erroring cells are
-  retried with exponential backoff up to ``max_retries`` times, then
-  marked failed -- a dead worker never loses the run, and never blocks
-  the remaining cells.
+  retried and quarantined by the shared
+  :class:`~repro.runner.policy.FailurePolicy` -- a dead worker never
+  loses the run, and never blocks the remaining cells.
 * :class:`InProcessExecutor` -- the ``--jobs 1`` path: cells run in the
   calling process, same telemetry, no processes.
 * :class:`AsyncInProcessExecutor` -- the :mod:`repro.serve` backend:
@@ -46,10 +46,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.faults.chaos import ChaosConfig
 from repro.sim.kernel import KernelCounts, kernel_count
 
-from .backoff import backoff_delay
+from .policy import (
+    CORRUPT,
+    CRASH,
+    ERROR,
+    LOST,
+    TIMEOUT,
+    ChaosConfig,
+    FailurePolicy,
+    RunCounters,
+)
 from .progress import ProgressPrinter, RunLog
 from .registry import Unit, ensure_default_experiments, get_experiment
 
@@ -115,8 +123,9 @@ class TaskOutcome:
     error: Optional[str] = None
     #: Sealed form of ``value``; set on every freshly run cell.
     envelope: Optional[ResultEnvelope] = None
-    #: Per-attempt records (worker, fault/exception, backoff applied) for
-    #: every non-first attempt -- the quarantine manifest's evidence.
+    #: The record of every failed attempt (see
+    #: :meth:`~repro.runner.policy.FailurePolicy.record`) -- the quarantine
+    #: manifest's evidence.
     history: List[Dict[str, Any]] = field(default_factory=list)
     #: Run-kernel engagement of the run that produced ``value``; zero for
     #: cache hits and failures.
@@ -157,6 +166,9 @@ class Executor:
     aware callers await what they get.
     """
 
+    #: What the backend counted while running cells; ``run_all`` reports it.
+    counters: RunCounters
+
     def submit(self, unit: Unit) -> TaskOutcome:
         raise NotImplementedError
 
@@ -178,6 +190,7 @@ class InProcessExecutor(Executor):
 
     def __init__(self, log: Optional[RunLog] = None) -> None:
         self.log = log or RunLog(None)
+        self.counters = RunCounters()
 
     def submit(self, unit: Unit) -> TaskOutcome:
         outcome = execute(unit)
@@ -211,12 +224,16 @@ class InProcessExecutor(Executor):
             try:
                 outcomes[task_id] = self.submit(unit)
             except KeyboardInterrupt:
+                self.counters.interrupted = True
                 self.log.emit(
                     "interrupted",
                     completed=len(outcomes),
                     remaining=len(units) - len(outcomes),
                 )
                 break
+        self.counters.worker_busy[0] = sum(
+            outcome.elapsed for outcome in outcomes.values()
+        )
         return outcomes
 
 
@@ -265,7 +282,7 @@ def _worker_main(
     that simulates exactly that).  The cell's kernel counts ride beside
     the envelope in the same ``"ok"`` message.
 
-    With a :class:`~repro.faults.chaos.ChaosConfig`, the worker misbehaves
+    With a :class:`~repro.runner.policy.ChaosConfig`, the worker misbehaves
     deterministically per ``(cell, attempt)``: hanging (to exercise the
     parent's watchdog), dying without a word (crash recovery), tampering
     with the payload after hashing (envelope verification), or failing on
@@ -337,8 +354,7 @@ class Scheduler(Executor):
         chaos: Optional[ChaosConfig] = None,
     ) -> None:
         self.jobs = max(1, jobs)
-        self.max_retries = max_retries
-        self.backoff = backoff
+        self.policy = FailurePolicy(max_retries, backoff)
         self.log = log or RunLog(None)
         self.progress = progress
         self.poll_interval = poll_interval
@@ -346,13 +362,7 @@ class Scheduler(Executor):
         #: gets its worker killed and the cell requeued with backoff.
         self.task_timeout = task_timeout
         self.chaos = chaos
-        self.retries = 0
-        self.worker_crashes = 0
-        self.watchdog_kills = 0
-        self.corrupt_results = 0
-        #: True once a KeyboardInterrupt stopped the run early.
-        self.interrupted = False
-        self.worker_busy: Dict[int, float] = {}
+        self.counters = RunCounters()
         # ``fork`` keeps test-registered experiments visible to workers and
         # avoids re-importing the package per process; fall back to the
         # platform default where fork does not exist.
@@ -388,7 +398,6 @@ class Scheduler(Executor):
 
         #: (task_id, not_before) cells awaiting dispatch.
         pending: deque = deque((task_id, 0.0) for task_id, _unit in units)
-        attempts: Dict[int, int] = {task_id: 0 for task_id, _unit in units}
         #: task_id -> worker currently executing it.
         claimed: Dict[int, int] = {}
         #: task_id -> monotonic claim time (the watchdog's clock).
@@ -403,67 +412,53 @@ class Scheduler(Executor):
             workers[worker_id] = self._spawn_worker(
                 worker_id, task_queue, result_queue
             )
-            self.worker_busy.setdefault(worker_id, 0.0)
+            self.counters.worker_busy.setdefault(worker_id, 0.0)
 
-        #: task_id -> per-attempt failure records (the quarantine evidence).
+        #: task_id -> its failed attempts' records (the quarantine evidence).
         history: Dict[int, List[Dict[str, Any]]] = {
             task_id: [] for task_id, _unit in units
         }
 
         def schedule_retry(
             task_id: int,
-            reason: str,
+            status: str,
             error: str,
             worker: Optional[Union[int, str]] = None,
         ) -> None:
-            attempts[task_id] += 1
             unit = by_id[task_id]
-            retrying = attempts[task_id] <= self.max_retries
-            delay = (
-                backoff_delay(
-                    attempts[task_id],
-                    base=self.backoff,
-                    ident=unit.ident,
-                    seed=unit.seed,
+            attempt = self.policy.next_attempt(history[task_id])
+            record = self.policy.record(unit, attempt, status, worker, error)
+            history[task_id].append(record)
+            if not self.policy.exhausted(history[task_id]):
+                pending.append(
+                    (task_id, time.monotonic() + record["backoff"])
                 )
-                if retrying else 0.0
-            )
-            history[task_id].append(
-                {
-                    "attempt": attempts[task_id],
-                    "worker": worker,
-                    "status": reason,
-                    "error": error.splitlines()[-1] if error else None,
-                    "backoff": round(delay, 4),
-                }
-            )
-            if retrying:
-                pending.append((task_id, time.monotonic() + delay))
-                self.retries += 1
+                self.counters.retries += 1
                 self.log.emit(
                     "retry",
                     experiment=unit.experiment,
                     key=unit.key,
-                    attempt=attempts[task_id],
-                    backoff=round(delay, 3),
-                    reason=reason,
+                    attempt=record["attempt"],
+                    backoff=round(record["backoff"], 3),
+                    reason=status,
                 )
-            else:
-                outcomes[task_id] = TaskOutcome(
-                    unit=unit,
-                    failed=True,
-                    error=error,
-                    attempts=attempts[task_id],
-                    history=list(history[task_id]),
-                )
-                self.log.emit(
-                    "unit_done",
-                    experiment=unit.experiment,
-                    key=unit.key,
-                    status="failed",
-                    attempts=attempts[task_id],
-                    error=error.splitlines()[-1] if error else None,
-                )
+                return
+            self.counters.quarantined += 1
+            outcomes[task_id] = TaskOutcome(
+                unit=unit,
+                failed=True,
+                error=error,
+                attempts=record["attempt"],
+                history=list(history[task_id]),
+            )
+            self.log.emit(
+                "unit_done",
+                experiment=unit.experiment,
+                key=unit.key,
+                status="failed",
+                attempts=record["attempt"],
+                error=record["error"],
+            )
 
         try:
             while len(outcomes) < len(by_id):
@@ -476,8 +471,9 @@ class Scheduler(Executor):
                         deferred.append((task_id, not_before))
                         continue
                     try:
+                        attempt = self.policy.next_attempt(history[task_id])
                         task_queue.put_nowait(
-                            (task_id, by_id[task_id], attempts[task_id] + 1)
+                            (task_id, by_id[task_id], attempt)
                         )
                         dispatched.add(task_id)
                     except queue_module.Full:
@@ -515,9 +511,7 @@ class Scheduler(Executor):
                             if task_id not in outcomes
                         ]
                         for task_id in lost:
-                            schedule_retry(
-                                task_id, "lost-in-flight", "task lost in flight"
-                            )
+                            schedule_retry(task_id, LOST, "task lost in flight")
                     continue
 
                 if kind == "claim":
@@ -527,9 +521,8 @@ class Scheduler(Executor):
                 claimed.pop(task_id, None)
                 claim_times.pop(task_id, None)
                 dispatched.discard(task_id)
-                self.worker_busy[worker_id] = (
-                    self.worker_busy.get(worker_id, 0.0) + elapsed
-                )
+                busy = self.counters.worker_busy
+                busy[worker_id] = busy.get(worker_id, 0.0) + elapsed
                 if task_id in outcomes:
                     continue  # duplicate completion after a lost-task retry
                 unit = by_id[task_id]
@@ -539,7 +532,7 @@ class Scheduler(Executor):
                     try:
                         value = envelope.open()
                     except IntegrityError as error:
-                        self.corrupt_results += 1
+                        self.counters.corrupt_results += 1
                         self.log.emit(
                             "corrupt_result",
                             experiment=unit.experiment,
@@ -547,8 +540,7 @@ class Scheduler(Executor):
                             worker=worker_id,
                         )
                         schedule_retry(
-                            task_id, "corrupt-result", str(error),
-                            worker=worker_id,
+                            task_id, CORRUPT, str(error), worker=worker_id
                         )
                         continue
                     outcomes[task_id] = TaskOutcome(
@@ -556,7 +548,7 @@ class Scheduler(Executor):
                         value=value,
                         elapsed=elapsed,
                         worker=worker_id,
-                        attempts=attempts[task_id] + 1,
+                        attempts=self.policy.next_attempt(history[task_id]),
                         envelope=envelope,
                         history=list(history[task_id]),
                         kernel=kernel,
@@ -569,18 +561,16 @@ class Scheduler(Executor):
                         cached=False,
                         elapsed=round(elapsed, 4),
                         worker=worker_id,
-                        attempts=attempts[task_id] + 1,
+                        attempts=self.policy.next_attempt(history[task_id]),
                     )
                     if self.progress is not None:
                         self.progress.update(
                             done=len(outcomes),
-                            retries=self.retries,
+                            retries=self.counters.retries,
                             workers=len(workers),
                         )
                 else:  # "err"
-                    schedule_retry(
-                        task_id, "exception", payload, worker=worker_id
-                    )
+                    schedule_retry(task_id, ERROR, payload, worker=worker_id)
 
                 self._watchdog(
                     workers, by_id, claimed, claim_times, dispatched,
@@ -591,14 +581,16 @@ class Scheduler(Executor):
                     pending, task_queue, result_queue, schedule_retry,
                 )
         except KeyboardInterrupt:
-            self.interrupted = True
+            self.counters.interrupted = True
             self.log.emit(
                 "interrupted",
                 completed=len(outcomes),
                 remaining=len(by_id) - len(outcomes),
             )
         finally:
-            self._shutdown(workers, task_queue, force=self.interrupted)
+            self._shutdown(
+                workers, task_queue, force=self.counters.interrupted
+            )
         return outcomes
 
     def _watchdog(
@@ -631,7 +623,7 @@ class Scheduler(Executor):
                 continue
             dispatched.discard(task_id)
             unit = by_id[task_id]
-            self.watchdog_kills += 1
+            self.counters.watchdog_kills += 1
             self.log.emit(
                 "watchdog_kill",
                 worker=worker_id,
@@ -648,10 +640,10 @@ class Scheduler(Executor):
                 workers[replacement_id] = self._spawn_worker(
                     replacement_id, task_queue, result_queue
                 )
-                self.worker_busy.setdefault(replacement_id, 0.0)
+                self.counters.worker_busy.setdefault(replacement_id, 0.0)
             schedule_retry(
                 task_id,
-                "watchdog-timeout",
+                TIMEOUT,
                 f"cell exceeded the {self.task_timeout}s watchdog timeout",
                 worker=worker_id,
             )
@@ -674,7 +666,7 @@ class Scheduler(Executor):
                 continue
             # Workers only exit on the shutdown sentinel, which is sent
             # after this loop finishes -- a dead worker here is a crash.
-            self.worker_crashes += 1
+            self.counters.worker_crashes += 1
             self.log.emit(
                 "worker_crash",
                 worker=worker_id,
@@ -689,7 +681,7 @@ class Scheduler(Executor):
                     dispatched.discard(task_id)
                     schedule_retry(
                         task_id,
-                        "worker-crash",
+                        CRASH,
                         f"worker {worker_id} died (exit {process.exitcode})",
                         worker=worker_id,
                     )
@@ -698,7 +690,7 @@ class Scheduler(Executor):
             workers[replacement_id] = self._spawn_worker(
                 replacement_id, task_queue, result_queue
             )
-            self.worker_busy.setdefault(replacement_id, 0.0)
+            self.counters.worker_busy.setdefault(replacement_id, 0.0)
 
     def _shutdown(self, workers, task_queue, force: bool = False) -> None:
         """Stop all workers; ``force`` terminates without draining.

@@ -9,7 +9,9 @@ pushes the rest through the :class:`~repro.runner.scheduler.Executor`
 seam, and seals the assembled artifact into the result store.
 
 The spec's **content hash** is the SHA-256 of its canonical identity --
-experiment, resolved overrides, filters, and the code fingerprint (the
+experiment, every option it resolves to (so an override equal to its
+default, or the ``trials`` shorthand for an option, changes nothing),
+filters, and the code fingerprint (the
 same fingerprint the cell cache keys on, so stale results die with the
 code that produced them).  The hash is the dedup key at every layer:
 
@@ -114,7 +116,8 @@ class JobSpec:
     """One validated submission (see :func:`parse_spec`)."""
 
     experiment: str
-    #: Resolved option overrides, sorted for a stable identity.
+    #: Every option the experiment declares, resolved, sorted for a
+    #: stable identity.
     options: Tuple[Tuple[str, Any], ...] = ()
     filters: Tuple[str, ...] = ()
     priority: int = 0
@@ -153,7 +156,9 @@ def parse_spec(payload: Any, default_client: str = "anonymous") -> JobSpec:
     onto the runner's native vocabulary: design/workload become unit
     ident globs, trials becomes the experiment's trial-count option.
     Options are checked by :func:`~repro.runner.registry.resolve_options`
-    against the spec's experiment; its message is the 400's detail.
+    against the spec's experiment; its message is the 400's detail.  The
+    spec keeps the options they resolve to, so every spelling of the same
+    cells shares one content hash.
     """
     if not isinstance(payload, dict):
         raise _bad_spec("spec must be a JSON object")
@@ -178,7 +183,7 @@ def parse_spec(payload: Any, default_client: str = "anonymous") -> JobSpec:
     if not isinstance(options, dict):
         raise _bad_spec("'options' must be an object")
     try:
-        resolve_options(options, experiment)
+        options = resolve_options(options, experiment)
     except ValueError as error:
         raise _bad_spec(str(error)) from None
 
@@ -193,7 +198,7 @@ def parse_spec(payload: Any, default_client: str = "anonymous") -> JobSpec:
                 f"experiment {experiment!r} has no trials knob"
                 f" (supported: {', '.join(supported)})"
             )
-        options = {**options, option_key: trials}
+        options[option_key] = trials
 
     filters: List[str] = []
     design = payload.get("design")

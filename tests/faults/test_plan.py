@@ -3,7 +3,6 @@
 import pytest
 
 from repro.faults import (
-    EXECUTOR_FAULT_KINDS,
     FAULT_KINDS,
     RUNNER_FAULT_KINDS,
     SIM_FAULT_KINDS,
@@ -18,18 +17,15 @@ class TestFaultSpec:
     def test_every_kind_is_constructible(self):
         for kind in FAULT_KINDS:
             spec = FaultSpec(kind=kind)
-            assert spec.layer in ("sim", "runner", "executor")
+            assert spec.layer in ("sim", "runner")
 
     def test_layer_partition(self):
         assert set(SIM_FAULT_KINDS).isdisjoint(RUNNER_FAULT_KINDS)
-        assert set(SIM_FAULT_KINDS).isdisjoint(EXECUTOR_FAULT_KINDS)
-        assert set(RUNNER_FAULT_KINDS).isdisjoint(EXECUTOR_FAULT_KINDS)
+        assert set(FAULT_KINDS) == set(SIM_FAULT_KINDS) | set(RUNNER_FAULT_KINDS)
         for kind in SIM_FAULT_KINDS:
             assert FaultSpec(kind=kind).layer == "sim"
         for kind in RUNNER_FAULT_KINDS:
             assert FaultSpec(kind=kind).layer == "runner"
-        for kind in EXECUTOR_FAULT_KINDS:
-            assert FaultSpec(kind=kind).layer == "executor"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):

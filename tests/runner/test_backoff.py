@@ -2,14 +2,14 @@
 
 Every executor backend (the multiprocessing pool and the work-stealing
 lease protocol) computes its retry schedule through
-:func:`repro.runner.backoff.backoff_delay`; these tests pin the contract
+:func:`repro.runner.policy.backoff_delay`; these tests pin the contract
 both rely on: exponential growth, a hard cap, and jitter that is a pure
 function of ``(seed, ident, attempt)`` so every host agrees exactly.
 """
 
 import pytest
 
-from repro.runner.backoff import JITTER_FRACTION, backoff_delay
+from repro.runner.policy import JITTER_FRACTION, backoff_delay
 
 
 class TestBackoffDelay:

@@ -107,6 +107,57 @@ class TestWorkerChaos:
         assert "poisoned" in manifest["failed"][0]["error"]
 
 
+class TestOneFailurePolicy:
+    """Both backends retry and quarantine by one policy, on one record."""
+
+    def test_a_poison_cell_leaves_the_same_history_under_each_backend(
+        self, tmp_path
+    ):
+        poisoned = f"{PROBE_EXPERIMENT}/cell-00"
+        backends = {
+            "pool": {},
+            "work-stealing": dict(
+                executor="work-stealing",
+                workers=2,
+                executor_options=dict(
+                    lease_ttl=1.0, heartbeat_interval=0.25,
+                    poll_interval=0.05, fallback_after=120.0,
+                ),
+            ),
+        }
+        histories = {}
+        for backend, extra in backends.items():
+            results = tmp_path / backend
+            report = run_all(
+                results_dir=results,
+                cache_dir=tmp_path / f"{backend}-cache",
+                chaos=ChaosConfig(seed=4, poison_idents=(poisoned,)),
+                **probe_kwargs(**extra),
+            )
+            assert report.failed == [poisoned]
+            assert report.quarantined == 1
+            assert report.retries == 2
+            manifest = json.loads((results / "failed_cells.json").read_text())
+            (entry,) = manifest["failed"]
+            assert entry["attempts"] == 3
+            histories[backend] = entry["history"]
+
+        pool, stealing = histories["pool"], histories["work-stealing"]
+        assert {frozenset(record) for record in pool} == {
+            frozenset(record) for record in stealing
+        } == {frozenset(
+            ("attempt", "worker", "status", "error", "backoff", "not_before")
+        )}
+        for history in (pool, stealing):
+            assert [record["attempt"] for record in history] == [1, 2, 3]
+            assert [record["status"] for record in history] == ["error"] * 3
+            assert all("poisoned" in record["error"] for record in history)
+            # Backoff only before a retry; the last failure quarantines.
+            assert [record["backoff"] > 0 for record in history] == [
+                True, True, False,
+            ]
+
+
 class TestChaosDeterminism:
     """Satellite: chaos may cost time, never bytes."""
 

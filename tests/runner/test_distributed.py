@@ -12,8 +12,6 @@ import time
 
 import pytest
 
-from repro.faults.chaos import ExecutorChaosConfig
-from repro.runner.backoff import backoff_delay
 from repro.runner.cache import code_fingerprint
 from repro.runner.distributed import (
     Board,
@@ -21,9 +19,12 @@ from repro.runner.distributed import (
     WorkerLoop,
     WorkStealingExecutor,
 )
-from repro.runner.registry import REGISTRY, Experiment, register
+from repro.runner.policy import ChaosConfig, FailurePolicy, backoff_delay
+from repro.runner.registry import REGISTRY, Experiment, Unit, register
+from repro.runner.scheduler import ResultEnvelope
 
-BACKOFF = {"base": 0.01, "cap": 0.05, "seed": 7}
+POLICY = FailurePolicy(max_retries=2, backoff=0.01)
+UNIT = Unit(experiment="steal-toy", key="x", params={}, seed=7)
 
 
 class StealToyExperiment(Experiment):
@@ -89,7 +90,7 @@ class TestBoardLeases:
 
     def test_fresh_lease_is_not_reclaimable(self, board):
         board.try_claim("cell", "alice", attempt=1)
-        assert board.reclaim_if_stale("cell", "bob", 5.0, BACKOFF) is None
+        assert board.reclaim_if_stale("cell", "bob", 5.0, POLICY, UNIT) is None
         assert board.read_lease("cell").worker == "alice"
         assert board.attempt_records("cell") == []
 
@@ -97,18 +98,20 @@ class TestBoardLeases:
         board.try_claim(
             "cell", "alice", attempt=2, heartbeat=time.time() - 100.0
         )
-        reclaimed = board.reclaim_if_stale("cell", "bob", 1.0, BACKOFF)
+        reclaimed = board.reclaim_if_stale("cell", "bob", 1.0, POLICY, UNIT)
         assert isinstance(reclaimed, Lease)
         assert reclaimed.worker == "alice"
         # The rename decided the winner: the lease is gone, a second
         # reclaimer finds nothing and must not double-count the attempt.
         assert board.read_lease("cell") is None
-        assert board.reclaim_if_stale("cell", "carol", 1.0, BACKOFF) is None
+        assert board.reclaim_if_stale("cell", "carol", 1.0, POLICY, UNIT) is None
         (record,) = board.attempt_records("cell")
         assert record["status"] == "reclaimed"
         assert record["worker"] == "alice"
-        assert record["by"] == "bob"
-        expected = backoff_delay(2, base=0.01, cap=0.05, ident="cell", seed=7)
+        assert "reclaimed by bob" in record["error"]
+        # The jitter is keyed on the unit's identity, not the board's
+        # cache-key cell id.
+        expected = backoff_delay(2, base=0.01, ident="steal-toy/x", seed=7)
         assert record["backoff"] == round(expected, 4)
         assert record["not_before"] > time.time() - 1.0
 
@@ -119,7 +122,6 @@ def _executor(tmp_path, **overrides):
         local_workers=0,
         max_retries=2,
         backoff=0.01,
-        backoff_cap=0.1,
         lease_ttl=1.0,
         heartbeat_interval=0.1,
         poll_interval=0.02,
@@ -145,7 +147,7 @@ class TestWorkStealingExecutor:
             assert outcome.value == i * 3
             assert str(outcome.worker).startswith("local-")
         assert sum(executor.cells_by_worker.values()) == 6
-        assert executor.fallback_cells == 0
+        assert executor.counters.fallback_cells == 0
         # Successful cells are retired: the board is consumable state,
         # the durable layer is the regular result cache.
         assert executor.board.task_cells() == []
@@ -160,8 +162,8 @@ class TestWorkStealingExecutor:
         finally:
             executor.close()
         assert all(not outcome.failed for outcome in outcomes.values())
-        assert executor.fallback_cells == 3
-        assert executor.worker_crashes == 0
+        assert executor.counters.fallback_cells == 3
+        assert executor.counters.worker_crashes == 0
 
     def test_a_foreign_worker_does_not_hold_off_the_fallback(
         self, tmp_path, toy
@@ -185,7 +187,7 @@ class TestWorkStealingExecutor:
             executor.close()
         assert not outcomes[0].failed
         assert outcomes[0].value == 15
-        assert executor.fallback_cells == 1
+        assert executor.counters.fallback_cells == 1
         assert time.monotonic() - started < 6.0
 
     def test_a_worker_journals_the_first_task_it_declines(
@@ -209,6 +211,27 @@ class TestWorkStealingExecutor:
         heartbeat = json.loads((board.workers / "w1.json").read_text())
         assert heartbeat["code_version"] == code_fingerprint()
 
+    def test_a_worker_skips_a_finished_cell_without_reading_it(
+        self, board, toy, monkeypatch
+    ):
+        unit = toy.unit("done", value=1)
+        board.publish(
+            unit, "cell-done",
+            {"code_version": code_fingerprint(), **POLICY.to_dict()},
+        )
+        board.write_result(
+            "cell-done", unit.ident, "w0", ResultEnvelope.seal(3), 0.0,
+            code_fingerprint(),
+        )
+
+        def unpickle(self, cell):
+            raise AssertionError(f"a board scan unpickled {cell}")
+
+        monkeypatch.setattr(Board, "read_result", unpickle)
+        loop = WorkerLoop(board, worker_id="w1")
+        assert not loop.run_once()
+        assert board.read_lease("cell-done") is None
+
     def test_submit_satisfies_the_executor_seam(self, tmp_path, toy):
         executor = _executor(tmp_path)
         try:
@@ -223,9 +246,7 @@ class TestWorkStealingExecutor:
         self, tmp_path, toy
     ):
         unit = toy.unit("bad", value=1)
-        chaos = ExecutorChaosConfig(
-            seed=3, modes=(), rate=0.0, poison_idents=(unit.ident,)
-        )
+        chaos = ChaosConfig(seed=3, poison_idents=(unit.ident,))
         executor = _executor(tmp_path, max_retries=1, chaos=chaos)
         # Exhaust the attempt budget by hand through two distinct chaotic
         # workers, then let the orchestrator find the wreckage.
@@ -241,12 +262,8 @@ class TestWorkStealingExecutor:
             unit, cell,
             {
                 "code_version": executor.code_version,
-                "max_attempts": 2,
                 "lease_ttl": 1.0,
-                "backoff_base": 0.0,
-                "backoff_cap": 0.0,
-                "backoff_seed": unit.seed,
-                "ident": unit.ident,
+                **FailurePolicy(max_retries=1, backoff=0.0).to_dict(),
             },
         )
         second = WorkerLoop(
@@ -261,7 +278,7 @@ class TestWorkStealingExecutor:
         outcome = outcomes[0]
         assert outcome.failed
         assert "poison" in (outcome.error or "")
-        assert executor.quarantined == 1
+        assert executor.counters.quarantined == 1
         # The quarantine evidence: one record per attempt, each naming
         # the worker it ran on -- here two distinct workers.
         assert len(outcome.history) == 2

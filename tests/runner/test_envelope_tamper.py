@@ -46,7 +46,6 @@ def _executor(tmp_path):
         local_workers=0,
         max_retries=2,
         backoff=0.001,
-        backoff_cap=0.01,
         lease_ttl=1.0,
         heartbeat_interval=0.1,
         poll_interval=0.02,
@@ -84,7 +83,7 @@ class TestTamperedResultsNeverServed:
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant
         )
-        assert executor.corrupt_results == 1
+        assert executor.counters.corrupt_results == 1
         assert not outcome.failed
         assert outcome.value == {"honest": 11}
 
@@ -100,7 +99,7 @@ class TestTamperedResultsNeverServed:
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant
         )
-        assert executor.corrupt_results == 1
+        assert executor.counters.corrupt_results == 1
         assert not outcome.failed
         assert outcome.value == {"honest": 11}
 
@@ -115,7 +114,7 @@ class TestTamperedResultsNeverServed:
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant
         )
-        assert executor.corrupt_results == 1
+        assert executor.counters.corrupt_results == 1
         assert not outcome.failed
         assert outcome.value == {"honest": 11}
 
@@ -139,7 +138,7 @@ class TestTamperedResultsNeverServed:
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant
         )
-        assert executor.corrupt_results == 1
+        assert executor.counters.corrupt_results == 1
         assert not outcome.failed
         assert outcome.value == {"honest": 11}
 
@@ -159,8 +158,8 @@ class TestTamperedResultsNeverServed:
         # Retirement cleans the board on success; the rejection still
         # counted and the retry was paced, which the outcome's attempt
         # count reflects (corrupt record + honest completion).
-        assert executor.corrupt_results == 1
-        assert executor.retries >= 1
+        assert executor.counters.corrupt_results == 1
+        assert executor.counters.retries >= 1
         assert outcome.attempts >= 2
 
 

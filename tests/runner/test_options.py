@@ -180,7 +180,7 @@ def test_the_trials_shorthand_sets_the_declared_trial_option():
     }
     for experiment, option in shorthand.items():
         spec = parse_spec({"experiment": experiment, "trials": 3})
-        assert spec.options_dict == {option: 3}
+        assert spec.options_dict == resolve_options({option: 3}, experiment)
 
 
 class RecordingOptions(Mapping):

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.runner import run_all
+from repro.runner import ChaosConfig, run_all
 
 #: Reduced-fidelity knobs shared by the tests below.
 SMALL = {"table4_trials": 4}
@@ -132,6 +132,26 @@ class TestExecutorArguments:
                 "task_timeout must be a positive number of seconds",
             ),
             ({"executor": "threads"}, "unknown executor 'threads'"),
+            (
+                {"executor": "work-stealing", "workers": -1},
+                "workers must be a non-negative integer",
+            ),
+            (
+                {"executor": "work-stealing", "task_timeout": 5.0},
+                "task_timeout arms the pool's watchdog",
+            ),
+            (
+                {"jobs": 2, "chaos": ChaosConfig(modes=("stale-lease",))},
+                "the pool backend does not implement fault mode stale-lease",
+            ),
+            (
+                {"executor": "work-stealing", "chaos": ChaosConfig(modes=("hang",))},
+                "the work-stealing backend does not implement fault mode hang",
+            ),
+            (
+                {"jobs": 1, "chaos": ChaosConfig(poison_idents=("table5/x",))},
+                "the serial backend does not implement fault mode poison",
+            ),
         ],
     )
     def test_a_bad_budget_is_refused_before_any_cell(

@@ -106,8 +106,8 @@ class TestScheduler:
         assert outcomes[0].value == "survived"
         assert not outcomes[0].failed
         assert marker.exists()
-        assert scheduler.worker_crashes >= 1
-        assert scheduler.retries >= 1
+        assert scheduler.counters.worker_crashes >= 1
+        assert scheduler.counters.retries >= 1
 
         events = {record["event"] for record in read_events(log_path)}
         assert "worker_crash" in events or "retry" in events

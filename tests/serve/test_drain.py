@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.serve.jobs import JOBS_JOURNAL
+from repro.serve.jobs import JOBS_JOURNAL, parse_spec
 
 from .conftest import ServeHarness
 
@@ -167,7 +167,8 @@ def test_resume_retires_specs_that_no_longer_validate(tmp_path, toy_experiment):
         )
         if event["event"] == "job_queued"
     ]
-    assert queued == [survivor]
+    # Re-journaled as the spec it resolves to.
+    assert [parse_spec(spec) for spec in queued] == [parse_spec(survivor)]
 
 
 # -- the real signal path, in a real process -----------------------------------

@@ -78,6 +78,27 @@ def test_cached_resubmit_is_instant_and_byte_identical(serve_harness):
     assert payload_two == payload_one
 
 
+def test_a_spelt_out_default_is_answered_from_the_store(serve_harness):
+    harness = serve_harness()
+    _status, _headers, first = harness.request_json(
+        "POST", "/v1/jobs", _toy_spec()
+    )
+    doc = harness.poll_job(first["status_url"])
+    runs_after_first = len(RUN_CALLS)
+
+    # The same cells, with an option spelt out at its default value.
+    spelt_out = _toy_spec()
+    spelt_out["options"]["serve_toy_delay"] = 0.0
+    status, _headers, second = harness.request_json(
+        "POST", "/v1/jobs", spelt_out
+    )
+    assert status == 200
+    assert second["disposition"] == "cached"
+    assert second["content_hash"] == first["content_hash"]
+    assert second["result_sha256"] == doc["result_sha256"]
+    assert len(RUN_CALLS) == runs_after_first
+
+
 def test_concurrent_identical_submits_dedup_to_one_simulation(serve_harness):
     harness = serve_harness(max_concurrency=4)
     spec = _toy_spec(values=(5, 6), delay=0.6)

@@ -185,6 +185,21 @@ class TestContentHash:
         # Code changes invalidate old results.
         assert JobSpec("table2").content_hash("v2") != base
 
+    def test_every_spelling_of_a_default_shares_one_hash(self):
+        # The same 72 cells at 500 trials, spelt three ways.
+        hashes = {
+            parse_spec(payload).content_hash("v1")
+            for payload in (
+                {"experiment": "table4"},
+                {"experiment": "table4", "options": {"table4_trials": 500}},
+                {"experiment": "table4", "trials": 500},
+            )
+        }
+        assert len(hashes) == 1
+        assert parse_spec(
+            {"experiment": "table4", "trials": 499}
+        ).content_hash("v1") not in hashes
+
     def test_priority_and_client_are_not_identity(self):
         # Who asked and how urgently must not fork the result space.
         one = JobSpec("table2", priority=0, client="a").content_hash("v1")

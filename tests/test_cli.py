@@ -82,6 +82,7 @@ class TestParser:
             ("--task-timeout", "0"),
             ("--task-timeout", "-0.5"),
             ("--task-timeout", "soon"),
+            ("--workers", "-1"),
         ],
     )
     def test_a_bad_run_all_budget_is_a_usage_error(self, capsys, flag, value):
@@ -91,6 +92,31 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err
         assert "Traceback" not in err
+
+    def test_a_task_timeout_under_work_stealing_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        # Work stealing has no watchdog: a hung cell's renewer keeps its
+        # lease fresh, so the timeout would be silently ignored.
+        with pytest.raises(SystemExit) as raised:
+            main([
+                "run-all", "--filter", "table5*", "--executor",
+                "work-stealing", "--task-timeout", "5",
+                "--results-dir", str(tmp_path / "results"),
+                "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "--task-timeout" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "results").exists()
+        assert not (tmp_path / "cache").exists()
+
+    def test_a_negative_chaos_worker_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["chaos", "runner", "--workers", "-1"])
+        assert raised.value.code == 2
+        assert "argument --workers:" in capsys.readouterr().err
 
     def test_run_all_budgets_parse(self):
         args = build_parser().parse_args(
