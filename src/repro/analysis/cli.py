@@ -31,7 +31,7 @@ import sys
 from typing import List, Tuple
 
 from repro.isa.assembler import assemble
-from repro.runner.registry import COUNT
+from repro.options import COUNT
 
 ANALYZE_SCHEMA = "repro/analyze/v1"
 

@@ -347,6 +347,10 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             f" · {report.kernel_runs:,} runs"
             f" · backend {report.kernel_backend}"
         )
+        print(
+            f"fast path built: {report.kernel_traces_compiled:,} traces"
+            f" · {report.kernel_oracles_built:,} reuse oracles"
+        )
     if report.artifacts:
         print(f"artifacts: {', '.join(report.artifacts)}")
     if report.failed:
@@ -475,8 +479,7 @@ def _add_design_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.runner.api import NON_NEGATIVE, SECONDS
-    from repro.runner.registry import COUNT
+    from repro.options import COUNT, NON_NEGATIVE, SECONDS
 
     parser = argparse.ArgumentParser(
         prog="repro",

@@ -14,6 +14,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
+from repro.options import NON_NEGATIVE, SECONDS
+
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .distributed import WorkStealingExecutor
 from .policy import ChaosConfig
@@ -24,22 +26,9 @@ from .progress import (
     completed_idents,
     replay_run_log,
 )
-from .registry import SEED, Kind, all_experiments, expand_units, resolve_options
+from .registry import all_experiments, expand_units, resolve_options
 from .scheduler import Executor, InProcessExecutor, Scheduler, TaskOutcome
 from .results import write_artifacts
-
-
-#: ``run_all``'s retry budget and local worker count, and its watchdog;
-#: ``run-all --max-retries``, ``--workers`` and ``--task-timeout`` parse
-#: with them.
-NON_NEGATIVE = Kind(
-    "a non-negative integer", lambda value: SEED.admits(value) and value >= 0
-)
-SECONDS = Kind(
-    "a positive number of seconds",
-    lambda value: isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
-    read=float,
-)
 
 
 def default_jobs() -> int:
@@ -71,7 +60,7 @@ def run_all(
     bad option, ``max_retries``, ``task_timeout``, ``executor`` or
     ``workers``, a ``task_timeout`` under work stealing, or a ``chaos``
     mode the chosen backend does not implement (the serial ``jobs=1``
-    path implements none) raises
+    path without a ``task_timeout`` implements none) raises
     :class:`ValueError` before the run log, the cache or any cell is read.
 
     ``task_timeout`` arms the pool's per-cell wall-clock watchdog;
@@ -84,7 +73,8 @@ def run_all(
     cell).
 
     ``executor`` picks the backend: ``"pool"`` (the default per-host
-    multiprocessing scheduler; ``--jobs 1`` degrades to in-process) or
+    multiprocessing scheduler; ``--jobs 1`` degrades to in-process,
+    unless a ``task_timeout`` needs a worker to kill) or
     ``"work-stealing"`` -- the lease-based multi-host executor of
     :mod:`repro.runner.distributed`, which coordinates through the shared
     cache directory and accepts any ``python -m repro worker`` process on
@@ -111,9 +101,11 @@ def run_all(
         raise ValueError(f"workers must be {NON_NEGATIVE.noun}")
     jobs = jobs if jobs is not None else default_jobs()
     jobs = max(1, jobs)
+    # A watchdog needs a process to kill, so a timeout puts even one job
+    # on the pool.
     backend = (
         "work-stealing" if executor == "work-stealing"
-        else ("pool" if jobs > 1 else "serial")
+        else ("pool" if jobs > 1 or task_timeout is not None else "serial")
     )
     if task_timeout is not None and backend == "work-stealing":
         raise ValueError(
@@ -324,6 +316,8 @@ def run_all(
         report.kernel_run_hits += outcome.kernel.run_hits
         report.kernel_fallback_accesses += outcome.kernel.fallback_accesses
         report.kernel_runs += outcome.kernel.runs
+        report.kernel_traces_compiled += outcome.kernel.traces_compiled
+        report.kernel_oracles_built += outcome.kernel.oracles_built
     report.kernel_backend = STRUCTURE_BACKEND
 
     report.elapsed = time.monotonic() - started

@@ -25,7 +25,7 @@ verbatim.  The options each experiment declares, at their defaults
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional
 
 from .registry import COUNT, COUNT_SERIES, FLAG, REGISTRY, SEED, Experiment, Option, Unit, register
 
@@ -255,6 +255,11 @@ class Figure7Experiment(Experiment):
             params["rsa_runs"],
             settings,
         )
+
+    def affinity(self, params: Mapping[str, Any]) -> Optional[str]:
+        """The scenario's SPEC benchmark: every cell beside it compiles its
+        trace, and the cells of one organization share merged oracles."""
+        return params["scenario"].partition("+")[2] or None
 
     def assemble(self, values: List[Any], options: Mapping[str, Any]) -> Any:
         grid, series = _fig7_unit_sets(options)

@@ -73,12 +73,10 @@ CORRUPT = "corrupt"
 CRASH = "crash"
 #: The pool's watchdog killed its worker.
 TIMEOUT = "timeout"
-#: It was handed to the pool's queue and never claimed.
-LOST = "lost"
 #: Its work-stealing lease went stale and was taken back.
 RECLAIMED = "reclaimed"
 #: The statuses of a failed attempt; each spends one attempt of the budget.
-FAILURES: Tuple[str, ...] = (ERROR, CORRUPT, CRASH, TIMEOUT, LOST, RECLAIMED)
+FAILURES: Tuple[str, ...] = (ERROR, CORRUPT, CRASH, TIMEOUT, RECLAIMED)
 
 
 def failed_attempts(

@@ -114,6 +114,12 @@ class RunReport(RunCounters):
     kernel_fallback_accesses: int = 0
     #: Nonempty proven runs.
     kernel_runs: int = 0
+    #: Traces compiled and reuse oracles built (per trace and merged).
+    #: Unlike the three counts above, these depend on which worker ran
+    #: which cell: a worker that already holds a trace or an oracle
+    #: builds it again for no later cell.
+    kernel_traces_compiled: int = 0
+    kernel_oracles_built: int = 0
     #: Structural-pre-pass backend active in this process ("numpy"/"python").
     kernel_backend: str = ""
 
@@ -167,6 +173,8 @@ class RunReport(RunCounters):
             "kernel_run_hits": self.kernel_run_hits,
             "kernel_fallback_accesses": self.kernel_fallback_accesses,
             "kernel_runs": self.kernel_runs,
+            "kernel_traces_compiled": self.kernel_traces_compiled,
+            "kernel_oracles_built": self.kernel_oracles_built,
             "kernel_backend": self.kernel_backend,
         }
 

@@ -20,7 +20,6 @@ them.
 
 from __future__ import annotations
 
-import argparse
 import fnmatch
 import zlib
 from dataclasses import dataclass, field
@@ -28,14 +27,18 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Tuple,
     Type,
 )
+
+# The option kinds live in a leaf module the command line imports alone;
+# experiments declare their options through this one.
+from repro.options import COUNT, COUNT_SERIES, FLAG, SEED, Kind, Option  # noqa: F401
 
 #: Global experiment registry, in registration (= presentation) order.
 REGISTRY: "Dict[str, Experiment]" = {}
@@ -49,43 +52,6 @@ def stable_seed(*parts: Any) -> int:
     """
     label = "/".join(str(part) for part in parts)
     return zlib.crc32(label.encode())
-
-
-class Kind(NamedTuple):
-    """A family of option values: what it admits, and its name in errors."""
-
-    noun: str
-    admits: Callable[[Any], bool]
-    read: Callable[[str], Any] = int
-
-    def parse(self, text: str) -> Any:
-        """An argparse ``type``: the CLI refuses what the option refuses."""
-        try:
-            value = self.read(text)
-            if self.admits(value):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be {self.noun}, got {text!r}")
-
-
-#: A seed; trials, runs, bits or instructions; a series of them; a switch.
-SEED = Kind("an integer", lambda value: isinstance(value, int) and not isinstance(value, bool))
-COUNT = Kind("a positive integer", lambda value: SEED.admits(value) and value >= 1)
-COUNT_SERIES = Kind(
-    "a non-empty list of positive integers",
-    lambda value: isinstance(value, list) and bool(value) and all(map(COUNT.admits, value)),
-)
-FLAG = Kind("a boolean", lambda value: isinstance(value, bool))
-
-
-class Option(NamedTuple):
-    """One experiment option: its name, its default, and the kind of value
-    an override must be."""
-
-    name: str
-    default: Any
-    kind: Kind
 
 
 @dataclass(frozen=True)
@@ -138,6 +104,17 @@ class Experiment:
     def run(params: Mapping[str, Any]) -> Any:
         """Run one cell.  Must be pure and depend only on ``params``."""
         raise NotImplementedError
+
+    def affinity(self, params: Mapping[str, Any]) -> Optional[Hashable]:
+        """The cell's affinity group, or None for none.
+
+        Cells of one group build the same costly state (a compiled
+        trace, say), which each process keeps for its later cells; the
+        process pool therefore runs a group's cells in one worker where
+        it can (:func:`repro.runner.scheduler.pick_cell`).  A hint only:
+        results never depend on it.
+        """
+        return None
 
     def assemble(self, values: List[Any], options: Mapping[str, Any]) -> Any:
         """Reassemble cell results (in ``units`` order) into the domain

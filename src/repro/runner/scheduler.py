@@ -6,12 +6,14 @@ backend implements -- ``submit(unit) -> TaskOutcome`` -- shared by
 it sit three implementations:
 
 * :class:`Scheduler` -- the multiprocessing pool (bulk-optimized via
-  :meth:`Scheduler.run`): workers fed from a bounded task queue, each
-  announcing a *claim* before running a cell so the parent always knows
-  which cell died with a crashed worker.  Crashed or erroring cells are
-  retried and quarantined by the shared
-  :class:`~repro.runner.policy.FailurePolicy` -- a dead worker never
-  loses the run, and never blocks the remaining cells.
+  :meth:`Scheduler.run`): each worker has an inbox of at most
+  :data:`INBOX_CELLS` cells, which the parent fills by
+  :func:`pick_cell` -- cells of one affinity group to one worker where
+  it can -- and announces a *claim* before running a cell, so the
+  parent always knows which cell died with a crashed worker and which
+  never started.  Crashed or erroring cells are retried and quarantined
+  by the shared :class:`~repro.runner.policy.FailurePolicy` -- a dead
+  worker never loses the run, and never blocks the remaining cells.
 * :class:`InProcessExecutor` -- the ``--jobs 1`` path: cells run in the
   calling process, same telemetry, no processes.
 * :class:`AsyncInProcessExecutor` -- the :mod:`repro.serve` backend:
@@ -38,13 +40,25 @@ import hashlib
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import signal
 import time
 import traceback
-from collections import deque
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from heapq import heappop, heappush
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.sim.kernel import KernelCounts, kernel_count
 
@@ -52,7 +66,6 @@ from .policy import (
     CORRUPT,
     CRASH,
     ERROR,
-    LOST,
     TIMEOUT,
     ChaosConfig,
     FailurePolicy,
@@ -267,20 +280,74 @@ class AsyncInProcessExecutor(Executor):
             return await asyncio.to_thread(self._inner.submit, unit)
 
 
+#: Cells a pool worker's inbox holds at once: the one it runs, and the
+#: one it runs next.
+INBOX_CELLS = 2
+
+
+def pick_cell(
+    ready: Sequence[int],
+    group_of: Mapping[int, Hashable],
+    mine: Optional[Hashable],
+    held: Collection[Hashable],
+) -> Optional[int]:
+    """The cell a pool worker holding affinity group ``mine`` runs next.
+
+    ``ready`` lists the cells that may run now, in enumeration order,
+    ``group_of`` maps a cell to its group (a cell it lacks has none; see
+    :meth:`~repro.runner.registry.Experiment.affinity`), and ``held``
+    holds every group another worker holds.  The pick, in order:
+
+    1. the next ready cell of ``mine``;
+    2. else the first ready cell that has no group, or whose group no
+       worker holds;
+    3. else the first ready cell of the group with the most ready cells.
+
+    The worker then holds the picked cell's group (or none).  Without
+    groups, rule 2 is plain enumeration order.  None when nothing is
+    ready.
+    """
+    if mine is not None:
+        for cell in ready:
+            if group_of.get(cell) == mine:
+                return cell
+    for cell in ready:
+        group = group_of.get(cell)
+        if group is None or group not in held:
+            return cell
+    if not ready:
+        return None
+    sizes = Counter(group_of[cell] for cell in ready)
+    busiest = max(sizes, key=sizes.__getitem__)
+    return next(cell for cell in ready if group_of[cell] == busiest)
+
+
+def _affinity(unit: Unit) -> Optional[Hashable]:
+    try:
+        experiment = get_experiment(unit.experiment)
+    except KeyError:
+        return None  # The worker reports the unknown experiment.
+    return experiment.affinity(unit.params)
+
+
 def _worker_main(
-    worker_id: int,
-    task_queue: "multiprocessing.Queue",
-    result_queue: "multiprocessing.Queue",
+    conn: "multiprocessing.connection.Connection",
     chaos: Optional[ChaosConfig] = None,
 ) -> None:
-    """Worker loop: claim, run, report; exit on the ``None`` sentinel.
+    """Worker loop: take a cell from the inbox, claim it, run it, report;
+    exit on the ``None`` sentinel.
+
+    Every message to the parent is written to the connection before the
+    next step, so a worker that dies leaves the parent every claim and
+    result it sent: the parent knows exactly which cell it died in, and
+    which inbox cells it never started.
 
     Successful results travel as an *integrity envelope*: the pickled
-    payload plus its SHA-256, hashed worker-side over the exact bytes put
-    on the queue, so the parent can reject a payload corrupted anywhere
-    between ``run`` returning and the queue read (or by the chaos mode
-    that simulates exactly that).  The cell's kernel counts ride beside
-    the envelope in the same ``"ok"`` message.
+    payload plus its SHA-256, hashed worker-side over the exact bytes
+    sent, so the parent can reject a payload corrupted anywhere between
+    ``run`` returning and the read (or by the chaos mode that simulates
+    exactly that).  The cell's kernel counts ride beside the envelope in
+    the same ``"ok"`` message.
 
     With a :class:`~repro.runner.policy.ChaosConfig`, the worker misbehaves
     deterministically per ``(cell, attempt)``: hanging (to exercise the
@@ -293,11 +360,14 @@ def _worker_main(
     # terminating the pool, so a worker keeps computing until then.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
-        item = task_queue.get()
+        try:
+            item = conn.recv()
+        except EOFError:
+            return  # The parent is gone.
         if item is None:
             return
-        task_id, unit, attempt = item
-        result_queue.put(("claim", worker_id, task_id, None, 0.0))
+        cell, unit, attempt = item
+        conn.send(("claim", cell))
         fault = (
             chaos.fault_for(unit.ident, attempt) if chaos is not None else None
         )
@@ -313,24 +383,46 @@ def _worker_main(
             if fault == "poison" else execute(unit)
         )
         if outcome.failed:
-            result_queue.put(
-                ("err", worker_id, task_id, outcome.error, outcome.elapsed)
-            )
+            conn.send(("err", cell, outcome.error, outcome.elapsed))
             continue
         blob = outcome.envelope.blob
         if fault == "corrupt-result":
             tampered = bytearray(blob)
             tampered[len(tampered) // 2] ^= 0xFF
             blob = bytes(tampered)
-        result_queue.put(
+        conn.send(
             (
                 "ok",
-                worker_id,
-                task_id,
+                cell,
                 (blob, outcome.envelope.sha256, outcome.kernel),
                 outcome.elapsed,
             )
         )
+
+
+class _Worker:
+    """The parent's view of one pool worker."""
+
+    __slots__ = ("number", "process", "conn", "inbox", "claimed", "since", "group")
+
+    def __init__(
+        self,
+        number: int,
+        process: Any,
+        conn: "multiprocessing.connection.Connection",
+    ) -> None:
+        self.number = number
+        self.process = process
+        self.conn = conn
+        #: Cells sent and not yet answered, in the order the worker runs
+        #: them (at most :data:`INBOX_CELLS`).
+        self.inbox: List[int] = []
+        #: The inbox cell whose claim arrived, and the claim's time (the
+        #: watchdog's clock).
+        self.claimed: Optional[int] = None
+        self.since = 0.0
+        #: The affinity group of the cell it was given last.
+        self.group: Optional[Hashable] = None
 
 
 class Scheduler(Executor):
@@ -375,235 +467,254 @@ class Scheduler(Executor):
         """One-cell convenience over :meth:`run` (pool per call)."""
         return self.run([(0, unit)])[0]
 
-    # -- internals -----------------------------------------------------------------
-
-    def _spawn_worker(self, worker_id: int, task_queue, result_queue):
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(worker_id, task_queue, result_queue, self.chaos),
-            daemon=True,
-            name=f"repro-worker-{worker_id}",
-        )
-        process.start()
-        return process
-
     def run(self, units: List[Tuple[int, Unit]]) -> Dict[int, TaskOutcome]:
-        """Execute ``(task_id, unit)`` pairs; returns outcomes by task id."""
+        """Execute ``(task_id, unit)`` pairs; returns outcomes by task id.
+        The list's order is the enumeration order dispatch follows."""
         if not units:
             return {}
-        jobs = min(self.jobs, len(units))
-        task_queue = self._ctx.Queue(maxsize=max(2, 2 * jobs))
-        result_queue = self._ctx.Queue()
-        by_id = {task_id: unit for task_id, unit in units}
+        return _PoolRun(self, units).run()
 
-        #: (task_id, not_before) cells awaiting dispatch.
-        pending: deque = deque((task_id, 0.0) for task_id, _unit in units)
-        #: task_id -> worker currently executing it.
-        claimed: Dict[int, int] = {}
-        #: task_id -> monotonic claim time (the watchdog's clock).
-        claim_times: Dict[int, float] = {}
-        #: Cells handed to the queue whose fate is unknown.
-        dispatched: set = set()
-        outcomes: Dict[int, TaskOutcome] = {}
 
-        self._next_worker_id = jobs
-        workers: Dict[int, Any] = {}
-        for worker_id in range(jobs):
-            workers[worker_id] = self._spawn_worker(
-                worker_id, task_queue, result_queue
-            )
-            self.counters.worker_busy.setdefault(worker_id, 0.0)
+class _PoolRun:
+    """One :meth:`Scheduler.run`: its cells, its workers and its loop.
 
-        #: task_id -> its failed attempts' records (the quarantine evidence).
-        history: Dict[int, List[Dict[str, Any]]] = {
-            task_id: [] for task_id, _unit in units
-        }
+    Cells are numbered by their place in the run's list.  A cell is
+    *ready* (in ``ready``, in enumeration order), *waiting* out a retry's
+    backoff (in the ``waiting`` heap), in one worker's inbox, or done (in
+    ``outcomes``, by task id).
+    """
 
-        def schedule_retry(
-            task_id: int,
-            status: str,
-            error: str,
-            worker: Optional[Union[int, str]] = None,
-        ) -> None:
-            unit = by_id[task_id]
-            attempt = self.policy.next_attempt(history[task_id])
-            record = self.policy.record(unit, attempt, status, worker, error)
-            history[task_id].append(record)
-            if not self.policy.exhausted(history[task_id]):
-                pending.append(
-                    (task_id, time.monotonic() + record["backoff"])
-                )
-                self.counters.retries += 1
-                self.log.emit(
-                    "retry",
-                    experiment=unit.experiment,
-                    key=unit.key,
-                    attempt=record["attempt"],
-                    backoff=round(record["backoff"], 3),
-                    reason=status,
-                )
-                return
-            self.counters.quarantined += 1
-            outcomes[task_id] = TaskOutcome(
-                unit=unit,
-                failed=True,
-                error=error,
-                attempts=record["attempt"],
-                history=list(history[task_id]),
-            )
-            self.log.emit(
-                "unit_done",
-                experiment=unit.experiment,
-                key=unit.key,
-                status="failed",
-                attempts=record["attempt"],
-                error=record["error"],
-            )
+    def __init__(
+        self, scheduler: Scheduler, units: List[Tuple[int, Unit]]
+    ) -> None:
+        self.scheduler = scheduler
+        self.policy = scheduler.policy
+        self.counters = scheduler.counters
+        self.log = scheduler.log
+        self.ids = [task_id for task_id, _unit in units]
+        self.units = [unit for _task_id, unit in units]
+        self.group_of: Dict[int, Hashable] = {}
+        for cell, unit in enumerate(self.units):
+            group = _affinity(unit)
+            if group is not None:
+                self.group_of[cell] = group
+        self.ready: List[int] = list(range(len(units)))
+        #: (not_before, cell) of cells waiting out a retry's backoff.
+        self.waiting: List[Tuple[float, int]] = []
+        #: Each cell's failed attempts' records (the quarantine evidence).
+        self.history: List[List[Dict[str, Any]]] = [[] for _ in units]
+        self.outcomes: Dict[int, TaskOutcome] = {}
+        self.workers: Dict[int, _Worker] = {}
+        self._next_worker = 0
 
+    def run(self) -> Dict[int, TaskOutcome]:
+        for _ in range(min(self.scheduler.jobs, len(self.units))):
+            self._spawn()
         try:
-            while len(outcomes) < len(by_id):
-                # Feed the bounded queue from the pending deque.
+            while len(self.outcomes) < len(self.units):
                 now = time.monotonic()
-                deferred = []
-                while pending:
-                    task_id, not_before = pending.popleft()
-                    if not_before > now:
-                        deferred.append((task_id, not_before))
-                        continue
-                    try:
-                        attempt = self.policy.next_attempt(history[task_id])
-                        task_queue.put_nowait(
-                            (task_id, by_id[task_id], attempt)
-                        )
-                        dispatched.add(task_id)
-                    except queue_module.Full:
-                        deferred.append((task_id, not_before))
-                        break
-                pending.extend(deferred)
-
-                # Drain results.
-                try:
-                    kind, worker_id, task_id, payload, elapsed = (
-                        result_queue.get(timeout=self.poll_interval)
-                    )
-                except queue_module.Empty:
-                    self._watchdog(
-                        workers, by_id, claimed, claim_times, dispatched,
-                        task_queue, result_queue, schedule_retry,
-                    )
-                    self._check_workers(
-                        workers, claimed, claim_times, dispatched, outcomes,
-                        pending, task_queue, result_queue, schedule_retry,
-                    )
-                    # A worker can die between dequeuing a task and claiming
-                    # it; if everything is quiet but cells are unaccounted
-                    # for, re-dispatch them (duplicate completions are
-                    # ignored, and cells are deterministic anyway).
-                    if (
-                        not pending
-                        and not claimed
-                        and task_queue.empty()
-                        and len(outcomes) < len(by_id)
-                    ):
-                        lost = [
-                            task_id
-                            for task_id in dispatched
-                            if task_id not in outcomes
-                        ]
-                        for task_id in lost:
-                            schedule_retry(task_id, LOST, "task lost in flight")
-                    continue
-
-                if kind == "claim":
-                    claimed[task_id] = worker_id
-                    claim_times[task_id] = time.monotonic()
-                    continue
-                claimed.pop(task_id, None)
-                claim_times.pop(task_id, None)
-                dispatched.discard(task_id)
-                busy = self.counters.worker_busy
-                busy[worker_id] = busy.get(worker_id, 0.0) + elapsed
-                if task_id in outcomes:
-                    continue  # duplicate completion after a lost-task retry
-                unit = by_id[task_id]
-                if kind == "ok":
-                    blob, sha256, kernel = payload
-                    envelope = ResultEnvelope(blob, sha256)
-                    try:
-                        value = envelope.open()
-                    except IntegrityError as error:
-                        self.counters.corrupt_results += 1
-                        self.log.emit(
-                            "corrupt_result",
-                            experiment=unit.experiment,
-                            key=unit.key,
-                            worker=worker_id,
-                        )
-                        schedule_retry(
-                            task_id, CORRUPT, str(error), worker=worker_id
-                        )
-                        continue
-                    outcomes[task_id] = TaskOutcome(
-                        unit=unit,
-                        value=value,
-                        elapsed=elapsed,
-                        worker=worker_id,
-                        attempts=self.policy.next_attempt(history[task_id]),
-                        envelope=envelope,
-                        history=list(history[task_id]),
-                        kernel=kernel,
-                    )
-                    self.log.emit(
-                        "unit_done",
-                        experiment=unit.experiment,
-                        key=unit.key,
-                        status="ok",
-                        cached=False,
-                        elapsed=round(elapsed, 4),
-                        worker=worker_id,
-                        attempts=self.policy.next_attempt(history[task_id]),
-                    )
-                    if self.progress is not None:
-                        self.progress.update(
-                            done=len(outcomes),
-                            retries=self.counters.retries,
-                            workers=len(workers),
-                        )
-                else:  # "err"
-                    schedule_retry(task_id, ERROR, payload, worker=worker_id)
-
-                self._watchdog(
-                    workers, by_id, claimed, claim_times, dispatched,
-                    task_queue, result_queue, schedule_retry,
-                )
-                self._check_workers(
-                    workers, claimed, claim_times, dispatched, outcomes,
-                    pending, task_queue, result_queue, schedule_retry,
-                )
+                while self.waiting and self.waiting[0][0] <= now:
+                    insort(self.ready, heappop(self.waiting)[1])
+                self._dispatch()
+                self._receive()
+                self._watchdog()
+                self._check_workers()
         except KeyboardInterrupt:
             self.counters.interrupted = True
             self.log.emit(
                 "interrupted",
-                completed=len(outcomes),
-                remaining=len(by_id) - len(outcomes),
+                completed=len(self.outcomes),
+                remaining=len(self.units) - len(self.outcomes),
             )
         finally:
-            self._shutdown(
-                workers, task_queue, force=self.counters.interrupted
-            )
-        return outcomes
+            self._shutdown(force=self.counters.interrupted)
+        return self.outcomes
 
-    def _watchdog(
+    # -- workers -------------------------------------------------------------------
+
+    def _spawn(self) -> None:
+        number = self._next_worker
+        self._next_worker += 1
+        parent_end, child_end = self.scheduler._ctx.Pipe()
+        process = self.scheduler._ctx.Process(
+            target=_worker_main,
+            args=(child_end, self.scheduler.chaos),
+            daemon=True,
+            name=f"repro-worker-{number}",
+        )
+        process.start()
+        # Only the worker may hold its end, so the parent reads EOF once
+        # the worker is gone.
+        child_end.close()
+        self.workers[number] = _Worker(number, process, parent_end)
+        self.counters.worker_busy.setdefault(number, 0.0)
+
+    def _dispatch(self) -> None:
+        """Top up every inbox by :func:`pick_cell`, one cell per worker
+        per round, so the first cells spread like a shared queue's."""
+        for depth in range(INBOX_CELLS):
+            for worker in self.workers.values():
+                if len(worker.inbox) > depth or not self.ready:
+                    continue
+                held = {
+                    other.group for other in self.workers.values()
+                    if other is not worker and other.group is not None
+                }
+                cell = pick_cell(self.ready, self.group_of, worker.group, held)
+                attempt = self.policy.next_attempt(self.history[cell])
+                try:
+                    worker.conn.send((cell, self.units[cell], attempt))
+                except OSError:
+                    continue  # Dead: _check_workers recovers it.
+                self.ready.remove(cell)
+                worker.inbox.append(cell)
+                worker.group = self.group_of.get(cell)
+
+    def _receive(self) -> None:
+        """Handle every message that arrives within one poll interval."""
+        # Imported here: serve and the in-process path use no pipes.
+        from multiprocessing.connection import wait
+
+        conns = {worker.conn: worker for worker in self.workers.values()}
+        timeout = self.scheduler.poll_interval
+        if self.waiting:
+            timeout = max(0.0, min(timeout, self.waiting[0][0] - time.monotonic()))
+        for conn in wait(list(conns), timeout):
+            worker = conns[conn]
+            if not self._drain(worker):
+                # The worker's end closed: let it finish dying, so
+                # _check_workers sees it gone.
+                worker.process.join(timeout=1.0)
+
+    def _drain(self, worker: _Worker) -> bool:
+        """Handle every message waiting from ``worker``; False once its
+        end of the connection has closed."""
+        try:
+            while worker.conn.poll():
+                self._handle(worker, worker.conn.recv())
+        except (EOFError, OSError):
+            return False
+        return True
+
+    def _handle(self, worker: _Worker, message: tuple) -> None:
+        kind, cell, *answer = message
+        if kind == "claim":
+            worker.claimed = cell
+            worker.since = time.monotonic()
+            return
+        payload, elapsed = answer
+        worker.inbox.remove(cell)
+        worker.claimed = None
+        busy = self.counters.worker_busy
+        busy[worker.number] = busy.get(worker.number, 0.0) + elapsed
+        unit = self.units[cell]
+        if kind == "err":
+            self._retry(cell, ERROR, payload, worker.number)
+            return
+        blob, sha256, kernel = payload
+        envelope = ResultEnvelope(blob, sha256)
+        try:
+            value = envelope.open()
+        except IntegrityError as error:
+            self.counters.corrupt_results += 1
+            self.log.emit(
+                "corrupt_result",
+                experiment=unit.experiment,
+                key=unit.key,
+                worker=worker.number,
+            )
+            self._retry(cell, CORRUPT, str(error), worker.number)
+            return
+        attempts = self.policy.next_attempt(self.history[cell])
+        self.outcomes[self.ids[cell]] = TaskOutcome(
+            unit=unit,
+            value=value,
+            elapsed=elapsed,
+            worker=worker.number,
+            attempts=attempts,
+            envelope=envelope,
+            history=list(self.history[cell]),
+            kernel=kernel,
+        )
+        self.log.emit(
+            "unit_done",
+            experiment=unit.experiment,
+            key=unit.key,
+            status="ok",
+            cached=False,
+            elapsed=round(elapsed, 4),
+            worker=worker.number,
+            attempts=attempts,
+        )
+        progress = self.scheduler.progress
+        if progress is not None:
+            progress.update(
+                done=len(self.outcomes),
+                retries=self.counters.retries,
+                workers=len(self.workers),
+            )
+
+    def _retry(
         self,
-        workers,
-        by_id,
-        claimed,
-        claim_times,
-        dispatched,
-        task_queue,
-        result_queue,
-        schedule_retry,
+        cell: int,
+        status: str,
+        error: str,
+        worker: Optional[Union[int, str]] = None,
     ) -> None:
+        """Charge ``cell`` a failed attempt: wait out its backoff, or
+        quarantine it once its budget is spent."""
+        unit = self.units[cell]
+        history = self.history[cell]
+        attempt = self.policy.next_attempt(history)
+        record = self.policy.record(unit, attempt, status, worker, error)
+        history.append(record)
+        if not self.policy.exhausted(history):
+            heappush(self.waiting, (time.monotonic() + record["backoff"], cell))
+            self.counters.retries += 1
+            self.log.emit(
+                "retry",
+                experiment=unit.experiment,
+                key=unit.key,
+                attempt=record["attempt"],
+                backoff=round(record["backoff"], 3),
+                reason=status,
+            )
+            return
+        self.counters.quarantined += 1
+        self.outcomes[self.ids[cell]] = TaskOutcome(
+            unit=unit,
+            failed=True,
+            error=error,
+            attempts=record["attempt"],
+            history=list(history),
+        )
+        self.log.emit(
+            "unit_done",
+            experiment=unit.experiment,
+            key=unit.key,
+            status="failed",
+            attempts=record["attempt"],
+            error=record["error"],
+        )
+
+    def _retire(self, worker: _Worker, status: str, error: str) -> None:
+        """Replace a dead or killed worker.
+
+        Whatever it sent before it went is handled first.  The cell it
+        had claimed is charged ``status``; the cells still unclaimed in
+        its inbox never started, so they go back to ready uncharged.
+        """
+        self._drain(worker)
+        del self.workers[worker.number]
+        worker.conn.close()
+        if worker.claimed is not None:
+            worker.inbox.remove(worker.claimed)
+            self._retry(worker.claimed, status, error, worker.number)
+        for cell in worker.inbox:
+            insort(self.ready, cell)
+        self._spawn()
+
+    def _watchdog(self) -> None:
         """Kill workers whose claimed cell exceeded ``task_timeout``.
 
         The hung cell is requeued (with the usual backoff and retry
@@ -611,118 +722,71 @@ class Scheduler(Executor):
         as a ``watchdog_kill`` log event -- so a single wedged cell can
         slow a run down but never wedge it.
         """
-        if self.task_timeout is None:
+        timeout = self.scheduler.task_timeout
+        if timeout is None:
             return
         now = time.monotonic()
-        for task_id, since in list(claim_times.items()):
-            if now - since <= self.task_timeout:
+        for worker in list(self.workers.values()):
+            if worker.claimed is None or now - worker.since <= timeout:
                 continue
-            claim_times.pop(task_id, None)
-            worker_id = claimed.pop(task_id, None)
-            if worker_id is None:
-                continue
-            dispatched.discard(task_id)
-            unit = by_id[task_id]
+            unit = self.units[worker.claimed]
             self.counters.watchdog_kills += 1
             self.log.emit(
                 "watchdog_kill",
-                worker=worker_id,
+                worker=worker.number,
                 experiment=unit.experiment,
                 key=unit.key,
-                timeout=self.task_timeout,
+                timeout=timeout,
             )
-            process = workers.pop(worker_id, None)
-            if process is not None:
-                process.kill()
-                process.join(timeout=2.0)
-                replacement_id = self._next_worker_id
-                self._next_worker_id += 1
-                workers[replacement_id] = self._spawn_worker(
-                    replacement_id, task_queue, result_queue
-                )
-                self.counters.worker_busy.setdefault(replacement_id, 0.0)
-            schedule_retry(
-                task_id,
-                TIMEOUT,
-                f"cell exceeded the {self.task_timeout}s watchdog timeout",
-                worker=worker_id,
+            worker.process.kill()
+            worker.process.join(timeout=2.0)
+            self._retire(
+                worker, TIMEOUT, f"cell exceeded the {timeout}s watchdog timeout"
             )
 
-    def _check_workers(
-        self,
-        workers,
-        claimed,
-        claim_times,
-        dispatched,
-        outcomes,
-        pending,
-        task_queue,
-        result_queue,
-        schedule_retry,
-    ) -> None:
+    def _check_workers(self) -> None:
         """Detect crashed workers, recover their cells, and respawn."""
-        for worker_id, process in list(workers.items()):
-            if process.is_alive():
+        for worker in list(self.workers.values()):
+            if worker.process.is_alive():
                 continue
             # Workers only exit on the shutdown sentinel, which is sent
-            # after this loop finishes -- a dead worker here is a crash.
+            # after the loop finishes -- a dead worker here is a crash.
             self.counters.worker_crashes += 1
             self.log.emit(
                 "worker_crash",
-                worker=worker_id,
-                pid=process.pid,
-                exitcode=process.exitcode,
+                worker=worker.number,
+                pid=worker.process.pid,
+                exitcode=worker.process.exitcode,
             )
-            del workers[worker_id]
-            for task_id, claimant in list(claimed.items()):
-                if claimant == worker_id:
-                    del claimed[task_id]
-                    claim_times.pop(task_id, None)
-                    dispatched.discard(task_id)
-                    schedule_retry(
-                        task_id,
-                        CRASH,
-                        f"worker {worker_id} died (exit {process.exitcode})",
-                        worker=worker_id,
-                    )
-            replacement_id = self._next_worker_id
-            self._next_worker_id += 1
-            workers[replacement_id] = self._spawn_worker(
-                replacement_id, task_queue, result_queue
+            self._retire(
+                worker,
+                CRASH,
+                f"worker {worker.number} died (exit {worker.process.exitcode})",
             )
-            self.counters.worker_busy.setdefault(replacement_id, 0.0)
 
-    def _shutdown(self, workers, task_queue, force: bool = False) -> None:
+    def _shutdown(self, force: bool) -> None:
         """Stop all workers; ``force`` terminates without draining.
 
-        The forced path serves Ctrl-C: workers are terminated mid-cell,
-        so waiting for sentinel pickup would hang on a full queue.  The
-        graceful path sends one sentinel per worker and joins them within
-        a shared deadline, terminating any that outstay it.
+        The forced path serves Ctrl-C: workers are terminated mid-cell.
+        The graceful path sends one sentinel per worker and joins them
+        within a shared deadline, terminating any that outstay it.
         """
+        processes = [worker.process for worker in self.workers.values()]
         if force:
-            for process in workers.values():
+            for process in processes:
                 process.terminate()
-            for process in workers.values():
-                process.join(timeout=2.0)
-            for process in workers.values():
-                if process.is_alive():  # pragma: no cover - stuck worker
-                    process.kill()
-                    process.join(timeout=1.0)
-            task_queue.close()
-            task_queue.cancel_join_thread()
-            return
-        for _ in workers:
-            try:
-                task_queue.put_nowait(None)
-            except queue_module.Full:  # pragma: no cover - tiny queue race
-                pass
-        deadline = time.monotonic() + 5.0
-        for process in workers.values():
+        else:
+            for worker in self.workers.values():
+                try:
+                    worker.conn.send(None)
+                except OSError:  # pragma: no cover - died at the end
+                    pass
+        deadline = time.monotonic() + (2.0 if force else 5.0)
+        for process in processes:
             process.join(timeout=max(0.0, deadline - time.monotonic()))
-        for process in workers.values():
+        for process in processes:
             if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
+                process.kill()
                 process.join(timeout=1.0)
-        task_queue.close()
-        task_queue.cancel_join_thread()
+        for worker in self.workers.values():
+            worker.conn.close()

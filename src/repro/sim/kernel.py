@@ -35,7 +35,7 @@ the specification* and adds one differentially-verified fast path:
   against their trace's cached oracle, and processes sharing ways --
   the multiprogrammed Figure 7 cells -- against one
   :class:`OracleUniverse` oracle over the run's merged ``(asid, page)``
-  stream, built for that call and dropped with it.
+  stream, which :data:`TRACE_STORE` keeps by the stream's value.
 
 The structure pre-pass has two interchangeable backends: pure Python
 (always present) and a numpy-vectorised one (:mod:`repro.sim.kernel_np`,
@@ -61,7 +61,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Events materialised per :meth:`CompiledTrace.ensure` pull.  Large enough
 #: to amortise the generator resumption, small enough that infinite SPEC
@@ -158,6 +158,7 @@ class CompiledTrace:
         "_last_pos",
         "_oracles",
         "_oracle_lock",
+        "key",
     )
 
     def __init__(self, events: Iterable[Tuple[int, int]]) -> None:
@@ -177,6 +178,9 @@ class CompiledTrace:
         #: (nsets, ways) -> cached :class:`ReuseOracle` over this trace.
         self._oracles: dict = {}
         self._oracle_lock = threading.Lock()
+        #: The :func:`store_key` of the workload and seed this trace was
+        #: compiled from (:func:`compile_trace` sets it), or None.
+        self.key: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.gaps)
@@ -284,6 +288,7 @@ class CompiledTrace:
                 if oracle is None:
                     oracle = ReuseOracle(nsets, ways)
                     oracle.extend(((self.vpns, 0),))
+                    _tally("oracles_built")
                     self._oracles[key] = oracle
         return oracle
 
@@ -324,9 +329,9 @@ class ReuseOracle:
     breaks; the oracle itself is policy-free stream math.
 
     :meth:`CompiledTrace.reuse_oracle` builds and caches one over a
-    complete trace's pages; :class:`OracleUniverse` builds one, for the
-    length of a ``simulate()`` call, over a run's merged stream.  A
-    fully-associative geometry is simply ``nsets == 1``.
+    complete trace's pages; :class:`OracleUniverse` takes one over a
+    run's merged stream from :data:`TRACE_STORE`.  A fully-associative
+    geometry is simply ``nsets == 1``.
     """
 
     __slots__ = (
@@ -347,6 +352,11 @@ class ReuseOracle:
         self.miss_key = array("q")
         self.miss_evict = array("q")
         self.miss_first = bytearray()
+
+    def __len__(self) -> int:
+        """Miss entries: what :data:`TRACE_STORE` counts a merged oracle
+        as against :data:`STORE_EVENTS`."""
+        return len(self.miss_pos)
 
     def extend(self, chunks: Iterable[Tuple[array, int]]) -> None:
         """Fill this fresh oracle's schedule, in one pass, over the key
@@ -397,14 +407,19 @@ class ReuseOracle:
             base += length
 
 
-#: Compiled events :data:`TRACE_STORE` keeps before it evicts its
-#: least-recently-used traces.  A one-process ``run-all`` of Figure 7,
-#: the ablation sweeps and the hierarchy sweep compiles 10 distinct
-#: traces of 513,356 events in total, so it recompiles nothing.  At about
-#: 55 bytes an event with its structure columns (reuse oracles extra), a
-#: full store is about 55 MiB: the most a long-lived ``repro serve`` fed
-#: ever-new workload parameters keeps.
+#: Entries :data:`TRACE_STORE` keeps before it evicts its least-recently-
+#: used ones: a trace counts its compiled events, a merged oracle its miss
+#: entries.  A one-process ``run-all`` of Figure 7, the ablation sweeps
+#: and the hierarchy sweep compiles 10 distinct traces of 513,356 events
+#: in total, so it recompiles nothing.  At about 55 bytes an event with
+#: its structure columns (per-trace reuse oracles extra) and 25 bytes a
+#: miss entry, a full store is at most about 55 MiB: the most a
+#: long-lived ``repro serve`` fed ever-new workload parameters keeps.
 STORE_EVENTS = 1 << 20
+
+#: First element of every merged-oracle key in :data:`TRACE_STORE` (a
+#: trace's key starts with its workload).
+MERGED_ORACLE = "merged-oracle"
 
 
 def compile_trace(
@@ -421,7 +436,9 @@ def compile_trace(
     temporaries the size of the whole trace.  A generator that raises
     propagates its exception and leaves nothing behind.
     """
+    _tally("traces_compiled")
     trace = CompiledTrace(workload.events(random.Random(stream_seed)))
+    trace.key = store_key(workload, stream_seed)
     while True:
         compiled = trace.ensure(len(trace) + 1)
         trace.ensure_structure(compiled)
@@ -454,25 +471,30 @@ def store_key(workload: Any, stream_seed: int) -> Optional[tuple]:
 
 
 class TraceStore:
-    """Compiled traces shared by every ``simulate()`` in a process.
+    """Compiled traces, and oracles over their merged streams, shared by
+    every ``simulate()`` in a process.
 
-    Entries are keyed by :func:`store_key` -- the workload's value and its
-    stream seed -- and hold a :func:`compile_trace` result, published
-    only once complete and never changed afterwards, so concurrent
-    readers (serve runs cells on executor threads) need no lock to use
-    one.  An entry compiled for a smaller ``need`` is replaced by a
-    longer one when a later run needs more.  Once the stored events pass
-    :data:`STORE_EVENTS` the least-recently-used entries are evicted (a
-    trace longer than the whole bound is returned but never stored); a
-    runner still replaying an evicted trace keeps its reference.
+    A trace is keyed by :func:`store_key` -- the workload's value and its
+    stream seed -- and holds a :func:`compile_trace` result.  A merged
+    oracle is keyed by the value of the stream it covers (see
+    :class:`OracleUniverse`).  Entries are published only once complete
+    and never changed afterwards, so concurrent readers (serve runs cells
+    on executor threads) need no lock to use one; one thread builds a
+    missing key while the others asking for it wait for its entry.  A
+    trace compiled for a smaller ``need`` is replaced by a longer one when
+    a later run needs more.  Once the stored entries -- events and miss
+    entries, ``len()`` of each -- pass :data:`STORE_EVENTS`, the least-
+    recently-used are evicted (an entry larger than the whole bound is
+    returned but never stored); a runner still using an evicted entry
+    keeps its reference.
     """
 
     def __init__(self) -> None:
         self.events = 0
         self._lock = threading.Lock()
-        #: key -> trace, least recently used first.
-        self._entries: "OrderedDict[tuple, CompiledTrace]" = OrderedDict()
-        #: key -> the lock its one compiling thread holds.
+        #: key -> trace or merged oracle, least recently used first.
+        self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
+        #: key -> the lock its one building thread holds.
         self._building: dict = {}
 
     def __len__(self) -> int:
@@ -492,45 +514,60 @@ class TraceStore:
         self, workload: Any, stream_seed: int, need: Optional[int] = None
     ) -> CompiledTrace:
         """The trace :func:`compile_trace` would build, from the store
-        when an entry covers ``need``.  One thread compiles a missing
-        key while others asking for it wait for its entry."""
+        when an entry covers ``need``."""
         key = store_key(workload, stream_seed)
         if key is None:
             return compile_trace(workload, stream_seed, need)
+        return self._get_or_build(
+            key,
+            lambda trace: _covers(trace, need),
+            lambda: compile_trace(workload, stream_seed, need),
+        )
+
+    def merged_oracle(
+        self, key: tuple, build: Callable[[], "ReuseOracle"]
+    ) -> "ReuseOracle":
+        """The merged oracle stored under ``key``, built by ``build`` on a
+        miss (see :class:`OracleUniverse`)."""
+        return self._get_or_build(key, lambda oracle: True, build)
+
+    def _get_or_build(
+        self, key: tuple, usable: Callable[[Any], bool], build: Callable[[], Any]
+    ) -> Any:
         with self._lock:
-            trace = self._hit(key, need)
-            if trace is not None:
-                return trace
+            entry = self._hit(key, usable)
+            if entry is not None:
+                return entry
             building = self._building.setdefault(key, threading.Lock())
         with building:
             try:
                 with self._lock:
-                    trace = self._hit(key, need)
-                if trace is None:
-                    trace = compile_trace(workload, stream_seed, need)
+                    entry = self._hit(key, usable)
+                if entry is None:
+                    entry = build()
                     with self._lock:
-                        self._publish(key, trace)
+                        self._publish(key, entry)
             finally:
                 with self._lock:
                     if self._building.get(key) is building:
                         del self._building[key]
-        return trace
+        return entry
 
-    def _hit(self, key: tuple, need: Optional[int]) -> Optional[CompiledTrace]:
-        trace = self._entries.get(key)
-        if trace is None or not _covers(trace, need):
+    def _hit(self, key: tuple, usable: Callable[[Any], bool]) -> Any:
+        entry = self._entries.get(key)
+        if entry is None or not usable(entry):
             return None
         self._entries.move_to_end(key)
-        return trace
+        return entry
 
-    def _publish(self, key: tuple, trace: CompiledTrace) -> None:
-        if len(trace) > STORE_EVENTS:
+    def _publish(self, key: tuple, entry: Any) -> None:
+        if len(entry) > STORE_EVENTS:
             return
         replaced = self._entries.pop(key, None)
         if replaced is not None:
             self.events -= len(replaced)
-        self._entries[key] = trace
-        self.events += len(trace)
+        self._entries[key] = entry
+        self.events += len(entry)
         while self.events > STORE_EVENTS:
             _, evicted = self._entries.popitem(last=False)
             self.events -= len(evicted)
@@ -670,7 +707,8 @@ class OracleTier:
     ``simulate()`` builds one for a run whose switch policy flushes
     between ASIDs, so that every runner stays on the ledger.  Nothing
     here refers back to a state once the attempt is over, so a replay's
-    oracles die with its runners.
+    universes die with its runners (the oracles they retire against
+    live on in their trace or in :data:`TRACE_STORE`).
 
     While ``active``, ``accesses`` / ``fills`` / ``mut`` snapshot the
     TLB's access and fill counters and its mutation epoch after the
@@ -728,10 +766,16 @@ class OracleUniverse:
       stream positions = trace positions, any segmentation.
     * Lanes sharing a universe retire against one :class:`ReuseOracle`
       built over the plan's *merged* stream -- their slices' keys,
-      concatenated in plan order -- which lives as long as the lanes'
-      states.  ``segments`` lists those slices as ``(lane number,
-      start, stop)``; each replayed slice must be the next one
-      (``step``), or the tier drops.
+      concatenated in plan order.  ``segments`` lists those slices as
+      ``(lane number, start, stop)``; each replayed slice must be the
+      next one (``step``), or the tier drops.  The oracle is a pure
+      function of that stream and the geometry, so :data:`TRACE_STORE`
+      keeps it under their value: each lane's number, trace store key,
+      ASID and slot, the segments, ``stride``, ``nsets`` and ``ways``.
+      Every later run of the same stream -- the SA cells of both RSA
+      scenarios and the plain RF cell of one organization, say -- takes
+      it from there.  A lane whose workload bypasses the store has no
+      key, so its universe builds its oracle for this call alone.
 
     ``pos`` / ``cursor`` are the stream position and miss-schedule
     index retired through, ``resident`` maps each resident key to its
@@ -777,17 +821,33 @@ class OracleUniverse:
             self.oracle = lanes[numbers[0]][0].reuse_oracle(nsets, ways)
             self.segments = None
         else:
+            slots = [self.asids.index(lanes[number][1]) for number in numbers]
             offsets = {
-                number: self.asids.index(lanes[number][1]) * self.stride
-                for number in numbers
+                number: slot * self.stride for number, slot in zip(numbers, slots)
             }
-            self.segments = [
+            self.segments = tuple(
                 (number, start, stop)
                 for number, start, stop in plan
                 if number in offsets and stop > start
-            ]
-            self.oracle = ReuseOracle(nsets, ways)
-            self.oracle.extend(self._merged_keys(lanes, offsets))
+            )
+
+            def build() -> ReuseOracle:
+                oracle = ReuseOracle(nsets, ways)
+                oracle.extend(self._merged_keys(lanes, offsets))
+                _tally("oracles_built")
+                return oracle
+
+            keys = tuple(
+                (number, lanes[number][0].key, lanes[number][1], slot)
+                for number, slot in zip(numbers, slots)
+            )
+            if any(key[1] is None for key in keys):
+                self.oracle = build()
+            else:
+                self.oracle = TRACE_STORE.merged_oracle(
+                    (MERGED_ORACLE, keys, self.segments, self.stride, nsets, ways),
+                    build,
+                )
         self.step = 0
         self.pos = 0
         self.cursor = 0
@@ -815,12 +875,16 @@ class OracleUniverse:
 
 @dataclass
 class KernelCounts:
-    """How often the run kernel's proofs engaged, over one cell.
+    """How often the run kernel's proofs engaged, and what the fast path
+    compiled and built, over one cell.
 
-    They are the only sign that a cell did not quietly degenerate to the
-    per-access probe.  ``simulate()`` adds each fast runner's finished
-    :class:`RunState` to the count :func:`kernel_count` opened in its
-    context; the runner opens one per cell.
+    The first three are the only sign that a cell did not quietly
+    degenerate to the per-access probe, and they are the same whichever
+    process runs the cell.  ``simulate()`` adds each fast runner's
+    finished :class:`RunState` to the count :func:`kernel_count` opened
+    in its context; the runner opens one per cell.  The last two depend
+    on what the process had built before the cell: a trace or oracle
+    found in :data:`TRACE_STORE` counts nothing.
     """
 
     #: Accesses retired by proven hit-runs without a per-access probe.
@@ -829,11 +893,17 @@ class KernelCounts:
     fallback_accesses: int = 0
     #: Nonempty proven runs.
     runs: int = 0
+    #: Traces :func:`compile_trace` compiled.
+    traces_compiled: int = 0
+    #: :class:`ReuseOracle` schedules built, per trace and merged.
+    oracles_built: int = 0
 
     def add(self, other: "KernelCounts") -> None:
         self.run_hits += other.run_hits
         self.fallback_accesses += other.fallback_accesses
         self.runs += other.runs
+        self.traces_compiled += other.traces_compiled
+        self.oracles_built += other.oracles_built
 
 
 _OPEN_COUNT: ContextVar[Optional[KernelCounts]] = ContextVar(
@@ -861,3 +931,10 @@ def count_run_state(state: RunState) -> None:
     counts = _OPEN_COUNT.get()
     if counts is not None:
         counts.add(KernelCounts(state.run_hits, state.probed, state.runs))
+
+
+def _tally(field: str) -> None:
+    """Add one to ``field`` of the count open in this context, if any."""
+    counts = _OPEN_COUNT.get()
+    if counts is not None:
+        setattr(counts, field, getattr(counts, field) + 1)

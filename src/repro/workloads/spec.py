@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import log
 from typing import Iterator
 
 from .trace import MemoryEvent
@@ -57,34 +58,58 @@ class SpecProfile:
             raise ValueError("hot_fraction must be in [0, 1]")
         if self.hot_pages > self.working_set_pages:
             raise ValueError("hot set cannot exceed the working set")
+        if self.hot_pages < 0 or (self.hot_pages == 0 and self.hot_fraction > 0):
+            raise ValueError("a hot fraction needs a nonempty hot set")
         if self.working_set_pages <= 0 or self.dwell <= 0:
             raise ValueError("sizes must be positive")
 
     def events(self, rng: random.Random) -> Iterator[MemoryEvent]:
-        """Infinite (gap, vpn) stream."""
+        """Infinite (gap, vpn) stream.
+
+        The gap is ``min(int(rng.expovariate(1 / mean_gap)), 200)`` (no
+        draw at all when ``memory_ratio`` is 1), then ``rng.random()``
+        picks the hot set or the rest, and a page is
+        ``rng.randrange(pages)`` (or the sweep's next).  Both calls are
+        spelt out here as ``Random`` computes them -- ``-log(1 -
+        random()) / lambd``, and ``getrandbits(k)`` redrawn until it is
+        below ``pages`` -- which yields the same stream for half the
+        cost of the method calls.
+        """
+        random_ = rng.random
+        getrandbits = rng.getrandbits
         mean_gap = 1.0 / self.memory_ratio - 1.0
+        rate = 1.0 / mean_gap if mean_gap > 0 else 0.0
+        hot_fraction = self.hot_fraction
+        base_vpn = self.base_vpn
+        hot_pages = self.hot_pages
+        hot_bits = hot_pages.bit_length()
+        pages = self.working_set_pages
+        page_bits = pages.bit_length()
+        streaming = self.streaming
+        dwell = self.dwell
         sweep_position = 0
-        dwell_left = self.dwell
+        dwell_left = dwell
+        gap = 0
         while True:
-            gap = _jittered_gap(mean_gap, rng)
-            if rng.random() < self.hot_fraction:
-                vpn = self.base_vpn + rng.randrange(self.hot_pages)
-            elif self.streaming:
-                vpn = self.base_vpn + sweep_position
+            if rate:
+                gap = int(-log(1.0 - random_()) / rate)
+                if gap > 200:
+                    gap = 200
+            if random_() < hot_fraction:
+                page = getrandbits(hot_bits)
+                while page >= hot_pages:
+                    page = getrandbits(hot_bits)
+            elif streaming:
+                page = sweep_position
                 dwell_left -= 1
                 if dwell_left == 0:
-                    dwell_left = self.dwell
-                    sweep_position = (sweep_position + 1) % self.working_set_pages
+                    dwell_left = dwell
+                    sweep_position = (sweep_position + 1) % pages
             else:
-                vpn = self.base_vpn + rng.randrange(self.working_set_pages)
-            yield (gap, vpn)
-
-
-def _jittered_gap(mean_gap: float, rng: random.Random) -> int:
-    """An integer gap with the requested mean (geometric-ish jitter)."""
-    if mean_gap <= 0:
-        return 0
-    return min(int(rng.expovariate(1.0 / mean_gap)), 200)
+                page = getrandbits(page_bits)
+                while page >= pages:
+                    page = getrandbits(page_bits)
+            yield (gap, base_vpn + page)
 
 
 #: The four selected TLB-intensive benchmarks (Section 6.2), with disjoint

@@ -324,6 +324,14 @@ def _fig7_spec(scenario):
     }
 
 
+#: The job counts that depend on the cells alone, not on the process.
+RUN_KERNEL = ("run_hits", "fallback_accesses", "runs")
+
+
+def _run_kernel(doc):
+    return {name: doc["kernel"][name] for name in RUN_KERNEL}
+
+
 def _job_kernels(harness, specs):
     """Submit every spec at once; each finished job's kernel counts."""
     bodies = [
@@ -340,7 +348,8 @@ def test_concurrent_jobs_each_report_their_solo_kernel_counts(
     specs = [_fig7_spec("SecRSA+omnetpp"), _fig7_spec("RSA+xalancbmk")]
     # No cell cache, and a result store per service: every job runs fresh.
     alone = serve_harness(use_cache=False, state_dir=tmp_path / "alone")
-    solo = [_job_kernels(alone, [spec])[0]["kernel"] for spec in specs]
+    solo_docs = [_job_kernels(alone, [spec])[0] for spec in specs]
+    solo = [_run_kernel(doc) for doc in solo_docs]
     assert all(all(count > 0 for count in kernel.values()) for kernel in solo)
     assert solo[0] != solo[1]
 
@@ -350,12 +359,16 @@ def test_concurrent_jobs_each_report_their_solo_kernel_counts(
     assert max(doc["started"] for doc in docs) < min(
         doc["finished"] for doc in docs
     )
-    assert [doc["kernel"] for doc in docs] == solo
+    assert [_run_kernel(doc) for doc in docs] == solo
+    # What each job compiled and built depends on what the service's
+    # process already held, so it is carried but not compared.
+    for doc in solo_docs + docs:
+        assert {"traces_compiled", "oracles_built"} <= set(doc["kernel"])
 
     for harness in (alone, together):
         _s, _h, metrics = harness.request_json("GET", "/v1/metrics")
         gauges = metrics["gauges"]
-        for name in ("run_hits", "fallback_accesses", "runs"):
+        for name in RUN_KERNEL:
             assert gauges[f"kernel_{name}"] == sum(
                 kernel[name] for kernel in solo
             )

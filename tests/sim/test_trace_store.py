@@ -20,9 +20,11 @@ from repro.perf.timing import ScheduledProcess, simulate
 from repro.security.kinds import TLBKind, make_tlb
 from repro.sim.kernel import (
     CHUNK,
+    MERGED_ORACLE,
     TRACE_STORE,
     TraceStore,
     compile_trace,
+    kernel_count,
     store_key,
 )
 from repro.tlb.config import TLBConfig
@@ -224,11 +226,72 @@ class TestBound:
         assert columns(second) == columns(first)
 
 
+class TestMergedOracles:
+    """One merged oracle per distinct stream: a run of the same traces
+    under the same plan takes it from the store, and any change to what
+    the stream holds -- or to who owns its slots -- builds a new one."""
+
+    KEY = generate_key(bits=64, seed=3)
+
+    def processes(self, limit=4_000, asids=(1, 2), order=(0, 1)):
+        workloads = (RSAWorkload(key=self.KEY, runs=2), by_name("omnetpp"))
+        return [
+            ScheduledProcess(workloads[index], asid=asid,
+                             instructions=limit if index else None)
+            for index, asid in zip(order, asids)
+        ]
+
+    def built(self, processes, quantum=1_000):
+        """(oracles built, traces compiled) by one fast run, which must
+        match the reference."""
+        with kernel_count() as counts:
+            fast = simulate(sa_tlb(), processes, quantum=quantum)
+        assert fast == simulate(
+            sa_tlb(), processes, quantum=quantum, fastpath=False
+        )
+        return counts.oracles_built, counts.traces_compiled
+
+    def test_a_repeated_stream_takes_its_oracle_from_the_store(self):
+        assert self.built(self.processes()) == (1, 2)
+        assert self.built(self.processes()) == (0, 0)
+        merged = [key for key in TRACE_STORE.keys() if key[0] == MERGED_ORACLE]
+        assert len(merged) == 1 and len(TRACE_STORE) == 3
+        # The bound counts the oracle by its miss entries.
+        rsa, omnetpp = (process.workload for process in self.processes())
+        traces = [TRACE_STORE.get(rsa, 0), TRACE_STORE.get(omnetpp, 1, 4_000)]
+        oracle = TRACE_STORE.merged_oracle(merged[0], build=None)
+        assert TRACE_STORE.events == sum(map(len, traces)) + len(oracle)
+
+    @pytest.mark.parametrize("change", [
+        {"quantum": 700},
+        {"limit": 3_000},
+        {"order": (1, 0)},
+        {"asids": (2, 1)},
+    ], ids=lambda change: next(iter(change)))
+    def test_another_stream_builds_its_own_oracle(self, change):
+        assert self.built(self.processes()) == (1, 2)
+        quantum = change.pop("quantum", 1_000)
+        assert self.built(self.processes(**change), quantum=quantum)[0] == 1
+        # The first stream's oracle is still there.
+        assert self.built(self.processes()) == (0, 0)
+
+    def test_a_bypassed_lane_builds_per_call(self):
+        processes = [
+            ScheduledProcess(ECCWorkload(scalar=random_scalar(16), runs=2),
+                             asid=1),
+            ScheduledProcess(by_name("omnetpp"), asid=2, instructions=4_000),
+        ]
+        # The ECC trace compiles for each run, and so does their oracle.
+        assert [self.built(processes) for _ in range(2)] == [(1, 2), (1, 1)]
+        assert not [key for key in TRACE_STORE.keys() if key[0] == MERGED_ORACLE]
+
+
 class TestThreads:
-    #: Figure 7 cells sharing the RSA trace and, pairwise, a SPEC trace,
-    #: plus walk-latency sweep points sharing an omnetpp trace: its first
-    #: process starts on an empty TLB, so the points race to build the
-    #: same reuse oracle over a miss-heavy trace.
+    #: Figure 7 cells sharing the RSA trace and, pairwise, a SPEC trace
+    #: and a merged stream, plus walk-latency sweep points sharing an
+    #: omnetpp trace: its first process starts on an empty TLB, so the
+    #: points race to build the same reuse oracle over a miss-heavy
+    #: trace.
     CELLS = [
         (kind, scenario)
         for kind in (TLBKind.SA, TLBKind.SP, TLBKind.RF)
@@ -248,7 +311,11 @@ class TestThreads:
         serial = {cell: self.measure(cell) for cell in self.CELLS}
         keys = set(TRACE_STORE.keys())
         events = TRACE_STORE.events
-        assert len(keys) == 4
+        # Four traces, and the merged oracles of SA and plain RF over
+        # RSA+povray (one stream, one geometry), SP with no victim over
+        # it, and SA over RSA+omnetpp.
+        merged = [key for key in keys if key[0] == MERGED_ORACLE]
+        assert (len(keys) - len(merged), len(merged)) == (4, 3)
         TRACE_STORE.clear()
         workers = 2 * (os.cpu_count() or 1) + 2
         # Every thread starts each cell together, so each trace's first

@@ -1,7 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -37,6 +43,27 @@ class TestParser:
     def test_commands_parse(self, argv):
         args = build_parser().parse_args(argv)
         assert callable(args.func)
+
+    def test_building_the_parser_imports_no_runner_module(self):
+        """Commands that run no experiment cells do not pay for the
+        runner's import; a fresh interpreter shows what the parser
+        needs."""
+        probe = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print(sorted(name for name in sys.modules"
+            " if name.split('.')[:2] == ['repro', 'runner']))\n"
+        )
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        printed = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": source},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert printed.strip() == "[]"
 
 
     @pytest.mark.parametrize("count", ["0", "-1", "many"])
