@@ -77,10 +77,6 @@ class PrimeProbeAttacker(SetProber):
             memory, pages_for_set(PROBE_BASE, monitored_set, nsets, ways), asid
         )
 
-    @property
-    def probe_pages(self) -> List[int]:
-        return self.pages
-
 
 def recover_secret_bits(
     tlb: BaseTLB,

@@ -139,15 +139,6 @@ def _replay_runs(
     return time.perf_counter() - start, cycles, state
 
 
-def _counters(tlb: BaseTLB) -> Dict[str, int]:
-    stats = tlb.stats
-    return {
-        "accesses": stats.accesses,
-        "hits": stats.hits,
-        "misses": stats.misses,
-    }
-
-
 def _replay_case(
     label: str,
     kind: TLBKind,

@@ -174,17 +174,10 @@ def run_all(
         if cache is not None:
             hit, value = cache.get(unit)
             if hit:
-                outcomes[task_id] = TaskOutcome(
+                outcome = outcomes[task_id] = TaskOutcome(
                     unit=unit, value=value, cached=True
                 )
-                log.emit(
-                    "unit_done",
-                    experiment=unit.experiment,
-                    key=unit.key,
-                    status="ok",
-                    cached=True,
-                    elapsed=0.0,
-                )
+                log.emit("unit_done", **outcome.done_fields())
                 continue
         to_run.append((task_id, unit))
 
@@ -233,7 +226,7 @@ def run_all(
     if cache is not None:
         for outcome in fresh.values():
             if not outcome.failed:
-                cache.put(outcome.unit, outcome.value, outcome.elapsed)
+                cache.put(outcome)
     outcomes.update(fresh)
 
     report.cache_hits = cache.stats.hits if cache else 0

@@ -30,12 +30,6 @@ from typing import Any, Dict, List, Mapping, Optional
 from .registry import COUNT, COUNT_SERIES, FLAG, REGISTRY, SEED, Experiment, Option, Unit, register
 
 
-def _kind_names() -> List[str]:
-    from repro.security import TLBKind
-
-    return [kind.value for kind in (TLBKind.SA, TLBKind.SP, TLBKind.RF)]
-
-
 # --------------------------------------------------------------------------
 # Model (Table 2)
 # --------------------------------------------------------------------------

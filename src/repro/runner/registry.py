@@ -21,6 +21,7 @@ them.
 from __future__ import annotations
 
 import fnmatch
+import json
 import zlib
 from dataclasses import dataclass, field
 from typing import (
@@ -72,6 +73,22 @@ class Unit:
     def ident(self) -> str:
         """The unit's path-like identity, e.g. ``table4/SA/A_d -> V_u -> V_a``."""
         return f"{self.experiment}/{self.key}"
+
+    def identity(self, code_version: str) -> str:
+        """Everything that decides this cell's result under ``code_version``,
+        as canonical JSON: what the cache key hashes, and what a stored
+        outcome must name to be read back as this cell's."""
+        return json.dumps(
+            {
+                "experiment": self.experiment,
+                "key": self.key,
+                "params": dict(self.params),
+                "seed": self.seed,
+                "code_version": code_version,
+            },
+            sort_keys=True,
+            default=str,
+        )
 
 
 class Experiment:

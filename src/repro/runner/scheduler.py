@@ -25,7 +25,10 @@ Every backend (work stealing included) runs a cell through :func:`execute`:
 under a fresh per-cell kernel count, timed, and sealed into a
 :class:`ResultEnvelope` -- the pickled payload plus its SHA-256 -- so any
 boundary can verify the bytes it received are the bytes the cell produced.
-The counts travel on the :class:`TaskOutcome` beside the envelope.
+The counts travel on the :class:`TaskOutcome` beside the envelope, and
+the outcome is a finished cell's one record: the result cache and the
+work-stealing board keep it in one at-rest encoding, read back verified,
+and every backend logs the ``unit_done`` event it renders.
 
 Determinism comes from the units, not the schedule: every
 :class:`~repro.runner.registry.Unit` carries its own stable seed and its
@@ -76,7 +79,9 @@ from .registry import Unit, ensure_default_experiments, get_experiment
 
 
 class IntegrityError(RuntimeError):
-    """A result envelope whose payload no longer matches its digest."""
+    """A result that cannot be vouched for: a payload that no longer
+    matches its digest, or a stored record that is torn or names another
+    cell."""
 
 
 @dataclass(frozen=True)
@@ -91,22 +96,11 @@ class ResultEnvelope:
 
     blob: bytes
     sha256: str
-    #: Static/dynamic cross-certification verdict carried by the payload
-    #: (``certified`` key of an assembled result), when it has one.  None
-    #: means the payload makes no certification claim.
-    certified: Optional[bool] = None
 
     @classmethod
     def seal(cls, value: Any) -> "ResultEnvelope":
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        certified = (
-            value.get("certified") if isinstance(value, Mapping) else None
-        )
-        return cls(
-            blob=blob,
-            sha256=hashlib.sha256(blob).hexdigest(),
-            certified=certified,
-        )
+        return cls(blob=blob, sha256=hashlib.sha256(blob).hexdigest())
 
     @property
     def intact(self) -> bool:
@@ -123,7 +117,14 @@ class ResultEnvelope:
 
 @dataclass
 class TaskOutcome:
-    """Terminal state of one scheduled cell."""
+    """Terminal state of one scheduled cell.
+
+    A finished cell has one record under every executor and at rest:
+    this outcome, carrying the :class:`ResultEnvelope` its worker sealed.
+    :meth:`encode` and :meth:`decode` are its one on-disk form, kept by
+    the result cache and the work-stealing board alike, and
+    :meth:`done_fields` its one ``unit_done`` event.
+    """
 
     unit: Unit
     value: Any = None
@@ -143,6 +144,80 @@ class TaskOutcome:
     #: Run-kernel engagement of the run that produced ``value``; zero for
     #: cache hits and failures.
     kernel: KernelCounts = field(default_factory=KernelCounts)
+
+    def encode(self, code_version: str) -> bytes:
+        """The at-rest record of this finished cell.
+
+        It keeps the envelope's blob and SHA-256 as the worker sealed
+        them, beside the cell's identity under ``code_version`` (see
+        :meth:`~repro.runner.registry.Unit.identity`), the elapsed time,
+        the worker and the kernel counts.  The value is not pickled again.
+        """
+        return pickle.dumps(
+            {
+                "identity": self.unit.identity(code_version),
+                "elapsed": self.elapsed,
+                "worker": self.worker,
+                "kernel": self.kernel,
+                "sha256": self.envelope.sha256,
+                "blob": self.envelope.blob,
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+
+    @classmethod
+    def decode(
+        cls, unit: Unit, code_version: str, data: bytes
+    ) -> "TaskOutcome":
+        """Read an :meth:`encode` record back as ``unit``'s outcome.
+
+        Raises :class:`IntegrityError` for bytes that are no whole record,
+        a record naming another cell or code version, or a blob that
+        fails its SHA-256.
+        """
+        try:
+            # Damaged pickle bytes can raise almost any exception.
+            record = pickle.loads(data)
+            identity = record["identity"]
+            outcome = cls(
+                unit,
+                elapsed=record["elapsed"],
+                worker=record["worker"],
+                envelope=ResultEnvelope(record["blob"], record["sha256"]),
+                kernel=record["kernel"],
+            )
+        except Exception:
+            raise IntegrityError(
+                "unreadable result record (torn or truncated write)"
+            ) from None
+        if identity != unit.identity(code_version):
+            raise IntegrityError(
+                "result record names another cell or code version"
+            )
+        outcome.value = outcome.envelope.open()
+        return outcome
+
+    def done_fields(self) -> Dict[str, Any]:
+        """This cell's ``unit_done`` event, the same under every executor.
+
+        ``experiment``, ``key``, ``status``, ``cached`` and ``elapsed``
+        always; ``worker``, ``attempts`` and the error's last line where
+        known (a cache hit ran no attempt in this run).
+        """
+        fields: Dict[str, Any] = {
+            "experiment": self.unit.experiment,
+            "key": self.unit.key,
+            "status": "failed" if self.failed else "ok",
+            "cached": self.cached,
+            "elapsed": round(self.elapsed, 4),
+        }
+        if self.worker is not None:
+            fields["worker"] = self.worker
+        if not self.cached:
+            fields["attempts"] = self.attempts
+        if self.error:
+            fields["error"] = self.error.splitlines()[-1]
+        return fields
 
 
 def execute(unit: Unit) -> TaskOutcome:
@@ -207,26 +282,8 @@ class InProcessExecutor(Executor):
 
     def submit(self, unit: Unit) -> TaskOutcome:
         outcome = execute(unit)
-        if outcome.failed:
-            self.log.emit(
-                "unit_done",
-                experiment=unit.experiment,
-                key=unit.key,
-                status="failed",
-                error=outcome.error.splitlines()[-1],
-            )
-            return outcome
         outcome.worker = 0
-        self.log.emit(
-            "unit_done",
-            experiment=unit.experiment,
-            key=unit.key,
-            status="ok",
-            cached=False,
-            elapsed=round(outcome.elapsed, 4),
-            worker=0,
-            attempts=1,
-        )
+        self.log.emit("unit_done", **outcome.done_fields())
         return outcome
 
     def run(self, units: List[Tuple[int, Unit]]) -> Dict[int, TaskOutcome]:
@@ -625,27 +682,17 @@ class _PoolRun:
             )
             self._retry(cell, CORRUPT, str(error), worker.number)
             return
-        attempts = self.policy.next_attempt(self.history[cell])
-        self.outcomes[self.ids[cell]] = TaskOutcome(
+        outcome = self.outcomes[self.ids[cell]] = TaskOutcome(
             unit=unit,
             value=value,
             elapsed=elapsed,
             worker=worker.number,
-            attempts=attempts,
+            attempts=self.policy.next_attempt(self.history[cell]),
             envelope=envelope,
             history=list(self.history[cell]),
             kernel=kernel,
         )
-        self.log.emit(
-            "unit_done",
-            experiment=unit.experiment,
-            key=unit.key,
-            status="ok",
-            cached=False,
-            elapsed=round(elapsed, 4),
-            worker=worker.number,
-            attempts=attempts,
-        )
+        self.log.emit("unit_done", **outcome.done_fields())
         progress = self.scheduler.progress
         if progress is not None:
             progress.update(
@@ -681,21 +728,15 @@ class _PoolRun:
             )
             return
         self.counters.quarantined += 1
-        self.outcomes[self.ids[cell]] = TaskOutcome(
+        outcome = self.outcomes[self.ids[cell]] = TaskOutcome(
             unit=unit,
+            worker=worker,
+            attempts=record["attempt"],
             failed=True,
             error=error,
-            attempts=record["attempt"],
             history=list(history),
         )
-        self.log.emit(
-            "unit_done",
-            experiment=unit.experiment,
-            key=unit.key,
-            status="failed",
-            attempts=record["attempt"],
-            error=record["error"],
-        )
+        self.log.emit("unit_done", **outcome.done_fields())
 
     def _retire(self, worker: _Worker, status: str, error: str) -> None:
         """Replace a dead or killed worker.

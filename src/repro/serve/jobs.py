@@ -414,11 +414,11 @@ class JobManager:
             "inflight_dedup_attached",
             lambda: sum(job.attached for job in self.inflight.values()),
         )
-        metrics.register_gauge("kernel_run_hits", lambda: self.kernel.run_hits)
-        metrics.register_gauge(
-            "kernel_fallback_accesses", lambda: self.kernel.fallback_accesses
-        )
-        metrics.register_gauge("kernel_runs", lambda: self.kernel.runs)
+        for count in dataclasses.fields(KernelCounts):
+            metrics.register_gauge(
+                f"kernel_{count.name}",
+                lambda name=count.name: getattr(self.kernel, name),
+            )
         metrics.register_gauge("kernel_backend", lambda: STRUCTURE_BACKEND)
 
     def queue_depth(self) -> int:
@@ -657,54 +657,30 @@ class JobManager:
                 job.cells_cached += 1
                 job.cells_done += 1
                 self.metrics.cells_cached += 1
-                log.emit(
-                    "unit_done",
-                    experiment=unit.experiment,
-                    key=unit.key,
-                    status="ok",
-                    cached=True,
-                    elapsed=0.0,
-                )
-                return TaskOutcome(unit=unit, value=value, cached=True)
+                outcome = TaskOutcome(unit=unit, value=value, cached=True)
+                log.emit("unit_done", **outcome.done_fields())
+                return outcome
         outcome = self.executor.submit(unit)
         if asyncio.iscoroutine(outcome):
             outcome = await outcome
-        if not outcome.failed and outcome.envelope is not None:
-            # The executor sealed the result; refuse bytes that no longer
-            # match their digest before they reach the cache or the store.
-            if not outcome.envelope.intact:
-                outcome = TaskOutcome(
-                    unit=unit, failed=True,
-                    error="result envelope failed its integrity check",
-                )
+        if not outcome.failed and not outcome.envelope.intact:
+            # Refuse bytes that no longer match their digest before they
+            # reach the cache or the store.
+            outcome = TaskOutcome(
+                unit=unit, worker=outcome.worker, failed=True,
+                error="result envelope failed its integrity check",
+            )
         if outcome.failed:
             job.cells_failed += 1
             self.metrics.cells_failed += 1
-            log.emit(
-                "unit_done",
-                experiment=unit.experiment,
-                key=unit.key,
-                status="failed",
-                error=(
-                    outcome.error.splitlines()[-1]
-                    if outcome.error else None
-                ),
-            )
         else:
             job.cells_done += 1
             self.metrics.cells_run += 1
             job.kernel.add(outcome.kernel)
             self.kernel.add(outcome.kernel)
             if self.cache is not None:
-                self.cache.put(outcome.unit, outcome.value, outcome.elapsed)
-            log.emit(
-                "unit_done",
-                experiment=unit.experiment,
-                key=unit.key,
-                status="ok",
-                cached=False,
-                elapsed=round(outcome.elapsed, 4),
-            )
+                self.cache.put(outcome)
+        log.emit("unit_done", **outcome.done_fields())
         return outcome
 
     async def _run_job(self, job: Job) -> None:

@@ -274,10 +274,6 @@ class TLBHierarchy:
     def stats(self) -> TLBStats:
         return self.levels[-1].stats
 
-    def per_level_stats(self) -> List[TLBStats]:
-        """Each level's own counters, outermost first."""
-        return [level.stats for level in self.levels]
-
     def translate(self, vpn: int, asid: int, translator: Translator) -> AccessResult:
         return self.levels[0].translate(vpn, asid, self._adapter_for(translator))
 

@@ -1,6 +1,12 @@
 """Tests for the content-addressed result cache."""
 
-from repro.runner import ResultCache, Unit, unit_cache_key
+from repro.runner import (
+    ResultCache,
+    ResultEnvelope,
+    TaskOutcome,
+    Unit,
+    unit_cache_key,
+)
 
 
 def make_unit(**overrides):
@@ -12,6 +18,13 @@ def make_unit(**overrides):
     )
     fields.update(overrides)
     return Unit(**fields)
+
+
+def sealed(unit, value, elapsed=0.0):
+    """A freshly run cell's outcome, as an executor hands it over."""
+    return TaskOutcome(
+        unit, value, elapsed, envelope=ResultEnvelope.seal(value)
+    )
 
 
 class TestKeying:
@@ -40,7 +53,7 @@ class TestStore:
         unit = make_unit()
         hit, _ = cache.get(unit)
         assert not hit
-        cache.put(unit, {"answer": 42}, elapsed=0.5)
+        cache.put(sealed(unit, {"answer": 42}, elapsed=0.5))
         hit, value = cache.get(unit)
         assert hit and value == {"answer": 42}
         assert cache.stats.hits == 1
@@ -49,21 +62,21 @@ class TestStore:
 
     def test_param_change_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="v1")
-        cache.put(make_unit(), "old")
+        cache.put(sealed(make_unit(), "old"))
         changed = make_unit(params={"kind": "SA", "row": 0, "trials": 99})
         hit, _ = cache.get(changed)
         assert not hit
 
     def test_code_change_invalidates(self, tmp_path):
         unit = make_unit()
-        ResultCache(tmp_path, code_version="v1").put(unit, "old")
+        ResultCache(tmp_path, code_version="v1").put(sealed(unit, "old"))
         hit, _ = ResultCache(tmp_path, code_version="v2").get(unit)
         assert not hit
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="v1")
         unit = make_unit()
-        cache.put(unit, "value")
+        cache.put(sealed(unit, "value"))
         key = unit_cache_key(unit, "v1")
         (tmp_path / key[:2] / f"{key}.pkl").write_bytes(b"not a pickle")
         hit, _ = cache.get(unit)
@@ -72,7 +85,7 @@ class TestStore:
     def test_sidecar_written(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="v1")
         unit = make_unit()
-        cache.put(unit, "value")
+        cache.put(sealed(unit, "value"))
         key = unit_cache_key(unit, "v1")
         sidecar = (tmp_path / key[:2] / f"{key}.json").read_text()
         assert '"experiment": "table4"' in sidecar

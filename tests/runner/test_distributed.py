@@ -21,7 +21,7 @@ from repro.runner.distributed import (
 )
 from repro.runner.policy import ChaosConfig, FailurePolicy, backoff_delay
 from repro.runner.registry import REGISTRY, Experiment, Unit, register
-from repro.runner.scheduler import ResultEnvelope
+from repro.runner.scheduler import ResultEnvelope, TaskOutcome
 
 POLICY = FailurePolicy(max_retries=2, backoff=0.01)
 UNIT = Unit(experiment="steal-toy", key="x", params={}, seed=7)
@@ -219,15 +219,18 @@ class TestWorkStealingExecutor:
             unit, "cell-done",
             {"code_version": code_fingerprint(), **POLICY.to_dict()},
         )
-        board.write_result(
-            "cell-done", unit.ident, "w0", ResultEnvelope.seal(3), 0.0,
-            code_fingerprint(),
+        finished = TaskOutcome(
+            unit, 3, worker="w0", envelope=ResultEnvelope.seal(3)
+        )
+        board.results.path("cell-done").parent.mkdir(parents=True)
+        board.results.path("cell-done").write_bytes(
+            finished.encode(code_fingerprint())
         )
 
-        def unpickle(self, cell):
-            raise AssertionError(f"a board scan unpickled {cell}")
+        def decode(cls, unit, code_version, data):
+            raise AssertionError(f"a board scan read {unit.ident}")
 
-        monkeypatch.setattr(Board, "read_result", unpickle)
+        monkeypatch.setattr(TaskOutcome, "decode", classmethod(decode))
         loop = WorkerLoop(board, worker_id="w1")
         assert not loop.run_once()
         assert board.read_lease("cell-done") is None

@@ -1,22 +1,22 @@
 """Tampered results are rejected and re-executed -- never served.
 
-The acceptance path for a work-stealing result has three integrity
-gates: the pickled board record must parse (truncation), the envelope's
-SHA-256 must match its blob (bit flips), and the record's code
-fingerprint must match the orchestrator's (stale or foreign code).
-Each test plants one kind of forged record on the board before the run
-and asserts the orchestrator (a) counts the rejection, (b) re-executes
-the cell, and (c) hands back only the honest value.
+A work-stealing result reaches the orchestrator as the finished cell's
+one at-rest record, read back by the same verified reader the result
+cache uses: the record must decode whole (truncation), name the cell it
+is filed under and the orchestrator's code fingerprint (misfiled, stale
+or foreign results), and its envelope's SHA-256 must match its blob (bit
+flips).  Each test plants one kind of forged record on the board through
+the shared encoder before the run and asserts the orchestrator (a) counts
+the rejection, (b) re-executes the cell, and (c) hands back only the
+honest value.
 """
-
-import pickle
 
 import pytest
 
 from repro.runner.cache import unit_cache_key
 from repro.runner.distributed import Board, WorkStealingExecutor
 from repro.runner.registry import REGISTRY, Experiment, register
-from repro.runner.scheduler import IntegrityError, ResultEnvelope
+from repro.runner.scheduler import IntegrityError, ResultEnvelope, TaskOutcome
 
 
 class TamperToyExperiment(Experiment):
@@ -53,6 +53,21 @@ def _executor(tmp_path):
     )
 
 
+def _forged(unit, value, envelope=None):
+    """An outcome claiming ``value`` for ``unit``, sealed or not."""
+    return TaskOutcome(
+        unit, value, worker="mallory",
+        envelope=envelope or ResultEnvelope.seal(value),
+    )
+
+
+def _file(board, cell, data):
+    """File ``data`` on the board as ``cell``'s result record."""
+    path = board.results.path(cell)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+
+
 def _plant_and_run(tmp_path, toy, plant):
     """Plant a forged result for the cell, then run the executor."""
     executor = _executor(tmp_path)
@@ -74,11 +89,11 @@ class TestTamperedResultsNeverServed:
             envelope = ResultEnvelope.seal({"honest": "no"})
             tampered = bytearray(envelope.blob)
             tampered[len(tampered) // 2] ^= 0xFF
-            board.write_result(
-                cell, unit.ident, "mallory",
+            forged = _forged(
+                unit, {"honest": "no"},
                 ResultEnvelope(blob=bytes(tampered), sha256=envelope.sha256),
-                0.0, code_version,
             )
+            _file(board, cell, forged.encode(code_version))
 
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant
@@ -89,12 +104,8 @@ class TestTamperedResultsNeverServed:
 
     def test_truncated_record_rejected_and_reexecuted(self, tmp_path, toy):
         def plant(board, cell, unit, code_version):
-            envelope = ResultEnvelope.seal({"honest": "no"})
-            board.write_result(
-                cell, unit.ident, "mallory", envelope, 0.0, code_version
-            )
-            raw = board.result_path(cell).read_bytes()
-            board.result_path(cell).write_bytes(raw[: len(raw) // 2])
+            raw = _forged(unit, {"honest": "no"}).encode(code_version)
+            _file(board, cell, raw[: len(raw) // 2])
 
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant
@@ -105,11 +116,9 @@ class TestTamperedResultsNeverServed:
 
     def test_mismatched_code_fingerprint_rejected(self, tmp_path, toy):
         def plant(board, cell, unit, code_version):
-            board.write_result(
-                cell, unit.ident, "stale-host",
-                ResultEnvelope.seal({"honest": "stale"}), 0.0,
-                "0" * 40,  # a fingerprint from some other source tree
-            )
+            # A fingerprint from some other source tree.
+            stale = _forged(unit, {"honest": "stale"}).encode("0" * 40)
+            _file(board, cell, stale)
 
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant
@@ -120,20 +129,10 @@ class TestTamperedResultsNeverServed:
 
     def test_record_naming_another_cell_rejected(self, tmp_path, toy):
         def plant(board, cell, unit, code_version):
-            record = {
-                "cell": "some-other-cell",
-                "ident": unit.ident,
-                "worker": "mallory",
-                "code_version": code_version,
-            }
-            envelope = ResultEnvelope.seal({"honest": "no"})
-            record["sha256"] = envelope.sha256
-            record["blob"] = envelope.blob
-            record["elapsed"] = 0.0
-            board.result_path(cell).parent.mkdir(
-                parents=True, exist_ok=True
-            )
-            board.result_path(cell).write_bytes(pickle.dumps(record))
+            other = toy.unit("some-other-cell", value=11)
+            _file(board, cell, _forged(other, {"honest": "no"}).encode(
+                code_version
+            ))
 
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant
@@ -145,11 +144,11 @@ class TestTamperedResultsNeverServed:
     def test_rejection_is_journaled_with_backoff(self, tmp_path, toy):
         def plant(board, cell, unit, code_version):
             envelope = ResultEnvelope.seal("whatever")
-            board.write_result(
-                cell, unit.ident, "mallory",
+            forged = _forged(
+                unit, "whatever",
                 ResultEnvelope(blob=envelope.blob[:-3], sha256=envelope.sha256),
-                0.0, code_version,
             )
+            _file(board, cell, forged.encode(code_version))
 
         executor, board, cell, outcome = _plant_and_run(
             tmp_path, toy, plant

@@ -65,14 +65,6 @@ class TestResultEnvelope:
             == ResultEnvelope.seal({"a": 1}).sha256
         )
 
-    def test_seal_extracts_the_certification_verdict(self):
-        assert ResultEnvelope.seal({"certified": True}).certified is True
-        assert ResultEnvelope.seal({"certified": False}).certified is False
-
-    def test_payloads_without_a_claim_carry_none(self):
-        assert ResultEnvelope.seal({"answer": 42}).certified is None
-        assert ResultEnvelope.seal([1, 2, 3]).certified is None
-
 
 class TestInProcessExecutor:
     def test_success(self, toy):

@@ -6,9 +6,12 @@ a single simulation, quota 429s, malformed-spec 400s, and metrics that
 agree with what actually happened.
 """
 
+import dataclasses
 import hashlib
 import json
 import threading
+
+from repro.sim.kernel import KernelCounts
 
 from .conftest import RUN_CALLS
 
@@ -239,6 +242,16 @@ def test_metrics_and_health_reflect_the_run(serve_harness):
     assert metrics["cell_cache"]["stores"] == 3
     assert metrics["result_store"]["stores"] == 1
     assert metrics["result_store"]["hits"] >= 1
+
+
+def test_metrics_carry_a_gauge_per_kernel_count(serve_harness):
+    harness = serve_harness()
+    _s, _h, body = harness.request_json("POST", "/v1/jobs", _toy_spec())
+    job = harness.poll_job(body["status_url"])
+    _s, _h, metrics = harness.request_json("GET", "/v1/metrics")
+    gauges = metrics["gauges"]
+    for count in dataclasses.fields(KernelCounts):
+        assert gauges[f"kernel_{count.name}"] == job["kernel"][count.name]
 
 
 def test_certification_verdict_is_served_and_counted(serve_harness):
