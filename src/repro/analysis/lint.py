@@ -52,19 +52,23 @@ over Python ASTs:
     certifiable by construction.
 
 ``allocation-free-run-kernel``
-    The run kernel's functions (``translate_runs``, ``_oracle_slice``,
-    ``_run_miss_fast``, ``_victim_fast``, ``_fill_fast``,
-    ``_settle_touch``) are the inner loops the speedup headline stands
-    on: no dataclass or event construction (``TLBEntry``/
-    ``AccessResult``/``WalkResult``/``*Event``), no ``snapshot()``
-    calls, no comprehensions, and tuples only where they do not allocate
-    per access (unpacking targets, return statements, index keys, and
-    ``.get``/``.pop`` arguments).
+    The run kernel's functions are the inner loops the speedup headline
+    stands on: ``translate_runs``, ``_oracle_slice`` and
+    ``_settle_touch``, and the one miss path every design shares,
+    ``BaseTLB._run_miss_fast``, with the helpers it calls per miss
+    (``_fill_ways``, each design's fill rule, and RF's Sec predicate
+    ``is_secure``).  They allow no dataclass or event construction
+    (``TLBEntry``/``AccessResult``/``WalkResult``/``*Event``), no
+    ``snapshot()`` calls, no comprehensions, and tuples only where they
+    do not allocate per access (unpacking targets, return statements,
+    index keys, and ``.get``/``.pop`` arguments).
     The compile-tier pre-passes (``ReuseOracle.extend``,
     ``_oracle_engage``, ``_rebuild_victim_queue``) are deliberately
     outside the guarded set -- they run once per trace or per rebuild,
-    not per access -- and the numpy backend module is allow-listed
-    (vectorized array expressions allocate wholesale, not per event).
+    not per access -- as is the reference ``_handle_miss`` the shared
+    miss path hands RF's secure misses to; the numpy backend module is
+    allow-listed (vectorized array expressions allocate wholesale, not
+    per event).
 
 A finding can be waived on its own line with a trailing
 ``# invariant: allow <rule-name>`` comment.
@@ -463,16 +467,17 @@ class CertifiableHierarchy(Rule):
                 )
 
 
-#: The run-kernel functions held to the allocation-free discipline.
-#: Matched by name wherever they are defined, so every design's override
-#: of ``_run_miss_fast`` (and any future one) is covered automatically.
+#: The run-kernel functions held to the allocation-free discipline: the
+#: shared miss path and every helper it calls per miss among them.
+#: Matched by name wherever they are defined, so every design's
+#: ``_fill_ways`` (and any future override) is covered automatically.
 KERNEL_FUNCTIONS = frozenset(
     {
         "translate_runs",
         "_oracle_slice",
         "_run_miss_fast",
-        "_victim_fast",
-        "_fill_fast",
+        "_fill_ways",
+        "is_secure",
         "_settle_touch",
     }
 )

@@ -284,7 +284,7 @@ class TLBHierarchy:
         never consults the lower levels (exactly like the reference
         path), so the threshold validates against the L1's mutation
         epoch, and L1 misses reach L2/L3/the walk through the ordinary
-        adapter chain inside the probed design's ``_run_miss_fast``.
+        adapter chain inside the shared ``BaseTLB._run_miss_fast``.
         External flushes and Sec-region updates propagate to every level
         -- including the L1, whose epoch they bump.
         """

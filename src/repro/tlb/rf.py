@@ -28,6 +28,12 @@ The extra ``D'`` walk happens off the critical path of the CPU's response
 (the Random Fill Logic withholds the random fill's result from the
 processor, Figure 4), so the latency returned for a miss is the ordinary
 walk latency of ``D``.
+
+Only the secure branches are this design's own code (``_handle_miss``,
+``_random_fill``).  With no Sec-bit entry resident and a non-secure
+request, Figure 3 is the plain fill, which the run kernel's shared miss
+path in :class:`repro.tlb.base.BaseTLB` performs; it takes this design's
+``_handle_miss`` otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from typing import Optional
 from .base import AccessResult, BaseTLB, Translator
 from .config import TLBConfig
 from .entry import TLBEntry
-from .replacement import LRUPolicy
 
 
 class RandomFillEngine:
@@ -74,7 +79,8 @@ class RandomFillTLB(BaseTLB):
     """SA TLB extended with the Sec bit, region registers, RFE and buffer."""
 
     #: The run kernel must clean :attr:`buffer` per request, exactly like
-    #: :meth:`translate` does.
+    #: :meth:`translate` does, and take :meth:`_handle_miss` for a miss
+    #: Figure 3's secure branches may decide.
     _NOFILL_BUFFER = True
 
     def __init__(
@@ -152,7 +158,7 @@ class RandomFillTLB(BaseTLB):
         # bumps the mutation epoch, failing the resume check.
         if self.ssize > 0 and asid == self.victim_asid:
             return None
-        return self._nsets, self._sets
+        return super()._oracle_universe(asid)
 
     def translate(self, vpn: int, asid: int, translator: Translator) -> AccessResult:
         self.buffer = None  # The buffer is cleaned after each return.
@@ -208,120 +214,6 @@ class RandomFillTLB(BaseTLB):
             evicted=None,
             filled=False,
         )
-
-    def _run_miss_fast(
-        self, vpn: int, asid: int, translator: Translator, wcache=None
-    ) -> int:
-        # Design-specific run-safety predicate: with no Sec-bit entry
-        # resident (Sec_R can't be 1) and a non-secure request (Sec_D =
-        # 0), Figure 3 degenerates to the plain SA fill, which the
-        # allocation-free twin handles.  Any secure involvement takes the
-        # reference _handle_miss -- random fills, the no-fill buffer and
-        # both walks of the Sec paths stay implemented exactly once.
-        if self._sec_resident or self.is_secure(vpn, asid):
-            result = self._handle_miss(vpn, asid, translator)
-            if not result.filled:
-                return (result.cycles << 2) | 2
-            evicted = result.evicted
-            if evicted is not None:
-                self._evicted_vpn = evicted.vpn
-                self._evicted_asid = evicted.asid
-                self._evicted_level = evicted.level
-                return (result.cycles << 2) | 3
-            return result.cycles << 2
-        if wcache is not None:
-            packed_walk = wcache.get(vpn, -1)
-            if packed_walk >= 0:
-                translator.walks += 1
-                level = packed_walk & 3
-                cycles = (packed_walk >> 2) & 0x3FFFF
-                ppn = packed_walk >> 20
-            else:
-                walk = translator.walk(vpn, asid)
-                level = walk.level
-                cycles = walk.cycles
-                ppn = walk.ppn
-                if cycles < 1 << 18:
-                    wcache[vpn] = (ppn << 20) | (cycles << 2) | level
-        else:
-            walk = translator.walk(vpn, asid)
-            level = walk.level
-            cycles = walk.cycles
-            ppn = walk.ppn
-        if level:
-            index = (vpn >> (9 * level)) % self._nsets
-        else:
-            index = vpn % self._nsets
-        # Victim choice and fill: _victim_fast's queue pop and _fill_fast,
-        # inlined (once per architectural miss; the frames matter).
-        # Narrow sets scan directly -- intervening hits stale a tiny
-        # queue faster than its pops repay the rebuild sort.
-        candidates = self._sets[index]
-        victim = None
-        if type(self._policy) is LRUPolicy:
-            if len(candidates) <= 8:
-                oldest = None
-                for entry in candidates:
-                    if not entry.valid:
-                        victim = entry
-                        break
-                    lu = entry.last_used
-                    if oldest is None or lu < oldest:
-                        oldest = lu
-                        victim = entry
-            else:
-                set_key = (index << 2) | level
-                queue = self._victim_queues.get(set_key)
-                if queue is not None and queue[0] == self._inval_epoch:
-                    k = queue[1]
-                    n = len(queue)
-                    while k < n:
-                        entry = queue[k]
-                        if entry.valid and entry.last_used == queue[k + 1]:
-                            queue[1] = k + 2
-                            victim = entry
-                            break
-                        k += 2
-                if victim is None:
-                    victim = self._rebuild_victim_queue(candidates, set_key)
-        else:
-            victim = self._policy.select(candidates)
-        tlb_index = self._index
-        action = 0
-        if victim.valid:
-            self.stats.evictions += 1
-            self._mutations += 1
-            old_level = victim.level
-            tlb_index.pop(
-                (victim.vpn >> (9 * old_level), victim.asid, old_level), None
-            )
-            if old_level:
-                self._super_entries -= 1
-            if victim.sec:
-                self._sec_resident -= 1
-            self._evicted_vpn = victim.vpn
-            self._evicted_asid = victim.asid
-            self._evicted_level = old_level
-            action = 3
-        if level:
-            mask = (1 << (9 * level)) - 1
-            victim.vpn = vpn & ~mask
-            victim.ppn = ppn & ~mask
-            self._super_entries += 1
-            tlb_index[(vpn >> (9 * level), asid, level)] = victim
-        else:
-            victim.vpn = vpn
-            victim.ppn = ppn
-            tlb_index[(vpn, asid, 0)] = victim
-        victim.asid = asid
-        victim.valid = True
-        victim.level = level
-        victim.sec = False
-        now = self._clock
-        victim.last_used = now
-        victim.filled_at = now
-        self.stats.fills += 1
-        return ((self._hit_latency + cycles) << 2) | action
 
     def _random_fill(self, vpn: int, asid: int, translator: Translator) -> None:
         """Install the RFE-chosen page ``D'``, evicting its set's LRU ``R'``."""

@@ -17,17 +17,19 @@ against contention among the victim's own pages, which is why the SP TLB
 stops at 14 of the 24 rows (Section 5.3.1).
 
 The partition split is configured at construction (the paper's default
-gives the victim 50% of the ways).
+gives the victim 50% of the ways).  The partition rule is written once, in
+:meth:`StaticPartitionTLB._fill_ways`, which the base template's reference
+miss, the run kernel's miss path and the oracle tier's fill universe all
+read (see :mod:`repro.tlb.base`).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from .base import AccessResult, BaseTLB, Translator
+from .base import BaseTLB
 from .config import TLBConfig
 from .entry import TLBEntry
-from .replacement import LRUPolicy
 
 
 class StaticPartitionTLB(BaseTLB):
@@ -77,7 +79,7 @@ class StaticPartitionTLB(BaseTLB):
 
         They alias the same :class:`TLBEntry` objects as ``_sets``, so
         fills through them are fills into the set; being persistent they
-        make ``_partition`` allocation-free and give the run kernel's
+        make ``_fill_ways`` allocation-free and give the run kernel's
         victim queues a stable identity to key on.  Rebuilt (with the
         queues voided) whenever the boundary moves.
         """
@@ -85,147 +87,23 @@ class StaticPartitionTLB(BaseTLB):
         self._victim_parts = [s[:split] for s in self._sets]
         self._other_parts = [s[split:] for s in self._sets]
 
-    def _partition(self, vpn: int, asid: int, level: int = 0) -> List[TLBEntry]:
-        """The ways of ``vpn``'s set that ``asid`` is allowed to fill."""
-        index = self.config.set_index_for_level(vpn, level)
-        if asid == self.victim_asid:
-            return self._victim_parts[index]
-        return self._other_parts[index]
+    def _fill_ways(self, asid: int) -> Tuple[List[List[TLBEntry]], int]:
+        """The requester's own partition of every set: the victim side
+        (side 1) for the victim ASID, the attacker side (side 0) shared
+        by every other ASID.
 
-    def _oracle_universe(self, asid: int):
-        # Partitioning narrows the oracle's fill universe, nothing more:
-        # from a cold start each side is plain per-set LRU over its own
-        # ways, and hits are partition-blind only in a way that cannot
-        # matter -- an ASID's entries all live on its own side.  The
-        # victim thus has a universe of its own, and every other ASID
-        # shares the attacker side's (the whole run when no victim is
-        # designated).  Also correct for DynamicPartitionTLB --
-        # repartition bumps the mutation epoch, which fails the oracle's
-        # resume check before the stale sublists could matter.
+        The partition constrains only *where* a fill may land: hits are
+        partition-blind, so the run kernel's proofs need nothing more.
+        The oracle tier's universe narrows the same way and no further:
+        from a cold start an ASID's entries all live on its own side and
+        each side is plain per-set LRU over its own ways, so the victim
+        has a universe of its own and every other ASID shares the
+        attacker side's (the whole run when no victim is designated).
+        DynamicPartitionTLB inherits this rule: ``repartition`` rebuilds
+        the sublists, voids the cached victim orders and bumps the
+        mutation epoch, which breaks active runs and fails the oracle's
+        resume check before the old sublists could matter.
+        """
         if asid == self.victim_asid:
-            return self.config.sets, self._victim_parts
-        return self.config.sets, self._other_parts
-
-    def _handle_miss(
-        self, vpn: int, asid: int, translator: Translator
-    ) -> AccessResult:
-        walk = translator.walk(vpn, asid)
-        victim = self._policy.select(self._partition(vpn, asid, walk.level))
-        evicted = self._fill_entry(
-            victim, vpn, walk.ppn, asid, level=walk.level
-        )
-        return AccessResult(
-            hit=False,
-            ppn=walk.ppn,
-            cycles=self.config.hit_latency + walk.cycles,
-            evicted=evicted,
-            filled=True,
-        )
-
-    def _run_miss_fast(
-        self, vpn: int, asid: int, translator: Translator, wcache=None
-    ) -> int:
-        # The partition constrains only *where* the fill may land; hits
-        # (and so the run proofs) are partition-blind, so restricting the
-        # victim scan to the requester's own ways is the entire
-        # design-specific run-safety predicate.  DynamicPartitionTLB
-        # inherits this: _partition reads victim_ways live, and its
-        # repartition flushes go through _invalidate_entry (which breaks
-        # active runs via the mutation epoch).
-        if wcache is not None:
-            packed_walk = wcache.get(vpn, -1)
-            if packed_walk >= 0:
-                translator.walks += 1
-                level = packed_walk & 3
-                cycles = (packed_walk >> 2) & 0x3FFFF
-                ppn = packed_walk >> 20
-            else:
-                walk = translator.walk(vpn, asid)
-                level = walk.level
-                cycles = walk.cycles
-                ppn = walk.ppn
-                if cycles < 1 << 18:
-                    wcache[vpn] = (ppn << 20) | (cycles << 2) | level
-        else:
-            walk = translator.walk(vpn, asid)
-            level = walk.level
-            cycles = walk.cycles
-            ppn = walk.ppn
-        if level:
-            index = (vpn >> (9 * level)) % self._nsets
-        else:
-            index = vpn % self._nsets
-        if asid == self.victim_asid:
-            candidates = self._victim_parts[index]
-            set_key = (index << 3) | (level << 1) | 1
-        else:
-            candidates = self._other_parts[index]
-            set_key = (index << 3) | (level << 1)
-        # Victim choice and fill: _victim_fast's queue pop and _fill_fast,
-        # inlined (once per architectural miss; the frames matter).
-        # Narrow partitions scan directly -- intervening hits stale a
-        # tiny queue faster than its pops repay the rebuild sort.
-        victim = None
-        if type(self._policy) is LRUPolicy:
-            if len(candidates) <= 8:
-                oldest = None
-                for entry in candidates:
-                    if not entry.valid:
-                        victim = entry
-                        break
-                    lu = entry.last_used
-                    if oldest is None or lu < oldest:
-                        oldest = lu
-                        victim = entry
-            else:
-                queue = self._victim_queues.get(set_key)
-                if queue is not None and queue[0] == self._inval_epoch:
-                    k = queue[1]
-                    n = len(queue)
-                    while k < n:
-                        entry = queue[k]
-                        if entry.valid and entry.last_used == queue[k + 1]:
-                            queue[1] = k + 2
-                            victim = entry
-                            break
-                        k += 2
-                if victim is None:
-                    victim = self._rebuild_victim_queue(candidates, set_key)
-        else:
-            victim = self._policy.select(candidates)
-        tlb_index = self._index
-        action = 0
-        if victim.valid:
-            self.stats.evictions += 1
-            self._mutations += 1
-            old_level = victim.level
-            tlb_index.pop(
-                (victim.vpn >> (9 * old_level), victim.asid, old_level), None
-            )
-            if old_level:
-                self._super_entries -= 1
-            if victim.sec:
-                self._sec_resident -= 1
-            self._evicted_vpn = victim.vpn
-            self._evicted_asid = victim.asid
-            self._evicted_level = old_level
-            action = 3
-        if level:
-            mask = (1 << (9 * level)) - 1
-            victim.vpn = vpn & ~mask
-            victim.ppn = ppn & ~mask
-            self._super_entries += 1
-            tlb_index[(vpn >> (9 * level), asid, level)] = victim
-        else:
-            victim.vpn = vpn
-            victim.ppn = ppn
-            tlb_index[(vpn, asid, 0)] = victim
-        victim.asid = asid
-        victim.valid = True
-        victim.level = level
-        victim.sec = False
-        now = self._clock
-        victim.last_used = now
-        victim.filled_at = now
-        self.stats.fills += 1
-        return ((self._hit_latency + cycles) << 2) | action
+            return self._victim_parts, 1
+        return self._other_parts, 0

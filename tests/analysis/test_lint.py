@@ -3,10 +3,16 @@ waivers, and a clean run over the shipped tree."""
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import repro
-from repro.analysis.lint import LINT_RULES, lint_source, run_lint
+from repro.analysis.lint import (
+    KERNEL_FUNCTIONS,
+    LINT_RULES,
+    lint_source,
+    run_lint,
+)
 
 
 def rules_hit(source: str, path: str = "repro/attacks/example.py"):
@@ -261,6 +267,17 @@ class TestAllocationFreeRunKernel:
     def test_the_numpy_backend_is_allowed(self):
         source = self.kernel("    pair = (vpn, asid)\n")
         assert rules_hit(source, path="repro/sim/kernel_np.py") == []
+
+    def test_every_guarded_name_is_a_function_of_the_tree(self):
+        # The rule matches functions by name, so a renamed or deleted
+        # kernel function would leave it silently checking nothing.
+        defined = {
+            node.name
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert KERNEL_FUNCTIONS <= defined, KERNEL_FUNCTIONS - defined
 
 
 class TestWaivers:
