@@ -518,9 +518,11 @@ class WorkerLoop:
         own_fingerprint = code_fingerprint()
         reclaimed_any = False
         for cell in self.board.task_cells():
-            task = self.board.load_task(cell)
-            if task is None or self.board.results.path(cell).is_file():
+            if self.board.results.path(cell).is_file():
                 continue  # Finished: seen by a stat, never a read.
+            task = self.board.load_task(cell)
+            if task is None:
+                continue
             policy = FailurePolicy.from_dict(task)
             unit = self.board.task_unit(task)
             lease_ttl = float(task.get("lease_ttl", DEFAULT_LEASE_TTL))

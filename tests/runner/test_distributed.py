@@ -230,7 +230,14 @@ class TestWorkStealingExecutor:
         def decode(cls, unit, code_version, data):
             raise AssertionError(f"a board scan read {unit.ident}")
 
+        load_task = type(board).load_task
+
+        def load_unfinished_task(self, cell):
+            assert cell != "cell-done", "a board scan parsed a finished task"
+            return load_task(self, cell)
+
         monkeypatch.setattr(TaskOutcome, "decode", classmethod(decode))
+        monkeypatch.setattr(type(board), "load_task", load_unfinished_task)
         loop = WorkerLoop(board, worker_id="w1")
         assert not loop.run_once()
         assert board.read_lease("cell-done") is None
