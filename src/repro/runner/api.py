@@ -306,11 +306,7 @@ def run_all(
     # This run's run-kernel engagement: every backend brings each fresh
     # cell's counts home on its outcome.
     for outcome in fresh.values():
-        report.kernel_run_hits += outcome.kernel.run_hits
-        report.kernel_fallback_accesses += outcome.kernel.fallback_accesses
-        report.kernel_runs += outcome.kernel.runs
-        report.kernel_traces_compiled += outcome.kernel.traces_compiled
-        report.kernel_oracles_built += outcome.kernel.oracles_built
+        report.kernel.add(outcome.kernel)
     report.kernel_backend = STRUCTURE_BACKEND
 
     report.elapsed = time.monotonic() - started

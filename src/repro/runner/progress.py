@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional
 
+from repro.sim.kernel import KernelCounts
 from repro.sim.observers import JsonlWriter
 
 from .policy import RunCounters
@@ -83,6 +84,10 @@ def completed_idents(events: List[Dict[str, Any]]) -> List[str]:
     ]
 
 
+#: The names of :class:`KernelCounts`' fields, in declaration order.
+_KERNEL_COUNTS = tuple(count.name for count in fields(KernelCounts))
+
+
 @dataclass
 class RunReport(RunCounters):
     """Summary statistics of one orchestrated run.
@@ -105,23 +110,21 @@ class RunReport(RunCounters):
     artifacts: List[str] = field(default_factory=list)
     #: Which executor backend ran the cells ("serial"/"pool"/"work-stealing").
     executor: str = "pool"
-    #: -- run-kernel counts, summed over this run's freshly run cells (each
+    #: Run-kernel counts, summed over this run's freshly run cells (each
     #: backend brings a cell's counts home on its TaskOutcome; cache hits
-    #: count zero) ------------------------------------------------------------
-    #: Accesses retired by proven hit-runs without a per-access probe.
-    kernel_run_hits: int = 0
-    #: Accesses that fell back to the per-access probe.
-    kernel_fallback_accesses: int = 0
-    #: Nonempty proven runs.
-    kernel_runs: int = 0
-    #: Traces compiled and reuse oracles built (per trace and merged).
-    #: Unlike the three counts above, these depend on which worker ran
-    #: which cell: a worker that already holds a trace or an oracle
-    #: builds it again for no later cell.
-    kernel_traces_compiled: int = 0
-    kernel_oracles_built: int = 0
+    #: count zero), read as ``kernel_<count>`` too.  Traces compiled and
+    #: oracles built depend on which worker ran which cell: a worker that
+    #: already holds a trace or an oracle does not build it again.
+    kernel: KernelCounts = field(default_factory=KernelCounts)
     #: Structural-pre-pass backend active in this process ("numpy"/"python").
     kernel_backend: str = ""
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names the instance lacks: ``kernel_<count>``
+        # reads one of :attr:`kernel`'s counts.
+        if name.startswith("kernel_") and name[7:] in _KERNEL_COUNTS:
+            return getattr(self.kernel, name[7:])
+        raise AttributeError(name)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -170,11 +173,10 @@ class RunReport(RunCounters):
             "fallback_cells": self.fallback_cells,
             "cells_stolen": self.cells_stolen,
             "torn_journals": self.torn_journals,
-            "kernel_run_hits": self.kernel_run_hits,
-            "kernel_fallback_accesses": self.kernel_fallback_accesses,
-            "kernel_runs": self.kernel_runs,
-            "kernel_traces_compiled": self.kernel_traces_compiled,
-            "kernel_oracles_built": self.kernel_oracles_built,
+            **{
+                f"kernel_{name}": getattr(self.kernel, name)
+                for name in _KERNEL_COUNTS
+            },
             "kernel_backend": self.kernel_backend,
         }
 

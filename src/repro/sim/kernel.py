@@ -60,7 +60,7 @@ from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Events materialised per :meth:`CompiledTrace.ensure` pull.  Large enough
@@ -899,11 +899,9 @@ class KernelCounts:
     oracles_built: int = 0
 
     def add(self, other: "KernelCounts") -> None:
-        self.run_hits += other.run_hits
-        self.fallback_accesses += other.fallback_accesses
-        self.runs += other.runs
-        self.traces_compiled += other.traces_compiled
-        self.oracles_built += other.oracles_built
+        for count in fields(self):
+            name = count.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 _OPEN_COUNT: ContextVar[Optional[KernelCounts]] = ContextVar(

@@ -4,11 +4,13 @@ Trial counts are tiny -- determinism does not depend on fidelity, since
 every cell seeds its RNG from its own identity.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.runner import ChaosConfig, run_all
+from repro.sim.kernel import KernelCounts
 
 #: Reduced-fidelity knobs shared by the tests below.
 SMALL = {"table4_trials": 4}
@@ -214,3 +216,20 @@ class TestArtifacts:
             "elapsed",
         ):
             assert field in events[-1]
+
+    def test_run_end_carries_every_kernel_count(self, tmp_path):
+        report = run_all(
+            jobs=1,
+            use_cache=False,
+            filters=["fig7/grid/SA/4W 32/RSA/50"],
+            results_dir=tmp_path,
+            progress=False,
+        )
+        assert report.ok
+        run_end = read_events(tmp_path / "run_log.jsonl")[-1]
+        assert run_end["event"] == "run_end"
+        for count in dataclasses.fields(KernelCounts):
+            name = f"kernel_{count.name}"
+            assert run_end[name] == getattr(report.kernel, count.name), name
+            assert getattr(report, name) == run_end[name], name
+        assert report.kernel_run_hits > 0
