@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.registry import ensure_default_experiments
-from repro.runner.scheduler import AsyncInProcessExecutor, Executor
+from repro.runner.scheduler import AsyncInProcessExecutor
 
 from .http import HttpError, Response, error_response, read_request
 from .jobs import JobManager
@@ -55,7 +55,6 @@ class ServeApp:
         state_dir: Union[Path, str] = DEFAULT_STATE_DIR,
         cache_dir: Union[Path, str, None] = None,
         use_cache: bool = True,
-        executor: Optional[Executor] = None,
         max_concurrency: int = 2,
         dispatchers: int = 2,
         quota_rate: float = 0.0,
@@ -76,7 +75,10 @@ class ServeApp:
             if use_cache
             else None
         )
-        self.executor = executor or AsyncInProcessExecutor(
+        # Cells run on the in-process executor, whose envelopes are
+        # sealed in this process: nothing re-hashes them before they
+        # reach the cell cache, whose reader checks every digest.
+        self.executor = AsyncInProcessExecutor(
             max_concurrency=max_concurrency
         )
         self.manager = JobManager(
