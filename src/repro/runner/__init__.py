@@ -7,10 +7,11 @@ shardable job graph:
 * :mod:`repro.runner.registry` -- named experiments enumerating their
   cells as picklable :class:`Unit` coordinates;
 * :mod:`repro.runner.scheduler` -- the :class:`Executor` seam
-  (``submit(cell) -> outcome``), the one cell-execution function
-  :func:`execute` every backend runs cells through, and the backends:
-  the multiprocessing pool with retries and crash recovery, the
-  in-process path, and the asyncio executor behind :mod:`repro.serve`;
+  (``run(cells) -> outcomes``), the one cell-execution function
+  :func:`execute` every backend runs cells through, and two backends:
+  the multiprocessing pool with retries and crash recovery, and the
+  in-process path, whose one-cell ``submit`` :mod:`repro.serve` runs
+  its cells through;
 * :mod:`repro.runner.cache` -- a content-addressed result cache keyed on
   (experiment, params, seed, code version);
 * :mod:`repro.runner.distributed` -- the lease-based multi-host
@@ -76,7 +77,6 @@ from .policy import (
 )
 from .results import ARTIFACT_SOURCES, write_artifacts
 from .scheduler import (
-    AsyncInProcessExecutor,
     Executor,
     InProcessExecutor,
     IntegrityError,
@@ -88,7 +88,6 @@ from .scheduler import (
 
 __all__ = [
     "ARTIFACT_SOURCES",
-    "AsyncInProcessExecutor",
     "BACKEND_FAULT_MODES",
     "Board",
     "CacheStats",

@@ -1,6 +1,7 @@
 """Lease-based multi-host work stealing over the shared result cache.
 
-This is the third :class:`~repro.runner.scheduler.Executor` backend: N
+This is the third :class:`~repro.runner.scheduler.Executor` backend that
+``run_all`` drives, beside the process pool and the in-process path: N
 independent worker processes -- on this host or any host that mounts the
 same cache directory -- *steal* cells from a shared board instead of
 being fed by a parent.  The parent run (``run-all --executor
@@ -780,8 +781,8 @@ class WorkStealingExecutor(Executor):
     """The parent side: publish cells, bank results, keep the fleet honest.
 
     Satisfies the :class:`~repro.runner.scheduler.Executor` seam
-    (``submit``/``run``) so ``run_all`` and :mod:`repro.serve` drive it
-    like any other backend.  ``local_workers`` spawns that many worker
+    (``run``/``close``) so ``run_all`` drives it like the pool.
+    ``local_workers`` spawns that many worker
     processes on this host over the same protocol remote workers use
     (``python -m repro worker``); with zero local workers the parent
     waits ``fallback_after`` seconds for anyone to check in, then
@@ -829,9 +830,6 @@ class WorkStealingExecutor(Executor):
         self._spawn_serial = 0
 
     # -- Executor seam -----------------------------------------------------------
-
-    def submit(self, unit: Unit) -> TaskOutcome:
-        return self.run([(0, unit)])[0]
 
     def close(self) -> None:
         self._stop_local_workers(force=True)

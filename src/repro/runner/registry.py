@@ -9,7 +9,7 @@ Every paper artifact is produced by an *experiment* -- a named object that
   function resolvable by name inside a worker process, so only
   ``(experiment, params)`` ever crosses the process boundary;
 * merges the ordered cell results back into the exact artifacts the serial
-  path writes (``merge``).
+  path writes (``assemble``).
 
 Experiments register themselves with the :func:`register` decorator at
 import time; :func:`ensure_default_experiments` imports the standard set

@@ -1,13 +1,13 @@
 """The execution seam and its backends: run cells, survive failures.
 
-Two layers live here.  The :class:`Executor` protocol is the seam every
-backend implements -- ``submit(unit) -> TaskOutcome`` -- shared by
-``run_all``, :mod:`repro.serve`, and any future remote backend.  Behind
-it sit three implementations:
+Two layers live here.  The :class:`Executor` protocol is the seam
+``run_all`` drives every backend through -- ``run(cells) -> outcomes``,
+its ``counters`` and ``close`` -- and two of its implementations sit
+behind it (work stealing, in :mod:`repro.runner.distributed`, is the
+third):
 
-* :class:`Scheduler` -- the multiprocessing pool (bulk-optimized via
-  :meth:`Scheduler.run`): each worker has an inbox of at most
-  :data:`INBOX_CELLS` cells, which the parent fills by
+* :class:`Scheduler` -- the multiprocessing pool: each worker has an
+  inbox of at most :data:`INBOX_CELLS` cells, which the parent fills by
   :func:`pick_cell` -- cells of one affinity group to one worker where
   it can -- and announces a *claim* before running a cell, so the
   parent always knows which cell died with a crashed worker and which
@@ -15,11 +15,9 @@ it sit three implementations:
   by the shared :class:`~repro.runner.policy.FailurePolicy` -- a dead
   worker never loses the run, and never blocks the remaining cells.
 * :class:`InProcessExecutor` -- the ``--jobs 1`` path: cells run in the
-  calling process, same telemetry, no processes.
-* :class:`AsyncInProcessExecutor` -- the :mod:`repro.serve` backend:
-  ``submit`` is a coroutine that runs the cell on a worker thread under
-  a concurrency semaphore, so a long-lived asyncio service stays
-  responsive while cells execute.
+  calling process, same telemetry, no processes.  Its
+  :meth:`~InProcessExecutor.submit` runs one cell, which is how
+  :mod:`repro.serve` runs each fresh cell on its one cell thread.
 
 Every backend (work stealing included) runs a cell through :func:`execute`:
 under a fresh per-cell kernel count, timed, and sealed into a
@@ -244,28 +242,22 @@ def execute(unit: Unit) -> TaskOutcome:
 
 
 class Executor:
-    """The execution seam: submit one cell, receive its terminal outcome.
+    """The execution seam: run a batch of cells, receive their outcomes.
 
-    ``submit`` never raises for a failing cell -- failures come back as
-    ``TaskOutcome(failed=True)`` -- so callers treat every backend
-    uniformly.  Implementations may be synchronous (returning the
-    outcome directly) or asynchronous (``submit`` defined as a
-    coroutine function, as in :class:`AsyncInProcessExecutor`); async-
-    aware callers await what they get.
+    ``run`` never raises for a failing cell -- failures come back as
+    ``TaskOutcome(failed=True)`` -- so ``run_all`` treats every backend
+    uniformly.
     """
 
     #: What the backend counted while running cells; ``run_all`` reports it.
     counters: RunCounters
-
-    def submit(self, unit: Unit) -> TaskOutcome:
-        raise NotImplementedError
 
     def run(self, units: List[Tuple[int, Unit]]) -> Dict[int, TaskOutcome]:
         """Bulk execution: the outcomes of ``(task_id, unit)`` pairs by id."""
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release backend resources (worker pools, threads)."""
+        """Release backend resources (worker processes)."""
 
 
 class InProcessExecutor(Executor):
@@ -273,7 +265,7 @@ class InProcessExecutor(Executor):
 
     Emits the same ``unit_done`` telemetry as the process pool.  Every
     outcome carries its :class:`ResultEnvelope`, which :mod:`repro.serve`
-    uses to hand integrity-checked bytes to its result store.
+    hands to its cell cache as sealed.
     """
 
     def __init__(self, log: Optional[RunLog] = None) -> None:
@@ -305,36 +297,6 @@ class InProcessExecutor(Executor):
             outcome.elapsed for outcome in outcomes.values()
         )
         return outcomes
-
-
-class AsyncInProcessExecutor(Executor):
-    """Asyncio backend: cells run on worker threads, outcomes sealed.
-
-    ``submit`` is a coroutine: it acquires a concurrency semaphore and
-    runs the cell via :func:`asyncio.to_thread`, so an event loop can
-    keep serving requests while simulations execute.  Each thread runs
-    in a copy of the caller's context, so its cell's kernel count is its
-    own.  The semaphore is created lazily on the first running loop and
-    the executor is bound to it from then on -- one executor per service
-    lifetime.
-    """
-
-    def __init__(
-        self,
-        max_concurrency: int = 2,
-        log: Optional[RunLog] = None,
-    ) -> None:
-        self.max_concurrency = max(1, max_concurrency)
-        self._inner = InProcessExecutor(log=log)
-        self._semaphore: Optional[Any] = None
-
-    async def submit(self, unit: Unit) -> TaskOutcome:  # type: ignore[override]
-        import asyncio
-
-        if self._semaphore is None:
-            self._semaphore = asyncio.Semaphore(self.max_concurrency)
-        async with self._semaphore:
-            return await asyncio.to_thread(self._inner.submit, unit)
 
 
 #: Cells a pool worker's inbox holds at once: the one it runs, and the
@@ -483,13 +445,7 @@ class _Worker:
 
 
 class Scheduler(Executor):
-    """Run units across ``jobs`` worker processes (see module docstring).
-
-    The bulk path is :meth:`run`; :meth:`submit` satisfies the
-    :class:`Executor` protocol for one-off cells but spins the pool up
-    and down per call -- services wanting per-cell submission should use
-    :class:`AsyncInProcessExecutor` (or keep a bulk batch per job).
-    """
+    """Run units across ``jobs`` worker processes (see module docstring)."""
 
     def __init__(
         self,
@@ -519,10 +475,6 @@ class Scheduler(Executor):
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             self._ctx = multiprocessing.get_context()
-
-    def submit(self, unit: Unit) -> TaskOutcome:
-        """One-cell convenience over :meth:`run` (pool per call)."""
-        return self.run([(0, unit)])[0]
 
     def run(self, units: List[Tuple[int, Unit]]) -> Dict[int, TaskOutcome]:
         """Execute ``(task_id, unit)`` pairs; returns outcomes by task id.

@@ -1,12 +1,12 @@
 """The service: wiring, connection handling, and lifecycle.
 
 :class:`ServeApp` assembles the collaborators -- result store, cell
-cache, quotas, metrics, the async executor, the job manager, the router
--- and runs an ``asyncio.start_server`` accept loop over the hand-rolled
-HTTP layer.  One connection handles one request: parse, route, render,
-close.  Handler exceptions become JSON error responses (4xx for
-:class:`~repro.serve.http.HttpError`, 500 otherwise); the accept loop
-itself never dies to a bad client.
+cache, quotas, metrics, the job manager (which owns the cell thread),
+the router -- and runs an ``asyncio.start_server`` accept loop over the
+hand-rolled HTTP layer.  One connection handles one request: parse,
+route, render, close.  Handler exceptions become JSON error responses
+(4xx for :class:`~repro.serve.http.HttpError`, 500 otherwise); the
+accept loop itself never dies to a bad client.
 
 ``run()`` is the blocking entry point behind ``python -m repro serve``:
 it installs SIGTERM/SIGINT handlers that resolve a stop future, stops
@@ -32,7 +32,6 @@ from typing import Optional, Union
 
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.registry import ensure_default_experiments
-from repro.runner.scheduler import AsyncInProcessExecutor
 
 from .http import HttpError, Response, error_response, read_request
 from .jobs import JobManager
@@ -55,7 +54,6 @@ class ServeApp:
         state_dir: Union[Path, str] = DEFAULT_STATE_DIR,
         cache_dir: Union[Path, str, None] = None,
         use_cache: bool = True,
-        max_concurrency: int = 2,
         dispatchers: int = 2,
         quota_rate: float = 0.0,
         quota_burst: float = 10.0,
@@ -75,14 +73,7 @@ class ServeApp:
             if use_cache
             else None
         )
-        # Cells run on the in-process executor, whose envelopes are
-        # sealed in this process: nothing re-hashes them before they
-        # reach the cell cache, whose reader checks every digest.
-        self.executor = AsyncInProcessExecutor(
-            max_concurrency=max_concurrency
-        )
         self.manager = JobManager(
-            executor=self.executor,
             store=self.store,
             metrics=self.metrics,
             cache=self.cache,

@@ -242,10 +242,10 @@ class TestWorkStealingExecutor:
         assert not loop.run_once()
         assert board.read_lease("cell-done") is None
 
-    def test_submit_satisfies_the_executor_seam(self, tmp_path, toy):
+    def test_run_satisfies_the_executor_seam(self, tmp_path, toy):
         executor = _executor(tmp_path)
         try:
-            outcome = executor.submit(toy.unit("solo", value=7))
+            outcome = executor.run([(0, toy.unit("solo", value=7))])[0]
         finally:
             executor.close()
         assert not outcome.failed

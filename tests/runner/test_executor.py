@@ -1,13 +1,10 @@
 """Unit tests for the Executor seam and its result envelopes."""
 
-import asyncio
-
 import pytest
 
 from repro.runner.progress import RunLog
 from repro.runner.registry import REGISTRY, Experiment, register
 from repro.runner.scheduler import (
-    AsyncInProcessExecutor,
     InProcessExecutor,
     IntegrityError,
     ResultEnvelope,
@@ -110,37 +107,9 @@ class TestInProcessExecutor:
         assert outcomes[1].value == 4
 
 
-class TestAsyncInProcessExecutor:
-    def test_submit_is_a_coroutine(self, toy):
-        executor = AsyncInProcessExecutor(max_concurrency=2)
-
-        async def go():
-            return await executor.submit(_unit(toy, value=5))
-
-        outcome = asyncio.run(go())
-        assert outcome.value == 10
-        # The async backend seals by default.
-        assert outcome.envelope is not None
-        assert outcome.envelope.intact
-
-    def test_concurrent_submissions(self, toy):
-        executor = AsyncInProcessExecutor(max_concurrency=4)
-
-        async def go():
-            units = [_unit(toy, str(i), value=i) for i in range(8)]
-            return await asyncio.gather(
-                *(executor.submit(unit) for unit in units)
-            )
-
-        outcomes = asyncio.run(go())
-        assert [outcome.value for outcome in outcomes] == [
-            i * 2 for i in range(8)
-        ]
-
-
-class TestSchedulerSubmit:
+class TestSchedulerRun:
     def test_single_cell_through_the_pool(self, toy):
-        outcome = Scheduler(jobs=1).submit(_unit(toy, value=8))
+        outcome = Scheduler(jobs=1).run([(0, _unit(toy, value=8))])[0]
         assert not outcome.failed
         assert outcome.value == 16
         assert outcome.envelope is not None and outcome.envelope.intact

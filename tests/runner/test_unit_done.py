@@ -12,7 +12,6 @@ import pytest
 
 from repro.runner import run_all
 from repro.runner.registry import REGISTRY, Experiment, register
-from repro.runner.scheduler import AsyncInProcessExecutor
 from repro.serve.jobs import JobManager, parse_spec
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.store import ResultStore
@@ -64,7 +63,6 @@ def _run_all_events(tmp_path, name, **backend):
 def _serve_events(tmp_path):
     async def go():
         manager = JobManager(
-            AsyncInProcessExecutor(),
             ResultStore(tmp_path / "store"),
             ServiceMetrics(),
             state_dir=tmp_path / "state",

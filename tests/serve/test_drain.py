@@ -45,9 +45,7 @@ def test_killed_midjob_service_resumes_and_converges(
 ):
     state_dir = tmp_path / "state"
     cache_dir = tmp_path / "cache"
-    victim = ServeHarness(
-        state_dir=state_dir, cache_dir=cache_dir, max_concurrency=1
-    ).start()
+    victim = ServeHarness(state_dir=state_dir, cache_dir=cache_dir).start()
     _status, _headers, body = victim.request_json(
         "POST", "/v1/jobs", _toy_spec()
     )
@@ -67,9 +65,7 @@ def test_killed_midjob_service_resumes_and_converges(
     assert "job_queued" in events
     assert "job_done" not in events
 
-    revived = ServeHarness(
-        state_dir=state_dir, cache_dir=cache_dir, max_concurrency=1
-    ).start()
+    revived = ServeHarness(state_dir=state_dir, cache_dir=cache_dir).start()
     try:
         _s, _h, metrics = revived.request_json("GET", "/v1/metrics")
         assert metrics["counters"]["jobs_resumed"] == 1
@@ -87,7 +83,6 @@ def test_killed_midjob_service_resumes_and_converges(
     clean = ServeHarness(
         state_dir=tmp_path / "clean-state",
         cache_dir=tmp_path / "clean-cache",
-        max_concurrency=1,
     ).start()
     try:
         _s, _h, ref = clean.request_json("POST", "/v1/jobs", _toy_spec())
@@ -102,15 +97,13 @@ def test_killed_midjob_service_resumes_and_converges(
 def test_resumed_journal_is_compacted(tmp_path, toy_experiment):
     state_dir = tmp_path / "state"
     victim = ServeHarness(
-        state_dir=state_dir, cache_dir=tmp_path / "cache",
-        max_concurrency=1,
+        state_dir=state_dir, cache_dir=tmp_path / "cache"
     ).start()
     _s, _h, body = victim.request_json("POST", "/v1/jobs", _toy_spec())
     victim.stop()
 
     revived = ServeHarness(
-        state_dir=state_dir, cache_dir=tmp_path / "cache",
-        max_concurrency=1,
+        state_dir=state_dir, cache_dir=tmp_path / "cache"
     ).start()
     try:
         revived.poll_job(body["status_url"].replace(body["job_id"], "j000001"))
@@ -222,7 +215,6 @@ app = ServeApp(
     port=0,
     state_dir=state_dir,
     cache_dir=cache_dir,
-    max_concurrency=1,
     dispatchers=1,
     drain_timeout=float(drain_timeout),
     quiet=False,
