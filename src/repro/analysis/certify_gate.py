@@ -35,6 +35,10 @@ from repro.analysis.certify import Certificate, certify, certify_all
 #: the sample-size-aware defends() threshold (0.05 + 4/trials).
 FLAT_TRIALS = 120
 
+#: The sweep leg's operating point: the hierarchy sweep's own trial
+#: count and seed, at which the certifier's noisy-core rule (R9) is
+#: calibrated.  A gate at any other point would test a claim no
+#: certificate makes.
 SWEEP_TRIALS = 40
 SWEEP_SEED = 7
 
@@ -107,7 +111,7 @@ def certified_rows(
     return agreement
 
 
-def _sweep_leg(checks: List[GateCheck], trials: int, seed: int) -> None:
+def _sweep_leg(checks: List[GateCheck]) -> None:
     from repro.ablations.hierarchy import (
         HIERARCHY_EVALUATION,
         sweep_rows,
@@ -115,13 +119,15 @@ def _sweep_leg(checks: List[GateCheck], trials: int, seed: int) -> None:
     )
     from repro.security.evaluate import SecurityEvaluator
 
-    evaluator = SecurityEvaluator(replace(HIERARCHY_EVALUATION, seed=seed))
+    evaluator = SecurityEvaluator(
+        replace(HIERARCHY_EVALUATION, seed=SWEEP_SEED)
+    )
     rows = sweep_rows()
     specs = sweep_specs()
     for spec, certificate in zip(specs, certify_all(specs)):
         for _, vulnerability in rows:
             estimate = evaluator.evaluate_vulnerability(
-                vulnerability, spec, trials=trials
+                vulnerability, spec, trials=SWEEP_TRIALS
             ).estimate
             static = certificate.verdict_for(vulnerability).defended
             dynamic = estimate.defends()
@@ -134,12 +140,12 @@ def _sweep_leg(checks: List[GateCheck], trials: int, seed: int) -> None:
                     dynamic_defended=dynamic,
                     agree=static == dynamic,
                     detail=f"capacity={estimate.capacity:.3f} "
-                    f"trials={trials} seed={seed}",
+                    f"trials={SWEEP_TRIALS} seed={SWEEP_SEED}",
                 )
             )
 
 
-def _flat_leg(checks: List[GateCheck], trials: int) -> None:
+def _flat_leg(checks: List[GateCheck]) -> None:
     from repro.security.benchgen import layout_for_spec
     from repro.security.evaluate import (
         EvaluationConfig,
@@ -148,7 +154,7 @@ def _flat_leg(checks: List[GateCheck], trials: int) -> None:
     )
     from repro.security.kinds import TLBKind
 
-    config = EvaluationConfig(trials=trials)
+    config = EvaluationConfig(trials=FLAT_TRIALS)
     evaluator = SecurityEvaluator(config)
     for kind in (TLBKind.SA, TLBKind.SP, TLBKind.RF):
         spec = table4_spec(kind)
@@ -156,7 +162,7 @@ def _flat_leg(checks: List[GateCheck], trials: int) -> None:
         certificate = certify(spec, layout=layout)
         for verdict in certificate.verdicts:
             result = evaluator.evaluate_vulnerability(
-                verdict.vulnerability, spec, trials=trials
+                verdict.vulnerability, spec, trials=FLAT_TRIALS
             )
             dynamic = result.estimate.defends()
             checks.append(
@@ -168,7 +174,7 @@ def _flat_leg(checks: List[GateCheck], trials: int) -> None:
                     dynamic_defended=dynamic,
                     agree=verdict.defended == dynamic,
                     detail=f"capacity={result.estimate.capacity:.3f} "
-                    f"trials={trials}",
+                    f"trials={FLAT_TRIALS}",
                 )
             )
 
@@ -212,19 +218,14 @@ def _refill_leg(checks: List[GateCheck]) -> None:
     )
 
 
-def run_gate(
-    sweep_trials: int = SWEEP_TRIALS,
-    sweep_seed: int = SWEEP_SEED,
-    flat_trials: int = FLAT_TRIALS,
-    legs: Optional[List[str]] = None,
-) -> GateReport:
+def run_gate(legs: Optional[List[str]] = None) -> GateReport:
     """Replay certificates against every dynamic oracle; collect checks."""
     legs = legs or ["sweep", "flat", "refill"]
     checks: List[GateCheck] = []
     if "sweep" in legs:
-        _sweep_leg(checks, sweep_trials, sweep_seed)
+        _sweep_leg(checks)
     if "flat" in legs:
-        _flat_leg(checks, flat_trials)
+        _flat_leg(checks)
     if "refill" in legs:
         _refill_leg(checks)
     return GateReport(checks=checks)

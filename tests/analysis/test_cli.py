@@ -226,24 +226,6 @@ class TestCertifyCLI:
         with pytest.raises(SystemExit, match="--all / --gate"):
             main(["certify"])
 
-    @pytest.mark.parametrize(
-        "argv,option",
-        [
-            (["--legs", "flat", "--flat-trials", "0"], "--flat-trials"),
-            (["--sweep-trials", "-1"], "--sweep-trials"),
-            (["--sweep-trials", "many"], "--sweep-trials"),
-        ],
-    )
-    def test_a_non_positive_gate_trial_count_is_a_usage_error(
-        self, capsys, argv, option
-    ):
-        with pytest.raises(SystemExit) as raised:
-            main(["certify", "--gate", *argv])
-        assert raised.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument {option}:" in err
-        assert "Traceback" not in err
-
     def test_gate_refill_leg_exits_zero(self, capsys):
         assert main(["certify", "--gate", "--legs", "refill"]) == 0
         assert "gate PASSED" in capsys.readouterr().out
