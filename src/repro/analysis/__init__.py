@@ -14,66 +14,9 @@ architectural invariants (factory-only TLB/walker construction,
 deterministic simulation paths, frozen event records, no snapshot
 mutation) over ``src/repro``.
 
-Both ship behind ``python -m repro analyze [guest|lint|all]``.
+Both ship behind ``python -m repro analyze [guest|lint|all]``.  The
+package itself imports nothing: import from its modules
+(:mod:`~repro.analysis.taint`, :mod:`~repro.analysis.dynamic`,
+:mod:`~repro.analysis.lint`, ...), so building the CLI's parser, which
+loads :mod:`repro.analysis.cli`, stays clear of the simulator.
 """
-
-from .cfg import BasicBlock, ControlFlowGraph
-from .contract import ContractError, LeakageContract, SecretSource
-from .dynamic import (
-    CheckedFinding,
-    CrossCheckReport,
-    TaintObserver,
-    cross_check,
-    secret_correlation,
-    trace_pages,
-)
-from .lint import (
-    LINT_RULES,
-    LintFinding,
-    Rule,
-    lint_source,
-    run_lint,
-)
-from .taint import (
-    GuestReport,
-    LeakageFinding,
-    Taint,
-    TaintAnalysis,
-    analyze_program,
-)
-from .workloads import (
-    DEFAULT_EXPONENT,
-    GUEST_WORKLOADS,
-    GuestWorkload,
-    rsa_constant_time,
-    rsa_square_multiply,
-)
-
-__all__ = [
-    "BasicBlock",
-    "CheckedFinding",
-    "ContractError",
-    "ControlFlowGraph",
-    "CrossCheckReport",
-    "DEFAULT_EXPONENT",
-    "GUEST_WORKLOADS",
-    "GuestReport",
-    "GuestWorkload",
-    "LINT_RULES",
-    "LeakageContract",
-    "LeakageFinding",
-    "LintFinding",
-    "Rule",
-    "SecretSource",
-    "Taint",
-    "TaintAnalysis",
-    "TaintObserver",
-    "analyze_program",
-    "cross_check",
-    "lint_source",
-    "rsa_constant_time",
-    "rsa_square_multiply",
-    "run_lint",
-    "secret_correlation",
-    "trace_pages",
-]

@@ -45,15 +45,18 @@ class TestParser:
         assert callable(args.func)
 
     def test_building_the_parser_imports_no_runner_module(self):
-        """Commands that run no experiment cells do not pay for the
-        runner's import; a fresh interpreter shows what the parser
-        needs."""
+        """Every command imports what it uses when it runs: building the
+        parser loads neither the runner nor numpy nor the simulator; a
+        fresh interpreter shows what the parser needs."""
         probe = (
             "import sys\n"
             "from repro.cli import build_parser\n"
             "build_parser()\n"
-            "print(sorted(name for name in sys.modules"
-            " if name.split('.')[:2] == ['repro', 'runner']))\n"
+            "heavy = ('numpy', 'repro.runner', 'repro.sim', 'repro.isa',"
+            " 'repro.security')\n"
+            "print(sorted(name for name in sys.modules if any("
+            "name == package or name.startswith(package + '.')"
+            " for package in heavy)))\n"
         )
         source = str(Path(repro.__file__).resolve().parent.parent)
         printed = subprocess.run(
