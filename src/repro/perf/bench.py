@@ -23,7 +23,8 @@ first a differential test and only then a stopwatch.  Three tiers:
   compiled-trace store is cleared before each timed variant, so each
   one pays its own trace compile.
 
-Timings are best-of-:data:`REPS` with a fresh TLB per repetition.  Trace
+Timings are best-of-:data:`REPS` with a fresh TLB per repetition (best
+of :data:`SECURITY_REPS` for the security tier's short trace).  Trace
 compilation, the structural pre-pass (``ensure_structure``) and the run
 kernel's reuse-oracle extension are the *compile tier*: paid once per
 trace, cached on the :class:`CompiledTrace`, and amortized across every
@@ -71,6 +72,11 @@ SLICE_STEP = 8192
 #: extension (reported as ``run_cold_seconds``) which the cached
 #: :class:`CompiledTrace` amortizes away for the rest.
 REPS = 3
+
+#: Repetitions per path of a security row.  Its RSA trace replays in
+#: tens of microseconds on the run kernel, too short for the best of
+#: :data:`REPS` to resolve: those rows swung 2-3x from run to run.
+SECURITY_REPS = 40
 
 #: The headline grid: one row per design of the paper's evaluation --
 #: (row label, TLB kind, organization, Figure 7 SPEC workload).  "FA" is
@@ -150,11 +156,12 @@ def _replay_case(
     headline: bool,
     secure: bool = False,
     region: Optional[Tuple[int, int]] = None,
+    reps: int = REPS,
 ) -> Dict[str, Any]:
     """Replay one compiled trace through both paths and compare.
 
-    Each path runs :data:`REPS` times on a fresh TLB (best-of timing);
-    the differential comparison -- full :class:`~repro.tlb.stats.TLBStats`
+    Each path runs ``reps`` times on a fresh TLB (best-of timing); the
+    differential comparison -- full :class:`~repro.tlb.stats.TLBStats`
     equality plus total reported cycles -- uses the final repetition,
     which is deterministic across repetitions by construction.
     """
@@ -167,7 +174,7 @@ def _replay_case(
     timings: Dict[str, List[float]] = {"reference": [], "run": []}
     outcomes: Dict[str, Tuple[Any, int]] = {}
     run_state: Optional[RunState] = None
-    for _ in range(REPS):
+    for _ in range(reps):
         tlb = fresh()
         seconds, cycles = _replay_reference(tlb, make_walker(), trace, count, asid)
         timings["reference"].append(seconds)
@@ -267,6 +274,7 @@ def _security_replays(runs: int, key_bits: int) -> List[Dict[str, Any]]:
                 headline=False,
                 secure=True,
                 region=rsa.secure_region() if kind is TLBKind.RF else None,
+                reps=SECURITY_REPS,
             )
         )
     return rows
