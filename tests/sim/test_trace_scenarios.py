@@ -47,3 +47,15 @@ def test_cli_trace_writes_jsonl(tmp_path, capsys) -> None:
     assert records, "the trace must contain events"
     captured = capsys.readouterr()
     assert f"{len(records)} events" in captured.err
+
+
+def test_cli_trace_unknown_scenario_is_a_usage_error(capsys) -> None:
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as raised:
+        main(["trace", "nope"])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument scenario: invalid choice: 'nope'" in err
+    assert ", ".join(sorted(SCENARIOS)) in err
+    assert "Traceback" not in err
