@@ -1,5 +1,8 @@
 """Tests for the micro security benchmark generator (Section 5.1)."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.isa import assemble
@@ -12,6 +15,7 @@ from repro.model.states import (
     V_A,
     V_U,
 )
+from repro.model.extended import invalidation_only_vulnerabilities
 from repro.model.table2 import table2_vulnerabilities
 from repro.security import (
     BenchmarkLayout,
@@ -160,3 +164,61 @@ class TestLayoutValidation:
     def test_geometry_must_be_positive(self):
         with pytest.raises(ValueError):
             BenchmarkLayout(nsets=0)
+
+
+def experiment_layouts():
+    """Every distinct layout the experiments and the certify gate build.
+
+    The Table 4, hierarchy study, sweep, mitigation and leakage designs,
+    with and without partition-sized primes, plus the default layout the
+    large-page ablation uses.
+    """
+    from repro.ablations.hierarchy import leakage_spec, study_spec, sweep_specs
+    from repro.ablations.mitigations import MITIGATION_SPECS
+    from repro.security import TLBKind
+    from repro.security.evaluate import table4_spec
+
+    specs = [table4_spec(kind) for kind in TLBKind]
+    specs += [study_spec(l1, l2) for l1 in TLBKind for l2 in TLBKind]
+    specs += sweep_specs()
+    specs += [rung.design() for rung in MITIGATION_SPECS]
+    specs.append(leakage_spec())
+    layouts = {
+        layout_for_spec(spec, partitioned)
+        for spec in specs
+        for partitioned in (False, True)
+    }
+    layouts.add(BenchmarkLayout())
+    return sorted(layouts, key=dataclasses.astuple)
+
+
+#: ``ssize`` at its per-row default and at every region-sweep size.
+REGION_SIZES = (None, 1, 2, 3, 8, 16, 31)
+
+#: SHA-256 over every program :class:`TestProgramPin` generates, in order.
+PROGRAMS_SHA256 = (
+    "1faf165293020b8d1f41f89a3c248c23f08008c2927c96e04662566ea2824de2"
+)
+
+
+class TestProgramPin:
+    """Every program the evaluation can generate, pinned byte for byte.
+
+    The Table 2 and Table 7 rows, mapped and unmapped, at every region
+    size the experiments use, on every distinct layout: 5,040 programs.
+    A change to how a benchmark is expanded or rendered moves the digest.
+    """
+
+    def test_every_generated_program_is_pinned(self):
+        layouts = experiment_layouts()
+        assert len(layouts) == 5
+        rows = table2_vulnerabilities() + invalidation_only_vulnerabilities()
+        assert len(rows) == 72
+        digest = hashlib.sha256()
+        for layout in layouts:
+            for vulnerability in rows:
+                for mapped in (True, False):
+                    for ssize in REGION_SIZES:
+                        program = generate(vulnerability, layout, mapped, ssize)
+                        digest.update(program.encode())
+        assert digest.hexdigest() == PROGRAMS_SHA256
