@@ -13,11 +13,12 @@ The lifted abstract machine
 ---------------------------
 
 The single-block machine of :mod:`repro.model.effectiveness` tracks one
-set's possible contents.  The lifted machine executes the *same benchmark
-expansion* the dynamic harness generates (:mod:`repro.security.benchgen`:
-prime steps fill the tested set key-page-first, probes re-check it, the
-secret access ``u`` maps or does not map to the tested block) over an
-N-level abstract state:
+set's possible contents.  The lifted machine executes the ops
+:func:`repro.security.benchgen.expand` returns -- the very ops
+:func:`~repro.security.benchgen.generate` renders as the dynamic
+harness's program (prime steps fill the tested set key-page-first,
+probes re-check it, the secret access ``u`` maps or does not map to the
+tested block) -- over an N-level abstract state:
 
 * per level: the touched sets as LRU-ordered lists of ``(pid, vpn, sec)``
   entries, with the design's own fill discipline -- SA fills shared ways,
@@ -91,18 +92,17 @@ from typing import (
     Tuple,
 )
 
-from repro.model.patterns import Observation, Vulnerability
-from repro.model.states import Actor, AddressClass, Operation, State
+from repro.model.patterns import Vulnerability
+from repro.model.states import Operation
 from repro.model.table2 import table2_vulnerabilities
 from repro.security.benchgen import (
     BenchmarkLayout,
+    Op,
     alias_page,
+    expand,
     layout_for_spec,
-    prime_pages,
     region_size_for,
-    role_of,
     secret_page,
-    single_page,
 )
 from repro.tlb.spec import HierarchySpec, LevelSpec, SpecLike, coerce_spec
 
@@ -113,99 +113,6 @@ from repro.tlb.spec import HierarchySpec, LevelSpec, SpecLike, coerce_spec
 OPERATING_POINT_TRIALS = 40
 
 CERTIFICATE_SCHEMA = "repro/certificate/v1"
-
-
-# --------------------------------------------------------------------------
-# Benchmark expansion: the symbolic ops a generated benchmark performs
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Op:
-    """One abstract instruction of the expanded three-step benchmark."""
-
-    kind: str  # "access" | "sfence_all" | "sfence_page"
-    pid: int = 0
-    vpn: int = 0
-    owner: int = 0  # sfence_page: the ASID whose entry is named
-    window: bool = False  # inside the step-3 measurement window
-    step: int = 0
-
-
-def expand_benchmark(
-    vulnerability: Vulnerability,
-    layout: BenchmarkLayout,
-    mapped: bool,
-    ssize: Optional[int] = None,
-) -> List[_Op]:
-    """The abstract op sequence of one generated micro benchmark.
-
-    Mirrors :func:`repro.security.benchgen.generate` exactly -- same prime
-    page lists, same roles, same secret-page placement -- but emits
-    machine ops instead of assembly.  Keeping the two expansions aligned
-    is what makes the static/dynamic differential gate meaningful; the
-    test suite pins them against each other.
-    """
-    if ssize is None:
-        ssize = region_size_for(vulnerability)
-    u_page = secret_page(vulnerability, layout, mapped, ssize)
-    steps = vulnerability.pattern.steps
-    if steps[2].operation is Operation.INVALIDATE_TARGET:
-        raise NotImplementedError(
-            "certificates cover the base-model rows; invalidation probes "
-            "(Appendix B extended states) have no hierarchy ground truth"
-        )
-    miss_based = vulnerability.observation is Observation.SLOW
-    ops: List[_Op] = []
-    for index, state in enumerate(steps):
-        window = index == 2
-        pid = _acting_pid(layout, state)
-        if state.operation is Operation.INVALIDATE_ALL:
-            ops.append(
-                _Op("sfence_all", pid=pid, window=window, step=index)
-            )
-            continue
-        if state.operation is Operation.INVALIDATE_TARGET:
-            vpn = single_page(state, layout, u_page)
-            in_range = state.address in (
-                AddressClass.U,
-                AddressClass.A,
-                AddressClass.A_ALIAS,
-            )
-            owner = layout.victim_pid if in_range else pid
-            ops.append(
-                _Op(
-                    "sfence_page",
-                    pid=pid,
-                    vpn=vpn,
-                    owner=owner,
-                    window=window,
-                    step=index,
-                )
-            )
-            continue
-        role = role_of(index, steps, miss_based)
-        if state.address is AddressClass.U or role == "single":
-            pages = [single_page(state, layout, u_page)]
-        else:
-            count = layout.prime_ways(state.actor)
-            pages = prime_pages(layout, state, ssize, count, u_page)
-            if role == "probe" and state.address in (
-                AddressClass.A,
-                AddressClass.A_ALIAS,
-            ):
-                pages = pages[:1]
-        for vpn in pages:
-            ops.append(
-                _Op("access", pid=pid, vpn=vpn, window=window, step=index)
-            )
-    return ops
-
-
-def _acting_pid(layout: BenchmarkLayout, state: State) -> int:
-    if state.actor is Actor.VICTIM:
-        return layout.victim_pid
-    return layout.attacker_pid
 
 
 # --------------------------------------------------------------------------
@@ -360,9 +267,9 @@ class _Machine:
 
     # -- program execution --------------------------------------------------------
 
-    def run(self, ops: Sequence[_Op]) -> _RunResult:
+    def run(self, ops: Sequence[Op]) -> _RunResult:
         for op in ops:
-            self._in_window = op.window
+            self._in_window = op.step == 2
             self._step = op.step
             if op.kind == "access":
                 self._translate(0, op.pid, op.vpn)
@@ -490,8 +397,13 @@ def analyze_hypothesis(
     layout: Optional[BenchmarkLayout] = None,
 ) -> HypothesisAnalysis:
     layout = layout_for_spec(spec) if layout is None else layout
+    if vulnerability.pattern.steps[2].operation is Operation.INVALIDATE_TARGET:
+        raise NotImplementedError(
+            "certificates cover the base-model rows; invalidation probes "
+            "(Appendix B extended states) have no hierarchy ground truth"
+        )
     ssize = region_size_for(vulnerability)
-    ops = expand_benchmark(vulnerability, layout, mapped, ssize)
+    ops = expand(vulnerability, layout, mapped, ssize)
     u_page = secret_page(vulnerability, layout, mapped, ssize)
     names = _page_names(layout, u_page, ssize)
 

@@ -6,9 +6,12 @@ execute the three steps with ``process_id`` switches emulating the attacker
 and the victim, read ``tlb_miss_count`` around Step 3, and report PASS when
 the probe observed a TLB miss (slow) and FAIL when it hit (fast).
 
-The expansion of the symbolic steps into concrete accesses mirrors the
-paper's experimental setup (Section 5.3, 8-way 32-entry TLB, secure region
-of 3 or 31 contiguous pages):
+:func:`expand` turns the symbolic steps into the benchmark's ops
+(accesses and fences, each with its process and step), once:
+:func:`generate` renders them as the program, and
+:mod:`repro.analysis.certify` executes them on its lifted machine.  The
+expansion mirrors the paper's experimental setup (Section 5.3, 8-way
+32-entry TLB, secure region of 3 or 31 contiguous pages):
 
 * miss-based patterns fill the tested set in their prime/evict steps (the
   Figure 6 comment: "Attacker primes the whole TLB/specific set"), with
@@ -27,8 +30,9 @@ of 3 or 31 contiguous pages):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.model.effectiveness import Relation, applicable_relations, step3_timings
 from repro.model.patterns import Observation, Vulnerability
@@ -99,8 +103,13 @@ def region_size_for(vulnerability: Vulnerability) -> int:
     return 3
 
 
+@functools.lru_cache(maxsize=None)
 def secret_maps_to_a(vulnerability: Vulnerability) -> bool:
-    """True when the informative observation requires ``u == a`` exactly."""
+    """True when the informative observation requires ``u == a`` exactly.
+
+    Cached: :func:`generate` and the certifier each place ``u`` twice per
+    program, and the effectiveness analysis dominates a program's cost.
+    """
     pattern = vulnerability.pattern
     consistent = {
         relation
@@ -135,83 +144,6 @@ def alias_page(layout: BenchmarkLayout) -> int:
     return layout.sbase + layout.nsets
 
 
-class _Emitter:
-    """Accumulates instructions and the set of data pages they touch."""
-
-    def __init__(self, layout: BenchmarkLayout) -> None:
-        self.layout = layout
-        self.lines: List[str] = []
-        self.pages: set = set()
-        self._current_pid: Optional[int] = None
-        self._ssize = 0
-
-    def comment(self, text: str) -> None:
-        self.lines.append(f"# {text}")
-
-    def set_region(self, ssize: int) -> None:
-        self._ssize = ssize
-        self.lines.append(f"csrw sbase, {self.layout.sbase}")
-        self.lines.append(f"csrw ssize, {ssize}")
-
-    def set_pid(self, pid: int) -> None:
-        if pid != self._current_pid:
-            self.lines.append(f"csrw process_id, {pid}")
-            self._current_pid = pid
-
-    def access(self, pid: int, vpn: int) -> None:
-        self.set_pid(pid)
-        self.pages.add(vpn)
-        secure = (
-            pid == self.layout.victim_pid
-            and self.layout.sbase <= vpn < self.layout.sbase + self._ssize
-        )
-        load = "ldrand" if secure else "ldnorm"
-        self.lines.append(f"la x1, {_page_label(vpn)}")
-        self.lines.append(f"{load} x2, 0(x1)")
-
-    def sfence_all(self, pid: int) -> None:
-        self.set_pid(pid)
-        self.lines.append("sfence.vma")
-
-    def sfence_page(self, pid: int, vpn: int, owner_pid: int) -> None:
-        self.set_pid(pid)
-        self.pages.add(vpn)
-        self.lines.append(f"la x1, {_page_label(vpn)}")
-        self.lines.append(f"li x7, {owner_pid}")
-        self.lines.append("sfence.vma x1, x7")
-
-    def begin_measurement(self, counter: str = "tlb_miss_count") -> None:
-        self._counter = counter
-        self.lines.append(f"csrr x5, {counter}")
-
-    def end_measurement(self, baseline: int = 0) -> None:
-        self.lines.append(f"csrr x6, {self._counter}")
-        self.lines.append("sub x10, x6, x5")
-        if baseline:
-            self.lines.append(f"addi x10, x10, {-baseline}")
-        self.lines.extend(
-            [
-                # a0 > 0 <=> the probe was slow (missed / paid the extra
-                # invalidation cycle).
-                "beq x10, x0, fast_path",
-                "pass",  # PASS: slow observed
-                "fast_path:",
-                "fail",  # FAIL: fast observed
-            ]
-        )
-
-    def render(self) -> str:
-        data = [".data"]
-        for vpn in sorted(self.pages):
-            data.append(f".org {vpn << 12:#x}")
-            data.append(f"{_page_label(vpn)}: .dword 0")
-        return "\n".join(self.lines + data) + "\n"
-
-
-def _page_label(vpn: int) -> str:
-    return f"page_{vpn:x}"
-
-
 def prime_pages(
     layout: BenchmarkLayout,
     state: State,
@@ -220,10 +152,6 @@ def prime_pages(
     u_page: int,
 ) -> List[int]:
     """The pages a prime/evict step accesses, key page first.
-
-    Public because :mod:`repro.analysis.certify` executes the *same*
-    expansion symbolically; the static/dynamic differential gate depends
-    on both sides sharing this geometry.
 
     ``d`` steps use out-of-range pages in the tested set.  ``a``/alias
     steps access the key page first (making it the LRU victim once the set
@@ -256,6 +184,81 @@ def prime_pages(
     return pages
 
 
+class Op(NamedTuple):
+    """One operation of a micro benchmark, as the program performs it.
+
+    ``kind`` is ``"access"`` (a load from page ``vpn``), ``"sfence_all"``
+    (a full fence) or ``"sfence_page"`` (a fence of the entry process
+    ``owner`` holds for page ``vpn``).  ``pid`` is the process that
+    performs it, and ``step`` the pattern step (0-2) it belongs to; step
+    2 is the measured window.
+    """
+
+    kind: str
+    pid: int
+    vpn: int = 0
+    owner: int = 0
+    step: int = 0
+
+
+def expand(
+    vulnerability: Vulnerability,
+    layout: BenchmarkLayout,
+    mapped: bool,
+    ssize: int,
+) -> List[Op]:
+    """The ops of one micro benchmark, in program order.
+
+    :func:`generate` renders exactly these ops as the CPU's program, and
+    :mod:`repro.analysis.certify` executes them on its lifted machine.
+    ``mapped`` selects the victim behaviour of Table 3 and ``ssize`` is
+    the secure region's size in pages.
+    """
+    u_page = secret_page(vulnerability, layout, mapped, ssize)
+    steps = vulnerability.pattern.steps
+    # Eviction-style rows need their prime/evict steps to fill the set.
+    # For an access probe that is the *slow* rows; for an invalidation
+    # probe the polarity inverts (fast = entry absent = evicted).
+    if steps[2].operation is Operation.INVALIDATE_TARGET:
+        miss_based = vulnerability.observation is Observation.FAST
+    else:
+        miss_based = vulnerability.observation is Observation.SLOW
+    ops: List[Op] = []
+    for index, state in enumerate(steps):
+        pid = _acting_pid(layout, state)
+        if state.operation is Operation.INVALIDATE_ALL:
+            ops.append(Op("sfence_all", pid, step=index))
+        elif state.operation is Operation.INVALIDATE_TARGET:
+            # In-range pages belong to the victim's address space, so a
+            # targeted invalidation of u/a/alias names the victim's entry
+            # regardless of who triggers it (e.g. via mprotect-induced
+            # shootdown); a ``d`` invalidation names the actor's own entry.
+            in_range = state.address in (
+                AddressClass.U,
+                AddressClass.A,
+                AddressClass.A_ALIAS,
+            )
+            owner = layout.victim_pid if in_range else pid
+            vpn = single_page(state, layout, u_page)
+            ops.append(Op("sfence_page", pid, vpn, owner, index))
+        elif state.operation is Operation.ACCESS:
+            role = role_of(index, steps, miss_based)
+            if state.address is AddressClass.U or role == "single":
+                pages = [single_page(state, layout, u_page)]
+            else:
+                count = layout.prime_ways(state.actor)
+                pages = prime_pages(layout, state, ssize, count, u_page)
+                if role == "probe" and state.address in (
+                    AddressClass.A,
+                    AddressClass.A_ALIAS,
+                ):
+                    # The probe of an ``a`` pattern re-checks only the key
+                    # page.
+                    pages = pages[:1]
+            ops += [Op("access", pid, vpn, step=index) for vpn in pages]
+    return ops
+
+
 def generate(
     vulnerability: Vulnerability,
     layout: BenchmarkLayout = BenchmarkLayout(),
@@ -265,54 +268,78 @@ def generate(
     """Generate the micro security benchmark for one vulnerability.
 
     ``mapped`` selects the victim behaviour of Table 3: whether the secret
-    access collides with the tested block.  The returned text assembles
-    with :func:`repro.isa.assemble`; the program finishes with PASS when
-    Step 3 observed a TLB miss and FAIL when it hit, and leaves the Step-3
+    access collides with the tested block.  The program performs
+    :func:`expand`'s ops in order, one load or fence each; around them it
+    only sets the secure region, switches the process and reads the
+    measured counter.  The returned text assembles with
+    :func:`repro.isa.assemble`; the program finishes with PASS when Step
+    3 observed a TLB miss and FAIL when it hit, and leaves the Step-3
     miss count in ``a0``.
     """
     if ssize is None:
         ssize = region_size_for(vulnerability)
     u_page = secret_page(vulnerability, layout, mapped, ssize)
-    emitter = _Emitter(layout)
-    emitter.comment(f"micro security benchmark: {vulnerability.pretty()}")
-    emitter.comment(f"trial: u {'maps' if mapped else 'does not map'} "
-                    f"to the tested block (u = page {u_page:#x})")
-    emitter.set_region(ssize)
-
+    ops = expand(vulnerability, layout, mapped, ssize)
     steps = vulnerability.pattern.steps
+    # Invalidations do not count as TLB misses; their timing signal is the
+    # extra cycle spent clearing a present entry (Appendix B), so an
+    # invalidation probe measures cycles instead.
     probe_is_invalidation = steps[2].operation is Operation.INVALIDATE_TARGET
-    # Eviction-style rows need their prime/evict steps to fill the set.
-    # For an access probe that is the *slow* rows; for an invalidation
-    # probe the polarity inverts (fast = entry absent = evicted).
-    if probe_is_invalidation:
-        miss_based = vulnerability.observation is Observation.FAST
-    else:
-        miss_based = vulnerability.observation is Observation.SLOW
+    counter = "cycle" if probe_is_invalidation else "tlb_miss_count"
+    lines = [
+        f"# micro security benchmark: {vulnerability.pretty()}",
+        f"# trial: u {'maps' if mapped else 'does not map'} "
+        f"to the tested block (u = page {u_page:#x})",
+        f"csrw sbase, {layout.sbase}",
+        f"csrw ssize, {ssize}",
+    ]
+    pid = None
     for index, state in enumerate(steps):
-        emitter.comment(f"step {index + 1}: {state.pretty()}")
+        lines.append(f"# step {index + 1}: {state.pretty()}")
         if index == 2:
-            emitter.set_pid(_acting_pid(layout, state))
-            if probe_is_invalidation:
-                # Invalidations do not count as TLB misses; their timing
-                # signal is the extra cycle spent clearing a present entry
-                # (Appendix B), so measure cycles instead and subtract the
-                # fixed cost of the la/li/fast-sfence sequence.
-                emitter.begin_measurement(counter="cycle")
-            else:
-                emitter.begin_measurement()
-        _emit_step(
-            emitter,
-            state,
-            layout,
-            u_page,
-            ssize,
-            role=role_of(index, steps, miss_based),
-        )
-    # Fixed cycles inside an invalidation-probe window: the first csrr's
-    # own cycle + la + li + the fast (one-cycle) sfence = 4; a present
-    # entry costs one more (Appendix B).
-    emitter.end_measurement(baseline=4 if probe_is_invalidation else 0)
-    return emitter.render()
+            pid = _switch(lines, pid, _acting_pid(layout, state))
+            lines.append(f"csrr x5, {counter}")
+        for op in ops:
+            if op.step != index:
+                continue
+            pid = _switch(lines, pid, op.pid)
+            if op.kind == "sfence_all":
+                lines.append("sfence.vma")
+                continue
+            lines.append(f"la x1, page_{op.vpn:x}")
+            if op.kind == "sfence_page":
+                lines += [f"li x7, {op.owner}", "sfence.vma x1, x7"]
+                continue
+            secure = (
+                op.pid == layout.victim_pid
+                and layout.sbase <= op.vpn < layout.sbase + ssize
+            )
+            lines.append(f"{'ldrand' if secure else 'ldnorm'} x2, 0(x1)")
+    lines += [f"csrr x6, {counter}", "sub x10, x6, x5"]
+    if probe_is_invalidation:
+        # Fixed cycles inside an invalidation-probe window: the first
+        # csrr's own cycle + la + li + the fast (one-cycle) sfence = 4; a
+        # present entry costs one more (Appendix B).
+        lines.append("addi x10, x10, -4")
+    lines += [
+        # a0 > 0 <=> the probe was slow (missed / paid the extra
+        # invalidation cycle).
+        "beq x10, x0, fast_path",
+        "pass",  # PASS: slow observed
+        "fast_path:",
+        "fail",  # FAIL: fast observed
+        ".data",
+    ]
+    for vpn in sorted({op.vpn for op in ops if op.kind != "sfence_all"}):
+        lines += [f".org {vpn << 12:#x}", f"page_{vpn:x}: .dword 0"]
+    return "\n".join(lines) + "\n"
+
+
+def _switch(lines: List[str], current: Optional[int], pid: int) -> int:
+    """Make ``pid`` the running process; returns it."""
+    if pid != current:
+        lines.append(f"csrw process_id, {pid}")
+    return pid
 
 
 def role_of(index: int, steps, miss_based: bool) -> str:
@@ -334,52 +361,6 @@ def _acting_pid(layout: BenchmarkLayout, state: State) -> int:
     if state.actor is None:
         return layout.attacker_pid
     return layout.pid(state.actor)
-
-
-def _emit_step(
-    emitter: _Emitter,
-    state: State,
-    layout: BenchmarkLayout,
-    u_page: int,
-    ssize: int,
-    role: str,
-) -> None:
-    pid = _acting_pid(layout, state)
-
-    if state.operation is Operation.INVALIDATE_ALL:
-        emitter.sfence_all(pid)
-        return
-
-    if state.operation is Operation.INVALIDATE_TARGET:
-        vpn = single_page(state, layout, u_page)
-        # In-range pages belong to the victim's address space, so a targeted
-        # invalidation of u/a/alias names the victim's entry regardless of
-        # who triggers it (e.g. via mprotect-induced shootdown); a ``d``
-        # invalidation names the actor's own entry.
-        in_range = state.address in (
-            AddressClass.U,
-            AddressClass.A,
-            AddressClass.A_ALIAS,
-        )
-        owner = layout.victim_pid if in_range else pid
-        emitter.sfence_page(pid, vpn, owner)
-        return
-
-    if state.operation is Operation.STAR:  # pragma: no cover - never generated
-        return
-
-    # Normal accesses.
-    if state.address is AddressClass.U or role == "single":
-        emitter.access(pid, single_page(state, layout, u_page))
-        return
-
-    count = layout.prime_ways(state.actor)
-    pages = prime_pages(layout, state, ssize, count, u_page)
-    if role == "probe" and state.address in (AddressClass.A, AddressClass.A_ALIAS):
-        # The probe of an ``a`` pattern re-checks only the key page.
-        pages = pages[:1]
-    for vpn in pages:
-        emitter.access(pid, vpn)
 
 
 def single_page(state: State, layout: BenchmarkLayout, u_page: int) -> int:

@@ -4,10 +4,10 @@ Three layers of assurance, mirroring the module's claims:
 
 * unit tests of the lifted abstract machine (per-level fill disciplines,
   noise-site bookkeeping, LRU promotion);
-* differential pins: the symbolic benchmark expansion against the real
-  generated benchmarks running on the ISA CPU (deterministic designs
-  must agree exactly, trial-for-trial), and certificates against the
-  *committed* sweep matrix and Table 4 counts;
+* differential pins: the lifted machine against the real generated
+  benchmarks running on the ISA CPU (deterministic designs must agree
+  exactly, trial-for-trial), and certificates against the *committed*
+  sweep matrix and Table 4 counts;
 * certificate/schema contracts (evidence fields, PWC neutrality, the
   refill-channel variant).
 """
@@ -28,7 +28,6 @@ from repro.analysis.certify import (
     _LevelState,
     analyze_hypothesis,
     certify,
-    expand_benchmark,
     format_certificate,
 )
 from repro.model.table2 import table2_vulnerabilities
@@ -114,36 +113,34 @@ class TestMachineNoiseSites:
         assert analysis.envelope == frozenset({analysis.quiet_slow})
 
 
-class TestExpansion:
-    @pytest.mark.parametrize(
-        "vulnerability", table2_vulnerabilities(), ids=lambda v: v.pretty()
-    )
-    def test_window_is_exactly_step_three(self, vulnerability):
-        layout = layout_for_spec(spec_of("SA"))
-        for mapped in (True, False):
-            ops = expand_benchmark(vulnerability, layout, mapped)
-            assert ops, "expansion must not be empty"
-            for op in ops:
-                assert op.window == (op.step == 2)
+class TestScope:
+    def test_step_three_invalidation_probes_are_refused(self):
+        from repro.model.extended import invalidation_only_vulnerabilities
+        from repro.model.states import Operation
 
-    def test_pages_stay_inside_the_layout_region(self):
-        spec = spec_of("SA", "SA")
-        layout = layout_for_spec(spec)
-        for vulnerability in table2_vulnerabilities():
-            for mapped in (True, False):
-                for op in expand_benchmark(vulnerability, layout, mapped):
-                    if op.kind == "access":
-                        assert 0 < op.vpn < 0x10000
+        probes = [
+            vulnerability
+            for vulnerability in invalidation_only_vulnerabilities()
+            if vulnerability.pattern.steps[2].operation
+            is Operation.INVALIDATE_TARGET
+        ]
+        assert probes
+        for vulnerability in probes:
+            with pytest.raises(
+                NotImplementedError, match="no hierarchy ground truth"
+            ):
+                analyze_hypothesis(spec_of("SA"), vulnerability, True)
 
 
 class TestDynamicPin:
-    """The expansion against the real generated benchmarks on the CPU.
+    """The lifted machine against the generated benchmarks on the CPU.
 
     SA and SP are deterministic designs: a single trial of the assembled
     benchmark decides slow/fast exactly, and the lifted machine's quiet
     execution must agree row-for-row and hypothesis-for-hypothesis.
-    This is the strongest pin keeping ``expand_benchmark`` aligned with
-    ``repro.security.benchgen.generate``.
+    Both run the ops of :func:`repro.security.benchgen.expand`, so this
+    pins the machine's fills, partitions and walk count against the
+    CPU's.
     """
 
     @pytest.mark.parametrize("kind", ["SA", "SP"])

@@ -26,6 +26,7 @@ from repro.security import (
     region_size_for,
     secret_page,
 )
+from repro.security.benchgen import Op, expand
 from repro.tlb import HierarchySpec
 
 
@@ -222,3 +223,69 @@ class TestProgramPin:
                         program = generate(vulnerability, layout, mapped, ssize)
                         digest.update(program.encode())
         assert digest.hexdigest() == PROGRAMS_SHA256
+
+
+class TestExpansion:
+    @pytest.mark.parametrize(
+        "vulnerability", table2_vulnerabilities(), ids=lambda v: v.pretty()
+    )
+    def test_ops_follow_the_three_steps_in_order(self, vulnerability):
+        ssize = region_size_for(vulnerability)
+        for mapped in (True, False):
+            steps = [
+                op.step
+                for op in expand(vulnerability, BenchmarkLayout(), mapped, ssize)
+            ]
+            assert steps == sorted(steps)
+            assert set(steps) == {0, 1, 2}
+
+    def test_pages_stay_inside_the_layout_region(self):
+        layout = BenchmarkLayout(nsets=16)
+        for vulnerability in table2_vulnerabilities():
+            ssize = region_size_for(vulnerability)
+            for mapped in (True, False):
+                for op in expand(vulnerability, layout, mapped, ssize):
+                    if op.kind == "access":
+                        assert 0 < op.vpn < 0x10000
+
+
+def rendered_ops(program):
+    """The ops a program performs, read back from its loads and fences."""
+    ops = []
+    pid = step = vpn = owner = None
+    for line in program.splitlines():
+        if line == ".data":
+            break
+        if line.startswith("# step "):
+            step = int(line.split()[2].rstrip(":")) - 1
+        elif line.startswith("csrw process_id, "):
+            pid = int(line.split(", ")[1])
+        elif line.startswith("la x1, page_"):
+            vpn = int(line[len("la x1, page_"):], 16)
+        elif line.startswith("li x7, "):
+            owner = int(line.split(", ")[1])
+        elif line.startswith(("ldnorm ", "ldrand ")):
+            ops.append(Op("access", pid, vpn, step=step))
+        elif line == "sfence.vma":
+            ops.append(Op("sfence_all", pid, step=step))
+        elif line == "sfence.vma x1, x7":
+            ops.append(Op("sfence_page", pid, vpn, owner, step))
+        else:
+            assert line.startswith(("#", "csr", "sub ", "addi ", "beq ")) or (
+                line in ("pass", "fast_path:", "fail")
+            ), f"unexpected line {line!r}"
+    return ops
+
+
+class TestRendering:
+    def test_each_program_performs_exactly_the_expanded_ops(self):
+        rows = table2_vulnerabilities() + invalidation_only_vulnerabilities()
+        for layout in experiment_layouts():
+            for vulnerability in rows:
+                for mapped in (True, False):
+                    for size in REGION_SIZES:
+                        ssize = size or region_size_for(vulnerability)
+                        program = generate(vulnerability, layout, mapped, size)
+                        assert rendered_ops(program) == expand(
+                            vulnerability, layout, mapped, ssize
+                        ), (vulnerability.pretty(), layout, mapped, size)
