@@ -615,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_all.add_argument(
-        "--jobs", "-j", type=int, default=None,
+        "--jobs", "-j", type=COUNT.parse, default=None,
         help="worker processes (default: CPU count)",
     )
     run_all.add_argument(
@@ -702,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stable worker identity (default: <hostname>-<pid>)",
     )
     worker.add_argument(
-        "--poll-interval", type=float, default=0.5, metavar="SECONDS",
+        "--poll-interval", type=SECONDS.parse, default=0.5, metavar="SECONDS",
         help="how often to re-scan an idle board (default: 0.5)",
     )
     worker.add_argument(
@@ -752,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore and do not update the cell result cache",
     )
     serve.add_argument(
-        "--dispatchers", type=int, default=2, metavar="N",
+        "--dispatchers", type=COUNT.parse, default=2, metavar="N",
         help="jobs in flight at once (default: 2)",
     )
     serve.add_argument(
@@ -796,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI-smoke sizing (still differentially strict)",
     )
     bench.add_argument(
-        "--events", type=int, default=None,
+        "--events", type=COUNT.parse, default=None,
         help="replay length per trace (default: 400000, or 60000 with"
              " --quick)",
     )

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.options import NON_NEGATIVE, SECONDS
+from repro.options import COUNT, NON_NEGATIVE, SECONDS
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .distributed import WorkStealingExecutor
@@ -57,8 +57,8 @@ def run_all(
     ``log_path`` defaults to ``<results_dir>/run_log.jsonl``; pass an
     explicit path to redirect it.  ``options`` overrides declared
     experiment options (e.g. smaller trial counts for smoke tests).  A
-    bad option, ``max_retries``, ``task_timeout``, ``executor`` or
-    ``workers``, a ``task_timeout`` under work stealing, or a ``chaos``
+    bad option, ``jobs``, ``max_retries``, ``task_timeout``, ``executor``
+    or ``workers``, a ``task_timeout`` under work stealing, or a ``chaos``
     mode the chosen backend does not implement (the serial ``jobs=1``
     path without a ``task_timeout`` implements none) raises
     :class:`ValueError` before the run log, the cache or any cell is read.
@@ -99,8 +99,10 @@ def run_all(
         )
     if not NON_NEGATIVE.admits(workers):
         raise ValueError(f"workers must be {NON_NEGATIVE.noun}")
-    jobs = jobs if jobs is not None else default_jobs()
-    jobs = max(1, jobs)
+    if jobs is None:
+        jobs = default_jobs()
+    elif not COUNT.admits(jobs):
+        raise ValueError(f"jobs must be {COUNT.noun}")
     # A watchdog needs a process to kill, so a timeout puts even one job
     # on the pool.
     backend = (

@@ -388,6 +388,8 @@ class JobManager:
         state_dir: Union[Path, str, None] = None,
         dispatchers: int = 2,
     ) -> None:
+        if not COUNT.admits(dispatchers):
+            raise ValueError(f"dispatchers must be {COUNT.noun}")
         # The executor seals each envelope in this process: nothing
         # re-hashes it before the cell cache, whose reader checks every
         # digest.
@@ -404,7 +406,7 @@ class JobManager:
             if self.state_dir is not None
             else None
         )
-        self.dispatchers = max(1, dispatchers)
+        self.dispatchers = dispatchers
         self.code_version = (
             cache.code_version if cache is not None else code_fingerprint()
         )

@@ -124,6 +124,8 @@ class TestExecutorArguments:
                 "max_retries must be a non-negative integer",
             ),
             ({"max_retries": -1}, "max_retries must be a non-negative integer"),
+            ({"jobs": 0}, "jobs must be a positive integer"),
+            ({"jobs": -3}, "jobs must be a positive integer"),
             ({"max_retries": 1.5}, "max_retries must be a non-negative integer"),
             (
                 {"jobs": 2, "task_timeout": 0},

@@ -13,7 +13,11 @@ import json
 import threading
 import time
 
+import pytest
+
 from repro.serve import jobs
+from repro.serve.metrics import ServiceMetrics
+from repro.serve.store import ResultStore
 from repro.sim.kernel import KernelCounts
 
 from .conftest import CONCURRENCY, RUN_CALLS, RUN_THREADS
@@ -458,3 +462,16 @@ def test_concurrent_jobs_each_report_their_solo_kernel_counts(
             assert gauges[f"kernel_{name}"] == sum(
                 kernel[name] for kernel in solo
             )
+
+
+@pytest.mark.parametrize("dispatchers", [0, -2])
+def test_fewer_than_one_dispatcher_is_refused(tmp_path, dispatchers):
+    # Once, a count below 1 was clamped to one dispatcher.
+    with pytest.raises(
+        ValueError, match="dispatchers must be a positive integer"
+    ):
+        jobs.JobManager(
+            ResultStore(tmp_path / "store"),
+            ServiceMetrics(),
+            dispatchers=dispatchers,
+        )

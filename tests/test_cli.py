@@ -148,6 +148,44 @@ class TestParser:
         assert raised.value.code == 2
         assert "argument --workers:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["run-all", "--filter", "table5*", "--jobs", "-3"], "--jobs"),
+            (["run-all", "--jobs", "0"], "--jobs"),
+            (["serve", "--dispatchers", "-2"], "--dispatchers"),
+            (["serve", "--dispatchers", "0"], "--dispatchers"),
+            (
+                ["worker", "board", "--poll-interval", "-1", "--idle-exit", "1"],
+                "--poll-interval",
+            ),
+            (["worker", "board", "--poll-interval", "0"], "--poll-interval"),
+            (
+                ["bench", "--quick", "--events", "0", "--skip-cells", "--out", ""],
+                "--events",
+            ),
+        ],
+    )
+    def test_a_number_a_command_cannot_honour_is_a_usage_error(
+        self, capsys, argv, flag
+    ):
+        # Once, --jobs and --dispatchers below 1 were clamped to 1, a
+        # negative --poll-interval crashed an idle worker, and --events 0
+        # benchmarked empty replays.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "must be a positive" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("idle_exit", ["0", "-1"])
+    def test_a_non_positive_idle_exit_is_not_a_usage_error(self, idle_exit):
+        args = build_parser().parse_args(
+            ["worker", "board", "--idle-exit", idle_exit]
+        )
+        assert args.idle_exit == float(idle_exit)
+
     def test_run_all_budgets_parse(self):
         args = build_parser().parse_args(
             ["run-all", "--max-retries", "0", "--task-timeout", "0.5"]
