@@ -1,11 +1,11 @@
-"""Memory-management substrate: Sv39 addresses, page tables, walker, toy OS.
+"""Memory-management substrate: Sv39 addresses, page tables, walker.
 
 This is the translation machinery beneath the TLBs: a three-level radix
 page table per address space, a page-table walker implementing the TLB's
 miss path with a per-level cycle cost (RISC-V has no page-walk cache,
-footnote 3), and a toy OS that creates processes/ASIDs, maps pages, and
-applies context-switch TLB policies (including the Sanctum/SGX-style
-flush-on-switch mitigation of Section 2.3 as an ablation).
+footnote 3), and the context-switch TLB policies (including the
+Sanctum/SGX-style flush-on-switch mitigation of Section 2.3 as an
+ablation) that :class:`repro.sim.MemorySystem` applies.
 """
 
 from .address import (
@@ -21,7 +21,7 @@ from .address import (
     vpn_levels,
     vpn_of,
 )
-from .os_model import Process, SwitchPolicy, ToyOS
+from .os_model import SwitchPolicy
 from .page_table import PageFault, PageTable, PageTableEntry, Permission
 from .walker import PageTableWalker, WalkerConfig, make_walker
 
@@ -36,9 +36,7 @@ __all__ = [
     "PageTableEntry",
     "PageTableWalker",
     "Permission",
-    "Process",
     "SwitchPolicy",
-    "ToyOS",
     "VA_BITS",
     "WalkerConfig",
     "address_of",

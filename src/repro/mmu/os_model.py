@@ -1,29 +1,16 @@
-"""A toy operating-system model: processes, ASIDs, mappings, switches.
+"""What the operating system does to the TLB on a context switch.
 
-The performance evaluation (Section 6) runs the victim (RSA) alongside SPEC
-benchmarks under Linux; this module provides the minimal OS behaviour that
-shapes TLB contents:
-
-* process creation with ASID assignment (the paper's convention: ASID 1 is
-  the protected victim, everything else is a potential attacker);
-* page allocation (``mmap``) backed by a physical frame allocator;
-* context switches, with a configurable TLB policy so the software
-  mitigations of Section 2.3 can be reproduced as ablations: keep entries
-  (standard ASID-tagged Linux behaviour), flush everything (the Sanctum /
-  SGX "flush on enclave switch" defence), or flush the outgoing ASID;
-* ``sfence.vma``: full, per-ASID, or per-page TLB invalidation.
+The performance evaluation (Section 6) runs the victim (RSA) alongside
+SPEC benchmarks under Linux.  :meth:`repro.sim.MemorySystem.context_switch`
+applies one of these policies on every switch, so the software mitigations
+of Section 2.3 can be reproduced as ablations: keep entries (standard
+ASID-tagged Linux behaviour), flush everything (the Sanctum / SGX "flush on
+enclave switch" defence), or flush the outgoing ASID.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.tlb.base import BaseTLB
-
-from .page_table import PageTable, Permission
-from .walker import PageTableWalker
 
 
 class SwitchPolicy(enum.Enum):
@@ -36,158 +23,3 @@ class SwitchPolicy(enum.Enum):
     FLUSH_ALL = "flush_all"
     #: Flush only the outgoing process's entries.
     FLUSH_OUTGOING = "flush_outgoing"
-
-
-@dataclass
-class Process:
-    """One schedulable address space."""
-
-    pid: int
-    asid: int
-    name: str
-    page_table: PageTable
-    #: Bump pointer for mmap allocations (in pages).
-    _next_vpn: int = 0x100
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"{self.name}(pid={self.pid}, asid={self.asid})"
-
-
-class ToyOS:
-    """Owns processes and mediates their use of the walker and the TLB."""
-
-    def __init__(
-        self,
-        walker: PageTableWalker,
-        tlb: Optional[BaseTLB] = None,
-        switch_policy: SwitchPolicy = SwitchPolicy.KEEP,
-    ) -> None:
-        self.walker = walker
-        self.tlb = tlb
-        self.switch_policy = switch_policy
-        self._processes: Dict[int, Process] = {}
-        self._next_pid = 1
-        self._next_asid = 1
-        self._next_frame = 0x10000
-        self.current: Optional[Process] = None
-        self.context_switches = 0
-
-    # -- process management -------------------------------------------------------
-
-    def create_process(self, name: str, asid: Optional[int] = None) -> Process:
-        """Create a process; ASIDs default to 1, 2, 3, ... in creation order
-        (so the first-created process is the paper's protected victim)."""
-        if asid is None:
-            asid = self._next_asid
-        if any(p.asid == asid for p in self._processes.values()):
-            raise ValueError(f"ASID {asid} already in use")
-        self._next_asid = max(self._next_asid, asid) + 1
-        pid = self._next_pid
-        self._next_pid += 1
-        table = PageTable(asid)
-        self.walker.register(table)
-        process = Process(pid=pid, asid=asid, name=name, page_table=table)
-        self._processes[pid] = process
-        if self.current is None:
-            self.current = process
-        return process
-
-    def processes(self) -> List[Process]:
-        return list(self._processes.values())
-
-    # -- memory management ----------------------------------------------------------
-
-    def allocate_frame(self) -> int:
-        frame = self._next_frame
-        self._next_frame += 1
-        return frame
-
-    def mmap(
-        self,
-        process: Process,
-        pages: int,
-        vpn: Optional[int] = None,
-        permissions: Permission = Permission.rw(),
-    ) -> int:
-        """Map ``pages`` contiguous pages; returns the first VPN."""
-        if pages <= 0:
-            raise ValueError("must map at least one page")
-        if vpn is None:
-            vpn = process._next_vpn
-        process._next_vpn = max(process._next_vpn, vpn + pages)
-        for index in range(pages):
-            process.page_table.map_page(
-                vpn + index, self.allocate_frame(), permissions
-            )
-        return vpn
-
-    def map_superpage(
-        self,
-        process: Process,
-        vpn: int,
-        level: int = 1,
-        permissions: Permission = Permission.rw(),
-    ) -> int:
-        """Map one aligned superpage (level 1 = 2 MiB) for ``process``.
-
-        The Section 2.3 software mitigation: backing a crypto library's
-        data with a large page gives its entire region a single TLB entry,
-        removing per-page access patterns.  Returns the base VPN.
-        """
-        span = 1 << (9 * level)
-        if vpn % span:
-            raise ValueError(f"superpage base {vpn:#x} not {span}-page aligned")
-        frame_base = self._next_frame
-        # Physical frames for superpages must be aligned too.
-        frame_base += (-frame_base) % span
-        self._next_frame = frame_base + span
-        process.page_table.map_page(
-            vpn, frame_base, permissions, level=level
-        )
-        process._next_vpn = max(process._next_vpn, vpn + span)
-        return vpn
-
-    def munmap(self, process: Process, vpn: int, pages: int = 1) -> None:
-        """Unmap pages and shoot down their TLB entries (TLB coherence)."""
-        for index in range(pages):
-            process.page_table.unmap_page(vpn + index)
-            if self.tlb is not None:
-                self.tlb.invalidate_page(vpn + index, process.asid)
-
-    # -- scheduling -------------------------------------------------------------------
-
-    def context_switch(self, process: Process) -> None:
-        """Switch to ``process``, applying the configured TLB policy."""
-        if process.pid not in self._processes:
-            raise ValueError(f"unknown process {process}")
-        outgoing = self.current
-        self.current = process
-        self.context_switches += 1
-        if self.tlb is None or outgoing is process:
-            return
-        if self.switch_policy is SwitchPolicy.FLUSH_ALL:
-            self.tlb.flush_all()
-        elif self.switch_policy is SwitchPolicy.FLUSH_OUTGOING and outgoing:
-            self.tlb.flush_asid(outgoing.asid)
-
-    # -- TLB maintenance (sfence.vma) ---------------------------------------------------
-
-    def sfence_vma(
-        self, vpn: Optional[int] = None, asid: Optional[int] = None
-    ) -> None:
-        """RISC-V ``sfence.vma``: invalidate TLB translations.
-
-        With no operands, everything is flushed; with an ASID, that address
-        space; with both, one page of one address space.  The walker's walk
-        memo is fenced with the same granularity: after the fence, the next
-        walk re-reads the page table.
-        """
-        self.walker.invalidate_memo(asid=asid, vpn=vpn)
-        if self.tlb is None:
-            return
-        if vpn is None and asid is None:
-            self.tlb.flush_all()
-        elif vpn is None:
-            self.tlb.flush_asid(asid)
-        else:
-            self.tlb.invalidate_page(vpn, asid if asid is not None else 0)

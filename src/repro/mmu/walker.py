@@ -62,8 +62,8 @@ class PageTableWalker:
         #: (RISC-V has no page-walk cache, footnote 3 -- architecturally
         #: every walk is real; the memo only skips the Python radix
         #: traversal and the WalkResult allocation, which is legal because
-        #: WalkResult is frozen).  Any page-table version bump, re-register
-        #: or ``sfence.vma`` invalidates.
+        #: WalkResult is frozen).  Any page-table version bump or
+        #: re-register invalidates.
         self._memo: Dict[Tuple[int, int], Tuple[int, WalkResult]] = {}
 
     def register(self, table: PageTable) -> None:
@@ -106,10 +106,9 @@ class PageTableWalker:
     ) -> None:
         """Drop memoized walks (all, per-ASID, per-page, or one).
 
-        Wired to ``sfence.vma`` by the OS model.  Page-table version
-        checks already make the memo remap-safe; this keeps the fence's
-        architectural contract explicit and bounds memo growth across
-        address-space teardown.
+        :meth:`register` drops a re-registered address space's walks.
+        Page-table version checks already make the memo remap-safe; this
+        bounds memo growth when an address space is replaced.
         """
         if asid is None and vpn is None:
             self._memo.clear()

@@ -104,15 +104,3 @@ class TestSuperpageMechanics:
         result = tlb.invalidate_page(vpn=0x44, asid=1)  # different 4K page
         assert result.hit
         assert not tlb.resident(0x3, 1)
-
-    def test_os_map_superpage(self):
-        from repro.mmu import PageTableWalker, ToyOS
-
-        os = ToyOS(PageTableWalker())
-        process = os.create_process("crypto")
-        base = os.map_superpage(process, vpn=0x200, level=1)
-        assert base == 0x200
-        entry = process.page_table.lookup(0x2A5)
-        assert entry is not None and entry.level == 1
-        with pytest.raises(ValueError):
-            os.map_superpage(process, vpn=0x201, level=1)
