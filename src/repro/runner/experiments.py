@@ -1,26 +1,29 @@
 """The standard experiment set, registered at cell granularity.
 
-Each experiment mirrors one section of ``scripts/run_full_evaluation.py``:
+Each experiment produces one part of the full evaluation that
+``python -m repro run-all`` writes to ``results/``:
 
-========== =====================================================
-table2     the Table 2 derivation + exact-match check
-table4     24 vulnerabilities x 3 designs (500 trials/cell)
-table7     48 Appendix B rows x 3 designs (200 trials/cell)
-fig7       the Figure 7 grid (19 configs x 10 scenarios) and the
-           50/100/150 decryption series
-table5     the area model (single cell)
-mitigations 5 mitigation specs x 24 vulnerabilities
-hierarchy  3 L1/L2 combinations x 24 vulnerabilities
-largepages base + extended walker x 24 vulnerabilities
-sweeps     partition / region / policy / walk-latency points
-attacks    every end-to-end attack, one cell per (attack, design)
-========== =====================================================
+=============== =====================================================
+table2          the Table 2 derivation + exact-match check
+table4          24 vulnerabilities x 3 designs (500 trials/cell)
+table7          48 Appendix B rows x 3 designs (200 trials/cell)
+fig7            the Figure 7 grid (19 configs x 10 scenarios) and the
+                50/100/150 decryption series
+table5          the area model (single cell)
+mitigations     5 mitigation specs x 24 vulnerabilities
+hierarchy       3 L1/L2 combinations x 24 vulnerabilities
+hierarchy_sweep 24 L1 x L2 x PWC designs x (7 rows + a performance
+                point), plus the refill-leakage cross-check
+largepages      base + extended walker x 24 vulnerabilities
+sweeps          partition / region / policy / walk-latency points
+attacks         every end-to-end attack, one cell per (attack, design)
+=============== =====================================================
 
 Cells carry their complete inputs in ``params`` (picklable plain types
 only -- enum *names*, row indices, trial counts), so a worker process can
 run any cell from the registry alone and the cache can key on the params
 verbatim.  The options each experiment declares, at their defaults
-(:data:`DEFAULT_OPTIONS`), reproduce the serial script's artifacts exactly.
+(:data:`DEFAULT_OPTIONS`), reproduce the committed ``results/`` exactly.
 """
 
 from __future__ import annotations

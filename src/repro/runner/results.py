@@ -1,10 +1,9 @@
-"""Merge assembled experiment results into the serial path's artifacts.
+"""Write the ``results/`` artifacts from assembled experiment results.
 
-This module is the byte-exact mirror of ``scripts/run_full_evaluation.py``:
-given each experiment's :meth:`~repro.runner.registry.Experiment.assemble`
-output, it writes the same ``results/*.txt`` / ``results/*.csv`` files with
-the same formatting, so ``python -m repro run-all --jobs N`` and the serial
-script produce identical artifacts for any ``N``.
+Given each experiment's :meth:`~repro.runner.registry.Experiment.assemble`
+output, this module writes the ``results/*.txt`` / ``results/*.csv``
+files, byte-identical for any ``python -m repro run-all --jobs N`` (and
+for ``scripts/run_full_evaluation.py``, which runs ``run-all``).
 
 Artifacts are only written when every experiment they draw from completed
 in full -- a filtered or partially-failed run skips the affected files
