@@ -21,6 +21,8 @@ coordination happens exclusively through atomic filesystem operations in
     renews ``heartbeat`` from a background thread; any other party that
     finds a heartbeat older than the lease TTL *reclaims* the lease --
     rename-to-private-name first, so exactly one reclaimer wins too.
+    Once it holds the lease a claimant reads the cell's journal and
+    result again, and gives back a claim made on a stale read.
 ``attempts/<cell>.jsonl``
     Append-only per-cell attempt history: every error, reclaim, rejected
     result and completion lands here as a
@@ -563,6 +565,16 @@ class WorkerLoop:
                 heartbeat=heartbeat, force=force,
             )
             if lease is None:
+                continue
+            if not force and (
+                self.board.results.path(cell).is_file()
+                or self._claimable(cell, policy) != attempt
+            ):
+                # A peer ran this attempt, or finished the cell, and
+                # released its lease between the reads above and our
+                # claim.  Under the lease the journal is settled, so the
+                # stale attempt number is given back, not run twice.
+                self.board.release(cell, self.worker_id)
                 continue
             self._run_claimed(cell, unit, attempt, fault, policy)
             return True

@@ -4,7 +4,9 @@ The board tests pin the protocol's atomic clauses one at a time
 (exclusive claims, owner-checked renewal, single-winner reclamation);
 the executor tests drive the whole loop -- spawned local workers,
 graceful degradation to inline execution, and cross-worker poison
-quarantine with its full attempt history.
+quarantine with its full attempt history.  The stale-claim tests
+put a peer's whole attempt between a worker's journal read and its
+claim.
 """
 
 import json
@@ -12,7 +14,7 @@ import time
 
 import pytest
 
-from repro.runner.cache import code_fingerprint
+from repro.runner.cache import code_fingerprint, unit_cache_key
 from repro.runner.distributed import (
     Board,
     Lease,
@@ -313,3 +315,64 @@ class TestWorkStealingExecutor:
         assert len(outcome.history) == 2
         assert [record["attempt"] for record in outcome.history] == [1, 2]
         assert all("backoff" in record for record in outcome.history)
+
+
+def _journal(board, cell):
+    return [
+        (record["attempt"], record["worker"], record["status"])
+        for record in board.attempt_records(cell)
+    ]
+
+
+class TestClaimOnAStaleRead:
+    """A peer may run an attempt and release the cell between another
+    worker's read of the board and that worker's claim; the claim holds
+    the lease then, and must not run the same attempt a second time."""
+
+    @pytest.fixture
+    def race(self, board, monkeypatch):
+        """Publish one cell; ``w2``'s claim lets ``w1`` run it first."""
+
+        def publish(unit):
+            cell = unit_cache_key(unit, code_fingerprint())
+            board.publish(
+                unit, cell,
+                {"code_version": code_fingerprint(), **POLICY.to_dict()},
+            )
+            peer = WorkerLoop(board, worker_id="w1")
+            late = Board(board.root.parent)
+            try_claim = late.try_claim
+
+            def claim_after_the_peer(*args, **kwargs):
+                monkeypatch.setattr(late, "try_claim", try_claim)
+                assert peer.run_once()
+                return try_claim(*args, **kwargs)
+
+            monkeypatch.setattr(late, "try_claim", claim_after_the_peer)
+            return cell, WorkerLoop(late, worker_id="w2")
+
+        return publish
+
+    def test_a_peers_failed_attempt_is_not_run_again(self, board, toy, race):
+        cell, late = race(toy.unit("boom", value=1, boom=True))
+        assert not late.run_once()
+        assert _journal(board, cell) == [(1, "w1", "error")]
+        assert board.read_lease(cell) is None
+
+    def test_a_cell_a_peer_finished_is_not_run_again(self, board, toy, race):
+        cell, late = race(toy.unit("fine", value=2))
+        assert not late.run_once()
+        assert _journal(board, cell) == [(1, "w1", "ok")]
+        assert board.read_lease(cell) is None
+        assert late.cells_completed == 0
+
+    def test_the_given_back_cell_runs_its_next_attempt_after_backoff(
+        self, board, toy, race
+    ):
+        cell, late = race(toy.unit("boom", value=1, boom=True))
+        assert not late.run_once()
+        (record,) = board.attempt_records(cell)
+        time.sleep(max(0.0, record["not_before"] - time.time()) + 0.01)
+        assert late.run_once()
+        assert _journal(board, cell) == [(1, "w1", "error"), (2, "w2", "error")]
+        assert board.read_lease(cell) is None
