@@ -36,8 +36,7 @@ from repro.model.capacity import ChannelEstimate
 from repro.model.patterns import Vulnerability
 from repro.model.table2 import table2_vulnerabilities
 from repro.security.evaluate import EvaluationConfig, SecurityEvaluator
-from repro.security.kinds import TLBKind, make_hierarchy
-from repro.tlb import TLBConfig
+from repro.tlb import TLBConfig, TLBKind, make_hierarchy
 from repro.tlb.spec import (
     HierarchySpec,
     LevelSpec,

@@ -28,7 +28,7 @@ from repro.security.evaluate import (
     VulnerabilityResult,
     table4_spec,
 )
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 
 #: Pages per level-1 superpage (Sv39 megapage).
 MEGAPAGE_SPAN = 512

@@ -28,8 +28,7 @@ from repro.security.evaluate import (
     SecurityEvaluator,
     VulnerabilityResult,
 )
-from repro.security.kinds import TLBKind
-from repro.tlb import HierarchySpec, fully_associative
+from repro.tlb import HierarchySpec, TLBKind, fully_associative
 
 
 @dataclass(frozen=True)

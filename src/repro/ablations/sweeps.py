@@ -29,8 +29,7 @@ from repro.security.evaluate import (
     SecurityEvaluator,
     table4_spec,
 )
-from repro.security.kinds import TLBKind, make_tlb
-from repro.tlb import ReplacementKind, TLBConfig
+from repro.tlb import ReplacementKind, TLBConfig, TLBKind, make_tlb
 from repro.workloads.rsa import RSAWorkload, generate_key
 from repro.workloads.spec import OMNETPP, SpecProfile
 

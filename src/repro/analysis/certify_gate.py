@@ -152,7 +152,7 @@ def _flat_leg(checks: List[GateCheck]) -> None:
         SecurityEvaluator,
         table4_spec,
     )
-    from repro.security.kinds import TLBKind
+    from repro.tlb import TLBKind
 
     config = EvaluationConfig(trials=FLAT_TRIALS)
     evaluator = SecurityEvaluator(config)

@@ -48,7 +48,7 @@ def _check_guest(
     from repro.analysis.taint import analyze_program
     from repro.analysis.workloads import GUEST_WORKLOADS
     from repro.isa.assembler import assemble
-    from repro.security.kinds import TLBKind
+    from repro.tlb import TLBKind
 
     blocks: List[str] = []
     payloads: List[dict] = []

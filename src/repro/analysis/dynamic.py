@@ -20,9 +20,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU
-from repro.security.kinds import TLBKind, make_hierarchy, make_tlb
 from repro.sim.events import AccessEvent, EventBus
 from repro.sim.system import MemorySystem
+from repro.tlb import TLBKind, make_hierarchy, make_tlb
 from repro.tlb.config import TLBConfig
 from repro.tlb.spec import HierarchySpec
 

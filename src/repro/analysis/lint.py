@@ -5,8 +5,8 @@ invariants that ordinary linters cannot express.  Each is a named rule
 over Python ASTs:
 
 ``facade-tlb-construction``
-    TLB designs are built only inside ``repro.tlb`` and the registered
-    factories of ``repro.security.kinds``; every drive loop goes through
+    TLB designs are built only inside ``repro.tlb``, home of the registered
+    factories (``repro.tlb.kinds``); every drive loop goes through
     ``make_tlb`` (flat designs) or ``make_hierarchy`` (the one sanctioned
     multi-level constructor) so experiments stay comparable and
     observable through the :class:`repro.sim.MemorySystem` facade.
@@ -189,12 +189,11 @@ def _call_name(node: ast.Call) -> Optional[str]:
 class FacadeTLBConstruction(Rule):
     name = "facade-tlb-construction"
     description = (
-        "TLB designs are constructed only in repro.tlb and the"
-        " repro.security.kinds factories (use make_tlb, or make_hierarchy"
-        " for multi-level designs)"
+        "TLB designs are constructed only in repro.tlb, whose factories"
+        " every drive loop uses (make_tlb, or make_hierarchy for"
+        " multi-level designs)"
     )
     allowed_prefixes = ("repro/tlb/",)
-    allowed_files = ("repro/security/kinds.py",)
 
     def check(self, tree: ast.Module, relpath: str) -> Iterator[LintFinding]:
         for node in ast.walk(tree):
@@ -204,7 +203,7 @@ class FacadeTLBConstruction(Rule):
                     relpath,
                     f"direct {_call_name(node)}(...) construction;"
                     " go through the registered factories in"
-                    " repro.security.kinds",
+                    " repro.tlb.kinds",
                 )
 
 
@@ -433,14 +432,11 @@ class CertifiableHierarchy(Rule):
         " the declarative catalogs so every design stays certifiable by"
         " `python -m repro certify`"
     )
-    #: The spec type, its flat-design constructor and the live
-    #: constructor live in repro.tlb; the sanctioned factory and the
-    #: sweep's spec catalog may spell levels out.
+    #: The spec type, its flat-design constructor, the live constructor
+    #: and the sanctioned factory live in repro.tlb; they and the sweep's
+    #: spec catalog may spell levels out.
     allowed_prefixes = ("repro/tlb/",)
-    allowed_files = (
-        "repro/security/kinds.py",
-        "repro/ablations/hierarchy.py",
-    )
+    allowed_files = ("repro/ablations/hierarchy.py",)
 
     def check(self, tree: ast.Module, relpath: str) -> Iterator[LintFinding]:
         for node in ast.walk(tree):

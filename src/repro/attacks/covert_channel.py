@@ -20,11 +20,10 @@ from typing import List, Optional
 
 from repro.model.capacity import channel_capacity
 from repro.mmu import make_walker
-from repro.security.kinds import TLBKind, make_tlb
 from repro.sim.events import EventBus
 from repro.sim.probe import SetProber
 from repro.sim.system import MemorySystem
-from repro.tlb import RandomFillTLB, TLBConfig
+from repro.tlb import RandomFillTLB, TLBConfig, TLBKind, make_tlb
 
 SENDER_ASID = 1  # The "victim" role: the protected process.
 RECEIVER_ASID = 2

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.mmu import PageTableWalker, make_walker
-from repro.security.kinds import TLBKind, make_tlb
 from repro.sim.events import EventBus
 from repro.sim.system import MemorySystem
-from repro.tlb import RandomFillTLB, TLBConfig
+from repro.tlb import RandomFillTLB, TLBConfig, TLBKind, make_tlb
 from repro.tlb.base import BaseTLB
 
 VICTIM_ASID = 1

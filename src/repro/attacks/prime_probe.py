@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.mmu import PageTableWalker, make_walker
-from repro.security.kinds import TLBKind, make_tlb
 from repro.sim.events import EventBus
 from repro.sim.probe import SetProber, pages_for_set
 from repro.sim.system import MemorySystem
-from repro.tlb import RandomFillTLB, TLBConfig
+from repro.tlb import RandomFillTLB, TLBConfig, TLBKind, make_tlb
 from repro.tlb.base import BaseTLB
 from repro.workloads.rsa import MPIBuffers, RSAKey, TracedModExp, generate_key
 

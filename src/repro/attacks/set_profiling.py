@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.mmu import make_walker
-from repro.security.kinds import TLBKind, make_tlb
 from repro.sim.events import EventBus
 from repro.sim.probe import SetProber
 from repro.sim.system import MemorySystem
-from repro.tlb import RandomFillTLB, TLBConfig
+from repro.tlb import RandomFillTLB, TLBConfig, TLBKind, make_tlb
 
 VICTIM_ASID = 1
 ATTACKER_ASID = 2

@@ -358,7 +358,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             f" {report.kernel_fallback_accesses:,} probed"
             f" ({share:.0%} run share)"
             f" · {report.kernel_runs:,} runs"
-            f" · backend {report.kernel_backend}"
         )
         print(
             f"fast path built: {report.kernel_traces_compiled:,} traces"
@@ -491,7 +490,7 @@ def _add_design_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.options import COUNT, NON_NEGATIVE, SECONDS
+    from repro.options import BURST, COUNT, NON_NEGATIVE, PORT, SECONDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -610,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Shard every registered experiment into cells, run them across"
             " worker processes with result caching, and merge the"
-            " full-fidelity results/ artifacts (byte-identical to the"
-            " serial scripts/run_full_evaluation.py)."
+            " full-fidelity results/ artifacts (byte-identical under every"
+            " executor; scripts/run_full_evaluation.py runs this command)."
         ),
     )
     run_all.add_argument(
@@ -736,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind address (default: 127.0.0.1)",
     )
     serve.add_argument(
-        "--port", type=int, default=8321,
+        "--port", type=PORT.parse, default=8321,
         help="bind port; 0 lets the OS pick (default: 8321)",
     )
     serve.add_argument(
@@ -763,8 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--quota-burst", type=float, default=10.0, metavar="TOKENS",
-        help="per-client burst allowance (default: 10)",
+        "--quota-burst", type=BURST.parse, default=10.0, metavar="TOKENS",
+        help="per-client burst allowance, at least 1 (default: 10)",
     )
     serve.add_argument(
         "--drain-timeout", type=float, default=20.0, metavar="SECONDS",

@@ -161,7 +161,7 @@ def build_campaign_memory(design: str = "SA", seed: int = 2019) -> MemorySystem:
     """
     import random
 
-    from repro.security.kinds import TLBKind, make_hierarchy, make_tlb
+    from repro.tlb import TLBKind, make_hierarchy, make_tlb
     from repro.tlb.config import TLBConfig
     from repro.tlb.spec import HierarchySpec
 

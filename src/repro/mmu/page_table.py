@@ -109,9 +109,9 @@ class PageTable:
         """Monotonic mapping-change counter.
 
         Bumped by every :meth:`map_page` / :meth:`unmap_page` that alters a
-        translation; the walker's memo stores the version it walked under
-        and treats any bump as wholesale invalidation, so a remap can never
-        serve a stale memoized :class:`WalkResult`.
+        translation.  It is part of the walker's ``memo_token``, so the run
+        kernel's walk cache treats any bump as wholesale invalidation and a
+        remap can never serve a stale cached walk.
         """
         return self._version
 

@@ -15,7 +15,7 @@ request, so a walk for an RFE-drawn address never page-faults.  With
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.tlb.base import WalkResult
 
@@ -57,20 +57,11 @@ class PageTableWalker:
         #: :meth:`memo_token` can never alias a fresh table whose version
         #: counter happens to match the old one's.
         self._register_epoch = 0
-        #: Walk memo: (asid, vpn) -> (table version walked under, result).
-        #: A memo hit still counts as a walk and charges the same cycles
-        #: (RISC-V has no page-walk cache, footnote 3 -- architecturally
-        #: every walk is real; the memo only skips the Python radix
-        #: traversal and the WalkResult allocation, which is legal because
-        #: WalkResult is frozen).  Any page-table version bump or
-        #: re-register invalidates.
-        self._memo: Dict[Tuple[int, int], Tuple[int, WalkResult]] = {}
 
     def register(self, table: PageTable) -> None:
         """Attach an address space (keyed by its ASID)."""
         self._tables[table.asid] = table
         self._register_epoch += 1
-        self.invalidate_memo(asid=table.asid)
 
     def memo_token(self, asid: int) -> int:
         """Walk-memoization validity token for one address space.
@@ -101,30 +92,6 @@ class PageTableWalker:
         table = self._tables.get(asid)
         return table is not None and table.superpages_ever
 
-    def invalidate_memo(
-        self, asid: Optional[int] = None, vpn: Optional[int] = None
-    ) -> None:
-        """Drop memoized walks (all, per-ASID, per-page, or one).
-
-        :meth:`register` drops a re-registered address space's walks.
-        Page-table version checks already make the memo remap-safe; this
-        bounds memo growth when an address space is replaced.
-        """
-        if asid is None and vpn is None:
-            self._memo.clear()
-        elif vpn is None:
-            self._memo = {
-                key: value for key, value in self._memo.items()
-                if key[0] != asid
-            }
-        elif asid is None:
-            self._memo = {
-                key: value for key, value in self._memo.items()
-                if key[1] != vpn
-            }
-        else:
-            self._memo.pop((asid, vpn), None)
-
     def table_for(self, asid: int) -> PageTable:
         try:
             return self._tables[asid]
@@ -138,10 +105,6 @@ class PageTableWalker:
     def walk(self, vpn: int, asid: int) -> WalkResult:
         """Resolve a translation, charging one access per level touched."""
         self.walks += 1
-        key = (asid, vpn)
-        memo = self._memo.get(key)
-        if memo is not None and memo[0] == self._tables[asid].version:
-            return memo[1]
         table = self.table_for(asid)
         levels_touched, entry = table.walk_levels(vpn)
         if entry is None:
@@ -151,13 +114,11 @@ class PageTableWalker:
             entry = table.map_page(vpn, self._next_frame, Permission.rw())
             self._next_frame += 1
             levels_touched = LEVELS
-        result = WalkResult(
+        return WalkResult(
             ppn=entry.translate(vpn),
             cycles=levels_touched * self.config.cycles_per_level,
             level=entry.level,
         )
-        self._memo[key] = (table.version, result)
-        return result
 
     def peek(self, vpn: int, asid: int) -> Optional[int]:
         """Side-effect-free translation lookup: the PPN, or ``None``.
@@ -200,8 +161,7 @@ class PageTableWalker:
 
     def checkpoint(self) -> tuple:
         """This walker's state, for :meth:`rewind`: every registered
-        table's own checkpoint, the next frame, the counters and the
-        walk memo."""
+        table's own checkpoint, the next frame and the counters."""
         return (
             [
                 (asid, table, table.checkpoint())
@@ -211,24 +171,21 @@ class PageTableWalker:
             self.walks,
             self.faults,
             self._register_epoch,
-            dict(self._memo),
         )
 
     def rewind(self, state: tuple) -> None:
         """Return to a :meth:`checkpoint`, in place.
 
         Tables auto-created since are dropped and the rest rewound, so a
-        rewound walker maps, memoizes and allocates frames exactly as it
-        did after the checkpoint.
+        rewound walker maps and allocates frames exactly as it did after
+        the checkpoint.
         """
         (tables, self._next_frame, self.walks, self.faults,
-         self._register_epoch, memo) = state
+         self._register_epoch) = state
         self._tables.clear()
         for asid, table, table_state in tables:
             self._tables[asid] = table
             table.rewind(table_state)
-        self._memo.clear()
-        self._memo.update(memo)
 
 
 def make_walker(

@@ -51,6 +51,18 @@ SECONDS = Kind(
     read=float,
 )
 
+#: ``serve --port`` (0 lets the OS pick) and ``serve --quota-burst``: a
+#: bucket must hold the one token a submission costs.
+PORT = Kind(
+    "a port number from 0 to 65535",
+    lambda value: NON_NEGATIVE.admits(value) and value <= 65535,
+)
+BURST = Kind(
+    "a number of tokens of at least 1",
+    lambda value: isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 1,
+    read=float,
+)
+
 
 class Option(NamedTuple):
     """One experiment option: its name, its default, and the kind of value

@@ -25,8 +25,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.security.kinds import TLBKind
-from repro.tlb import TLBConfig
+from repro.tlb import TLBConfig, TLBKind
 
 from .configs import config_by_label
 

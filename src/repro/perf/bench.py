@@ -44,13 +44,8 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.mmu import PageTableWalker, make_walker
-from repro.security.kinds import TLBKind, make_tlb
-from repro.sim.kernel import (
-    STRUCTURE_BACKEND,
-    TRACE_STORE,
-    CompiledTrace,
-    RunState,
-)
+from repro.sim.kernel import TRACE_STORE, CompiledTrace, RunState
+from repro.tlb import TLBKind, make_tlb
 from repro.tlb.base import BaseTLB
 from repro.workloads.rsa import RSAWorkload, generate_key
 from repro.workloads.spec import by_name
@@ -362,7 +357,6 @@ def bench(
     return {
         "quick": quick,
         "events": events,
-        "structure_backend": STRUCTURE_BACKEND,
         "headline": {
             "geomean_speedup": headline,
             "floor": SPEEDUP_FLOOR,
@@ -393,7 +387,8 @@ def history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
     (the committed first entry is the 3.69x full-size headline the
     first-generation fast path landed with; entries written while a
     per-access kernel still ran beside the run kernel also carry its
-    ``access_geomean_speedup``).
+    ``access_geomean_speedup``, and entries written while a pure-Python
+    pre-pass stood beside numpy's also name the pre-pass that ran).
     """
     headline = report["headline"]
     return {
@@ -402,7 +397,6 @@ def history_entry(report: Dict[str, Any]) -> Dict[str, Any]:
         "meets_floor": headline["meets_floor"],
         "quick": report["quick"],
         "events": report["events"],
-        "structure_backend": report.get("structure_backend"),
         "counters_verified": report["counters_verified"],
     }
 
@@ -457,8 +451,7 @@ def format_report(report: Dict[str, Any]) -> str:
     share = kernel["run_hits"] / total if total else 0.0
     lines.append(
         f"run kernel: {kernel['run_hits']:,} run hits /"
-        f" {kernel['probed_accesses']:,} probed ({share:.1%} run share);"
-        f" structure backend: {report['structure_backend']}"
+        f" {kernel['probed_accesses']:,} probed ({share:.1%} run share)"
     )
     lines.append("counters: run kernel reference-equal")
     return "\n".join(lines)

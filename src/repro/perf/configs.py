@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Tuple
 
-from repro.security.kinds import TLBKind
-from repro.tlb import TLBConfig, fully_associative, single_entry
+from repro.tlb import TLBConfig, TLBKind, fully_associative, single_entry
 
 #: Figure 7's per-design organizations, in plot order.
 STANDARD_LABELS = ("1E", "FA 32", "2W 32", "4W 32", "FA 128", "2W 128", "4W 128")

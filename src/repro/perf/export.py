@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Union
 
-from repro.security.evaluate import VulnerabilityResult
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 
 from .harness import Figure7Cell
+
+if TYPE_CHECKING:
+    from repro.security.evaluate import VulnerabilityResult
 
 PathLike = Union[str, Path]
 

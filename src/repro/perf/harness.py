@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.mmu import SwitchPolicy, make_walker
-from repro.security.kinds import TLBKind, make_tlb
 from repro.sim.events import EventBus
-from repro.tlb import RandomFillTLB
+from repro.tlb import RandomFillTLB, TLBKind, make_tlb
 from repro.workloads.rsa import RSAKey, RSAWorkload, generate_key
 from repro.workloads.spec import SPEC_BENCHMARKS, SpecProfile, by_name
 

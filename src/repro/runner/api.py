@@ -85,8 +85,6 @@ def run_all(
     :class:`~repro.runner.policy.FailurePolicy` and report the same
     :class:`~repro.runner.policy.RunCounters`.
     """
-    from repro.sim.kernel import STRUCTURE_BACKEND
-
     started = time.monotonic()
     merged_options = resolve_options(options or {})
     if not NON_NEGATIVE.admits(max_retries):
@@ -309,7 +307,6 @@ def run_all(
     # cell's counts home on its outcome.
     for outcome in fresh.values():
         report.kernel.add(outcome.kernel)
-    report.kernel_backend = STRUCTURE_BACKEND
 
     report.elapsed = time.monotonic() - started
     log.emit("run_end", **report.summary_fields())

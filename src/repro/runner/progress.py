@@ -116,8 +116,6 @@ class RunReport(RunCounters):
     #: oracles built depend on which worker ran which cell: a worker that
     #: already holds a trace or an oracle does not build it again.
     kernel: KernelCounts = field(default_factory=KernelCounts)
-    #: Structural-pre-pass backend active in this process ("numpy"/"python").
-    kernel_backend: str = ""
 
     def __getattr__(self, name: str) -> Any:
         # Only reached for names the instance lacks: ``kernel_<count>``
@@ -177,7 +175,6 @@ class RunReport(RunCounters):
                 f"kernel_{name}": getattr(self.kernel, name)
                 for name in _KERNEL_COUNTS
             },
-            "kernel_backend": self.kernel_backend,
         }
 
 

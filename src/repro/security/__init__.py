@@ -10,6 +10,8 @@
   as well as every other security table.
 """
 
+from repro.tlb import TLBKind, make_hierarchy, make_tlb
+
 from .benchgen import (
     BenchmarkLayout,
     alias_page,
@@ -29,7 +31,6 @@ from .evaluate import (
     table4_cells,
     table4_spec,
 )
-from .kinds import TLBKind, make_hierarchy, make_tlb
 from .theory import TheoreticalModel
 
 __all__ = [

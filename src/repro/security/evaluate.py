@@ -51,10 +51,16 @@ from repro.model.table2 import table2_vulnerabilities
 from repro.mmu import PageTableWalker, SwitchPolicy, make_walker
 from repro.sim.events import EventBus
 from repro.sim.system import MemorySystem
-from repro.tlb import HierarchySpec, LevelSpec, TLBConfig
+from repro.tlb import (
+    HierarchySpec,
+    LevelSpec,
+    TLBConfig,
+    TLBKind,
+    make_hierarchy,
+    make_tlb,
+)
 
 from .benchgen import BenchmarkLayout, generate, layout_for_spec
-from .kinds import TLBKind, make_hierarchy, make_tlb
 from .theory import TheoreticalModel
 
 #: The Section 5.3 TLB the paper's flat designs are evaluated on: 32

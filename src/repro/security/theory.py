@@ -18,9 +18,9 @@ from typing import Tuple
 from repro.model.capacity import channel_capacity
 from repro.model.patterns import Strategy, Vulnerability
 from repro.model.states import Actor, AddressClass
+from repro.tlb import TLBKind
 
 from .benchgen import region_size_for
-from .kinds import TLBKind
 
 #: Rows the standard ASID-tagged SA TLB already defends: the final probe
 #: belongs to the other process's address space, so it can never hit.

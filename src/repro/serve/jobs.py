@@ -62,7 +62,7 @@ from repro.runner.registry import (
     resolve_options,
 )
 from repro.runner.scheduler import InProcessExecutor, TaskOutcome
-from repro.sim.kernel import STRUCTURE_BACKEND, KernelCounts
+from repro.sim.kernel import KernelCounts
 
 from .http import HttpError
 from .metrics import ServiceMetrics
@@ -431,7 +431,6 @@ class JobManager:
                 f"kernel_{count.name}",
                 lambda name=count.name: getattr(self.kernel, name),
             )
-        metrics.register_gauge("kernel_backend", lambda: STRUCTURE_BACKEND)
 
     def queue_depth(self) -> int:
         """Jobs admitted but not yet picked up by a dispatcher."""

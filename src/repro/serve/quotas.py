@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from repro.options import BURST
+
 
 @dataclass
 class TokenBucket:
@@ -55,12 +57,22 @@ class QuotaRegistry:
 
     ``rate <= 0`` disables quotas entirely (every request is admitted),
     which is the right default for a trusted single-tenant deployment;
-    the CLI turns them on with ``--quota-rate``/``--quota-burst``.
+    the CLI turns them on with ``--quota-rate``/``--quota-burst``.  With
+    quotas on, ``burst`` must be at least 1.
     """
 
     rate: float = 0.0
     burst: float = 10.0
     buckets: Dict[str, TokenBucket] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # A bucket capped below the one token a submission costs would
+        # refuse every submission for ever.
+        if self.enabled and not BURST.admits(self.burst):
+            raise ValueError(
+                f"burst must be {BURST.noun} while quotas are on,"
+                f" got {self.burst!r}"
+            )
 
     @property
     def enabled(self) -> bool:

@@ -39,7 +39,6 @@ from .events import (
     WalkEvent,
 )
 from .kernel import (
-    STRUCTURE_BACKEND,
     CompiledTrace,
     KernelCounts,
     ReuseOracle,
@@ -60,7 +59,6 @@ from .trace import SCENARIOS, TraceReport, read_trace, run_scenario
 
 __all__ = [
     "SCENARIOS",
-    "STRUCTURE_BACKEND",
     "TraceReport",
     "AccessEvent",
     "CompiledTrace",

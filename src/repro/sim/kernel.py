@@ -37,12 +37,11 @@ the specification* and adds one differentially-verified fast path:
   :class:`OracleUniverse` oracle over the run's merged ``(asid, page)``
   stream, which :data:`TRACE_STORE` keeps by the stream's value.
 
-The structure pre-pass has two interchangeable backends: pure Python
-(always present) and a numpy-vectorised one (:mod:`repro.sim.kernel_np`,
-auto-detected; :data:`STRUCTURE_BACKEND` reports which is active), which
-also spares the oracle build the accesses that cannot change an LRU set.
-The run loop itself is pure Python either way -- numpy's per-call
-overhead loses on the short runs that dominate miss-heavy traces.
+The structure pre-pass is vectorised with numpy
+(:mod:`repro.sim.kernel_np`), which also spares the oracle build the
+accesses that cannot change an LRU set.  The run loop itself is pure
+Python -- numpy's per-call overhead loses on the short runs that
+dominate miss-heavy traces.
 
 Equivalence is enforced three ways: by construction (both paths share
 the TLB state machine, statistics and cycle model -- the run kernel only
@@ -63,6 +62,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from . import kernel_np
+
 #: Events materialised per :meth:`CompiledTrace.ensure` pull.  Large enough
 #: to amortise the generator resumption, small enough that infinite SPEC
 #: streams never over-materialise past the instruction budget.
@@ -78,14 +79,6 @@ INF_HORIZON = 1 << 62
 #: when a whole block's minimum reuse distance clears the threshold.
 RUN_BLOCK = 128
 SUB_BLOCK = 16
-
-try:  # The vectorised structure pre-pass backend (optional).
-    from . import kernel_np as _structure_np
-
-    STRUCTURE_BACKEND = "numpy"
-except Exception:  # pragma: no cover - environment-dependent
-    _structure_np = None
-    STRUCTURE_BACKEND = "python"
 
 
 class CompiledTrace:
@@ -140,8 +133,7 @@ class CompiledTrace:
     bench's five 400,000-event SPEC rows (best of 18 on a shared 2-vCPU
     host), the oracle tier took 0.66-1.09x (geometric mean 0.93x) and
     the ledger tier 0.92-1.32x (geometric mean 1.07x) of its time over
-    list columns.  The pre-pass itself runs on the numpy backend when
-    available (:data:`STRUCTURE_BACKEND`).
+    list columns.  The pre-pass itself is :mod:`repro.sim.kernel_np`'s.
     """
 
     __slots__ = (
@@ -224,34 +216,9 @@ class CompiledTrace:
         limit = len(self.gaps)
         start = len(self.prev)
         if start < limit:
-            if _structure_np is not None:
-                _structure_np.extend_structure(self, start, limit, INF_HORIZON)
-            else:
-                self._extend_structure(start, limit)
+            kernel_np.extend_structure(self, start, limit, INF_HORIZON)
             self._extend_minima(limit)
         return len(self.prev)
-
-    def _extend_structure(self, start: int, limit: int) -> None:
-        """Pure-Python structure pre-pass over positions [start, limit)."""
-        vpns = self.vpns
-        nxt = self.nxt
-        occ = self.occ
-        last_pos = self._last_pos
-        append_prev = self.prev.append
-        append_nxt = nxt.append
-        for position in range(start, limit):
-            vpn = vpns[position]
-            earlier = last_pos.get(vpn, -1)
-            append_prev(earlier)
-            append_nxt(INF_HORIZON)
-            if earlier >= 0:
-                nxt[earlier] = position
-            last_pos[vpn] = position
-            chain = occ.get(vpn)
-            if chain is None:
-                occ[vpn] = array("q", (position,))
-            else:
-                chain.append(position)
 
     def _extend_minima(self, limit: int) -> None:
         """Extend the two block-minima tiers over fully-structured blocks.
@@ -307,8 +274,9 @@ class ReuseOracle:
     position, only the misses.  A key is a page, or -- in a stream
     merged from several ASIDs' segments -- the packed ``(asid, page)``
     of :class:`OracleUniverse`; either way ``key % nsets`` is its set.
-    With the numpy backend, accesses that re-touch their set's MRU key
-    (hits that move nothing) are found vectorised and never simulated.
+    Accesses that re-touch their set's MRU key (hits that move nothing)
+    are found vectorised (:func:`repro.sim.kernel_np.lru_changes`) and
+    never simulated.
 
     ``miss_pos[k]`` / ``miss_key[k]``
         Stream position and key of the k-th miss.
@@ -371,19 +339,8 @@ class ReuseOracle:
         append_key = self.miss_key.append
         append_evict = self.miss_evict.append
         append_first = self.miss_first.append
-        if _structure_np is not None:
-            pieces = _structure_np.lru_changes(chunks, nsets)
-        else:
-            pieces = (
-                (
-                    len(column),
-                    range(len(column)),
-                    map(offset.__add__, column) if offset else column,
-                )
-                for column, offset in chunks
-            )
         base = 0
-        for length, positions, keys in pieces:
+        for length, positions, keys in kernel_np.lru_changes(chunks, nsets):
             for position, key in zip(positions, keys):
                 lru = sets[key % nsets]
                 if key in lru:

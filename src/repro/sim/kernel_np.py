@@ -2,9 +2,8 @@
 :class:`~repro.sim.kernel.CompiledTrace`'s structure columns, and the
 accesses a :class:`~repro.sim.kernel.ReuseOracle` must simulate.
 
-Optional backend: :mod:`repro.sim.kernel` imports this module inside a
-``try`` and falls back to the pure-Python pre-pass when numpy is absent,
-so nothing else may import it directly.  The module is allow-listed by
+The kernel's only pre-pass: :mod:`repro.sim.kernel` calls these two
+functions and nothing else imports the module.  It is allow-listed by
 the ``allocation-free-run-kernel`` lint rule -- numpy's array ops
 allocate internally, but a pre-pass runs once per compiled chunk or
 oracle, not per access.

@@ -156,7 +156,7 @@ def run_scenario(
 
     ``target`` may be a path, an open text handle, or ``None`` for stdout.
     """
-    from repro.security.kinds import TLBKind
+    from repro.tlb import TLBKind
 
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))

@@ -9,7 +9,8 @@
 All designs share the hit path (page number and ASID must match), the
 statistics counters of :class:`TLBStats`, and the maintenance operations
 (full/per-ASID flush, targeted invalidation with Appendix B's
-presence-dependent timing).
+presence-dependent timing).  :func:`make_tlb` (over :class:`TLBKind`) and
+:func:`make_hierarchy` are the factories every drive loop builds with.
 """
 
 from .base import (
@@ -41,6 +42,7 @@ from .rf import RandomFillEngine, RandomFillTLB
 from .sa import SetAssociativeTLB
 from .sp import StaticPartitionTLB
 from .stats import TLBStats
+from .kinds import TLBKind, make_hierarchy, make_tlb
 
 __all__ = [
     "AccessResult",
@@ -64,11 +66,14 @@ __all__ = [
     "TLBConfig",
     "TLBEntry",
     "TLBHierarchy",
+    "TLBKind",
     "TLBStats",
     "Translator",
     "TreePLRUPolicy",
     "WalkResult",
     "fully_associative",
+    "make_hierarchy",
     "make_policy",
+    "make_tlb",
     "single_entry",
 ]

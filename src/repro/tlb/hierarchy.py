@@ -13,8 +13,7 @@ because the victim's translations land in the L2 on the walk path and L2
 evictions remain attacker-observable through the miss latency.
 
 Hierarchies are built from a declarative :class:`repro.tlb.HierarchySpec`
-by :func:`repro.security.kinds.make_hierarchy` (the linter-sanctioned
-factory).
+by :func:`repro.tlb.make_hierarchy` (the linter-sanctioned factory).
 
 While an observer asks for it (:meth:`TLBHierarchy.begin_trace`), the
 inter-level adapters record which levels a request consulted and whether
@@ -57,13 +56,14 @@ class PWCStats:
 class PageWalkCache:
     """A small LRU cache of completed page-table walks.
 
-    The architectural counterpart of the walker's replay memo
-    (:class:`repro.mmu.PageTableWalker`): a hit is served in
-    :attr:`PWCSpec.hit_latency` cycles instead of the walk's, so walks
-    stop being a pure function of radix levels touched (the paper's
-    footnote 3 assumes no such cache, which is why the stock detectors
-    treat PWC-served walks specially).  Maintenance operations reach it
-    through the owning :class:`TLBHierarchy`, exactly like a TLB level.
+    The architectural counterpart of the run kernel's walk cache
+    (:class:`repro.sim.kernel.RunState`), which only skips Python work: a
+    hit is served in :attr:`PWCSpec.hit_latency` cycles instead of the
+    walk's, so walks stop being a pure function of radix levels touched
+    (the paper's footnote 3 assumes no such cache, which is why the
+    stock detectors treat PWC-served walks specially).  Maintenance
+    operations reach it through the owning :class:`TLBHierarchy`,
+    exactly like a TLB level.
     """
 
     spec: PWCSpec

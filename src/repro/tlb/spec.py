@@ -2,7 +2,7 @@
 
 A :class:`HierarchySpec` is the one description of a TLB design -- flat
 or multi-level -- that every layer consumes: the security evaluator
-measures it, :func:`repro.security.kinds.make_hierarchy` builds the live
+measures it, :func:`repro.tlb.make_hierarchy` builds the live
 :class:`repro.tlb.TLBHierarchy` from it, the runner's hierarchy-sweep
 cells carry it in their params (as the plain JSON dict of
 :meth:`HierarchySpec.to_dict`, read back by :func:`coerce_spec`), and
@@ -10,8 +10,8 @@ cells carry it in their params (as the plain JSON dict of
 outermost first (index 0 is the L1 the CPU probes); each level picks
 one of the paper's designs and its own geometry, and an optional
 :class:`PWCSpec` appends a page-walk cache behind the last level -- the
-architectural (latency-bearing) version of the walker memo that
-:mod:`repro.mmu.walker` keeps for pure replay speed.
+architectural (latency-bearing) version of the walk cache that the run
+kernel (:class:`repro.sim.kernel.RunState`) keeps for pure replay speed.
 
 The spec is deliberately plain data -- strings and ints only -- so cells
 stay picklable and cache keys stay stable.
@@ -144,8 +144,8 @@ class LevelSpec:
 class PWCSpec:
     """An optional page-walk cache behind the last TLB level.
 
-    Unlike the walker's replay memo (which charges full walk cycles, per
-    the paper's footnote 3), the PWC is architectural: a hit returns in
+    Unlike the run kernel's walk cache (which charges full walk cycles,
+    per the paper's footnote 3), the PWC is architectural: a hit returns in
     ``hit_latency`` cycles instead of the walk's.  Hierarchies with a PWC
     therefore model hardware the paper's timing analysis excludes, which
     is exactly what the sweep's PWC on/off axis measures.

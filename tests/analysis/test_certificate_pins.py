@@ -21,7 +21,7 @@ from repro.ablations.hierarchy import leakage_spec, sweep_specs
 from repro.analysis.certify import certify, certify_all
 from repro.security.benchgen import layout_for_spec
 from repro.security.evaluate import table4_spec
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 
 SWEEP_DIGESTS = {
     "SA+SA": "63fdd3f534622e01d6e85655c3af40591447947d0345a5bcbdbf9ca9067fd85e",

@@ -240,7 +240,7 @@ class TestFlatTable4Regression:
     )
     def test_defended_counts(self, kind, defended):
         from repro.security.evaluate import table4_spec
-        from repro.security.kinds import TLBKind
+        from repro.tlb import TLBKind
 
         spec = table4_spec(TLBKind[kind])
         layout = layout_for_spec(spec, partitioned_primes=True)

@@ -96,7 +96,7 @@ class TestDynamicCrossCheck:
 
     @pytest.mark.parametrize("design", ["SA", "SP", "RF"])
     def test_cross_check_confirms_under_every_design(self, design):
-        from repro.security.kinds import TLBKind
+        from repro.tlb import TLBKind
 
         workload, report = static_report("rsa")
         cross = cross_check(workload, report, kind=TLBKind[design])

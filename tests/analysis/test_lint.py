@@ -36,14 +36,14 @@ class TestFacadeTLBConstruction:
 
     def test_make_hierarchy_is_the_sanctioned_multi_level_path(self):
         # The factory call itself is clean; direct TLBHierarchy
-        # construction outside repro.tlb / the kinds factories is not.
+        # construction outside repro.tlb, home of the factories, is not.
         assert rules_hit("tlb = make_hierarchy(spec)\n") == []
         assert rules_hit("tlb = TLBHierarchy(levels)\n") == [
             "facade-tlb-construction"
         ]
         assert rules_hit(
             "tlb = TLBHierarchy(levels)\n",
-            path="repro/security/kinds.py",
+            path="repro/tlb/kinds.py",
         ) == []
 
     def test_construction_inside_repro_tlb_is_allowed(self):
@@ -52,7 +52,7 @@ class TestFacadeTLBConstruction:
 
     def test_the_registered_factory_module_is_allowed(self):
         source = "tlb = RandomFillTLB(config)\n"
-        assert rules_hit(source, path="repro/security/kinds.py") == []
+        assert rules_hit(source, path="repro/tlb/kinds.py") == []
 
     def test_factory_calls_are_not_flagged(self):
         source = "tlb = make_tlb(TLBKind.SA, config)\n"

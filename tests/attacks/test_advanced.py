@@ -10,7 +10,7 @@ from repro.attacks import (
     random_message,
     transmit,
 )
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 from repro.workloads.rsa import generate_key
 
 KEY = generate_key(bits=48, seed=11)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.attacks import random_message, transmit
 from repro.attacks.covert_channel import CovertChannelResult
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 
 MESSAGE = random_message(160, seed=5)
 

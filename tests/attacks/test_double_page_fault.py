@@ -4,8 +4,7 @@ import pytest
 
 from repro.attacks import probe_candidate, scan_secret_page
 from repro.mmu import PageTableWalker
-from repro.security.kinds import TLBKind
-from repro.tlb import SetAssociativeTLB, TLBConfig
+from repro.tlb import SetAssociativeTLB, TLBConfig, TLBKind
 
 
 class TestProbePrimitive:

@@ -2,7 +2,7 @@
 
 
 from repro.attacks import itlb_attack, tlbleed_attack
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 from repro.workloads.rsa import CodePages, MPIBuffers, TracedModExp, generate_key
 
 KEY = generate_key(bits=48, seed=11)

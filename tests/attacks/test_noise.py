@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks import noisy_tlbleed_attack
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 from repro.workloads.rsa import generate_key
 
 KEY = generate_key(bits=64, seed=11)

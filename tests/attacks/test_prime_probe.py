@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks import AttackResult, tlbleed_attack
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 from repro.workloads.rsa import generate_key
 
 

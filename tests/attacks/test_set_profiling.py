@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks import profile_secret_set
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 
 
 class TestStandardTLB:

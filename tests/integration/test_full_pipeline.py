@@ -72,7 +72,7 @@ class TestDerivedRowsAreTestable:
         from repro.isa import CPU, ExecutionStatus, assemble
         from repro.mmu import PageTableWalker
         from repro.security.benchgen import generate
-        from repro.security.kinds import make_tlb
+        from repro.tlb import make_tlb
         from repro.tlb import TLBConfig
 
         for vulnerability in derive_vulnerabilities():

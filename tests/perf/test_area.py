@@ -8,7 +8,7 @@ from repro.perf.area import (
     DSPS,
     PAPER_TABLE5,
 )
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 
 
 @pytest.fixture(scope="module")

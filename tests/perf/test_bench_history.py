@@ -33,15 +33,8 @@ class TestHistoryEntry:
             "meets_floor": True,
             "quick": True,
             "events": 2000,
-            "structure_backend": None,
             "counters_verified": True,
         }
-
-    def test_entry_records_the_backend(self):
-        report = _report(geomean=40.0)
-        report["structure_backend"] = "numpy"
-        entry = history_entry(report)
-        assert entry["structure_backend"] == "numpy"
 
 
 class TestWithHistory:

@@ -14,7 +14,7 @@ from repro.perf import (
     labels_for,
     run_cell,
 )
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 from repro.workloads.spec import OMNETPP, POVRAY
 
 SETTINGS = PerfSettings(spec_instructions=60_000, key_bits=64)

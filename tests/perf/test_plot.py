@@ -3,7 +3,7 @@
 import pytest
 
 from repro.perf import PerfSettings, Scenario, bar_chart, figure7_chart, run_cell
-from repro.security.kinds import TLBKind
+from repro.tlb import TLBKind
 
 
 class TestBarChart:

@@ -100,7 +100,7 @@ def test_cache_hits_count_nothing(tmp_path):
 def test_counts_are_context_local():
     """Replays count only into the count open in their own context."""
     from repro.perf.harness import PerfSettings, Scenario, run_cell
-    from repro.security.kinds import TLBKind
+    from repro.tlb import TLBKind
     from repro.workloads.spec import by_name
 
     def cell():

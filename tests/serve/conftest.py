@@ -39,6 +39,9 @@ RUN_THREADS = []
 #: Toy cells running right now, and the most that ever ran at once.
 CONCURRENCY = {"running": 0, "peak": 0}
 _RUN_LOCK = threading.Lock()
+#: A toy cell told to hold waits for this before it returns, so a test
+#: can keep the service's one cell thread busy for as long as it needs.
+HOLD = threading.Event()
 
 #: A toy's cell sleep, in seconds.
 DELAY = Kind(
@@ -50,7 +53,8 @@ DELAY = Kind(
 
 
 class ServeToyExperiment(Experiment):
-    """Squares its values; optionally sleeps or fails, for test control."""
+    """Squares its values; optionally sleeps, holds or fails, for test
+    control."""
 
     declared_options = (
         # No values, no cells: the toy stays out of every other expansion.
@@ -60,6 +64,7 @@ class ServeToyExperiment(Experiment):
         )),
         Option("serve_toy_delay", 0.0, DELAY),
         Option("serve_toy_fail", False, FLAG),
+        Option("serve_toy_hold", False, FLAG),
         # ``None``: the toy makes no certification claim.
         Option("serve_toy_certified", None, Kind(
             "a boolean or null",
@@ -74,6 +79,7 @@ class ServeToyExperiment(Experiment):
                 value=value,
                 delay=options["serve_toy_delay"],
                 fail=options["serve_toy_fail"],
+                hold=options["serve_toy_hold"],
             )
             for value in options["serve_toy_values"]
         ]
@@ -92,6 +98,8 @@ class ServeToyExperiment(Experiment):
                 raise RuntimeError(f"toy cell {params['value']} told to fail")
             if params.get("delay"):
                 time.sleep(params["delay"])
+            if params.get("hold") and not HOLD.wait(timeout=60):
+                raise RuntimeError("toy cell held for over 60 s")
             return params["value"] ** 2
         finally:
             with _RUN_LOCK:
@@ -112,6 +120,7 @@ def toy_experiment():
     RUN_CALLS.clear()
     RUN_THREADS.clear()
     CONCURRENCY.update(running=0, peak=0)
+    HOLD.clear()
     yield "serve-toy"
     REGISTRY.pop("serve-toy", None)
 
@@ -210,5 +219,6 @@ def serve_harness(tmp_path, toy_experiment):
         return harness
 
     yield factory
+    HOLD.set()  # Stopping waits for the running cell: let a held one go.
     for harness in started:
         harness.stop()

@@ -1,5 +1,7 @@
 """Unit tests for the token-bucket quota arithmetic (injected clock)."""
 
+import pytest
+
 from repro.serve.quotas import QuotaRegistry, TokenBucket
 
 
@@ -66,3 +68,13 @@ class TestQuotaRegistry:
         assert usage["a"]["admitted"] == 1
         assert usage["a"]["rejected"] == 1
         assert usage["a"]["tokens_left"] == 0.0
+
+    @pytest.mark.parametrize("burst", [0.5, 0.0, -1.0])
+    def test_a_burst_below_one_token_is_refused(self, burst):
+        # Once, such a bucket refused every submission for ever: it held
+        # at most `burst` tokens and a submission costs one.
+        with pytest.raises(ValueError, match="at least 1"):
+            QuotaRegistry(rate=5.0, burst=burst)
+
+    def test_any_burst_is_accepted_while_quotas_are_off(self):
+        assert not QuotaRegistry(rate=0.0, burst=0.5).enabled

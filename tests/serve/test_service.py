@@ -20,7 +20,7 @@ from repro.serve.metrics import ServiceMetrics
 from repro.serve.store import ResultStore
 from repro.sim.kernel import KernelCounts
 
-from .conftest import CONCURRENCY, RUN_CALLS, RUN_THREADS
+from .conftest import CONCURRENCY, HOLD, RUN_CALLS, RUN_THREADS
 
 
 def _toy_spec(values=(1, 2, 3), delay=0.0, **extra):
@@ -422,14 +422,19 @@ def _run_kernel(doc):
     return {name: doc["kernel"][name] for name in RUN_KERNEL}
 
 
-def _job_kernels(harness, specs):
-    """Submit every spec at once; each finished job's kernel counts."""
-    bodies = [
-        harness.request_json("POST", "/v1/jobs", spec)[2] for spec in specs
-    ]
-    docs = [harness.poll_job(body["status_url"]) for body in bodies]
-    assert [doc["state"] for doc in docs] == ["done"] * len(docs)
-    return docs
+def _wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+def _run_job(harness, spec):
+    """Submit one spec; its finished job's status document."""
+    body = harness.request_json("POST", "/v1/jobs", spec)[2]
+    doc = harness.poll_job(body["status_url"])
+    assert doc["state"] == "done"
+    return doc
 
 
 def test_concurrent_jobs_each_report_their_solo_kernel_counts(
@@ -438,14 +443,34 @@ def test_concurrent_jobs_each_report_their_solo_kernel_counts(
     specs = [_fig7_spec("SecRSA+omnetpp"), _fig7_spec("RSA+xalancbmk")]
     # No cell cache, and a result store per service: every job runs fresh.
     alone = serve_harness(use_cache=False, state_dir=tmp_path / "alone")
-    solo_docs = [_job_kernels(alone, [spec])[0] for spec in specs]
+    solo_docs = [_run_job(alone, spec) for spec in specs]
     solo = [_run_kernel(doc) for doc in solo_docs]
     assert all(all(count > 0 for count in kernel.values()) for kernel in solo)
     assert solo[0] != solo[1]
 
-    together = serve_harness(use_cache=False, state_dir=tmp_path / "together")
-    docs = _job_kernels(together, specs)
-    # The two jobs' cells ran on the service's threads at the same time.
+    # A third dispatcher runs a toy job whose cell holds the one cell
+    # thread until both Figure 7 jobs are running, so their runs overlap
+    # however the host schedules them.
+    together = serve_harness(
+        use_cache=False, state_dir=tmp_path / "together", dispatchers=3
+    )
+    hold = _toy_spec(values=(7,))
+    hold["options"]["serve_toy_hold"] = True
+    held = together.request_json("POST", "/v1/jobs", hold)[2]
+    _wait_for(lambda: RUN_CALLS == [7])
+    bodies = [
+        together.request_json("POST", "/v1/jobs", spec)[2] for spec in specs
+    ]
+    _wait_for(lambda: all(
+        together.request_json("GET", body["status_url"])[2]["state"]
+        == "running"
+        for body in bodies
+    ))
+    HOLD.set()
+    assert together.poll_job(held["status_url"])["state"] == "done"
+    docs = [together.poll_job(body["status_url"]) for body in bodies]
+    assert [doc["state"] for doc in docs] == ["done", "done"]
+    # Both jobs were running before either's cells could start.
     assert max(doc["started"] for doc in docs) < min(
         doc["finished"] for doc in docs
     )

@@ -37,8 +37,8 @@ from hypothesis import given, settings, strategies as st
 from repro.mmu import SwitchPolicy, make_walker
 from repro.perf.harness import NO_VICTIM_ASID
 from repro.perf.timing import ScheduledProcess, simulate
-from repro.security.kinds import TLBKind, make_tlb
 from repro.sim.kernel import kernel_count
+from repro.tlb import TLBKind, make_tlb
 from repro.tlb.config import TLBConfig
 
 #: First page of the shared pool every generated workload draws from.

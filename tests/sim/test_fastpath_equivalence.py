@@ -32,16 +32,18 @@ from repro.perf.harness import (
     run_cell,
 )
 from repro.perf.timing import ScheduledProcess, simulate
-from repro.security.kinds import TLBKind, make_hierarchy, make_tlb
-from repro.sim import AccessEvent, EventBus, kernel
+from repro.sim import AccessEvent, EventBus
 from repro.sim.kernel import (
-    STRUCTURE_BACKEND,
+    INF_HORIZON,
+    RUN_BLOCK,
+    SUB_BLOCK,
     CompiledTrace,
     ReuseOracle,
     RunState,
     kernel_count,
     supports_fastpath,
 )
+from repro.tlb import TLBKind, make_hierarchy, make_tlb
 from repro.tlb.config import TLBConfig
 from repro.tlb.spec import HierarchySpec, LevelSpec, PWCSpec
 from repro.workloads.rsa import RSAWorkload, generate_key
@@ -347,7 +349,6 @@ class TestRunEquivalence:
         def sfence(tlb, walker, pos):
             if pos in (RUN_STEP * 2, RUN_STEP * 6):
                 tlb.invalidate_page(target, 2)
-                walker.invalidate_memo(asid=2, vpn=target)
 
         two_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
@@ -395,14 +396,14 @@ class TestRunEquivalence:
 
     def test_remap_between_quanta(self, povray_trace):
         """A page remap (mapping-version bump + sfence) between quanta:
-        the walk memo and the proof state must both revalidate."""
+        the run kernel's walk cache (keyed by the walker's memo token)
+        and the proof state must both revalidate."""
         target = int(povray_trace.vpns[0])
 
         def remap(tlb, walker, pos):
             if pos == RUN_STEP * 5:
                 walker.table_for(2).map_page(target, 0xDEAD)
                 tlb.invalidate_page(target, 2)
-                walker.invalidate_memo(asid=2, vpn=target)
 
         two_way(
             lambda: make_case(TLBKind.SA), povray_trace, asid=2,
@@ -758,35 +759,44 @@ class TestSimulateEquivalence:
             assert results == self.secrsa_omnetpp(kind, fastpath=False)
 
 
-class TestStructureBackends:
-    """The numpy structure pre-pass must match the pure-Python one."""
+class TestStructurePrePass:
+    """The numpy pre-passes against references written out here."""
 
-    def test_backends_agree_column_for_column(self):
-        if STRUCTURE_BACKEND != "numpy":
-            pytest.skip("numpy backend unavailable in this environment")
+    def test_columns_match_their_definitions(self):
         events = list(islice(by_name("povray").events(random.Random(3)),
                              6_000))
-        fast, pure = CompiledTrace(events), CompiledTrace(events)
-        limit = fast.ensure(6_000)
-        assert pure.ensure(6_000) == limit
-        fast.ensure_structure(limit)  # Dispatches to repro.sim.kernel_np.
-        pure._extend_structure(0, limit)  # The pure-Python pre-pass.
-        pure._extend_minima(limit)
-        assert list(fast.prev) == list(pure.prev)
-        assert list(fast.nxt) == list(pure.nxt)
-        assert list(fast.sub_min_prev) == list(pure.sub_min_prev)
-        assert list(fast.blk_min_prev) == list(pure.blk_min_prev)
-        assert set(fast.occ) == set(pure.occ)
-        for vpn, chain in pure.occ.items():
-            assert list(fast.occ[vpn]) == list(chain)
+        trace = CompiledTrace(events)
+        # Two extensions, so the second stitches onto the first's chains.
+        trace.ensure_structure(trace.ensure(1))
+        limit = trace.ensure(6_000)
+        assert 0 < len(trace.prev) < limit
+        trace.ensure_structure(limit)
 
+        positions = {}
+        for position, vpn in enumerate(trace.vpns):
+            positions.setdefault(vpn, []).append(position)
+        prev = [-1] * limit
+        nxt = [INF_HORIZON] * limit
+        for chain in positions.values():
+            for earlier, later in zip(chain, chain[1:]):
+                prev[later] = earlier
+                nxt[earlier] = later
+        assert list(trace.prev) == prev
+        assert list(trace.nxt) == nxt
+        assert {
+            vpn: list(chain) for vpn, chain in trace.occ.items()
+        } == positions
+        for minima, block in ((trace.sub_min_prev, SUB_BLOCK),
+                              (trace.blk_min_prev, RUN_BLOCK)):
+            assert minima == [
+                min(prev[base:base + block])
+                for base in range(0, limit - block + 1, block)
+            ]
 
-    def test_oracle_backends_agree(self, monkeypatch):
-        """The numpy pre-pass only skips MRU re-touches, so the miss
-        schedule matches the pure loop's, across chunks and key
-        offsets."""
-        if STRUCTURE_BACKEND != "numpy":
-            pytest.skip("numpy backend unavailable in this environment")
+    def test_oracle_matches_an_lru_loop_over_every_access(self):
+        """The pre-pass skips MRU re-touches, so the miss schedule must
+        match a plain per-set LRU over every access, across chunks and
+        key offsets."""
         trace = CompiledTrace(by_name("omnetpp").events(random.Random(3)))
         trace.ensure_structure(trace.ensure(20_000))
         vpns = trace.vpns
@@ -796,15 +806,26 @@ class TestStructureBackends:
                 (vpns[5_000:9_000], nsets << 30),
                 (vpns[9_000:], 0),
             ]
-            fast = ReuseOracle(nsets, ways)
-            fast.extend(chunks)
-            with monkeypatch.context() as patch:
-                patch.setattr(kernel, "_structure_np", None)
-                pure = ReuseOracle(nsets, ways)
-                pure.extend(chunks)
-            for column in ReuseOracle.__slots__:
-                assert getattr(fast, column) == getattr(pure, column)
-            assert len(fast.miss_pos) > 0
+            oracle = ReuseOracle(nsets, ways)
+            oracle.extend(chunks)
+
+            sets = [[] for _ in range(nsets)]  # Least recently used first.
+            seen = set()
+            misses = []
+            keys = (page + offset for column, offset in chunks
+                    for page in column)
+            for position, key in enumerate(keys):
+                lru = sets[key % nsets]
+                if key in lru:
+                    lru.remove(key)
+                else:
+                    victim = lru.pop(0) if len(lru) == ways else -1
+                    misses.append((position, key, victim, int(key not in seen)))
+                    seen.add(key)
+                lru.append(key)
+            assert misses
+            assert list(zip(oracle.miss_pos, oracle.miss_key,
+                            oracle.miss_evict, oracle.miss_first)) == misses
 
 
 class TestCompiledTrace:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 
 from repro.mmu import make_walker
-from repro.security.kinds import make_hierarchy
 from repro.sim import EventBus, MemorySystem, StatsObserver
 from repro.sim.events import (
     AccessEvent,
@@ -24,7 +23,13 @@ from repro.sim.events import (
     RefillEvent,
     WalkEvent,
 )
-from repro.tlb import HierarchySpec, LevelSpec, PWCSpec, TLBConfig
+from repro.tlb import (
+    HierarchySpec,
+    LevelSpec,
+    PWCSpec,
+    TLBConfig,
+    make_hierarchy,
+)
 
 L1 = TLBConfig(entries=4, ways=2, hit_latency=1)
 L2 = TLBConfig(entries=32, ways=8, hit_latency=8)

@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from repro.security.kinds import TLBKind
 from repro.sim import SCENARIOS, run_scenario
+from repro.tlb import TLBKind
 
 
 def test_unknown_scenario_is_rejected() -> None:

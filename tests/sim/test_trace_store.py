@@ -17,7 +17,6 @@ import repro.sim.kernel as kernel
 from repro.ablations.sweeps import walk_latency_point
 from repro.perf.harness import PerfSettings, run_cell, scenario_by_label
 from repro.perf.timing import ScheduledProcess, simulate
-from repro.security.kinds import TLBKind, make_tlb
 from repro.sim.kernel import (
     CHUNK,
     MERGED_ORACLE,
@@ -27,6 +26,7 @@ from repro.sim.kernel import (
     kernel_count,
     store_key,
 )
+from repro.tlb import TLBKind, make_tlb
 from repro.tlb.config import TLBConfig
 from repro.workloads.ecc import ECCWorkload, random_scalar
 from repro.workloads.rsa import RSAWorkload, generate_key

@@ -179,6 +179,37 @@ class TestParser:
         assert f"argument {flag}" in err and "must be a positive" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--port", "70000"),
+            ("--port", "-1"),
+            ("--quota-burst", "0.5"),
+            ("--quota-burst", "-1"),
+        ],
+    )
+    def test_a_serve_number_out_of_range_is_a_usage_error(
+        self, capsys, flag, value
+    ):
+        # Once, --port 70000 reached the listener's bind as an
+        # OverflowError traceback, and --quota-burst 0.5 gave every client
+        # a bucket that refused each submission for ever.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["serve", flag, value])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+
+    def test_serve_port_and_burst_parse_at_their_edges(self):
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--quota-burst", "1"]
+        )
+        assert (args.port, args.quota_burst) == (0, 1.0)
+        assert build_parser().parse_args(
+            ["serve", "--port", "65535"]
+        ).port == 65535
+
     @pytest.mark.parametrize("idle_exit", ["0", "-1"])
     def test_a_non_positive_idle_exit_is_not_a_usage_error(self, idle_exit):
         args = build_parser().parse_args(

@@ -138,7 +138,7 @@ class TestTreePLRU:
         # The threat model's point: replacement-policy details do not
         # rescue the standard TLB.
         from repro.attacks import tlbleed_attack
-        from repro.security.kinds import TLBKind
+        from repro.tlb import TLBKind
         from repro.workloads.rsa import generate_key
 
         config = TLBConfig(

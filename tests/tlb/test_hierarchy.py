@@ -139,7 +139,7 @@ class TestFactory:
     """``make_hierarchy``: the spec-driven constructor."""
 
     def test_builds_matching_kinds_and_geometry(self):
-        from repro.security.kinds import make_hierarchy
+        from repro.tlb import make_hierarchy
         from repro.tlb import StaticPartitionTLB
 
         spec = HierarchySpec.two_level("SP", "RF", L1, L2)
@@ -151,7 +151,7 @@ class TestFactory:
         assert tlb.name == "SP+RF"
 
     def test_victim_ways_override_reaches_the_live_level(self):
-        from repro.security.kinds import make_hierarchy
+        from repro.tlb import make_hierarchy
 
         spec = HierarchySpec(
             levels=(
@@ -163,14 +163,14 @@ class TestFactory:
         assert tlb.levels[0].victim_ways == 1
 
     def test_sp_defaults_to_even_split(self):
-        from repro.security.kinds import make_hierarchy
+        from repro.tlb import make_hierarchy
 
         spec = HierarchySpec.two_level("SP", "SA", L2, L2)
         tlb = make_hierarchy(spec, victim_asid=1)
         assert tlb.levels[0].victim_ways == L2.ways // 2
 
     def test_sec_bit_disabled_level_skips_secure_region(self):
-        from repro.security.kinds import make_hierarchy
+        from repro.tlb import make_hierarchy
 
         spec = HierarchySpec(
             levels=(
@@ -190,7 +190,7 @@ class TestNLevel:
     L3 = TLBConfig(entries=64, ways=8, hit_latency=20)
 
     def make_three_level(self):
-        from repro.security.kinds import make_hierarchy
+        from repro.tlb import make_hierarchy
 
         spec = HierarchySpec(
             levels=(
@@ -276,7 +276,7 @@ class TestPageWalkCache:
         assert pwc.occupancy() == 0
 
     def test_hierarchy_serves_repeat_walks_from_the_pwc(self):
-        from repro.security.kinds import make_hierarchy
+        from repro.tlb import make_hierarchy
 
         # A 1-entry L1 with no L2: the second access to 5 evicts nothing
         # from the PWC, so its walk is served at PWC latency.
@@ -295,7 +295,7 @@ class TestPageWalkCache:
         assert tlb.pwc.stats.hits == 1
 
     def test_hierarchy_flushes_reach_the_pwc(self):
-        from repro.security.kinds import make_hierarchy
+        from repro.tlb import make_hierarchy
 
         spec = HierarchySpec(
             levels=(LevelSpec.from_config("SA", L1),),

@@ -15,8 +15,13 @@ import random
 
 import pytest
 
-from repro.security.kinds import TLBKind, make_hierarchy, make_tlb
-from repro.tlb import HierarchySpec, TLBConfig
+from repro.tlb import (
+    HierarchySpec,
+    TLBConfig,
+    TLBKind,
+    make_hierarchy,
+    make_tlb,
+)
 from repro.tlb.base import BaseTLB, IdentityTranslator
 from repro.tlb.entry import TLBEntry
 

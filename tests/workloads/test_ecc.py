@@ -137,14 +137,14 @@ class TestECCWorkload:
 class TestEdDSAAttack:
     def test_full_scalar_recovery_on_sa(self):
         from repro.attacks import eddsa_attack
-        from repro.security.kinds import TLBKind
+        from repro.tlb import TLBKind
 
         result = eddsa_attack(TLBKind.SA)
         assert result.recovered_exactly
 
     def test_secure_designs_block_recovery(self):
         from repro.attacks import eddsa_attack
-        from repro.security.kinds import TLBKind
+        from repro.tlb import TLBKind
 
         for kind in (TLBKind.SP, TLBKind.RF):
             result = eddsa_attack(kind)
