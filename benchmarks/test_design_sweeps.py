@@ -3,15 +3,25 @@
 from repro.ablations import (
     format_partition_sweep,
     format_region_sweep,
-    sweep_replacement_policy,
-    sweep_rf_region,
-    sweep_sp_partition,
+    replacement_policy_point,
+    rf_region_point,
+    sp_partition_point,
 )
 from repro.tlb import ReplacementKind
 
+POLICIES = (
+    ReplacementKind.LRU,
+    ReplacementKind.TREE_PLRU,
+    ReplacementKind.FIFO,
+    ReplacementKind.RANDOM,
+)
+
 
 def test_sp_partition_sweep(benchmark):
-    points = benchmark.pedantic(sweep_sp_partition, rounds=1, iterations=1)
+    points = benchmark.pedantic(
+        lambda: [sp_partition_point(ways) for ways in (1, 2, 3)],
+        rounds=1, iterations=1,
+    )
     print()
     print("SP TLB partition split (Section 4.1.2's future work):")
     print(format_partition_sweep(points))
@@ -21,8 +31,9 @@ def test_sp_partition_sweep(benchmark):
 
 def test_rf_region_sweep(benchmark):
     points = benchmark.pedantic(
-        sweep_rf_region,
-        kwargs=dict(region_sizes=(1, 2, 3, 8, 31), trials=60),
+        lambda: [
+            rf_region_point(pages, trials=60) for pages in (1, 2, 3, 8, 31)
+        ],
         rounds=1,
         iterations=1,
     )
@@ -34,7 +45,10 @@ def test_rf_region_sweep(benchmark):
 
 
 def test_replacement_policy_sweep(benchmark):
-    points = benchmark.pedantic(sweep_replacement_policy, rounds=1, iterations=1)
+    points = benchmark.pedantic(
+        lambda: [replacement_policy_point(policy) for policy in POLICIES],
+        rounds=1, iterations=1,
+    )
     print()
     print("TLBleed accuracy per replacement policy (SA TLB):")
     for point in points:

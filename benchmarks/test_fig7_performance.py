@@ -3,8 +3,11 @@
 Each parametrized case produces one sub-figure's series -- IPC (7a-c) and
 MPKI (7d-f) for the SA, SP, and RF designs over the TLB organizations --
 for a representative scenario slice (SecRSA alone and with each SPEC
-workload).  Scale knobs: the full paper grid is ``figure7()`` with
-``rsa_runs=(50, 100, 150)`` and all ten scenarios.
+workload).  Each case runs the same cells as the registered ``fig7``
+experiment (:func:`repro.perf.figure7_units`, one :func:`repro.perf.run_cell`
+each) at reduced settings; the full grid and its run-count series are
+``python -m repro fig7``, which prints ``results/fig7_full.txt`` and
+``results/fig7_runs_series.txt``.
 """
 
 import pytest
@@ -12,10 +15,11 @@ import pytest
 from repro.perf import (
     PerfSettings,
     Scenario,
-    figure7,
+    figure7_units,
     format_figure7,
     headline_ratios,
     labels_for,
+    run_cell,
 )
 from repro.security import TLBKind
 from repro.workloads.spec import SPEC_BENCHMARKS
@@ -26,6 +30,15 @@ SCENARIOS = [Scenario(secure=True)] + [
 ]
 
 
+def figure7_cells(kinds, config_labels=None):
+    """The grid's cells for ``kinds`` over SCENARIOS at 10 decryptions."""
+    return [
+        run_cell(unit.kind, unit.config_label, unit.scenario, unit.rsa_runs,
+                 SETTINGS)
+        for unit in figure7_units(kinds, SCENARIOS, (10,), config_labels)
+    ]
+
+
 @pytest.mark.parametrize(
     "kind,panel",
     [(TLBKind.SA, "7a/7d"), (TLBKind.SP, "7b/7e"), (TLBKind.RF, "7c/7f")],
@@ -33,15 +46,7 @@ SCENARIOS = [Scenario(secure=True)] + [
 )
 def test_figure7_panels(benchmark, kind, panel):
     cells = benchmark.pedantic(
-        figure7,
-        kwargs=dict(
-            kinds=(kind,),
-            scenarios=SCENARIOS,
-            rsa_runs=(10,),
-            settings=SETTINGS,
-        ),
-        rounds=1,
-        iterations=1,
+        figure7_cells, args=((kind,),), rounds=1, iterations=1
     )
     assert len(cells) == len(labels_for(kind)) * len(SCENARIOS)
     print()
@@ -59,12 +64,8 @@ def test_figure7_headline_ratios(benchmark):
     """Section 6.4/6.5: SP MPKI is a multiple of SA's; RF is close to SA."""
 
     def run():
-        return figure7(
-            kinds=(TLBKind.SA, TLBKind.SP, TLBKind.RF),
-            scenarios=SCENARIOS,
-            rsa_runs=(10,),
-            settings=SETTINGS,
-            config_labels=("1E", "4W 32"),
+        return figure7_cells(
+            (TLBKind.SA, TLBKind.SP, TLBKind.RF), ("1E", "4W 32")
         )
 
     cells = benchmark.pedantic(run, rounds=1, iterations=1)

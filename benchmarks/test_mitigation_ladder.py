@@ -7,23 +7,20 @@ experiments: the large-page software mitigation and the two-level
 hierarchy study.
 """
 
-import pytest
-
 from repro.ablations import (
-    evaluate_all_mitigations,
-    evaluate_hierarchies,
-    evaluate_large_pages,
     format_hierarchy_results,
     format_large_page_comparison,
     format_mitigation_ladder,
 )
+from repro.runner import run_experiment
 
 TRIALS = 30
 
 
 def test_mitigation_ladder(benchmark):
     ladder = benchmark.pedantic(
-        evaluate_all_mitigations, kwargs=dict(trials=TRIALS), rounds=1, iterations=1
+        run_experiment, args=("mitigations", {"mitigation_trials": TRIALS}),
+        rounds=1, iterations=1,
     )
     print()
     print(format_mitigation_ladder(ladder))
@@ -32,7 +29,8 @@ def test_mitigation_ladder(benchmark):
 
 def test_large_page_mitigation(benchmark):
     result = benchmark.pedantic(
-        evaluate_large_pages, kwargs=dict(trials=TRIALS), rounds=1, iterations=1
+        run_experiment, args=("largepages", {"largepage_trials": TRIALS}),
+        rounds=1, iterations=1,
     )
     print()
     print(format_large_page_comparison(result, 10, 13))
@@ -42,7 +40,8 @@ def test_large_page_mitigation(benchmark):
 
 def test_hierarchy_study(benchmark):
     results = benchmark.pedantic(
-        evaluate_hierarchies, kwargs=dict(trials=TRIALS), rounds=1, iterations=1
+        run_experiment, args=("hierarchy", {"hierarchy_trials": TRIALS}),
+        rounds=1, iterations=1,
     )
     print()
     print(format_hierarchy_results(results))

@@ -11,24 +11,22 @@ Run with:  python examples/defence_landscape.py
 """
 
 from repro.ablations import (
-    evaluate_all_mitigations,
-    evaluate_hierarchies,
-    evaluate_large_pages,
     format_hierarchy_results,
     format_large_page_comparison,
     format_mitigation_ladder,
 )
+from repro.runner import run_experiment
 
 TRIALS = 30
 
 
 def main() -> None:
     print("== Section 2.3's mitigation ladder, measured ==")
-    ladder = evaluate_all_mitigations(trials=TRIALS)
+    ladder = run_experiment("mitigations", {"mitigation_trials": TRIALS})
     print(format_mitigation_ladder(ladder))
 
     print("\n== the large-page software mitigation ==")
-    large_pages = evaluate_large_pages(trials=TRIALS)
+    large_pages = run_experiment("largepages", {"largepage_trials": TRIALS})
     print(format_large_page_comparison(large_pages, 10, 13))
     print(
         "(Caveat: superpage demotion -- e.g. an mprotect splitting the\n"
@@ -36,7 +34,8 @@ def main() -> None:
     )
 
     print("\n== protecting one TLB level is not enough ==")
-    print(format_hierarchy_results(evaluate_hierarchies(trials=TRIALS)))
+    hierarchies = run_experiment("hierarchy", {"hierarchy_trials": TRIALS})
+    print(format_hierarchy_results(hierarchies))
     print(
         "\nThe victim's translations reach the L2 on the walk path even\n"
         "when a Random-Fill L1 refuses to cache them, so the secure design\n"

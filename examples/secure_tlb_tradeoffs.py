@@ -11,18 +11,13 @@ Run with:  python examples/secure_tlb_tradeoffs.py
 """
 
 from repro.perf import AreaModel, PerfSettings, Scenario, run_cell
-from repro.security import (
-    EvaluationConfig,
-    SecurityEvaluator,
-    TLBKind,
-    defended_counts,
-)
+from repro.runner import run_experiment
+from repro.security import TLBKind, defended_counts
 from repro.workloads.spec import OMNETPP, POVRAY
 
 
 def security_summary() -> dict:
-    evaluator = SecurityEvaluator(EvaluationConfig(trials=40))
-    return defended_counts(evaluator.evaluate_table4())
+    return defended_counts(run_experiment("table4", {"table4_trials": 40}))
 
 
 def performance_summary() -> dict:

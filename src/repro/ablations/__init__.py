@@ -1,20 +1,27 @@
-"""Ablations: mitigation ladder and design-space sweeps.
+"""Ablations: mitigation ladder, large pages, hierarchies and sweeps.
 
 * :mod:`repro.ablations.mitigations` -- the pre-existing mitigations of
   Section 2.3 re-evaluated with the Table 4 harness (ASIDs 10/24, Sanctum
   or SGX-style flush-on-switch 14/24, fully associative 18/24) alongside
   the paper's SP (14/24) and RF (24/24) designs;
+* :mod:`repro.ablations.large_pages` -- the crypto region on one 2 MiB
+  page;
+* :mod:`repro.ablations.hierarchy` -- the two-level study and the
+  declarative L1 x L2 x PWC sweep;
 * :mod:`repro.ablations.sweeps` -- the knobs the paper leaves for future
-  work: the SP partition split, the RF secure-region size, and the
-  replacement policy's effect on the baseline attack.
+  work: the SP partition split, the RF secure-region size, the
+  replacement policy's effect on the baseline attack, and the walk cost.
+
+Each module enumerates its cells and computes one cell at a time (the
+``*_cells`` and ``*_point`` functions); the registered experiments of
+:mod:`repro.runner.experiments` run and assemble them, under ``run-all``,
+``serve`` and each command (``python -m repro mitigations``, ...).
 """
 
 from .hierarchy import (
     HIERARCHY_EVALUATION,
     HierarchyResult,
     SweepDesignResult,
-    evaluate_hierarchies,
-    evaluate_hierarchy,
     format_hierarchy_results,
     format_hierarchy_sweep,
     hierarchy_cells,
@@ -27,7 +34,6 @@ from .hierarchy import (
 )
 from .large_pages import (
     LargePageResult,
-    evaluate_large_pages,
     format_large_page_comparison,
     large_page_cells,
     run_large_page_cell,
@@ -36,10 +42,6 @@ from .mitigations import (
     MITIGATION_SPECS,
     MitigationResult,
     MitigationSpec,
-    evaluate_all_mitigations,
-    evaluate_asid_baseline,
-    evaluate_flush_on_switch,
-    evaluate_fully_associative,
     format_mitigation_ladder,
     mitigation_cells,
     run_mitigation_cell,
@@ -52,12 +54,8 @@ from .sweeps import (
     replacement_policy_point,
     rf_region_point,
     sp_partition_point,
-    sweep_walk_latency,
     format_partition_sweep,
     format_region_sweep,
-    sweep_replacement_policy,
-    sweep_rf_region,
-    sweep_sp_partition,
     walk_latency_point,
 )
 
@@ -72,13 +70,6 @@ __all__ = [
     "PartitionPoint",
     "PolicyPoint",
     "RegionPoint",
-    "evaluate_all_mitigations",
-    "evaluate_hierarchies",
-    "evaluate_hierarchy",
-    "evaluate_asid_baseline",
-    "evaluate_large_pages",
-    "evaluate_flush_on_switch",
-    "evaluate_fully_associative",
     "format_hierarchy_results",
     "format_hierarchy_sweep",
     "format_large_page_comparison",
@@ -99,10 +90,6 @@ __all__ = [
     "run_large_page_cell",
     "run_mitigation_cell",
     "sp_partition_point",
-    "sweep_replacement_policy",
-    "sweep_rf_region",
-    "sweep_sp_partition",
-    "sweep_walk_latency",
     "walk_latency_point",
     "WalkLatencyPoint",
 ]

@@ -28,7 +28,7 @@ dynamic refill-leakage cross-check over the event bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.mmu import make_walker
@@ -105,35 +105,6 @@ def hierarchy_cells(
         (l1_kind, l2_kind, index, vulnerability)
         for l1_kind, l2_kind in combinations
         for index, vulnerability in enumerate(rows)
-    ]
-
-
-def evaluate_hierarchy(
-    l1_kind: TLBKind,
-    l2_kind: TLBKind,
-    trials: int = 40,
-    seed: int = 7,
-) -> HierarchyResult:
-    """Run the 24 Table 2 benchmarks against an L1/L2 combination."""
-    evaluator = SecurityEvaluator(replace(HIERARCHY_EVALUATION, seed=seed))
-    spec = study_spec(l1_kind, l2_kind)
-    estimates: Dict[Vulnerability, ChannelEstimate] = {
-        vulnerability: evaluator.evaluate_vulnerability(
-            vulnerability, spec, trials
-        ).estimate
-        for vulnerability in table2_vulnerabilities()
-    }
-    return HierarchyResult(
-        name=f"{l1_kind.value} L1 + {l2_kind.value} L2", estimates=estimates
-    )
-
-
-def evaluate_hierarchies(trials: int = 40) -> List[HierarchyResult]:
-    """The three instructive combinations (see module docstring)."""
-    return [
-        evaluate_hierarchy(TLBKind.SA, TLBKind.SA, trials),
-        evaluate_hierarchy(TLBKind.RF, TLBKind.SA, trials),
-        evaluate_hierarchy(TLBKind.RF, TLBKind.RF, trials),
     ]
 
 

@@ -89,7 +89,12 @@ def run_large_page_cell(
     kind: TLBKind = TLBKind.SA,
     trials: int = 40,
 ) -> VulnerabilityResult:
-    """Evaluate one row with the secure region on a megapage (a pure cell)."""
+    """Evaluate one row with the secure region on a megapage (a pure cell).
+
+    The benchmark layout is unchanged -- the attacker's ``d`` and filler
+    pages live in different megapage frames and auto-map as 4 KiB pages --
+    so only the victim's in-region behaviour changes.
+    """
     from repro.model.extended import invalidation_only_vulnerabilities
 
     if model == "base":
@@ -106,23 +111,6 @@ def run_large_page_cell(
     )
     evaluator = SecurityEvaluator(config)
     return evaluator.evaluate_vulnerability(vulnerability, table4_spec(kind))
-
-
-def evaluate_large_pages(
-    kind: TLBKind = TLBKind.SA, trials: int = 40
-) -> LargePageResult:
-    """Run the base and extended rows with the secure region on a megapage.
-
-    The benchmark layout is unchanged -- the attacker's ``d`` and filler
-    pages live in different megapage frames and auto-map as 4 KiB pages --
-    so only the victim's in-region behaviour changes.
-    """
-    base: List[VulnerabilityResult] = []
-    extended: List[VulnerabilityResult] = []
-    for model, index, _vulnerability in large_page_cells(kind):
-        result = run_large_page_cell(model, index, kind, trials)
-        (base if model == "base" else extended).append(result)
-    return LargePageResult(base_results=base, extended_results=extended)
 
 
 def format_large_page_comparison(

@@ -126,51 +126,6 @@ def run_mitigation_cell(
     return evaluator.evaluate_vulnerability(vulnerability, spec.design())
 
 
-def _evaluate_spec(spec: MitigationSpec, trials: int) -> MitigationResult:
-    evaluator = SecurityEvaluator(spec.evaluation_config(trials))
-    design = spec.design()
-    return MitigationResult(
-        name=spec.name,
-        results=[
-            evaluator.evaluate_vulnerability(vulnerability, design)
-            for vulnerability in table2_vulnerabilities()
-        ],
-        paper_claim=spec.paper_claim,
-    )
-
-
-def evaluate_asid_baseline(trials: int = 60) -> MitigationResult:
-    """Standard SA TLB with ASIDs: the paper's 10-of-24 baseline."""
-    return _evaluate_spec(spec_by_key("asid"), trials)
-
-
-def evaluate_flush_on_switch(trials: int = 60) -> MitigationResult:
-    """Sanctum/SGX-style full flush on every process switch: 14 of 24."""
-    return _evaluate_spec(spec_by_key("flush"), trials)
-
-
-def evaluate_fully_associative(
-    entries: int = 32, trials: int = 60
-) -> MitigationResult:
-    """A fully associative TLB: miss-based rows lose their signal (18/24).
-
-    With a single set, the victim's secret access contends with *every*
-    translation equally, so eviction patterns no longer depend on whether
-    ``u`` "maps to the tested block" -- only the 6 hit-based Internal
-    Collision rows (exact-address collisions) survive.
-    """
-    spec = MitigationSpec(
-        "fa", f"fully associative {entries}-entry TLB", 18, TLBKind.SA,
-        fa_entries=entries,
-    )
-    return _evaluate_spec(spec, trials)
-
-
-def evaluate_all_mitigations(trials: int = 60) -> List[MitigationResult]:
-    """Section 2.3's ladder, plus the paper's own designs for reference."""
-    return [_evaluate_spec(spec, trials) for spec in MITIGATION_SPECS]
-
-
 def format_mitigation_ladder(results: List[MitigationResult]) -> str:
     lines = [
         f"{'Mitigation':45} {'defended':>9} {'paper':>6}  match",

@@ -52,7 +52,9 @@ def sp_partition_point(
     rsa_runs: int = 10,
     seed: int = 0,
 ) -> PartitionPoint:
-    """One SP split measurement (a pure, shardable sweep point)."""
+    """One SP split measurement (a pure, shardable sweep point): the MPKI
+    of the victim (RSA) and of the attacker side (a SPEC workload) when
+    the victim holds ``victim_ways`` of the ways."""
     key = generate_key(bits=64, seed=3)
     tlb = make_tlb(
         TLBKind.SP, config, victim_asid=1, victim_ways=victim_ways
@@ -74,23 +76,6 @@ def sp_partition_point(
     )
 
 
-def sweep_sp_partition(
-    config: TLBConfig = TLBConfig(entries=32, ways=4),
-    spec: SpecProfile = OMNETPP,
-    instructions: int = 60_000,
-    rsa_runs: int = 10,
-    seed: int = 0,
-) -> List[PartitionPoint]:
-    """MPKI of the victim (RSA) and the attacker side (a SPEC workload)
-    as the victim's share of the ways grows."""
-    return [
-        sp_partition_point(
-            victim_ways, config, spec, instructions, rsa_runs, seed
-        )
-        for victim_ways in range(1, config.ways)
-    ]
-
-
 @dataclass(frozen=True)
 class RegionPoint:
     """One RF secure-region size: overhead and residual channel."""
@@ -107,7 +92,14 @@ def rf_region_point(
     trials: int = 120,
     seed: int = 0,
 ) -> RegionPoint:
-    """One RF secure-region size measurement (a pure, shardable point)."""
+    """One RF secure-region size measurement (a pure, shardable point):
+    the victim's MPKI and the measured Prime + Probe capacity against the
+    monitored set.
+
+    Larger regions spread the random fills thinner (each probe set is hit
+    with probability ~1/min(region, sets)), while costing the victim more
+    no-fill misses.
+    """
     from repro.model.patterns import Observation, ThreeStepPattern, Vulnerability
     from repro.model.states import A_D, V_U
 
@@ -136,26 +128,6 @@ def rf_region_point(
         victim_mpki=results["RSA"].mpki,
         prime_probe_capacity=result.capacity,
     )
-
-
-def sweep_rf_region(
-    region_sizes=(1, 2, 3, 8, 16, 31),
-    config: TLBConfig = TLBConfig(entries=32, ways=8),
-    rsa_runs: int = 10,
-    trials: int = 120,
-    seed: int = 0,
-) -> List[RegionPoint]:
-    """Secure-region size vs the victim's MPKI and the measured
-    Prime + Probe capacity against the monitored set.
-
-    Larger regions spread the random fills thinner (each probe set is hit
-    with probability ~1/min(region, sets)), while costing the victim more
-    no-fill misses.
-    """
-    return [
-        rf_region_point(pages, config, rsa_runs, trials, seed)
-        for pages in region_sizes
-    ]
 
 
 def _evaluate_with_region(
@@ -204,19 +176,6 @@ def replacement_policy_point(
     )
 
 
-def sweep_replacement_policy(
-    policies=(
-        ReplacementKind.LRU,
-        ReplacementKind.TREE_PLRU,
-        ReplacementKind.FIFO,
-        ReplacementKind.RANDOM,
-    ),
-    seed: int = 0,
-) -> List[PolicyPoint]:
-    """TLBleed single-trace accuracy against the SA TLB per policy."""
-    return [replacement_policy_point(policy, seed) for policy in policies]
-
-
 @dataclass(frozen=True)
 class WalkLatencyPoint:
     """IPC at one page-table-walk cost (the timing model's free knob)."""
@@ -232,7 +191,12 @@ def walk_latency_point(
     instructions: int = 60_000,
     seed: int = 0,
 ) -> WalkLatencyPoint:
-    """One walk-cost sensitivity measurement (a pure, shardable point)."""
+    """One walk-cost sensitivity measurement (a pure, shardable point).
+
+    MPKI is a pure hit/miss count and must be invariant; IPC degrades as
+    walks get more expensive.  This bounds how much of the reproduction's
+    IPC story depends on the one free constant of the timing model.
+    """
     from repro.mmu import WalkerConfig
 
     tlb = make_tlb(TLBKind.SA, TLBConfig(entries=32, ways=4))
@@ -246,23 +210,6 @@ def walk_latency_point(
     return WalkLatencyPoint(
         cycles_per_level=cost, ipc=total.ipc, mpki=total.mpki
     )
-
-
-def sweep_walk_latency(
-    costs=(2, 5, 10, 20, 40),
-    spec: SpecProfile = OMNETPP,
-    instructions: int = 60_000,
-    seed: int = 0,
-) -> List[WalkLatencyPoint]:
-    """Sensitivity of the Figure 7 metrics to the walk-cost parameter.
-
-    MPKI is a pure hit/miss count and must be invariant; IPC degrades as
-    walks get more expensive.  This bounds how much of the reproduction's
-    IPC story depends on the one free constant of the timing model.
-    """
-    return [
-        walk_latency_point(cost, spec, instructions, seed) for cost in costs
-    ]
 
 
 def format_partition_sweep(points: List[PartitionPoint]) -> str:

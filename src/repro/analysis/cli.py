@@ -263,7 +263,7 @@ def _load_spec(target: str):
                 return coerce_spec(json.load(sys.stdin))
             with open(target) as handle:
                 return coerce_spec(json.load(handle))
-        except ValueError as error:
+        except (OSError, ValueError) as error:
             raise SystemExit(
                 f"certify: invalid spec {target!r}: {error}"
             ) from None

@@ -5,8 +5,8 @@
 =============  =============================================================
 ``table2``     the 24 vulnerabilities, derived from the three-step model
 ``table4``     the security evaluation of the SA/SP/RF designs
-``table7``     the Appendix B extension (and its measured evaluation)
-``fig7``       the performance grid (IPC / MPKI series)
+``table7``     the Appendix B extension's measured evaluation
+``fig7``       the performance grid (IPC / MPKI) and the run-count series
 ``table5``     the area model vs the paper's synthesis results
 ``mitigations``the Section 2.3 mitigation ladder (10/14/18/14/24)
 ``hierarchy``  the two-level TLB security study
@@ -22,9 +22,11 @@
 ``bench``      fast-path vs reference regression bench (BENCH_fastpath.json)
 =============  =============================================================
 
-Full-fidelity runs (the paper's 500-trial protocol, the complete Figure 7
-grid) are available through ``--trials`` / ``--full``; defaults are sized
-for interactive use.
+Each experiment command, ``table2`` to ``sweeps``, runs its registered
+experiment's cells in this process (:func:`repro.runner.run_experiment`)
+and prints the text that experiment contributes to ``results/``.  Its
+flags each set one declared option (``--trials`` the experiment's trial
+count); with none, the command prints its committed artifact.
 """
 
 from __future__ import annotations
@@ -34,202 +36,52 @@ import sys
 from typing import List, Optional
 
 
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.model import (
-        candidate_patterns,
-        count_survivors_by_rule,
-        derive_vulnerabilities,
-        enumerate_triples,
-        format_table,
-        table2_vulnerabilities,
-    )
+def _matches_paper(experiment: str, value) -> bool:
+    """Whether an experiment's assembled value reproduces the paper: Table
+    2's rows, and Table 4's and the mitigation ladder's defended counts.
+    The other experiments have no such check."""
+    if experiment == "table2":
+        return value["match"]
+    if experiment == "table4":
+        from repro.security import TLBKind, defended_counts
 
+        expected = {TLBKind.SA: 10, TLBKind.SP: 14, TLBKind.RF: 24}
+        return defended_counts(value) == expected
+    if experiment == "mitigations":
+        return all(result.matches_paper for result in value)
+    return True
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.runner import experiment_text, get_experiment, run_experiment
+
+    experiment = get_experiment(args.experiment)
+    # Each flag is stored under the declared option it sets; --trials
+    # sets the experiment's trial-count option, as serve's "trials" does.
+    overrides = {
+        option.name: getattr(args, option.name)
+        for option in experiment.declared_options
+        if getattr(args, option.name, None) is not None
+    }
+    if getattr(args, "trials", None) is not None:
+        overrides[experiment.trials_option] = args.trials
+    value = run_experiment(args.experiment, overrides)
+    print(experiment_text(args.experiment, value))
+    return 0 if _matches_paper(args.experiment, value) else 1
+
+
+def _cmd_table2(args: argparse.Namespace) -> int:
     if args.verbose:
+        from repro.model import (
+            candidate_patterns,
+            count_survivors_by_rule,
+            enumerate_triples,
+        )
+
         for rule, count in count_survivors_by_rule(enumerate_triples()).items():
             print(f"{rule:32} -> {count:4}")
         print(f"candidates: {len(candidate_patterns())}")
-    derived = derive_vulnerabilities()
-    print(format_table(derived))
-    derived_set = set(derived)
-    expected_set = set(table2_vulnerabilities())
-    match = derived_set == expected_set
-    print(f"\nexact match with the paper's Table 2: {match}")
-    for pretty in sorted(v.pretty() for v in expected_set - derived_set):
-        print(f"  missing (in paper, not derived):   {pretty}")
-    for pretty in sorted(v.pretty() for v in derived_set - expected_set):
-        print(f"  unexpected (derived, not in paper): {pretty}")
-    return 0 if match else 1
-
-
-def _cmd_table4(args: argparse.Namespace) -> int:
-    from repro.security import (
-        EvaluationConfig,
-        SecurityEvaluator,
-        TLBKind,
-        defended_counts,
-        format_table4,
-    )
-
-    evaluator = SecurityEvaluator(EvaluationConfig(trials=args.trials))
-    kinds = [TLBKind[name] for name in args.designs]
-    table = evaluator.evaluate_table4(kinds=kinds)
-    print(format_table4(table))
-    counts = defended_counts(table)
-    expected = {TLBKind.SA: 10, TLBKind.SP: 14, TLBKind.RF: 24}
-    ok = all(counts[kind] == expected[kind] for kind in kinds)
-    print(f"\nheadline counts match the paper: {ok}")
-    return 0 if ok else 1
-
-
-def _cmd_table7(args: argparse.Namespace) -> int:
-    from repro.model.extended import (
-        invalidation_only_vulnerabilities,
-        strategy_label,
-    )
-    from repro.security import EvaluationConfig, SecurityEvaluator, TLBKind
-
-    rows = invalidation_only_vulnerabilities()
-    print(f"extended-model vulnerabilities: {len(rows)} (paper's Table 7: 50)")
-    for vulnerability in sorted(
-        rows, key=lambda v: (strategy_label(v), v.pattern.pretty())
-    ):
-        print(f"  {strategy_label(vulnerability):48} {vulnerability.pretty()}")
-    if args.evaluate:
-        evaluator = SecurityEvaluator(EvaluationConfig(trials=args.trials))
-        print("\nmeasured defence counts under the hypothetical targeted-"
-              "invalidation ISA:")
-        for kind in (TLBKind.SA, TLBKind.SP, TLBKind.RF):
-            results = evaluator.evaluate_extended(kind)
-            defended = sum(1 for result in results if result.defended)
-            print(f"  {kind.value:3}: {defended}/{len(results)}")
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        PerfSettings,
-        figure7,
-        format_figure7,
-        headline_ratios,
-    )
-    from repro.security import TLBKind
-
-    settings = PerfSettings(
-        spec_instructions=args.spec_instructions, key_bits=args.key_bits
-    )
-    runs = (50, 100, 150) if args.full else (args.rsa_runs,)
-    cells = figure7(
-        kinds=tuple(TLBKind[name] for name in args.designs),
-        rsa_runs=runs,
-        settings=settings,
-        config_labels=args.configs,
-    )
-    print(format_figure7(cells))
-    print("\nheadline ratios:")
-    for name, value in sorted(headline_ratios(cells).items()):
-        print(f"  {name:30} {value:.3f}")
-    return 0
-
-
-def _cmd_table5(args: argparse.Namespace) -> int:
-    from repro.perf import AreaModel
-
-    model = AreaModel()
-    print(model.table5())
-    worst_luts, worst_registers = model.max_relative_error()
-    print(
-        f"\nfit quality: worst LUT error {worst_luts:.1%}, "
-        f"worst register error {worst_registers:.1%}"
-    )
-    return 0
-
-
-def _cmd_mitigations(args: argparse.Namespace) -> int:
-    from repro.ablations import (
-        evaluate_all_mitigations,
-        format_mitigation_ladder,
-    )
-
-    ladder = evaluate_all_mitigations(trials=args.trials)
-    print(format_mitigation_ladder(ladder))
-    ok = all(result.matches_paper for result in ladder)
-    return 0 if ok else 1
-
-
-def _cmd_hierarchy(args: argparse.Namespace) -> int:
-    from repro.ablations import evaluate_hierarchies, format_hierarchy_results
-
-    results = evaluate_hierarchies(trials=args.trials)
-    print(format_hierarchy_results(results))
-    return 0
-
-
-def _cmd_hierarchy_sweep(args: argparse.Namespace) -> int:
-    from repro.ablations import (
-        HIERARCHY_EVALUATION,
-        SweepDesignResult,
-        format_hierarchy_sweep,
-        refill_leakage,
-        sweep_perf_point,
-        sweep_rows,
-        sweep_specs,
-    )
-    from repro.security import SecurityEvaluator
-
-    evaluator = SecurityEvaluator(HIERARCHY_EVALUATION)
-    rows = sweep_rows()
-    results = []
-    for spec in sweep_specs():
-        estimates = {
-            vulnerability: evaluator.evaluate_vulnerability(
-                vulnerability, spec, trials=args.trials
-            ).estimate
-            for _, vulnerability in rows
-        }
-        results.append(
-            SweepDesignResult(
-                label=spec.label(),
-                spec=spec.to_dict(),
-                estimates=estimates,
-                perf=sweep_perf_point(spec, rsa_runs=args.rsa_runs),
-            )
-        )
-    leakage = None if args.no_leakage else refill_leakage()
-    print(format_hierarchy_sweep(results, leakage))
-    return 0
-
-
-def _cmd_largepages(args: argparse.Namespace) -> int:
-    from repro.ablations import (
-        evaluate_large_pages,
-        format_large_page_comparison,
-    )
-
-    result = evaluate_large_pages(trials=args.trials)
-    print(format_large_page_comparison(result, 10, 13))
-    return 0
-
-
-def _cmd_sweeps(args: argparse.Namespace) -> int:
-    from repro.ablations import (
-        format_partition_sweep,
-        format_region_sweep,
-        sweep_replacement_policy,
-        sweep_rf_region,
-        sweep_sp_partition,
-    )
-
-    print("== SP TLB partition split ==")
-    print(format_partition_sweep(sweep_sp_partition()))
-    print("\n== RF TLB secure-region size ==")
-    print(format_region_sweep(sweep_rf_region(trials=args.trials)))
-    print("\n== replacement policy vs TLBleed ==")
-    for point in sweep_replacement_policy():
-        print(
-            f"  {point.policy.value:8} accuracy {point.accuracy:.1%}"
-            f"{'  (full recovery)' if point.recovered_exactly else ''}"
-        )
-    return 0
+    return _cmd_experiment(args)
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
@@ -315,20 +167,25 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     options = {}
     if args.no_fastpath:
         options["fig7_fastpath"] = False
-    report = run_all(
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        filters=args.filter,
-        results_dir=args.results_dir,
-        cache_dir=args.cache_dir,
-        log_path=args.log,
-        options=options,
-        progress=not args.quiet,
-        max_retries=args.max_retries,
-        task_timeout=args.task_timeout,
-        executor=args.executor,
-        workers=args.workers,
-    )
+    try:
+        report = run_all(
+            jobs=args.jobs,
+            use_cache=not args.no_cache,
+            filters=args.filter,
+            results_dir=args.results_dir,
+            cache_dir=args.cache_dir,
+            log_path=args.log,
+            options=options,
+            progress=not args.quiet,
+            max_retries=args.max_retries,
+            task_timeout=args.task_timeout,
+            executor=args.executor,
+            workers=args.workers,
+        )
+    except ValueError as refused:
+        # run_all refuses arguments before it touches the log, the cache
+        # or the results; the parser has checked all but the filters.
+        args.usage_error(str(refused))
     print(
         f"{report.completed}/{report.units_total} cells ok"
         f" · {report.cells_per_second:.1f} cells/s"
@@ -498,46 +355,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    table2 = subparsers.add_parser("table2", help="derive the 24 vulnerabilities")
-    table2.add_argument("--verbose", action="store_true")
+    def experiment_command(command, trials=True, **kwargs):
+        """The command that runs the registered experiment of its name
+        (``hierarchy-sweep`` runs ``hierarchy_sweep``); ``--trials`` sets
+        its trial-count option."""
+        command_parser = subparsers.add_parser(command, **kwargs)
+        if trials:
+            command_parser.add_argument(
+                "--trials", type=COUNT.parse, default=None,
+                help="trials per cell (default: the declared option's)",
+            )
+        command_parser.set_defaults(
+            func=_cmd_experiment, experiment=command.replace("-", "_")
+        )
+        return command_parser
+
+    table2 = experiment_command(
+        "table2", trials=False, help="derive the 24 vulnerabilities"
+    )
+    table2.add_argument(
+        "--verbose", action="store_true",
+        help="first print the survivors of each reduction rule",
+    )
     table2.set_defaults(func=_cmd_table2)
 
-    table4 = subparsers.add_parser("table4", help="security evaluation")
-    table4.add_argument("--trials", type=COUNT.parse, default=100)
-    _add_design_argument(table4)
-    table4.set_defaults(func=_cmd_table4)
+    experiment_command("table4", help="security evaluation")
+    experiment_command("table7", help="Appendix B evaluation")
 
-    table7 = subparsers.add_parser("table7", help="Appendix B extension")
-    table7.add_argument("--evaluate", action="store_true")
-    table7.add_argument("--trials", type=COUNT.parse, default=60)
-    table7.set_defaults(func=_cmd_table7)
-
-    fig7 = subparsers.add_parser("fig7", help="performance evaluation")
-    fig7.add_argument("--rsa-runs", type=COUNT.parse, default=10)
-    fig7.add_argument("--spec-instructions", type=COUNT.parse, default=80_000)
-    fig7.add_argument("--key-bits", type=COUNT.parse, default=64)
-    fig7.add_argument("--configs", nargs="+", default=None)
-    fig7.add_argument("--full", action="store_true",
-                      help="the paper's 50/100/150 decryption series")
-    _add_design_argument(fig7)
-    fig7.set_defaults(func=_cmd_fig7)
-
-    table5 = subparsers.add_parser("table5", help="area model")
-    table5.set_defaults(func=_cmd_table5)
-
-    mitigations = subparsers.add_parser(
-        "mitigations", help="Section 2.3 mitigation ladder"
+    fig7 = experiment_command(
+        "fig7", trials=False, help="performance evaluation"
     )
-    mitigations.add_argument("--trials", type=COUNT.parse, default=60)
-    mitigations.set_defaults(func=_cmd_mitigations)
+    fig7.add_argument(
+        "--rsa-runs", dest="fig7_rsa_runs", nargs="+", type=COUNT.parse,
+        default=None, metavar="N",
+        help="the grid's decryption counts",
+    )
+    fig7.add_argument(
+        "--spec-instructions", dest="fig7_spec_instructions",
+        type=COUNT.parse, default=None, metavar="N",
+        help="instructions per SPEC workload",
+    )
+    fig7.add_argument(
+        "--key-bits", dest="fig7_key_bits", type=COUNT.parse, default=None,
+        metavar="N", help="RSA key size in bits",
+    )
 
-    hierarchy = subparsers.add_parser(
+    experiment_command("table5", trials=False, help="area model")
+    experiment_command("mitigations", help="Section 2.3 mitigation ladder")
+    experiment_command(
         "hierarchy", help="two-level TLB hierarchy security study"
     )
-    hierarchy.add_argument("--trials", type=COUNT.parse, default=40)
-    hierarchy.set_defaults(func=_cmd_hierarchy)
 
-    hierarchy_sweep = subparsers.add_parser(
+    hierarchy_sweep = experiment_command(
         "hierarchy-sweep",
         help="declarative cross-design sweep: L1 x L2 x page-walk cache",
         description=(
@@ -548,23 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
             " cross-check on the inter-level refill event stream."
         ),
     )
-    hierarchy_sweep.add_argument("--trials", type=COUNT.parse, default=25)
-    hierarchy_sweep.add_argument("--rsa-runs", type=COUNT.parse, default=10)
     hierarchy_sweep.add_argument(
-        "--no-leakage", action="store_true",
-        help="skip the refill-leakage cross-check footer",
+        "--rsa-runs", dest="hierarchy_sweep_rsa_runs", type=COUNT.parse,
+        default=None, metavar="N", help="decryptions per performance point",
     )
-    hierarchy_sweep.set_defaults(func=_cmd_hierarchy_sweep)
 
-    largepages = subparsers.add_parser(
-        "largepages", help="large-page software mitigation"
-    )
-    largepages.add_argument("--trials", type=COUNT.parse, default=40)
-    largepages.set_defaults(func=_cmd_largepages)
-
-    sweeps = subparsers.add_parser("sweeps", help="design-space sweeps")
-    sweeps.add_argument("--trials", type=COUNT.parse, default=80)
-    sweeps.set_defaults(func=_cmd_sweeps)
+    experiment_command("largepages", help="large-page software mitigation")
+    experiment_command("sweeps", help="design-space sweeps")
 
     attack = subparsers.add_parser("attack", help="TLBleed key recovery")
     attack.add_argument("--key-bits", type=COUNT.parse, default=64)

@@ -4,7 +4,10 @@
 * :mod:`repro.perf.timing` -- the trace-driven IPC/MPKI timing model with
   multiprogrammed round-robin scheduling;
 * :mod:`repro.perf.harness` -- the Figure 7 grid (RSA/SecRSA alone and with
-  each SPEC workload over every configuration);
+  each SPEC workload over every configuration): its cells
+  (:func:`figure7_units`) and one cell's measurement (:func:`run_cell`),
+  which the registered ``fig7`` experiment runs under ``run-all``,
+  ``serve`` and ``python -m repro fig7``;
 * :mod:`repro.perf.area` -- the Table 5 area model, least-squares
   calibrated against the paper's synthesis results;
 * :mod:`repro.perf.bench` -- the fast-path regression bench
@@ -33,7 +36,6 @@ from .harness import (
     PerfSettings,
     Scenario,
     all_scenarios,
-    figure7,
     figure7_units,
     format_figure7,
     headline_ratios,
@@ -65,7 +67,6 @@ __all__ = [
     "configuration_count",
     "export_figure7_csv",
     "export_table4_csv",
-    "figure7",
     "figure7_chart",
     "figure7_units",
     "format_figure7",

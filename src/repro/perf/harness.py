@@ -180,17 +180,6 @@ class Figure7Unit:
     scenario: Scenario
     rsa_runs: int
 
-    def run(
-        self,
-        settings: PerfSettings = PerfSettings(),
-        key: Optional[RSAKey] = None,
-    ) -> Figure7Cell:
-        return run_cell(
-            self.kind, self.config_label, self.scenario, self.rsa_runs,
-            settings, key,
-        )
-
-
 def figure7_units(
     kinds: Iterable[TLBKind] = (TLBKind.SA, TLBKind.SP, TLBKind.RF),
     scenarios: Optional[Sequence[Scenario]] = None,
@@ -209,22 +198,6 @@ def figure7_units(
                 for runs in rsa_runs:
                     units.append(Figure7Unit(kind, label, scenario, runs))
     return units
-
-
-def figure7(
-    kinds: Iterable[TLBKind] = (TLBKind.SA, TLBKind.SP, TLBKind.RF),
-    scenarios: Optional[Sequence[Scenario]] = None,
-    rsa_runs: Sequence[int] = (50,),
-    settings: PerfSettings = PerfSettings(),
-    config_labels: Optional[Sequence[str]] = None,
-) -> List[Figure7Cell]:
-    """Run the evaluation grid (the full paper grid with default args to
-    ``scenarios`` and ``rsa_runs=(50, 100, 150)``)."""
-    key = generate_key(bits=settings.key_bits, seed=settings.key_seed)
-    return [
-        unit.run(settings, key)
-        for unit in figure7_units(kinds, scenarios, rsa_runs, config_labels)
-    ]
 
 
 def format_figure7(cells: Sequence[Figure7Cell]) -> str:

@@ -23,15 +23,16 @@ shardable job graph:
   run counters;
 * :mod:`repro.runner.progress` -- live console progress plus a JSONL run
   log;
-* :mod:`repro.runner.results` -- byte-exact reassembly of the serial
-  path's ``results/`` artifacts.
+* :mod:`repro.runner.results` -- each experiment's ``results/`` text,
+  rendered once, and the byte-exact artifact writer.
 
 Entry points: :func:`run_all` (the API behind
-``python -m repro run-all``) and the registry for defining new
-experiments.
+``python -m repro run-all``), :func:`run_experiment` (one experiment in
+process, behind each experiment command such as ``python -m repro
+table4``) and the registry for defining new experiments.
 """
 
-from .api import default_jobs, run_all
+from .api import default_jobs, run_all, run_experiment
 from .cache import (
     DEFAULT_CACHE_DIR,
     CacheStats,
@@ -75,7 +76,7 @@ from .policy import (
     RunCounters,
     backoff_delay,
 )
-from .results import ARTIFACT_SOURCES, write_artifacts
+from .results import ARTIFACT_SOURCES, experiment_text, write_artifacts
 from .scheduler import (
     Executor,
     InProcessExecutor,
@@ -122,11 +123,13 @@ __all__ = [
     "ensure_default_experiments",
     "execute",
     "expand_units",
+    "experiment_text",
     "get_experiment",
     "matches_filter",
     "register",
     "replay_run_log",
     "run_all",
+    "run_experiment",
     "stable_seed",
     "unit_cache_key",
     "worker_loop",

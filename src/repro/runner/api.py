@@ -1,9 +1,13 @@
-"""``run_all``: the one-call orchestration entry point.
+"""The two entry points that run registered experiments.
 
-Expands every registered experiment into cells, resolves what it can from
-the result cache, shards the rest across worker processes, stores fresh
-results back, reassembles the serial path's artifacts, and returns a
-:class:`~repro.runner.progress.RunReport`.
+:func:`run_all` expands every registered experiment into cells, resolves
+what it can from the result cache, shards the rest across worker
+processes, stores fresh results back, writes the ``results/`` artifacts,
+and returns a :class:`~repro.runner.progress.RunReport`.
+
+:func:`run_experiment` runs one experiment's cells in this process, with
+no cache and no log, and returns its assembled value: what each
+experiment command prints.
 """
 
 from __future__ import annotations
@@ -26,13 +30,48 @@ from .progress import (
     completed_idents,
     replay_run_log,
 )
-from .registry import all_experiments, expand_units, resolve_options
-from .scheduler import Executor, InProcessExecutor, Scheduler, TaskOutcome
+from .registry import (
+    all_experiments,
+    expand_units,
+    get_experiment,
+    resolve_options,
+)
+from .scheduler import (
+    Executor,
+    InProcessExecutor,
+    Scheduler,
+    TaskOutcome,
+    execute,
+)
 from .results import write_artifacts
 
 
 def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
+
+
+def run_experiment(
+    name: str, overrides: Optional[Mapping[str, Any]] = None
+) -> Any:
+    """Run experiment ``name``'s cells in order in this process and return
+    its :meth:`~repro.runner.registry.Experiment.assemble` value.
+
+    ``overrides`` sets options ``name`` declares; the rest keep their
+    defaults, which reproduce ``results/``.  Each cell runs through
+    :func:`~repro.runner.scheduler.execute`, as under every executor.
+    Raises :class:`ValueError` for an option ``name`` does not declare or
+    a value its kind refuses, before any cell runs, and
+    :class:`RuntimeError` for a failed cell.
+    """
+    experiment = get_experiment(name)
+    options = resolve_options(overrides or {}, name)
+    values = []
+    for unit in experiment.units(options):
+        outcome = execute(unit)
+        if outcome.failed:
+            raise RuntimeError(f"cell {unit.ident} failed:\n{outcome.error}")
+        values.append(outcome.value)
+    return experiment.assemble(values, options)
 
 
 def run_all(
@@ -58,10 +97,11 @@ def run_all(
     explicit path to redirect it.  ``options`` overrides declared
     experiment options (e.g. smaller trial counts for smoke tests).  A
     bad option, ``jobs``, ``max_retries``, ``task_timeout``, ``executor``
-    or ``workers``, a ``task_timeout`` under work stealing, or a ``chaos``
+    or ``workers``, a ``task_timeout`` under work stealing, a ``chaos``
     mode the chosen backend does not implement (the serial ``jobs=1``
-    path without a ``task_timeout`` implements none) raises
-    :class:`ValueError` before the run log, the cache or any cell is read.
+    path without a ``task_timeout`` implements none), or ``filters`` that
+    select no cell raise :class:`ValueError` before the run log, the
+    cache, the results directory or any cell is touched.
 
     ``task_timeout`` arms the pool's per-cell wall-clock watchdog;
     ``chaos`` injects deterministic worker faults (testing only; see
@@ -116,6 +156,9 @@ def run_all(
     filters = list(filters) if filters else None
 
     units = expand_units(options or {}, filters)
+    if filters and not units:
+        named = ", ".join(repr(pattern) for pattern in filters)
+        raise ValueError(f"filters {named} select no cells")
     report = RunReport(units_total=len(units), jobs=jobs, executor=backend)
 
     log_file = Path(

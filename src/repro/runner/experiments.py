@@ -126,7 +126,13 @@ class Table4Experiment(Experiment):
 
 @register("table7")
 class Table7Experiment(Experiment):
-    """One cell per (design, Appendix B invalidation-only vulnerability)."""
+    """One cell per (design, Appendix B invalidation-only vulnerability).
+
+    The generated benchmarks realize targeted invalidations as per-page
+    ``sfence.vma`` with Appendix B's presence-dependent timing;
+    invalidation probes measure the cycle counter instead of the miss
+    counter.
+    """
 
     declared_options = (Option("table7_trials", 200, COUNT),)
     trials_option = "table7_trials"
@@ -567,6 +573,7 @@ class SweepsExperiment(Experiment):
     """One cell per sweep point across the four design-space sweeps."""
 
     declared_options = (Option("rf_region_trials", 200, COUNT),)
+    trials_option = "rf_region_trials"
 
     def units(self, options: Mapping[str, Any]) -> List[Unit]:
         from repro.tlb.config import ReplacementKind

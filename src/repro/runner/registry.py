@@ -8,8 +8,9 @@ Every paper artifact is produced by an *experiment* -- a named object that
 * runs one cell from plain, picklable parameters (``run``) -- a pure
   function resolvable by name inside a worker process, so only
   ``(experiment, params)`` ever crosses the process boundary;
-* merges the ordered cell results back into the exact artifacts the serial
-  path writes (``assemble``).
+* merges the ordered cell results back into one domain object
+  (``assemble``), from which :mod:`repro.runner.results` renders the
+  experiment's ``results/`` text.
 
 Experiments register themselves with the :func:`register` decorator at
 import time; :func:`ensure_default_experiments` imports the standard set
@@ -102,7 +103,8 @@ class Experiment:
     #: Every option :meth:`units` reads; no other experiment declares one.
     #: A default may lie outside its kind (say, zero cells: inert).
     declared_options: Tuple[Option, ...] = ()
-    #: The declared option a service spec's ``trials`` shorthand sets.
+    #: The declared option that a service spec's ``trials`` shorthand and
+    #: the experiment command's ``--trials`` set.
     trials_option: Optional[str] = None
 
     def unit(self, key: str, **params: Any) -> Unit:
@@ -134,8 +136,8 @@ class Experiment:
         return None
 
     def assemble(self, values: List[Any], options: Mapping[str, Any]) -> Any:
-        """Reassemble cell results (in ``units`` order) into the domain
-        object the serial path produces (a table dict, a cell list, ...).
+        """Reassemble cell results (in ``units`` order) into the
+        experiment's domain object (a table dict, a cell list, ...).
 
         Artifact *files* -- including those that combine several
         experiments, like ``mitigations.txt`` -- are written by

@@ -1,9 +1,12 @@
-"""Write the ``results/`` artifacts from assembled experiment results.
+"""Render and write the ``results/`` artifacts from assembled experiments.
 
 Given each experiment's :meth:`~repro.runner.registry.Experiment.assemble`
 output, this module writes the ``results/*.txt`` / ``results/*.csv``
 files, byte-identical for any ``python -m repro run-all --jobs N`` (and
-for ``scripts/run_full_evaluation.py``, which runs ``run-all``).
+for ``scripts/run_full_evaluation.py``, which runs ``run-all``).  Each
+experiment's text is rendered by one function (:data:`TEXTS`), which
+:func:`write_artifacts` and the experiment's own command
+(:func:`experiment_text`) share.
 
 Artifacts are only written when every experiment they draw from completed
 in full -- a filtered or partially-failed run skips the affected files
@@ -14,11 +17,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .progress import RunLog
 
-#: artifact filename -> experiments it needs, in the order used below.
+#: artifact filename -> experiments it needs, in the order written.
 ARTIFACT_SOURCES: Dict[str, Tuple[str, ...]] = {
     "table2.txt": ("table2",),
     "table4_full.txt": ("table4",),
@@ -49,6 +52,12 @@ def _table2_text(value: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _table4_text(table: Mapping[Any, List[Any]]) -> str:
+    from repro.security import format_table4
+
+    return format_table4(table)
+
+
 def _table7_text(table: Mapping[Any, List[Any]]) -> str:
     parts = []
     for kind, results in table.items():
@@ -64,9 +73,10 @@ def _table7_text(table: Mapping[Any, List[Any]]) -> str:
     return "".join(parts)
 
 
-def _fig7_text(cells: List[Any]) -> str:
+def _fig7_text(fig7: Mapping[str, List[Any]]) -> str:
     from repro.perf import figure7_chart, format_figure7, headline_ratios
 
+    cells = fig7["grid"]
     parts = [format_figure7(cells), "\n\nheadline ratios:\n"]
     for name, value in sorted(headline_ratios(cells).items()):
         parts.append(f"  {name:30} {value:.3f}\n")
@@ -77,22 +87,28 @@ def _fig7_text(cells: List[Any]) -> str:
     return "".join(parts)
 
 
-def _mitigations_text(
-    ladder: List[Any], large_pages: Any, hierarchies: List[Any]
-) -> str:
-    from repro.ablations import (
-        format_hierarchy_results,
-        format_large_page_comparison,
-        format_mitigation_ladder,
-    )
+def _series_text(fig7: Mapping[str, List[Any]]) -> str:
+    from repro.perf import format_figure7
 
-    return (
-        format_mitigation_ladder(ladder)
-        + "\n\n"
-        + format_large_page_comparison(large_pages, 10, 13)
-        + "\n\n"
-        + format_hierarchy_results(hierarchies)
-    )
+    return format_figure7(fig7["series"])
+
+
+def _ladder_text(ladder: List[Any]) -> str:
+    from repro.ablations import format_mitigation_ladder
+
+    return format_mitigation_ladder(ladder)
+
+
+def _large_pages_text(large_pages: Any) -> str:
+    from repro.ablations import format_large_page_comparison
+
+    return format_large_page_comparison(large_pages, 10, 13)
+
+
+def _hierarchy_text(hierarchies: List[Any]) -> str:
+    from repro.ablations import format_hierarchy_results
+
+    return format_hierarchy_results(hierarchies)
 
 
 def _hierarchy_sweep_text(sweep: Mapping[str, Any]) -> str:
@@ -178,6 +194,34 @@ def _attacks_text(rows: List[Tuple[Mapping[str, Any], Any]]) -> str:
     return "".join(parts)
 
 
+#: Each experiment's text in ``results/``: (artifact, renderer of the
+#: experiment's assembled value) pairs, in the order its command prints
+#: them.  ``mitigations.txt`` joins three experiments' sections.
+TEXTS: Dict[str, Tuple[Tuple[str, Callable[[Any], str]], ...]] = {
+    "table2": (("table2.txt", _table2_text),),
+    "table4": (("table4_full.txt", _table4_text),),
+    "table7": (("table7_eval.txt", _table7_text),),
+    "fig7": (
+        ("fig7_full.txt", _fig7_text),
+        ("fig7_runs_series.txt", _series_text),
+    ),
+    "table5": (("table5.txt", str),),
+    "mitigations": (("mitigations.txt", _ladder_text),),
+    "largepages": (("mitigations.txt", _large_pages_text),),
+    "hierarchy": (("mitigations.txt", _hierarchy_text),),
+    "hierarchy_sweep": (("hierarchy_sweep.txt", _hierarchy_sweep_text),),
+    "sweeps": (("sweeps.txt", _sweeps_text),),
+    "attacks": (("attacks.txt", _attacks_text),),
+}
+
+
+def experiment_text(name: str, value: Any) -> str:
+    """What experiment ``name``'s command prints for its assembled
+    ``value``: the text it contributes to ``results/``, its artifacts
+    separated by a blank line."""
+    return "\n\n".join(render(value) for _artifact, render in TEXTS[name])
+
+
 def write_artifacts(
     assembled: Mapping[str, Any],
     results_dir: Path | str,
@@ -190,52 +234,33 @@ def write_artifacts(
     file.
     """
     from repro.perf import export_figure7_csv, export_table4_csv
-    from repro.security import format_table4
 
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
     log = log or RunLog(None)
     written: List[str] = []
+    csv_writers = {
+        "table4_full.csv": lambda p: export_table4_csv(assembled["table4"], p),
+        "fig7_full.csv": lambda p: export_figure7_csv(
+            assembled["fig7"]["grid"], p
+        ),
+    }
 
-    def emit(name: str, write) -> None:
-        if any(
-            source not in assembled for source in ARTIFACT_SOURCES[name]
-        ):
-            return
+    for name, sources in ARTIFACT_SOURCES.items():
+        if any(source not in assembled for source in sources):
+            continue
         path = results_dir / name
-        write(path)
+        if name in csv_writers:
+            csv_writers[name](path)
+        else:
+            path.write_text("\n\n".join(
+                render(assembled[source])
+                for source in sources
+                for artifact, render in TEXTS[source]
+                if artifact == name
+            ))
         written.append(name)
         log.emit("artifact", path=str(path))
-
-    emit("table2.txt",
-         lambda p: p.write_text(_table2_text(assembled["table2"])))
-    emit("table4_full.txt",
-         lambda p: p.write_text(format_table4(assembled["table4"])))
-    emit("table4_full.csv",
-         lambda p: export_table4_csv(assembled["table4"], p))
-    emit("table7_eval.txt",
-         lambda p: p.write_text(_table7_text(assembled["table7"])))
-    emit("fig7_full.txt",
-         lambda p: p.write_text(_fig7_text(assembled["fig7"]["grid"])))
-    emit("fig7_full.csv",
-         lambda p: export_figure7_csv(assembled["fig7"]["grid"], p))
-    emit("fig7_runs_series.txt",
-         lambda p: p.write_text(_series_text(assembled["fig7"]["series"])))
-    emit("table5.txt", lambda p: p.write_text(assembled["table5"]))
-    emit("mitigations.txt",
-         lambda p: p.write_text(_mitigations_text(
-             assembled["mitigations"],
-             assembled["largepages"],
-             assembled["hierarchy"],
-         )))
-    emit("hierarchy_sweep.txt",
-         lambda p: p.write_text(_hierarchy_sweep_text(
-             assembled["hierarchy_sweep"]
-         )))
-    emit("sweeps.txt",
-         lambda p: p.write_text(_sweeps_text(assembled["sweeps"])))
-    emit("attacks.txt",
-         lambda p: p.write_text(_attacks_text(assembled["attacks"])))
 
     # Experiments without a dedicated writer (e.g. test probes and the
     # chaos campaign's cells) still get a deterministic JSON artifact, so
@@ -255,9 +280,3 @@ def write_artifacts(
         written.append(filename)
         log.emit("artifact", path=str(path))
     return written
-
-
-def _series_text(series: List[Any]) -> str:
-    from repro.perf import format_figure7
-
-    return format_figure7(series)

@@ -333,48 +333,6 @@ class SecurityEvaluator:
                 misses += missed
         return misses
 
-    # -- the paper's flat designs (Tables 4 and 7) ---------------------------------
-
-    def evaluate_kind(
-        self,
-        kind: TLBKind,
-        vulnerabilities: Optional[Sequence[Vulnerability]] = None,
-        trials: Optional[int] = None,
-    ) -> List[VulnerabilityResult]:
-        """Every Table 2 row (or ``vulnerabilities``) on one flat design."""
-        spec = table4_spec(kind)
-        if vulnerabilities is None:
-            vulnerabilities = table2_vulnerabilities()
-        return [
-            self.evaluate_vulnerability(vulnerability, spec, trials)
-            for vulnerability in vulnerabilities
-        ]
-
-    def evaluate_table4(
-        self,
-        kinds: Iterable[TLBKind] = (TLBKind.SA, TLBKind.SP, TLBKind.RF),
-        trials: Optional[int] = None,
-    ) -> Dict[TLBKind, List[VulnerabilityResult]]:
-        return {kind: self.evaluate_kind(kind, trials=trials) for kind in kinds}
-
-    def evaluate_extended(
-        self,
-        kind: TLBKind,
-        trials: Optional[int] = None,
-    ) -> List[VulnerabilityResult]:
-        """Appendix B: run the targeted-invalidation rows (Table 7).
-
-        The generated benchmarks realize targeted invalidations as
-        per-page ``sfence.vma`` with Appendix B's presence-dependent
-        timing; invalidation probes measure the cycle counter instead of
-        the miss counter.
-        """
-        from repro.model.extended import invalidation_only_vulnerabilities
-
-        return self.evaluate_kind(
-            kind, invalidation_only_vulnerabilities(), trials
-        )
-
 
 def _missed(status: ExecutionStatus) -> bool:
     """A finished benchmark's verdict: True iff Step 3 missed."""
@@ -508,8 +466,9 @@ def table4_cells(
 
     Every cell is independent -- :meth:`SecurityEvaluator.evaluate_vulnerability`
     derives its RNG from the cell's own label -- so this enumeration is the
-    unit of sharding for :mod:`repro.runner` as well as the serial iteration
-    order of :meth:`SecurityEvaluator.evaluate_table4`.
+    unit of sharding for :mod:`repro.runner`, whose ``table4`` experiment
+    runs one cell per entry, in this order, under ``run-all``, ``serve``
+    and ``python -m repro table4`` alike.
     """
     rows = (
         list(vulnerabilities)

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.ablations import (
-    evaluate_hierarchy,
-    format_hierarchy_results,
-)
+from repro.ablations import format_hierarchy_results
 from repro.model.patterns import Strategy
-from repro.security import TLBKind
+from repro.runner import run_experiment
 
 TRIALS = 25
 
@@ -24,18 +21,24 @@ def sweep_estimate(spec, vulnerability, trials):
 
 
 @pytest.fixture(scope="module")
-def sa_sa():
-    return evaluate_hierarchy(TLBKind.SA, TLBKind.SA, trials=TRIALS)
+def study():
+    """The three combinations in order: SA/SA, RF/SA, RF/RF."""
+    return run_experiment("hierarchy", {"hierarchy_trials": TRIALS})
 
 
 @pytest.fixture(scope="module")
-def rf_sa():
-    return evaluate_hierarchy(TLBKind.RF, TLBKind.SA, trials=TRIALS)
+def sa_sa(study):
+    return study[0]
 
 
 @pytest.fixture(scope="module")
-def rf_rf():
-    return evaluate_hierarchy(TLBKind.RF, TLBKind.RF, trials=TRIALS)
+def rf_sa(study):
+    return study[1]
+
+
+@pytest.fixture(scope="module")
+def rf_rf(study):
+    return study[2]
 
 
 class TestHierarchySecurity:

@@ -2,18 +2,15 @@
 
 import pytest
 
-from repro.ablations import (
-    evaluate_large_pages,
-    format_large_page_comparison,
-)
-from repro.security import TLBKind
+from repro.ablations import format_large_page_comparison
+from repro.runner import run_experiment
 
 TRIALS = 25
 
 
 @pytest.fixture(scope="module")
 def result():
-    return evaluate_large_pages(TLBKind.SA, trials=TRIALS)
+    return run_experiment("largepages", {"largepage_trials": TRIALS})
 
 
 class TestLargePageDefence:

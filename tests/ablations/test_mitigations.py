@@ -1,44 +1,61 @@
 """Tests for the Section 2.3 mitigation ladder."""
 
+import pytest
 
-from repro.ablations import (
-    evaluate_all_mitigations,
-    evaluate_asid_baseline,
-    evaluate_flush_on_switch,
-    evaluate_fully_associative,
-    format_mitigation_ladder,
-)
+from repro.ablations import format_mitigation_ladder
 from repro.model.patterns import Strategy
+from repro.runner import run_experiment
 
 TRIALS = 25
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """The rungs in presentation order: ASIDs, flush on switch, fully
+    associative, SP, RF."""
+    return run_experiment("mitigations", {"mitigation_trials": TRIALS})
+
+
+@pytest.fixture(scope="module")
+def asid_baseline(ladder):
+    return ladder[0]
+
+
+@pytest.fixture(scope="module")
+def flush_on_switch(ladder):
+    return ladder[1]
+
+
+@pytest.fixture(scope="module")
+def fully_associative(ladder):
+    return ladder[2]
 
 
 class TestLadderCounts:
     """The paper's defence counts for every pre-existing mitigation."""
 
-    def test_asid_baseline_defends_10(self):
-        result = evaluate_asid_baseline(trials=TRIALS)
-        assert result.defended == 10
-        assert result.matches_paper
+    def test_asid_baseline_defends_10(self, asid_baseline):
+        assert asid_baseline.defended == 10
+        assert asid_baseline.matches_paper
 
-    def test_flush_on_switch_defends_14(self):
-        result = evaluate_flush_on_switch(trials=TRIALS)
-        assert result.defended == 14
-        assert result.matches_paper
+    def test_flush_on_switch_defends_14(self, flush_on_switch):
+        assert flush_on_switch.defended == 14
+        assert flush_on_switch.matches_paper
 
-    def test_fully_associative_defends_18(self):
-        result = evaluate_fully_associative(trials=TRIALS)
-        assert result.defended == 18
-        assert result.matches_paper
+    def test_fully_associative_defends_18(self, fully_associative):
+        assert fully_associative.defended == 18
+        assert fully_associative.matches_paper
 
 
 class TestLadderDetails:
-    def test_flush_on_switch_adds_exactly_the_em_rows(self):
+    def test_flush_on_switch_adds_exactly_the_em_rows(
+        self, asid_baseline, flush_on_switch
+    ):
         baseline = {
             result.vulnerability: result.defended
-            for result in evaluate_asid_baseline(trials=TRIALS).results
+            for result in asid_baseline.results
         }
-        flushed = evaluate_flush_on_switch(trials=TRIALS).results
+        flushed = flush_on_switch.results
         gained = [
             result.vulnerability
             for result in flushed
@@ -50,18 +67,18 @@ class TestLadderDetails:
             Strategy.PRIME_PROBE,
         }
 
-    def test_fully_associative_leaves_only_internal_collision(self):
-        results = evaluate_fully_associative(trials=TRIALS).results
+    def test_fully_associative_leaves_only_internal_collision(
+        self, fully_associative
+    ):
+        results = fully_associative.results
         vulnerable = [r.vulnerability for r in results if not r.defended]
         assert len(vulnerable) == 6
         assert {v.strategy for v in vulnerable} == {Strategy.INTERNAL_COLLISION}
 
-    def test_full_ladder_matches_paper(self):
-        ladder = evaluate_all_mitigations(trials=TRIALS)
+    def test_full_ladder_matches_paper(self, ladder):
         assert [result.defended for result in ladder] == [10, 14, 18, 14, 24]
         assert all(result.matches_paper for result in ladder)
 
-    def test_format_ladder(self):
-        ladder = [evaluate_asid_baseline(trials=5)]
-        text = format_mitigation_ladder(ladder)
+    def test_format_ladder(self, asid_baseline):
+        text = format_mitigation_ladder([asid_baseline])
         assert "ASID" in text and "/24" in text

@@ -5,9 +5,10 @@ import pytest
 from repro.ablations import (
     format_partition_sweep,
     format_region_sweep,
-    sweep_replacement_policy,
-    sweep_rf_region,
-    sweep_sp_partition,
+    replacement_policy_point,
+    rf_region_point,
+    sp_partition_point,
+    walk_latency_point,
 )
 from repro.tlb import ReplacementKind, TLBConfig
 
@@ -15,9 +16,13 @@ from repro.tlb import ReplacementKind, TLBConfig
 class TestPartitionSweep:
     @pytest.fixture(scope="class")
     def points(self):
-        return sweep_sp_partition(
-            config=TLBConfig(entries=32, ways=4), instructions=40_000, rsa_runs=5
-        )
+        return [
+            sp_partition_point(
+                victim_ways, TLBConfig(entries=32, ways=4),
+                instructions=40_000, rsa_runs=5,
+            )
+            for victim_ways in (1, 2, 3)
+        ]
 
     def test_covers_all_proper_splits(self, points):
         assert [p.victim_ways for p in points] == [1, 2, 3]
@@ -41,7 +46,7 @@ class TestPartitionSweep:
 class TestRegionSweep:
     @pytest.fixture(scope="class")
     def points(self):
-        return sweep_rf_region(region_sizes=(1, 3, 31), trials=60)
+        return [rf_region_point(pages, trials=60) for pages in (1, 3, 31)]
 
     def test_single_page_region_provides_no_randomness(self, points):
         # With a one-page region the "random" fill is deterministic: the
@@ -68,7 +73,15 @@ class TestRegionSweep:
 class TestReplacementPolicySweep:
     @pytest.fixture(scope="class")
     def points(self):
-        return sweep_replacement_policy()
+        return [
+            replacement_policy_point(policy)
+            for policy in (
+                ReplacementKind.LRU,
+                ReplacementKind.TREE_PLRU,
+                ReplacementKind.FIFO,
+                ReplacementKind.RANDOM,
+            )
+        ]
 
     def test_deterministic_policies_allow_full_recovery(self, points):
         by_policy = {p.policy: p for p in points}
@@ -87,9 +100,10 @@ class TestReplacementPolicySweep:
 class TestWalkLatencySweep:
     @pytest.fixture(scope="class")
     def points(self):
-        from repro.ablations import sweep_walk_latency
-
-        return sweep_walk_latency(costs=(2, 10, 40), instructions=40_000)
+        return [
+            walk_latency_point(cost, instructions=40_000)
+            for cost in (2, 10, 40)
+        ]
 
     def test_mpki_is_invariant_to_walk_cost(self, points):
         mpkis = {round(point.mpki, 6) for point in points}

@@ -218,6 +218,20 @@ class TestCertifyCLI:
         assert field in message
         assert "\n" not in message
 
+    @pytest.mark.parametrize("name", ["missing.json", "directory.json"])
+    def test_unreadable_spec_file_is_a_one_line_error(
+        self, monkeypatch, tmp_path, name
+    ):
+        # Once, only a malformed spec was reported: a missing file (or a
+        # directory) ended in an OSError traceback.
+        (tmp_path / "directory.json").mkdir()
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main(["certify", name])
+        message = str(raised.value.code)
+        assert message.startswith(f"certify: invalid spec {name!r}: ")
+        assert "\n" not in message
+
     def test_unknown_label_lists_the_catalog(self):
         with pytest.raises(SystemExit, match="known labels"):
             main(["certify", "XX+YY"])

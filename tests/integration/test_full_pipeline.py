@@ -3,12 +3,24 @@
 import pytest
 
 from repro.model import derive_vulnerabilities, table2_vulnerabilities
+from repro.runner import run_experiment
 from repro.security import (
     EvaluationConfig,
     SecurityEvaluator,
     TLBKind,
     defended_counts,
+    table4_spec,
 )
+
+
+def table4_rows(kind, strategy, trials=40):
+    """Table 4's cells on ``kind`` for the rows of one strategy."""
+    evaluator = SecurityEvaluator(EvaluationConfig(trials=trials))
+    return [
+        evaluator.evaluate_vulnerability(row, table4_spec(kind))
+        for row in table2_vulnerabilities()
+        if row.strategy is strategy
+    ]
 
 
 class TestModelToSimulationAgreement:
@@ -18,8 +30,7 @@ class TestModelToSimulationAgreement:
 
     @pytest.fixture(scope="class")
     def table(self):
-        evaluator = SecurityEvaluator(EvaluationConfig(trials=60))
-        return evaluator.evaluate_table4()
+        return run_experiment("table4", {"table4_trials": 60})
 
     def test_headline(self, table):
         assert defended_counts(table) == {
@@ -96,7 +107,6 @@ class TestAttacksAgreeWithTable4:
     def test_prime_probe_row_predicts_tlbleed(self):
         from repro.attacks import tlbleed_attack
 
-        evaluator = SecurityEvaluator(EvaluationConfig(trials=40))
         from repro.model.patterns import Strategy
 
         for kind, should_succeed in (
@@ -104,11 +114,7 @@ class TestAttacksAgreeWithTable4:
             (TLBKind.SP, False),
             (TLBKind.RF, False),
         ):
-            rows = [
-                result
-                for result in evaluator.evaluate_kind(kind)
-                if result.vulnerability.strategy is Strategy.PRIME_PROBE
-            ]
+            rows = table4_rows(kind, Strategy.PRIME_PROBE)
             row_vulnerable = any(not row.defended for row in rows)
             assert row_vulnerable == should_succeed
             attack = tlbleed_attack(kind)
@@ -118,16 +124,11 @@ class TestAttacksAgreeWithTable4:
         from repro.attacks import scan_secret_page
         from repro.model.patterns import Strategy
 
-        evaluator = SecurityEvaluator(EvaluationConfig(trials=40))
         for kind, should_succeed in (
             (TLBKind.SA, True),
             (TLBKind.SP, True),  # internal interference survives SP
         ):
-            rows = [
-                result
-                for result in evaluator.evaluate_kind(kind)
-                if result.vulnerability.strategy is Strategy.INTERNAL_COLLISION
-            ]
+            rows = table4_rows(kind, Strategy.INTERNAL_COLLISION)
             assert any(not row.defended for row in rows) == should_succeed
             assert scan_secret_page(kind).correct == should_succeed
 

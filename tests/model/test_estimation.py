@@ -99,15 +99,16 @@ class TestAgainstTheHarness:
     def test_table4_verdicts_agree_with_significance(self):
         # The significance criterion reproduces the paper's defended
         # pattern on a real (reduced-trial) Table 4 run.
-        from repro.security import EvaluationConfig, SecurityEvaluator, TLBKind
+        from repro.runner import run_experiment
+        from repro.security import TLBKind
 
-        evaluator = SecurityEvaluator(EvaluationConfig(trials=60))
+        table = run_experiment("table4", {"table4_trials": 60})
         for kind, expected in (
             (TLBKind.SA, 10),
             (TLBKind.SP, 14),
             (TLBKind.RF, 24),
         ):
-            results = evaluator.evaluate_kind(kind)
+            results = table[kind]
             defended = sum(
                 1
                 for result in results

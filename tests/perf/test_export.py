@@ -6,7 +6,23 @@ import pytest
 
 from repro.perf import PerfSettings, Scenario, run_cell
 from repro.perf.export import export_figure7_csv, export_table4_csv
-from repro.security import EvaluationConfig, SecurityEvaluator, TLBKind
+from repro.model.extended import invalidation_only_vulnerabilities
+from repro.model.table2 import table2_vulnerabilities
+from repro.security import (
+    EvaluationConfig,
+    SecurityEvaluator,
+    TLBKind,
+    table4_spec,
+)
+
+
+def sa_results(trials, rows):
+    """Table 4's SA cells for ``rows`` at ``trials``."""
+    evaluator = SecurityEvaluator(EvaluationConfig(trials=trials))
+    return [
+        evaluator.evaluate_vulnerability(row, table4_spec(TLBKind.SA))
+        for row in rows
+    ]
 
 
 class TestFigure7Export:
@@ -46,8 +62,7 @@ class TestFigure7Export:
 
 class TestTable4Export:
     def test_export_contains_every_row(self, tmp_path):
-        evaluator = SecurityEvaluator(EvaluationConfig(trials=5))
-        table = {TLBKind.SA: evaluator.evaluate_kind(TLBKind.SA)}
+        table = {TLBKind.SA: sa_results(5, table2_vulnerabilities())}
         path = tmp_path / "table4.csv"
         rows = export_table4_csv(table, path)
         assert rows == 24
@@ -58,8 +73,9 @@ class TestTable4Export:
         assert defended == 10
 
     def test_extended_rows_have_empty_theory_fields(self, tmp_path):
-        evaluator = SecurityEvaluator(EvaluationConfig(trials=3))
-        table = {TLBKind.SA: evaluator.evaluate_extended(TLBKind.SA)[:4]}
+        table = {
+            TLBKind.SA: sa_results(3, invalidation_only_vulnerabilities()[:4])
+        }
         path = tmp_path / "ext.csv"
         export_table4_csv(table, path)
         with path.open() as handle:

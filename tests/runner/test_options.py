@@ -177,6 +177,7 @@ def test_the_trials_shorthand_sets_the_declared_trial_option():
         "hierarchy": "hierarchy_trials",
         "hierarchy_sweep": "hierarchy_sweep_trials",
         "largepages": "largepage_trials",
+        "sweeps": "rf_region_trials",
     }
     for experiment, option in shorthand.items():
         spec = parse_spec({"experiment": experiment, "trials": 3})

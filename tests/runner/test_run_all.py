@@ -174,6 +174,22 @@ class TestExecutorArguments:
         assert not (tmp_path / "results").exists()
         assert not (tmp_path / "cache").exists()
 
+    def test_filters_that_select_no_cell_are_refused(self, tmp_path):
+        # Once, a misspelt filter ran 0 of 0 cells, wrote a run log and
+        # reported success.
+        with pytest.raises(
+            ValueError, match=r"filters 'tabel4\*', 'x/y' select no cells"
+        ):
+            run_all(
+                filters=["tabel4*", "x/y"],
+                results_dir=tmp_path / "results",
+                cache_dir=tmp_path / "cache",
+                progress=False,
+            )
+        assert not (tmp_path / "results" / "run_log.jsonl").exists()
+        assert not (tmp_path / "results").exists()
+        assert not (tmp_path / "cache").exists()
+
     def test_zero_retries_still_runs_each_cell_once(self, tmp_path):
         report = run_all(
             executor="work-stealing",

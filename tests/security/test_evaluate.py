@@ -5,6 +5,7 @@ import pytest
 from repro.model.patterns import Observation, ThreeStepPattern, Vulnerability
 from repro.model.states import A_D, V_A, V_U
 from repro.model.table2 import table2_vulnerabilities
+from repro.runner import run_experiment
 from repro.security import (
     EvaluationConfig,
     SecurityEvaluator,
@@ -25,8 +26,8 @@ def evaluator():
 
 
 @pytest.fixture(scope="module")
-def table(evaluator):
-    return evaluator.evaluate_table4()
+def table():
+    return run_experiment("table4", {"table4_trials": TRIALS})
 
 
 def find(results, pretty):
@@ -147,6 +148,6 @@ class TestHarnessMechanics:
         assert text.count("~>") >= 72
         assert "defended rows: SA=10/24, SP=14/24, RF=24/24" in text
 
-    def test_evaluate_kind_covers_table2(self, evaluator):
-        results = evaluator.evaluate_kind(TLBKind.SA, trials=2)
-        assert len(results) == 24
+    def test_table4_covers_table2_on_each_design(self, table):
+        for results in table.values():
+            assert len(results) == 24

@@ -12,22 +12,15 @@ randomized.
 import pytest
 
 from repro.model.extended import strategy_label
-from repro.security import EvaluationConfig, SecurityEvaluator, TLBKind
+from repro.runner import run_experiment
+from repro.security import TLBKind
 
 TRIALS = 30
 
 
 @pytest.fixture(scope="module")
-def evaluator():
-    return SecurityEvaluator(EvaluationConfig(trials=TRIALS))
-
-
-@pytest.fixture(scope="module")
-def tables(evaluator):
-    return {
-        kind: evaluator.evaluate_extended(kind)
-        for kind in (TLBKind.SA, TLBKind.SP, TLBKind.RF)
-    }
+def tables():
+    return run_experiment("table7", {"table7_trials": TRIALS})
 
 
 class TestExtendedCoverage:

@@ -138,8 +138,7 @@ class TestParseSpec:
     ):
         detail = _reject({"experiment": experiment, "options": {option: count}})
         assert detail == f"option {option!r} must be a positive integer"
-        # A null shorthand means "not given"; only trial counts have one,
-        # and sweeps has none.
+        # A null shorthand means "not given"; only trial counts have one.
         if (
             count is not None
             and get_experiment(experiment).trials_option == option

@@ -22,15 +22,15 @@ class TestParser:
 
     def test_design_choices_validated(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["table4", "--designs", "XX"])
+            build_parser().parse_args(["attack", "--designs", "XX"])
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["table2"],
             ["table4", "--trials", "5"],
-            ["table7", "--evaluate"],
-            ["fig7", "--configs", "4W 32"],
+            ["table7", "--trials", "5"],
+            ["fig7", "--rsa-runs", "2", "3"],
             ["table5"],
             ["mitigations", "--trials", "5"],
             ["sweeps"],
@@ -43,6 +43,40 @@ class TestParser:
     def test_commands_parse(self, argv):
         args = build_parser().parse_args(argv)
         assert callable(args.func)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table4", "--designs", "SA"],
+            ["table7", "--evaluate"],
+            ["fig7", "--designs", "SA"],
+            ["fig7", "--configs", "4W 32"],
+            ["fig7", "--full"],
+            ["hierarchy-sweep", "--no-leakage"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_flag_that_selects_cells_is_gone(self, capsys, argv):
+        # Experiment commands select no cells: each flag sets one declared
+        # option ('run-all --filter' selects cells).
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_experiment_flags_lower_onto_declared_options(self):
+        parse = build_parser().parse_args
+        args = parse([
+            "fig7", "--rsa-runs", "2", "3", "--spec-instructions", "20000",
+            "--key-bits", "32",
+        ])
+        assert (args.fig7_rsa_runs, args.fig7_spec_instructions,
+                args.fig7_key_bits) == ([2, 3], 20_000, 32)
+        assert parse(["hierarchy-sweep", "--rsa-runs", "4"]).hierarchy_sweep_rsa_runs == 4
+        # Every flag defaults to None, so the declared default applies.
+        assert parse(["fig7"]).fig7_rsa_runs is None
+        assert parse(["sweeps"]).trials is None
+        assert parse(["hierarchy-sweep"]).hierarchy_sweep_rsa_runs is None
 
     def test_building_the_parser_imports_no_runner_module(self):
         """Every command imports what it uses when it runs: building the
@@ -142,6 +176,23 @@ class TestParser:
         assert not (tmp_path / "results").exists()
         assert not (tmp_path / "cache").exists()
 
+    def test_a_filter_that_selects_no_cell_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        # Once, 'tabel4*' ran 0 of 0 cells, wrote a run log and exited 0.
+        with pytest.raises(SystemExit) as raised:
+            main([
+                "run-all", "--filter", "tabel4*",
+                "--results-dir", str(tmp_path / "results"),
+                "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "filters 'tabel4*' select no cells" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "results").exists()
+        assert not (tmp_path / "cache").exists()
+
     def test_a_negative_chaos_worker_count_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["chaos", "runner", "--workers", "-1"])
@@ -224,53 +275,92 @@ class TestParser:
         assert (args.max_retries, args.task_timeout) == (0, 0.5)
 
 
+#: Each experiment command at small settings, the run_all options those
+#: flags set, and text its output must hold beyond the artifact.
+COMMANDS = {
+    "table2": (["table2", "--verbose"], {}, [
+        "candidates: ", "TLB Prime + Probe",
+        "exact match with the paper's Table 2: True",
+    ]),
+    "table4": (["table4", "--trials", "20"], {"table4_trials": 20}, [
+        "defended rows: SA=10/24, SP=14/24, RF=24/24",
+    ]),
+    "table7": (["table7", "--trials", "10"], {"table7_trials": 10}, [
+        "== RF: defended ",
+    ]),
+    "fig7": (
+        ["fig7", "--rsa-runs", "2", "--spec-instructions", "20000",
+         "--key-bits", "32"],
+        {"fig7_rsa_runs": [2], "fig7_spec_instructions": 20_000,
+         "fig7_key_bits": 32},
+        ["MPKI", "headline ratios:"],
+    ),
+    "table5": (["table5"], {}, ["fit: worst LUT err"]),
+    "mitigations": (["mitigations", "--trials", "10"],
+                    {"mitigation_trials": 10}, ["Sanctum"]),
+    "largepages": (["largepages", "--trials", "8"],
+                   {"largepage_trials": 8}, ["2 MiB"]),
+    "hierarchy": (["hierarchy", "--trials", "8"],
+                  {"hierarchy_trials": 8}, ["RF L1 + RF L2"]),
+    "hierarchy_sweep": (
+        ["hierarchy-sweep", "--trials", "2", "--rsa-runs", "2"],
+        {"hierarchy_sweep_trials": 2, "hierarchy_sweep_rsa_runs": 2},
+        ["hierarchy sweep", "RF+RF+pwc", "refill-leakage cross-check"],
+    ),
+    "sweeps": (["sweeps", "--trials", "20"], {"rf_region_trials": 20},
+               ["RF region size:"]),
+}
+
+
+@pytest.fixture(scope="module")
+def run_all_results(tmp_path_factory):
+    """What run_all writes for every experiment at the commands' settings."""
+    from repro.runner import run_all
+
+    results = tmp_path_factory.mktemp("run-all")
+    options = {}
+    for _argv, overrides, _texts in COMMANDS.values():
+        options.update(overrides)
+    report = run_all(
+        jobs=1, use_cache=False, filters=[f"{name}*" for name in COMMANDS],
+        results_dir=results, options=options, progress=False,
+    )
+    assert report.ok
+    return results
+
+
+def expected_artifacts(experiment, results):
+    """The bytes of run_all's artifacts that the command must print."""
+    if experiment in ("mitigations", "largepages", "hierarchy"):
+        sections = (results / "mitigations.txt").read_bytes().split(b"\n\n")
+        index = ("mitigations", "largepages", "hierarchy").index(experiment)
+        return [sections[index]]
+    from repro.runner import ARTIFACT_SOURCES
+
+    return [
+        (results / name).read_bytes()
+        for name, sources in ARTIFACT_SOURCES.items()
+        if sources == (experiment,) and name.endswith(".txt")
+    ]
+
+
+class TestExperimentCommands:
+    @pytest.mark.parametrize("experiment", list(COMMANDS))
+    def test_command_prints_what_run_all_writes(
+        self, capsysbinary, run_all_results, experiment
+    ):
+        argv, _options, texts = COMMANDS[experiment]
+        assert main(argv) == 0
+        out = capsysbinary.readouterr().out
+        artifacts = expected_artifacts(experiment, run_all_results)
+        assert artifacts
+        for artifact in artifacts:
+            assert artifact in out
+        for text in texts:
+            assert text.encode() in out
+
+
 class TestExecution:
-    def test_table2_exits_zero_and_prints_table(self, capsys):
-        assert main(["table2", "--verbose"]) == 0
-        out = capsys.readouterr().out
-        assert "TLB Prime + Probe" in out
-        assert "exact match with the paper's Table 2: True" in out
-
-    def test_table4_small(self, capsys):
-        assert main(["table4", "--trials", "20"]) == 0
-        out = capsys.readouterr().out
-        assert "defended rows: SA=10/24, SP=14/24, RF=24/24" in out
-
-    def test_table4_single_design(self, capsys):
-        assert main(["table4", "--trials", "10", "--designs", "SA"]) == 0
-        out = capsys.readouterr().out
-        assert "== SA TLB ==" in out and "== RF TLB ==" not in out
-
-    def test_table5(self, capsys):
-        assert main(["table5"]) == 0
-        out = capsys.readouterr().out
-        assert "fit quality" in out
-
-    def test_table7_listing(self, capsys):
-        assert main(["table7"]) == 0
-        out = capsys.readouterr().out
-        assert "TLB Flush + Flush" in out
-
-    def test_fig7_slice(self, capsys):
-        assert (
-            main(
-                [
-                    "fig7",
-                    "--configs",
-                    "4W 32",
-                    "--rsa-runs",
-                    "3",
-                    "--spec-instructions",
-                    "20000",
-                    "--designs",
-                    "SA",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "MPKI" in out
-
     def test_attack(self, capsys):
         assert main(["attack", "--designs", "SA", "--key-bits", "32"]) == 0
         out = capsys.readouterr().out
@@ -281,27 +371,8 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "capacity" in out
 
-    def test_mitigations(self, capsys):
-        assert main(["mitigations", "--trials", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "Sanctum" in out
-
 
 class TestExtensionCommands:
-    def test_hierarchy_command(self, capsys):
-        assert main(["hierarchy", "--trials", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "RF L1 + RF L2" in out
-
-    def test_hierarchy_sweep_command(self, capsys):
-        assert main(
-            ["hierarchy-sweep", "--trials", "2", "--rsa-runs", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "hierarchy sweep" in out
-        assert "RF+RF+pwc" in out
-        assert "refill-leakage cross-check" in out
-
     def test_chaos_design_choices_include_hierarchies(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "sim", "--design", "XX+SA"])
@@ -309,13 +380,3 @@ class TestExtensionCommands:
             ["chaos", "sim", "--design", "SA+SA"]
         )
         assert args.design == "SA+SA"
-
-    def test_largepages_command(self, capsys):
-        assert main(["largepages", "--trials", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "2 MiB" in out
-
-    def test_table7_without_evaluation_is_fast(self, capsys):
-        assert main(["table7"]) == 0
-        out = capsys.readouterr().out
-        assert "measured defence" not in out
